@@ -2,11 +2,11 @@
 //
 // Throughput benchmark of the Machine inner loop: the predecoded fast
 // path (contiguous register-file stack, dense BTB/value-profile slots,
-// allocation-free sampling) against the reference interpreter it
-// replaced, on a profiling-shaped run (probed HHVM binary, sampling
-// enabled). Both paths produce bit-identical RunResults — verified here
-// on the first repetition and exhaustively by the ExecutorEquivalence
-// property suite.
+// allocation-free sampling) against the test oracle's reference
+// interpreter (tests/oracle/), on a profiling-shaped run (probed HHVM
+// binary, sampling enabled). Both paths produce bit-identical
+// RunResults — verified here on the first repetition and exhaustively by
+// the ExecutorEquivalence property suite.
 //
 // Reports simulated MIPS (retired simulated instructions per wall-clock
 // second) and samples/second for each path, plus the fast/reference
@@ -22,6 +22,7 @@
 
 #include "codegen/Linker.h"
 #include "probe/ProbeInserter.h"
+#include "oracle/Oracle.h"
 #include "sim/Executor.h"
 
 #include <algorithm>
@@ -56,23 +57,6 @@ struct Throughput {
   double samplesPerSec() const { return SamplesPerRep / BestSeconds; }
 };
 
-bool sameResult(const RunResult &A, const RunResult &B) {
-  if (A.Completed != B.Completed || A.Error != B.Error ||
-      A.ExitValue != B.ExitValue || A.Cycles != B.Cycles ||
-      A.Instructions != B.Instructions || A.Counters != B.Counters ||
-      A.Samples.size() != B.Samples.size())
-    return false;
-  for (size_t I = 0; I != A.Samples.size(); ++I) {
-    const PerfSample &SA = A.Samples[I], &SB = B.Samples[I];
-    if (SA.Stack != SB.Stack || SA.LBR.size() != SB.LBR.size())
-      return false;
-    for (size_t J = 0; J != SA.LBR.size(); ++J)
-      if (SA.LBR[J].Src != SB.LBR[J].Src || SA.LBR[J].Dst != SB.LBR[J].Dst)
-        return false;
-  }
-  return true;
-}
-
 } // namespace
 
 int main() {
@@ -93,11 +77,10 @@ int main() {
   std::vector<int64_t> Input = generateInput(WC, 7);
 
   auto runOnce = [&](bool Reference, Throughput &T, RunResult *FirstOut) {
-    ExecConfig Config = EC;
-    Config.ReferenceMode = Reference;
     std::vector<int64_t> Mem = Input; // execute() mutates memory.
     auto Start = std::chrono::steady_clock::now();
-    RunResult Result = execute(*Bin, "main", Mem, Config);
+    RunResult Result = Reference ? executeReference(*Bin, "main", Mem, EC)
+                                 : execute(*Bin, "main", Mem, EC);
     double Sec = secondsSince(Start);
     if (FirstOut) { // Warmup rep: untimed, supplies the identity check.
       *FirstOut = std::move(Result);
@@ -120,7 +103,8 @@ int main() {
     runOnce(/*Reference=*/true, Ref, nullptr);
     runOnce(/*Reference=*/false, Fast, nullptr);
   }
-  bool Identical = sameResult(RefResult, FastResult);
+  std::string Diff = diffRuns(RefResult, FastResult);
+  bool Identical = Diff.empty();
   double Speedup = Ref.mips() > 0 ? Fast.mips() / Ref.mips() : 0;
 
   TextTable Table({"path", "best s", "sim MIPS", "samples/s", "speedup",
@@ -144,7 +128,9 @@ int main() {
 
   if (!Identical) {
     std::fprintf(stderr,
-                 "FAIL: fast path diverged from the reference interpreter\n");
+                 "FAIL: fast path diverged from the reference interpreter: "
+                 "%s\n",
+                 Diff.c_str());
     return 1;
   }
   double MinSpeedup = 0; // Off unless the environment opts in.

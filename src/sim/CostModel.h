@@ -56,6 +56,21 @@ struct CostModel {
   uint32_t baseCost(Opcode Op) const;
 };
 
+/// The microarchitectural event counts a run reports next to its cycle
+/// clock and retired-instruction count (RunResult and TraceReplayResult
+/// both carry them).
+struct MachineCounters {
+  uint64_t TakenBranches = 0;
+  uint64_t CondBranches = 0;
+  uint64_t CondTaken = 0;
+  uint64_t UncondJumps = 0;
+  uint64_t Mispredicts = 0;
+  uint64_t ICacheMisses = 0;
+  uint64_t Calls = 0;
+  uint64_t IndirectCalls = 0;
+  uint64_t IndirectMispredicts = 0;
+};
+
 /// A set-associative LRU instruction cache model.
 class ICache {
 public:
@@ -66,26 +81,13 @@ public:
         Tags(static_cast<size_t>(Sets) * Ways, ~0ull),
         Age(static_cast<size_t>(Sets) * Ways, 0) {}
 
-  /// Accesses \p Addr; returns true on miss. (The straightforward
-  /// lookup; does not consult the same-line shortcut, so mixing access()
-  /// and accessPrecomputed() on one instance is fine only if the caller
-  /// sticks to a single entry point — each machine does.)
+  /// Accesses \p Addr; returns true on miss. (An access with no absorbed
+  /// streak: the lazily flushed age of the previous line equals the age
+  /// an eager update would have written.)
   bool access(uint64_t Addr) {
-    uint64_t Line = Addr / LineBytes;
-    size_t Set = static_cast<size_t>(Line % Sets) * Ways;
-    ++Clock;
-    size_t Victim = Set;
-    for (size_t W = Set; W != Set + Ways; ++W) {
-      if (Tags[W] == Line) {
-        Age[W] = Clock;
-        return false;
-      }
-      if (Age[W] < Age[Victim])
-        Victim = W;
-    }
-    Tags[Victim] = Line;
-    Age[Victim] = Clock;
-    return true;
+    uint64_t Line = lineOf(Addr);
+    uint64_t Pending = 0;
+    return accessStreaked(Line, setOf(Line), Pending);
   }
 
   /// Line number of \p Addr (for precomputing access indices at decode
@@ -96,46 +98,15 @@ public:
     return static_cast<size_t>(Line % Sets) * Ways;
   }
 
-  /// access() with the division folded out: \p Line and \p Set come from
-  /// lineOf()/setOf(), precomputed once per static instruction. The LRU
-  /// state transition is identical to a fresh lookup; a same-line
-  /// shortcut (straight-line code stays in one 64B line) skips the way
-  /// scan but still bumps the clock and the line's age.
-  bool accessPrecomputed(uint64_t Line, size_t Set) {
-    if (Line == LastLine) {
-      // Age[LastWay] is flushed lazily when the streak ends; only the
-      // streak's final clock value matters for LRU.
-      ++Clock;
-      return false;
-    }
-    if (LastLine != ~0ull)
-      Age[LastWay] = Clock;
-    ++Clock;
-    size_t Victim = Set;
-    for (size_t W = Set; W != Set + Ways; ++W) {
-      if (Tags[W] == Line) {
-        Age[W] = Clock;
-        LastLine = Line;
-        LastWay = W;
-        return false;
-      }
-      if (Age[W] < Age[Victim])
-        Victim = W;
-    }
-    Tags[Victim] = Line;
-    Age[Victim] = Clock;
-    LastLine = Line;
-    LastWay = Victim;
-    return true;
-  }
-
-  /// accessPrecomputed() for callers that filter same-line accesses
-  /// themselves (one register compare in the interpreter loop instead of
-  /// a call): \p Pending is the number of consecutive accesses to the
-  /// previously-accessed line the caller absorbed since the last call.
-  /// Folding their clock ticks in here, before the flush and the new
-  /// lookup, reproduces the eager clock sequence exactly — only the
-  /// streak's final clock value ever reaches the Age array.
+  /// access() with the division folded out (\p Line and \p Set come from
+  /// lineOf()/setOf(), precomputed once per static instruction), for
+  /// callers that filter same-line accesses themselves (one register
+  /// compare in the interpreter loop instead of a call): \p Pending is the
+  /// number of consecutive accesses to the previously-accessed line the
+  /// caller absorbed since the last call. Folding their clock ticks in
+  /// here, before the flush and the new lookup, reproduces the eager
+  /// clock sequence exactly — only the streak's final clock value ever
+  /// reaches the Age array.
   bool accessStreaked(uint64_t Line, size_t Set, uint64_t &Pending) {
     Clock += Pending;
     Pending = 0;

@@ -1,29 +1,23 @@
 //===- sim/Executor.cpp - Machine code executor ----------------------------===//
 //
-// Two interpreters live here, both producing bit-identical RunResults:
+// The interpreter: register and frame semantics on top of the shared
+// machine model (sim/MachineCore.h), which owns predecode, cost charging,
+// the i-cache, predictors, LBR and sampler. Bin.Code is predecoded once
+// per execute() into a dense internal form that resolves every operand's
+// imm/reg tag up front (branchless Regs[Idx] + Imm reads), all
+// frames share one contiguous register-file stack (calls and returns stop
+// allocating), and dispatch is threaded (computed goto).
 //
-// - ReferenceMachine: the original straightforward interpreter. One heap
-//   vector of registers per frame, per-operand tag dispatch, std::map BTB,
-//   allocating sampler snapshots. Kept as the oracle for the equivalence
-//   suite (ExecConfig::ReferenceMode) and as readable documentation of the
-//   semantics.
-//
-// - FastMachine: the production fast path. Bin.Code is predecoded once per
-//   execute() into a dense internal form that resolves every operand's
-//   imm/reg tag up front (branchless (Regs[Idx] & Mask) | Imm reads), all
-//   frames share one contiguous register-file stack (calls and returns
-//   stop allocating), the sampler writes LBR/stack snapshots into reused
-//   buffers, and the indirect-call BTB is a dense per-call-site table
-//   sized during predecode.
-//
-// Equivalence is pinned by tests/PropertyTest.cpp (ExecutorEquivalence)
-// and measured by bench/micro_executor.cpp.
+// Bit-identity against the independent reference interpreter
+// (tests/oracle/) is pinned by tests/PropertyTest.cpp
+// (ExecutorEquivalence) and measured by bench/micro_executor.cpp.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sim/Executor.h"
 
 #include "ir/GuestArith.h"
+#include "sim/MachineCore.h"
 
 #include <algorithm>
 #include <cassert>
@@ -32,357 +26,6 @@
 namespace csspgo {
 
 namespace {
-
-/// Pre-reservation for RunResult::Samples: expected sample count if the
-/// run hits the instruction cap (cycles >= instructions, so this slightly
-/// overshoots), clamped so a huge MaxInstructions cannot balloon memory.
-size_t sampleReserveEstimate(const ExecConfig &Config) {
-  if (!Config.Sampler.Enabled || Config.Sampler.PeriodCycles == 0)
-    return 0;
-  uint64_t Estimate = Config.MaxInstructions / Config.Sampler.PeriodCycles;
-  return static_cast<size_t>(std::min<uint64_t>(Estimate, 1u << 16));
-}
-
-//===----------------------------------------------------------------------===//
-// Reference interpreter
-//===----------------------------------------------------------------------===//
-
-struct Frame {
-  uint32_t FuncIdx = 0;
-  std::vector<int64_t> Regs;
-  /// Global instruction index to resume at in the caller (SIZE_MAX for the
-  /// outermost frame).
-  size_t RetIdx = SIZE_MAX;
-  /// Destination register in the caller for the return value.
-  RegId RetDst = InvalidReg;
-};
-
-class ReferenceMachine {
-public:
-  ReferenceMachine(const Binary &Bin, std::vector<int64_t> &Memory,
-                   const ExecConfig &Config)
-      : Bin(Bin), Memory(Memory), Config(Config), Cache(Config.Costs),
-        Predictor(Config.Costs), Ring(Config.Sampler.LBRDepth),
-        Jitter(Config.Sampler.Seed),
-        Tracer(Config.Trace, Config.Costs.TraceByteCost) {}
-
-  RunResult run(const std::string &Entry);
-
-private:
-  int64_t eval(const Operand &O, const Frame &F) const {
-    if (O.isImm())
-      return O.getImm();
-    if (O.isReg())
-      return F.Regs[O.getReg()];
-    return 0;
-  }
-
-  uint64_t memIndex(int64_t Addr) const {
-    uint64_t Size = Memory.size();
-    assert(Size && "memory must be non-empty");
-    int64_t M = Addr % static_cast<int64_t>(Size);
-    if (M < 0)
-      M += static_cast<int64_t>(Size);
-    return static_cast<uint64_t>(M);
-  }
-
-  void recordBranch(uint64_t Src, uint64_t Dst) {
-    Ring.record(Src, Dst);
-    ++Result.TakenBranches;
-    Result.Cycles += Config.Costs.TakenBranchCost;
-  }
-
-  std::vector<uint64_t> captureStack(size_t PCIdx) const {
-    std::vector<uint64_t> Stack;
-    Stack.reserve(Frames.size());
-    Stack.push_back(Bin.Code[PCIdx].Addr);
-    for (size_t I = Frames.size(); I-- > 0;) {
-      if (Frames[I].RetIdx != SIZE_MAX)
-        Stack.push_back(Bin.Code[Frames[I].RetIdx].Addr);
-    }
-    return Stack;
-  }
-
-  void maybeSample(size_t PCIdx) {
-    if (!Config.Sampler.Enabled)
-      return;
-    // Deliver a pending (skidded) sample once its delay has elapsed.
-    if (SkidCountdown > 0) {
-      if (--SkidCountdown == 0) {
-        Pending.Stack = captureStack(PCIdx);
-        Result.Samples.push_back(std::move(Pending));
-        Pending = PerfSample();
-      }
-    }
-    if (Result.Cycles < NextSampleAt)
-      return;
-    NextSampleAt = Result.Cycles + Config.Sampler.PeriodCycles;
-    // The PMU interrupt itself costs cycles (modeled perturbation; 0 by
-    // default). Charged after the next-sample point is armed so the
-    // sampling period is unperturbed.
-    Result.Cycles += Config.Costs.SampleInterruptCost;
-    if (Config.Sampler.Precise) {
-      PerfSample S;
-      S.LBR = Ring.snapshot();
-      S.Stack = captureStack(PCIdx);
-      Result.Samples.push_back(std::move(S));
-      return;
-    }
-    // Imprecise: LBR now, stack after a short skid. If a sample is already
-    // pending, drop the new one (PMU interrupts do not nest).
-    if (SkidCountdown > 0)
-      return;
-    Pending.LBR = Ring.snapshot();
-    if (Config.Sampler.MaxSkidInstructions == 0) {
-      // Zero skid: deliver at this instruction (Rng::nextBelow(0) is
-      // invalid — there is no skid to draw).
-      Pending.Stack = captureStack(PCIdx);
-      Result.Samples.push_back(std::move(Pending));
-      Pending = PerfSample();
-      return;
-    }
-    SkidCountdown =
-        1 + Jitter.nextBelow(Config.Sampler.MaxSkidInstructions);
-  }
-
-  /// Folds the recorded trace into the result; every exit path returns
-  /// through here.
-  RunResult finish() {
-    if (Config.Trace.Enabled)
-      Result.Trace = Tracer.finish(Result.Cycles);
-    return std::move(Result);
-  }
-
-  const Binary &Bin;
-  std::vector<int64_t> &Memory;
-  const ExecConfig &Config;
-  ICache Cache;
-  BranchPredictor Predictor;
-  LBRRing Ring;
-  Rng Jitter;
-  TraceRecorder Tracer;
-
-  std::vector<Frame> Frames;
-  std::map<uint64_t, uint64_t> IndirectBTB;
-  RunResult Result;
-  uint64_t NextSampleAt = 0;
-  PerfSample Pending;
-  uint32_t SkidCountdown = 0;
-};
-
-RunResult ReferenceMachine::run(const std::string &Entry) {
-  uint32_t EntryIdx = Bin.funcIndexByName(Entry);
-  if (EntryIdx == ~0u) {
-    Result.Error = "entry function '" + Entry + "' not found";
-    return finish();
-  }
-  Result.Counters.assign(Bin.NumCounters + 1, 0);
-  if (Config.CollectInstCounts)
-    Result.InstCounts.assign(Bin.Code.size(), 0);
-  Result.Samples.reserve(sampleReserveEstimate(Config));
-  NextSampleAt = Config.Sampler.PeriodCycles;
-
-  Frame Top;
-  Top.FuncIdx = EntryIdx;
-  Top.Regs.assign(Bin.Funcs[EntryIdx].NumRegs, 0);
-  Frames.push_back(std::move(Top));
-
-  size_t PC = Bin.Funcs[EntryIdx].EntryIdx;
-
-  while (true) {
-    if (Result.Instructions >= Config.MaxInstructions) {
-      Result.Error = "instruction limit exceeded";
-      return finish();
-    }
-    assert(PC < Bin.Code.size() && "PC out of range");
-    const MInst &I = Bin.Code[PC];
-    Frame &F = Frames.back();
-
-    ++Result.Instructions;
-    if (Config.CollectInstCounts)
-      ++Result.InstCounts[PC];
-    Result.Cycles += Config.Costs.baseCost(I.Op);
-    if (Cache.access(I.Addr)) {
-      ++Result.ICacheMisses;
-      Result.Cycles += Config.Costs.ICacheMissPenalty;
-    }
-    maybeSample(PC);
-
-    size_t NextPC = PC + 1;
-    switch (I.Op) {
-    case Opcode::Add:
-      F.Regs[I.Dst] = guestAdd(eval(I.A, F), eval(I.B, F));
-      break;
-    case Opcode::Sub:
-      F.Regs[I.Dst] = guestSub(eval(I.A, F), eval(I.B, F));
-      break;
-    case Opcode::Mul:
-      F.Regs[I.Dst] = guestMul(eval(I.A, F), eval(I.B, F));
-      break;
-    case Opcode::Div:
-      F.Regs[I.Dst] = guestDiv(eval(I.A, F), eval(I.B, F));
-      break;
-    case Opcode::Mod:
-      F.Regs[I.Dst] = guestMod(eval(I.A, F), eval(I.B, F));
-      break;
-    case Opcode::And:
-      F.Regs[I.Dst] = eval(I.A, F) & eval(I.B, F);
-      break;
-    case Opcode::Or:
-      F.Regs[I.Dst] = eval(I.A, F) | eval(I.B, F);
-      break;
-    case Opcode::Xor:
-      F.Regs[I.Dst] = eval(I.A, F) ^ eval(I.B, F);
-      break;
-    case Opcode::Shl:
-      F.Regs[I.Dst] = guestShl(eval(I.A, F), eval(I.B, F));
-      break;
-    case Opcode::Shr:
-      F.Regs[I.Dst] = guestShr(eval(I.A, F), eval(I.B, F));
-      break;
-    case Opcode::CmpEQ:
-      F.Regs[I.Dst] = eval(I.A, F) == eval(I.B, F);
-      break;
-    case Opcode::CmpNE:
-      F.Regs[I.Dst] = eval(I.A, F) != eval(I.B, F);
-      break;
-    case Opcode::CmpLT:
-      F.Regs[I.Dst] = eval(I.A, F) < eval(I.B, F);
-      break;
-    case Opcode::CmpLE:
-      F.Regs[I.Dst] = eval(I.A, F) <= eval(I.B, F);
-      break;
-    case Opcode::CmpGT:
-      F.Regs[I.Dst] = eval(I.A, F) > eval(I.B, F);
-      break;
-    case Opcode::CmpGE:
-      F.Regs[I.Dst] = eval(I.A, F) >= eval(I.B, F);
-      break;
-    case Opcode::Mov:
-      F.Regs[I.Dst] = eval(I.A, F);
-      break;
-    case Opcode::Select:
-      F.Regs[I.Dst] = eval(I.A, F) ? eval(I.B, F) : eval(I.C, F);
-      break;
-    case Opcode::Load:
-      F.Regs[I.Dst] = Memory[memIndex(eval(I.A, F))];
-      break;
-    case Opcode::Store:
-      Memory[memIndex(eval(I.A, F))] = eval(I.B, F);
-      break;
-    case Opcode::InstrProfIncr:
-      ++Result.Counters[I.CounterIdx];
-      break;
-    case Opcode::Br:
-      NextPC = static_cast<size_t>(I.Target);
-      ++Result.UncondJumps;
-      recordBranch(I.Addr, Bin.Code[NextPC].Addr);
-      break;
-    case Opcode::CondBr: {
-      bool Cond = eval(I.A, F) != 0;
-      bool Taken = Cond != I.InvertCond;
-      ++Result.CondBranches;
-      if (Predictor.mispredicted(I.Addr, Taken)) {
-        ++Result.Mispredicts;
-        Result.Cycles += Config.Costs.MispredictPenalty;
-      }
-      if (Taken) {
-        ++Result.CondTaken;
-        NextPC = static_cast<size_t>(I.Target);
-        recordBranch(I.Addr, Bin.Code[NextPC].Addr);
-      }
-      if (Config.Trace.Enabled)
-        Tracer.condBranch(Taken, Result.Cycles);
-      break;
-    }
-    case Opcode::CallIndirect:
-    case Opcode::Call: {
-      uint32_t CalleeIdx = I.CalleeIdx;
-      if (I.Op == Opcode::CallIndirect) {
-        // Resolve through the dispatch table; out-of-range slots wrap
-        // (total semantics, mirrors the generator's contract).
-        assert(!Bin.FuncTable.empty() && "indirect call without table");
-        uint64_t Slot = static_cast<uint64_t>(eval(I.A, F)) %
-                        Bin.FuncTable.size();
-        CalleeIdx = Bin.FuncTable[Slot];
-        ++Result.IndirectCalls;
-        // Indirect-branch target prediction: a last-target BTB entry per
-        // call site. This is the channel indirect-call promotion pays
-        // through — promoted sites become direct calls and stop missing.
-        uint64_t &Last = IndirectBTB[I.Addr];
-        if (Last != Bin.Funcs[CalleeIdx].EntryIdx + 1) {
-          ++Result.IndirectMispredicts;
-          ++Result.Mispredicts;
-          Result.Cycles += Config.Costs.MispredictPenalty;
-          Last = Bin.Funcs[CalleeIdx].EntryIdx + 1;
-        }
-        if (Config.CollectValueProfile && I.CallSiteId)
-          ++Result.ValueProfile[{I.OriginGuid, I.CallSiteId}]
-                               [static_cast<int64_t>(Slot)];
-        if (Config.Trace.Enabled)
-          Tracer.indirectTarget(CalleeIdx, Result.Cycles);
-      }
-      const MachineFunction &Callee = Bin.Funcs[CalleeIdx];
-      ++Result.Calls;
-      if (I.IsTailCall) {
-        // Tail-call elimination: reuse the frame; the caller disappears
-        // from the sampled stack.
-        Frame NewF;
-        NewF.FuncIdx = CalleeIdx;
-        NewF.Regs.assign(Callee.NumRegs, 0);
-        for (size_t A = 0; A != I.Args.size() && A < Callee.NumParams; ++A)
-          NewF.Regs[A] = eval(I.Args[A], F);
-        NewF.RetIdx = F.RetIdx;
-        NewF.RetDst = F.RetDst;
-        Frames.back() = std::move(NewF);
-        NextPC = Callee.EntryIdx;
-        // A tail call is an unconditional jump in the binary.
-        recordBranch(I.Addr, Bin.Code[NextPC].Addr);
-        break;
-      }
-      if (Frames.size() >= Config.MaxCallDepth) {
-        Result.Error = "call depth limit exceeded in " + Callee.Name;
-        return finish();
-      }
-      Frame NewF;
-      NewF.FuncIdx = CalleeIdx;
-      NewF.Regs.assign(Callee.NumRegs, 0);
-      for (size_t A = 0; A != I.Args.size() && A < Callee.NumParams; ++A)
-        NewF.Regs[A] = eval(I.Args[A], F);
-      NewF.RetIdx = PC + 1;
-      NewF.RetDst = I.Dst;
-      Frames.push_back(std::move(NewF));
-      NextPC = Callee.EntryIdx;
-      recordBranch(I.Addr, Bin.Code[NextPC].Addr);
-      break;
-    }
-    case Opcode::Ret: {
-      int64_t Value = eval(I.A, F);
-      size_t RetIdx = F.RetIdx;
-      RegId RetDst = F.RetDst;
-      Frames.pop_back();
-      if (Frames.empty() || RetIdx == SIZE_MAX) {
-        Result.ExitValue = Value;
-        Result.Completed = true;
-        return finish();
-      }
-      if (RetDst != InvalidReg)
-        Frames.back().Regs[RetDst] = Value;
-      NextPC = RetIdx;
-      recordBranch(I.Addr, Bin.Code[NextPC].Addr);
-      break;
-    }
-    case Opcode::PseudoProbe:
-      assert(false && "pseudo probes never lower to machine code");
-      break;
-    }
-    PC = NextPC;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Fast path
-//===----------------------------------------------------------------------===//
 
 /// Predecoded operand. An operand read is the branchless expression
 ///   Regs[Idx] + ImmBits
@@ -396,10 +39,9 @@ struct DecOp {
   int64_t ImmBits = 0;
 };
 
-/// One predecoded instruction. 1:1 with Binary::Code, so branch targets
-/// keep their global indices. All per-operand tags, cost-model lookups,
-/// target addresses and callee metadata are resolved here, outside the
-/// hot loop.
+/// One predecoded instruction: the MachineCore::Inst members (filled by
+/// MachineCore::predecode) interleaved with the interpreter's operand and
+/// frame fields.
 struct DecInst {
   // Field order is deliberate: the first 64 bytes are everything an ALU
   // op (and the dispatch/cost/i-cache bookkeeping) touches, so the
@@ -413,21 +55,15 @@ struct DecInst {
   RegId Dst = 0;
   DecOp A, B;
   uint32_t BaseCost = 0;
-  /// Precomputed i-cache set and line and branch-predictor index for
-  /// Addr (static per instruction; folds the divisions out of the hot
-  /// loop).
   uint32_t ICSet = 0;
   uint64_t ICLine = 0;
-  /// Br/CondBr taken target; direct calls: callee entry index.
   size_t Target = 0;
 
   DecOp C; ///< Third operand (Select only).
   uint32_t BPIdx = 0;
   uint64_t Addr = 0;
-  /// Address of the instruction at Target.
   uint64_t TargetAddr = 0;
 
-  /// Direct calls.
   uint32_t CalleeIdx = ~0u;
   uint32_t CalleeNumRegs = 0;
 
@@ -437,8 +73,6 @@ struct DecInst {
   uint32_t ArgsBegin = 0;
   uint32_t NumArgs = 0;
 
-  /// Calls: resume point in the caller and its address (avoids the
-  /// Bin.Code indirection in captureStack).
   size_t RetIdx = SIZE_MAX;
   uint64_t RetAddr = 0;
 
@@ -467,9 +101,8 @@ class FastMachine {
 public:
   FastMachine(const Binary &Bin, std::vector<int64_t> &Memory,
               const ExecConfig &Config)
-      : Bin(Bin), Memory(Memory), Config(Config), Cache(Config.Costs),
-        Predictor(Config.Costs), Ring(Config.Sampler.LBRDepth),
-        Jitter(Config.Sampler.Seed),
+      : Bin(Bin), Memory(Memory), Config(Config),
+        Core(Bin, Config.Costs, Config.Sampler, Config.MaxInstructions),
         Tracer(Config.Trace, Config.Costs.TraceByteCost) {}
 
   RunResult run(const std::string &Entry);
@@ -484,7 +117,7 @@ private:
     return D;
   }
 
-  void decode();
+  Status decode();
 
   uint64_t memIndex(int64_t Addr) const {
     // In-range addresses (the common case) skip the division; the modulo
@@ -495,60 +128,6 @@ private:
     if (M < 0)
       M += static_cast<int64_t>(MemSize);
     return static_cast<uint64_t>(M);
-  }
-
-  void recordBranch(uint64_t Src, uint64_t Dst, uint64_t &Cycles) {
-    Ring.record(Src, Dst);
-    ++Result.TakenBranches;
-    Cycles += Config.Costs.TakenBranchCost;
-  }
-
-  void captureStackInto(size_t PCIdx, std::vector<uint64_t> &Out) const {
-    Out.clear();
-    Out.push_back(Dec[PCIdx].Addr);
-    for (size_t I = Frames.size(); I-- > 0;) {
-      if (Frames[I].RetIdx != SIZE_MAX)
-        Out.push_back(Frames[I].RetAddr);
-    }
-  }
-
-  void maybeSample(size_t PCIdx, uint64_t &Cycles) {
-    if (SkidCountdown > 0) {
-      if (--SkidCountdown == 0) {
-        captureStackInto(PCIdx, Pending.Stack);
-        Result.Samples.push_back(std::move(Pending));
-        Pending.LBR.clear();
-        Pending.Stack.clear();
-      }
-    }
-    if (Cycles < NextSampleAt)
-      return;
-    NextSampleAt = Cycles + Config.Sampler.PeriodCycles;
-    // The PMU interrupt itself costs cycles (modeled perturbation; 0 by
-    // default). Charged after the next-sample point is armed so the
-    // sampling period is unperturbed.
-    Cycles += Config.Costs.SampleInterruptCost;
-    if (Precise) {
-      Result.Samples.emplace_back();
-      PerfSample &S = Result.Samples.back();
-      Ring.snapshotInto(S.LBR);
-      captureStackInto(PCIdx, S.Stack);
-      return;
-    }
-    if (SkidCountdown > 0)
-      return;
-    Ring.snapshotInto(Pending.LBR);
-    if (Config.Sampler.MaxSkidInstructions == 0) {
-      // Zero skid: deliver at this instruction (Rng::nextBelow(0) is
-      // invalid — there is no skid to draw).
-      captureStackInto(PCIdx, Pending.Stack);
-      Result.Samples.push_back(std::move(Pending));
-      Pending.LBR.clear();
-      Pending.Stack.clear();
-      return;
-    }
-    SkidCountdown =
-        1 + Jitter.nextBelow(Config.Sampler.MaxSkidInstructions);
   }
 
   /// Folds the dense per-site value-profile counts into the map shape the
@@ -571,6 +150,7 @@ private:
   }
 
   RunResult finish() {
+    Core.finishInto(Result);
     foldValueProfile();
     if (Config.Trace.Enabled)
       Result.Trace = Tracer.finish(Result.Cycles);
@@ -580,10 +160,7 @@ private:
   const Binary &Bin;
   std::vector<int64_t> &Memory;
   const ExecConfig &Config;
-  ICache Cache;
-  BranchPredictor Predictor;
-  LBRRing Ring;
-  Rng Jitter;
+  MachineCore Core;
   TraceRecorder Tracer;
 
   std::vector<DecInst> Dec;
@@ -593,60 +170,27 @@ private:
   std::vector<FrameMeta> Frames;
   std::vector<int64_t> RegStack;
   std::vector<int64_t> ArgBuf;
-  std::vector<uint64_t> BTB;
   std::vector<uint64_t> VPCounts;
 
   RunResult Result;
   uint64_t MemSize = 0;
-  uint64_t NextSampleAt = 0;
-  PerfSample Pending;
-  uint32_t SkidCountdown = 0;
-  bool Precise = true;
 };
 
-void FastMachine::decode() {
-  Dec.resize(Bin.Code.size());
-  uint32_t NumBTBSlots = 0;
-  for (size_t Idx = 0; Idx != Bin.Code.size(); ++Idx) {
-    const MInst &M = Bin.Code[Idx];
-    DecInst &D = Dec[Idx];
-    D.Op = M.Op;
+Status FastMachine::decode() {
+  Status S = Core.predecode(Dec, [&](size_t, const MInst &M, DecInst &D) {
     D.Dst = M.Dst + 1; // Biased; InvalidReg wraps to the 0 sentinel.
     D.A = decOp(M.A);
     D.B = decOp(M.B);
     D.C = decOp(M.C);
-    D.BaseCost = Config.Costs.baseCost(M.Op);
-    D.Addr = M.Addr;
-    D.ICLine = Cache.lineOf(M.Addr);
-    D.ICSet = static_cast<uint32_t>(Cache.setOf(D.ICLine));
-    D.BPIdx = static_cast<uint32_t>(Predictor.indexOf(M.Addr));
     D.InvertCond = M.InvertCond;
-    D.IsTailCall = M.IsTailCall;
     D.CounterIdx = M.CounterIdx;
 
-    switch (M.Op) {
-    case Opcode::Br:
-    case Opcode::CondBr:
-      D.Target = static_cast<size_t>(M.Target);
-      D.TargetAddr = Bin.Code[D.Target].Addr;
-      break;
-    case Opcode::Call: {
+    if (M.Op == Opcode::Call) {
       const MachineFunction &Callee = Bin.Funcs[M.CalleeIdx];
-      D.CalleeIdx = M.CalleeIdx;
       D.CalleeNumRegs = Callee.NumRegs;
-      D.Target = Callee.EntryIdx;
-      D.TargetAddr = Bin.Code[Callee.EntryIdx].Addr;
       D.NumArgs = static_cast<uint32_t>(
           std::min<size_t>(M.Args.size(), Callee.NumParams));
-      D.ArgsBegin = static_cast<uint32_t>(ArgOps.size());
-      for (uint32_t A = 0; A != D.NumArgs; ++A)
-        ArgOps.push_back(decOp(M.Args[A]));
-      D.RetIdx = Idx + 1;
-      D.RetAddr = Idx + 1 < Bin.Code.size() ? Bin.Code[Idx + 1].Addr : 0;
-      break;
-    }
-    case Opcode::CallIndirect: {
-      D.BTBSlot = NumBTBSlots++;
+    } else if (M.Op == Opcode::CallIndirect) {
       if (Config.CollectValueProfile && M.CallSiteId) {
         D.VPSlot = static_cast<uint32_t>(VPSites.size());
         VPSites.push_back({M.OriginGuid, M.CallSiteId});
@@ -654,20 +198,16 @@ void FastMachine::decode() {
       // The callee (and its parameter count) is resolved per dispatch;
       // keep every argument operand and clamp at the call.
       D.NumArgs = static_cast<uint32_t>(M.Args.size());
-      D.ArgsBegin = static_cast<uint32_t>(ArgOps.size());
-      for (const Operand &O : M.Args)
-        ArgOps.push_back(decOp(O));
-      D.RetIdx = Idx + 1;
-      D.RetAddr = Idx + 1 < Bin.Code.size() ? Bin.Code[Idx + 1].Addr : 0;
-      break;
+    } else {
+      return;
     }
-    default:
-      break;
-    }
-  }
-  BTB.assign(NumBTBSlots, 0);
+    D.ArgsBegin = static_cast<uint32_t>(ArgOps.size());
+    for (uint32_t A = 0; A != D.NumArgs; ++A)
+      ArgOps.push_back(decOp(M.Args[A]));
+  });
   if (!VPSites.empty())
     VPCounts.assign(VPSites.size() * Bin.FuncTable.size(), 0);
+  return S;
 }
 
 RunResult FastMachine::run(const std::string &Entry) {
@@ -676,15 +216,14 @@ RunResult FastMachine::run(const std::string &Entry) {
     Result.Error = "entry function '" + Entry + "' not found";
     return finish();
   }
-  decode();
-
   Result.Counters.assign(Bin.NumCounters + 1, 0);
+  if (Status S = decode(); !S.ok()) {
+    Result.Error = S.message();
+    return finish();
+  }
   const bool CollectInstCounts = Config.CollectInstCounts;
   if (CollectInstCounts)
     Result.InstCounts.assign(Bin.Code.size(), 0);
-  Result.Samples.reserve(sampleReserveEstimate(Config));
-  NextSampleAt = Config.Sampler.PeriodCycles;
-  Precise = Config.Sampler.Precise;
   const bool SamplerOn = Config.Sampler.Enabled;
   const bool Tracing = Config.Trace.Enabled;
   MemSize = Memory.size();
@@ -704,8 +243,6 @@ RunResult FastMachine::run(const std::string &Entry) {
   size_t PC = Bin.Funcs[EntryIdx].EntryIdx;
   const DecInst *Code = Dec.data();
   const uint64_t MaxInstructions = Config.MaxInstructions;
-  const uint32_t ICacheMissPenalty = Config.Costs.ICacheMissPenalty;
-  const uint32_t MispredictPenalty = Config.Costs.MispredictPenalty;
 
   // Retired-instruction and cycle counters live in registers for the
   // duration of the loop; every exit path syncs them into Result.
@@ -721,24 +258,21 @@ RunResult FastMachine::run(const std::string &Entry) {
   int64_t *R = RegStack.data();
   auto reloadR = [&] { R = RegStack.data() + Frames.back().RegBase; };
 
-  // Register-resident mirrors of the sampler gate state; maybeSample is
-  // the only writer, so they are refreshed after each call.
-  uint64_t NextAt = NextSampleAt;
-  uint32_t Skid = SkidCountdown;
+  // Register-resident mirrors of the sampler gate state; the core's
+  // maybeSample is the only writer, so they are refreshed after each call.
+  uint64_t NextAt = Core.nextSampleAt();
+  uint32_t Skid = Core.skidCountdown();
   [[maybe_unused]] const size_t DecSize = Dec.size();
 
   size_t NextPC = PC;
   auto val = [&](const DecOp &O) { return R[O.Idx] + O.ImmBits; };
 
-#if defined(__GNUC__) || defined(__clang__)
-  // Threaded dispatch (computed goto): every handler ends with its own
-  // indirect jump, so the host branch predictor learns per-opcode
-  // successor patterns instead of funneling all dispatch through one
-  // switch branch. Observable behavior is identical to the portable
-  // switch loop in the #else branch — same prologue, same handler
-  // bodies, same draw order. Table order must match the Opcode
-  // enumerators exactly (CallIndirect shares the Call handler, which
-  // branches on I.Op).
+  // Threaded dispatch (computed goto; the tree builds only with GCC or
+  // Clang): every handler ends with its own indirect jump, so the host
+  // branch predictor learns per-opcode successor patterns instead of
+  // funneling all dispatch through one switch branch. Table order must
+  // match the Opcode enumerators exactly (CallIndirect shares the Call
+  // handler, which branches on I.Op).
   static const void *const JumpTable[] = {
       &&Op_Add,    &&Op_Sub,
       &&Op_Mul,    &&Op_Div,
@@ -755,14 +289,12 @@ RunResult FastMachine::run(const std::string &Entry) {
       &&Op_CondBr, &&Op_PseudoProbe,
       &&Op_InstrProfIncr};
   const DecInst *IP = Code + PC;
-  // Same-line i-cache accesses (straight-line code inside one 64B line —
-  // the common case) are filtered here with one register compare; their
-  // clock ticks are folded in at the next line change, reproducing the
-  // eager clock sequence exactly (see ICache::accessStreaked).
-  uint64_t ICLine = ~0ull;
-  uint64_t ICPending = 0;
+  // Same-line i-cache fetches (straight-line code inside one 64B line —
+  // the common case) are filtered by the streak with one register
+  // compare (see MachineCore::fetch).
+  MachineCore::ICStreak Streak;
 
-  // Per-instruction prologue (retire accounting, i-cache, sampler gate)
+  // Per-instruction prologue (retire accounting, fetch, sampler gate)
   // followed by the jump to the next handler.
 #define CSSPGO_DISPATCH()                                                      \
   do {                                                                         \
@@ -774,20 +306,11 @@ RunResult FastMachine::run(const std::string &Entry) {
     ++Instructions;                                                            \
     if (CollectInstCounts)                                                     \
       ++Result.InstCounts[PC];                                                 \
-    Cycles += IP->BaseCost;                                                    \
-    if (IP->ICLine == ICLine) {                                                \
-      ++ICPending;                                                             \
-    } else {                                                                   \
-      ICLine = IP->ICLine;                                                     \
-      if (Cache.accessStreaked(ICLine, IP->ICSet, ICPending)) {                \
-        ++Result.ICacheMisses;                                                 \
-        Cycles += ICacheMissPenalty;                                           \
-      }                                                                        \
-    }                                                                          \
+    Core.fetch(*IP, Cycles, Streak);                                           \
     if (SamplerOn && (Skid != 0 || Cycles >= NextAt)) {                        \
-      maybeSample(PC, Cycles);                                                 \
-      NextAt = NextSampleAt;                                                   \
-      Skid = SkidCountdown;                                                    \
+      Core.maybeSample(PC, Cycles, Frames);                                    \
+      NextAt = Core.nextSampleAt();                                            \
+      Skid = Core.skidCountdown();                                             \
     }                                                                          \
     NextPC = PC + 1;                                                           \
     goto *JumpTable[static_cast<size_t>(IP->Op)];                              \
@@ -903,24 +426,15 @@ Op_InstrProfIncr: {
 Op_Br: {
   const DecInst &I = *IP;
   NextPC = I.Target;
-  ++Result.UncondJumps;
-  recordBranch(I.Addr, I.TargetAddr, Cycles);
+  Core.jump(I, Cycles);
   CSSPGO_DISPATCH();
 }
 Op_CondBr: {
   const DecInst &I = *IP;
-  bool Cond = val(I.A) != 0;
-  bool Taken = Cond != I.InvertCond;
-  ++Result.CondBranches;
-  if (Predictor.mispredictedAt(I.BPIdx, Taken)) {
-    ++Result.Mispredicts;
-    Cycles += MispredictPenalty;
-  }
-  if (Taken) {
-    ++Result.CondTaken;
+  bool Taken = (val(I.A) != 0) != I.InvertCond;
+  Core.condBranch(I, Taken, Cycles);
+  if (Taken)
     NextPC = I.Target;
-    recordBranch(I.Addr, I.TargetAddr, Cycles);
-  }
   if (Tracing)
     Tracer.condBranch(Taken, Cycles);
   CSSPGO_DISPATCH();
@@ -933,25 +447,19 @@ Op_Call: {
   uint64_t CalleeEntryAddr;
   uint32_t NumArgs = I.NumArgs;
   if (I.Op == Opcode::CallIndirect) {
-    assert(!Bin.FuncTable.empty() && "indirect call without table");
+    // Resolve through the dispatch table; out-of-range slots wrap
+    // (total semantics, mirrors the generator's contract).
     uint64_t Slot = static_cast<uint64_t>(val(I.A)) % Bin.FuncTable.size();
     CalleeIdx = Bin.FuncTable[Slot];
-    ++Result.IndirectCalls;
-    const MachineFunction &Callee = Bin.Funcs[CalleeIdx];
-    uint64_t &Last = BTB[I.BTBSlot];
-    if (Last != Callee.EntryIdx + 1) {
-      ++Result.IndirectMispredicts;
-      ++Result.Mispredicts;
-      Cycles += MispredictPenalty;
-      Last = Callee.EntryIdx + 1;
-    }
+    Core.indirectCall(I, CalleeIdx, Cycles);
     if (I.VPSlot != ~0u)
       ++VPCounts[I.VPSlot * Bin.FuncTable.size() + Slot];
     if (Tracing)
       Tracer.indirectTarget(CalleeIdx, Cycles);
+    const MachineFunction &Callee = Bin.Funcs[CalleeIdx];
     CalleeNumRegs = Callee.NumRegs;
     CalleeEntry = Callee.EntryIdx;
-    CalleeEntryAddr = Bin.Code[Callee.EntryIdx].Addr;
+    CalleeEntryAddr = Code[Callee.EntryIdx].Addr;
     NumArgs = std::min(NumArgs, Callee.NumParams);
   } else {
     CalleeIdx = I.CalleeIdx;
@@ -959,7 +467,7 @@ Op_Call: {
     CalleeEntry = I.Target;
     CalleeEntryAddr = I.TargetAddr;
   }
-  ++Result.Calls;
+  ++Core.Counters.Calls;
 
   // Evaluate the arguments against the caller window before any frame
   // surgery (the register stack may reallocate or, for tail calls, the
@@ -983,7 +491,7 @@ Op_Call: {
     reloadR();
     NextPC = CalleeEntry;
     // A tail call is an unconditional jump in the binary.
-    recordBranch(I.Addr, CalleeEntryAddr, Cycles);
+    Core.takenBranch(I.Addr, CalleeEntryAddr, Cycles);
     CSSPGO_DISPATCH();
   }
   if (Frames.size() >= Config.MaxCallDepth) {
@@ -998,7 +506,7 @@ Op_Call: {
   Frames.push_back({CalleeIdx, Base, I.RetIdx, I.RetAddr, I.Dst});
   reloadR();
   NextPC = CalleeEntry;
-  recordBranch(I.Addr, CalleeEntryAddr, Cycles);
+  Core.takenBranch(I.Addr, CalleeEntryAddr, Cycles);
   CSSPGO_DISPATCH();
 }
 Op_Ret: {
@@ -1017,7 +525,7 @@ Op_Ret: {
     RegStack[Frames.back().RegBase + F.RetDst] = Value;
   reloadR();
   NextPC = F.RetIdx;
-  recordBranch(I.Addr, F.RetAddr, Cycles);
+  Core.takenBranch(I.Addr, F.RetAddr, Cycles);
   CSSPGO_DISPATCH();
 }
 Op_PseudoProbe: {
@@ -1029,233 +537,12 @@ LimitHit:
   syncCounters();
   return finish();
 #undef CSSPGO_DISPATCH
-
-#else // Portable switch dispatch; behavior identical to the above.
-  while (true) {
-    if (Instructions >= MaxInstructions) {
-      Result.Error = "instruction limit exceeded";
-      syncCounters();
-      return finish();
-    }
-    assert(PC < DecSize && "PC out of range");
-    const DecInst &I = Code[PC];
-
-    ++Instructions;
-    if (CollectInstCounts)
-      ++Result.InstCounts[PC];
-    Cycles += I.BaseCost;
-    if (Cache.accessPrecomputed(I.ICLine, I.ICSet)) {
-      ++Result.ICacheMisses;
-      Cycles += ICacheMissPenalty;
-    }
-    // Inline gate for the common no-op case (no pending skidded sample,
-    // period not yet elapsed); maybeSample handles the rest.
-    if (SamplerOn && (Skid != 0 || Cycles >= NextAt)) {
-      maybeSample(PC, Cycles);
-      NextAt = NextSampleAt;
-      Skid = SkidCountdown;
-    }
-
-    NextPC = PC + 1;
-    switch (I.Op) {
-    case Opcode::Add:
-      R[I.Dst] = guestAdd(val(I.A), val(I.B));
-      break;
-    case Opcode::Sub:
-      R[I.Dst] = guestSub(val(I.A), val(I.B));
-      break;
-    case Opcode::Mul:
-      R[I.Dst] = guestMul(val(I.A), val(I.B));
-      break;
-    case Opcode::Div:
-      R[I.Dst] = guestDiv(val(I.A), val(I.B));
-      break;
-    case Opcode::Mod:
-      R[I.Dst] = guestMod(val(I.A), val(I.B));
-      break;
-    case Opcode::And:
-      R[I.Dst] = val(I.A) & val(I.B);
-      break;
-    case Opcode::Or:
-      R[I.Dst] = val(I.A) | val(I.B);
-      break;
-    case Opcode::Xor:
-      R[I.Dst] = val(I.A) ^ val(I.B);
-      break;
-    case Opcode::Shl:
-      R[I.Dst] = guestShl(val(I.A), val(I.B));
-      break;
-    case Opcode::Shr:
-      R[I.Dst] = guestShr(val(I.A), val(I.B));
-      break;
-    case Opcode::CmpEQ:
-      R[I.Dst] = val(I.A) == val(I.B);
-      break;
-    case Opcode::CmpNE:
-      R[I.Dst] = val(I.A) != val(I.B);
-      break;
-    case Opcode::CmpLT:
-      R[I.Dst] = val(I.A) < val(I.B);
-      break;
-    case Opcode::CmpLE:
-      R[I.Dst] = val(I.A) <= val(I.B);
-      break;
-    case Opcode::CmpGT:
-      R[I.Dst] = val(I.A) > val(I.B);
-      break;
-    case Opcode::CmpGE:
-      R[I.Dst] = val(I.A) >= val(I.B);
-      break;
-    case Opcode::Mov:
-      R[I.Dst] = val(I.A);
-      break;
-    case Opcode::Select:
-      R[I.Dst] = val(I.A) ? val(I.B) : val(I.C);
-      break;
-    case Opcode::Load:
-      R[I.Dst] = Memory[memIndex(val(I.A))];
-      break;
-    case Opcode::Store:
-      Memory[memIndex(val(I.A))] = val(I.B);
-      break;
-    case Opcode::InstrProfIncr:
-      ++Result.Counters[I.CounterIdx];
-      break;
-    case Opcode::Br:
-      NextPC = I.Target;
-      ++Result.UncondJumps;
-      recordBranch(I.Addr, I.TargetAddr, Cycles);
-      break;
-    case Opcode::CondBr: {
-      bool Cond = val(I.A) != 0;
-      bool Taken = Cond != I.InvertCond;
-      ++Result.CondBranches;
-      if (Predictor.mispredictedAt(I.BPIdx, Taken)) {
-        ++Result.Mispredicts;
-        Cycles += MispredictPenalty;
-      }
-      if (Taken) {
-        ++Result.CondTaken;
-        NextPC = I.Target;
-        recordBranch(I.Addr, I.TargetAddr, Cycles);
-      }
-      if (Tracing)
-        Tracer.condBranch(Taken, Cycles);
-      break;
-    }
-    case Opcode::CallIndirect:
-    case Opcode::Call: {
-      uint32_t CalleeIdx;
-      uint32_t CalleeNumRegs;
-      size_t CalleeEntry;
-      uint64_t CalleeEntryAddr;
-      uint32_t NumArgs = I.NumArgs;
-      if (I.Op == Opcode::CallIndirect) {
-        assert(!Bin.FuncTable.empty() && "indirect call without table");
-        uint64_t Slot =
-            static_cast<uint64_t>(val(I.A)) % Bin.FuncTable.size();
-        CalleeIdx = Bin.FuncTable[Slot];
-        ++Result.IndirectCalls;
-        const MachineFunction &Callee = Bin.Funcs[CalleeIdx];
-        uint64_t &Last = BTB[I.BTBSlot];
-        if (Last != Callee.EntryIdx + 1) {
-          ++Result.IndirectMispredicts;
-          ++Result.Mispredicts;
-          Cycles += MispredictPenalty;
-          Last = Callee.EntryIdx + 1;
-        }
-        if (I.VPSlot != ~0u)
-          ++VPCounts[I.VPSlot * Bin.FuncTable.size() + Slot];
-        if (Tracing)
-          Tracer.indirectTarget(CalleeIdx, Cycles);
-        CalleeNumRegs = Callee.NumRegs;
-        CalleeEntry = Callee.EntryIdx;
-        CalleeEntryAddr = Bin.Code[Callee.EntryIdx].Addr;
-        NumArgs = std::min(NumArgs, Callee.NumParams);
-      } else {
-        CalleeIdx = I.CalleeIdx;
-        CalleeNumRegs = I.CalleeNumRegs;
-        CalleeEntry = I.Target;
-        CalleeEntryAddr = I.TargetAddr;
-      }
-      ++Result.Calls;
-
-      // Evaluate the arguments against the caller window before any
-      // frame surgery (the register stack may reallocate or, for tail
-      // calls, the window itself is about to be replaced).
-      ArgBuf.clear();
-      const DecOp *Args = ArgOps.data() + I.ArgsBegin;
-      for (uint32_t A = 0; A != NumArgs; ++A)
-        ArgBuf.push_back(val(Args[A]));
-
-      size_t Window = CalleeNumRegs + 1;
-      if (I.IsTailCall) {
-        // Tail-call elimination: reuse the frame slot; the caller
-        // disappears from the sampled stack. Shrink-then-grow
-        // zero-initializes the fresh window (including the pad slot).
-        FrameMeta &F = Frames.back();
-        RegStack.resize(F.RegBase);
-        RegStack.resize(F.RegBase + Window);
-        for (uint32_t A = 0; A != NumArgs; ++A)
-          RegStack[F.RegBase + 1 + A] = ArgBuf[A];
-        F.FuncIdx = CalleeIdx;
-        reloadR();
-        NextPC = CalleeEntry;
-        // A tail call is an unconditional jump in the binary.
-        recordBranch(I.Addr, CalleeEntryAddr, Cycles);
-        break;
-      }
-      if (Frames.size() >= Config.MaxCallDepth) {
-        Result.Error =
-            "call depth limit exceeded in " + Bin.Funcs[CalleeIdx].Name;
-        syncCounters();
-        return finish();
-      }
-      size_t Base = RegStack.size();
-      RegStack.resize(Base + Window);
-      for (uint32_t A = 0; A != NumArgs; ++A)
-        RegStack[Base + 1 + A] = ArgBuf[A];
-      Frames.push_back({CalleeIdx, Base, I.RetIdx, I.RetAddr, I.Dst});
-      reloadR();
-      NextPC = CalleeEntry;
-      recordBranch(I.Addr, CalleeEntryAddr, Cycles);
-      break;
-    }
-    case Opcode::Ret: {
-      int64_t Value = val(I.A);
-      FrameMeta F = Frames.back();
-      Frames.pop_back();
-      RegStack.resize(F.RegBase);
-      if (Frames.empty() || F.RetIdx == SIZE_MAX) {
-        Result.ExitValue = Value;
-        Result.Completed = true;
-        syncCounters();
-        return finish();
-      }
-      if (F.RetDst != 0)
-        RegStack[Frames.back().RegBase + F.RetDst] = Value;
-      reloadR();
-      NextPC = F.RetIdx;
-      recordBranch(I.Addr, F.RetAddr, Cycles);
-      break;
-    }
-    case Opcode::PseudoProbe:
-      assert(false && "pseudo probes never lower to machine code");
-      break;
-    }
-    PC = NextPC;
-  }
-#endif
 }
 
 } // namespace
 
 RunResult execute(const Binary &Bin, const std::string &Entry,
                   std::vector<int64_t> &Memory, const ExecConfig &Config) {
-  if (Config.ReferenceMode) {
-    ReferenceMachine M(Bin, Memory, Config);
-    return M.run(Entry);
-  }
   FastMachine M(Bin, Memory, Config);
   return M.run(Entry);
 }

@@ -46,16 +46,12 @@ struct ExecConfig {
   /// Collect indirect-call value profiles (part of the instrumentation
   /// runtime: per call site, per target slot execution counts).
   bool CollectValueProfile = false;
-  /// Run the straightforward reference interpreter instead of the
-  /// predecoded fast path. Both produce bit-identical RunResults (same
-  /// Rng draw order, same sample stream); the reference exists as the
-  /// oracle for the equivalence suite and for debugging.
-  bool ReferenceMode = false;
 };
 
 /// Field population by configuration:
-/// - Completed/Error/ExitValue and the scalar microarchitectural counters
-///   (Cycles .. IndirectMispredicts) are always populated.
+/// - Completed/Error/ExitValue, Cycles, Instructions and the
+///   MachineCounters are always populated. A malformed binary (a branch
+///   target or callee index out of range) sets Error before running.
 /// - Samples is populated only when ExecConfig::Sampler.Enabled; its
 ///   capacity is pre-reserved from MaxInstructions / PeriodCycles (capped)
 ///   so growth is amortized away from the hot loop.
@@ -64,22 +60,13 @@ struct ExecConfig {
 /// - ValueProfile is populated only with ExecConfig::CollectValueProfile.
 /// - Counters is always sized NumCounters + 1, but only an instrumented
 ///   binary (one with InstrProfIncr anchors) produces non-zero entries.
-struct RunResult {
+struct RunResult : MachineCounters {
   bool Completed = false;
   std::string Error;
   int64_t ExitValue = 0;
 
   uint64_t Cycles = 0;
   uint64_t Instructions = 0;
-  uint64_t TakenBranches = 0;
-  uint64_t CondBranches = 0;
-  uint64_t CondTaken = 0;
-  uint64_t UncondJumps = 0;
-  uint64_t Mispredicts = 0;
-  uint64_t ICacheMisses = 0;
-  uint64_t Calls = 0;
-  uint64_t IndirectCalls = 0;
-  uint64_t IndirectMispredicts = 0;
 
   /// PMU samples (only with Sampler.Enabled).
   std::vector<PerfSample> Samples;

@@ -35,6 +35,8 @@ namespace csspgo {
 struct LBREntry {
   uint64_t Src = 0;
   uint64_t Dst = 0;
+
+  bool operator==(const LBREntry &) const = default;
 };
 
 /// One PMU sample: the LBR snapshot (oldest first) plus the synchronized
@@ -43,6 +45,8 @@ struct LBREntry {
 struct PerfSample {
   std::vector<LBREntry> LBR;
   std::vector<uint64_t> Stack;
+
+  bool operator==(const PerfSample &) const = default;
 };
 
 /// Configuration of the PMU model.

@@ -1,15 +1,18 @@
 //===- trace/TraceDecoder.cpp - Trace control-flow replay ------------------===//
 //
-// The replay mirrors ReferenceMachine (sim/Executor.cpp) exactly — same
-// per-instruction order (base cost, i-cache, sampler, handler), same LBR
-// ring and stack-capture semantics, same skid draws from the same Rng
-// stream — except that conditional outcomes and indirect targets come from
-// the packet stream instead of register values. Any divergence between the
-// two is a bug that the trace-vs-LBR bit-identity property test catches.
+// The replay drives the same machine model as the live interpreter
+// (sim/MachineCore.h) in the same per-instruction order (fetch, sampler,
+// handler), so cost charging, the LBR ring, stack capture and the skid
+// draws cannot drift apart. Only control flow differs: conditional
+// outcomes and indirect targets come from the packet stream instead of
+// register values. What stays here is packet decoding, the TSC
+// cross-checks and timing attribution.
 //
 //===----------------------------------------------------------------------===//
 
 #include "trace/TraceDecoder.h"
+
+#include "sim/MachineCore.h"
 
 #include <unordered_map>
 #include <utility>
@@ -173,69 +176,11 @@ public:
   Replayer(const Binary &Bin, const TraceData &Trace,
            const TraceReplayOptions &Opts)
       : Bin(Bin), Opts(Opts), Reader(Trace, Opts.Format),
-        Cache(Opts.Costs), Predictor(Opts.Costs),
-        Ring(Opts.Sampler.LBRDepth), Jitter(Opts.Sampler.Seed) {}
+        Core(Bin, Opts.Costs, Opts.Sampler, Opts.MaxInstructions) {}
 
   Expected<TraceReplayResult> run(const std::string &Entry);
 
 private:
-  /// Virtual sampled-run clock: unperturbed cycles plus accumulated
-  /// sample-interrupt charges. Base alone is the traced run's unperturbed
-  /// clock, which the TSC cross-check builds on.
-  uint64_t virtCycles() const { return Base + InterruptCharges; }
-
-  void recordBranch(uint64_t Src, uint64_t Dst) {
-    Ring.record(Src, Dst);
-    ++Result.TakenBranches;
-    Base += Opts.Costs.TakenBranchCost;
-  }
-
-  std::vector<uint64_t> captureStack(size_t PCIdx) const {
-    std::vector<uint64_t> Stack;
-    Stack.reserve(Frames.size());
-    Stack.push_back(Bin.Code[PCIdx].Addr);
-    for (size_t I = Frames.size(); I-- > 0;) {
-      if (Frames[I].RetIdx != SIZE_MAX)
-        Stack.push_back(Frames[I].RetAddr);
-    }
-    return Stack;
-  }
-
-  /// Mirror of ReferenceMachine::maybeSample against the virtual clock,
-  /// including the zero-skid delivery rule and the Rng draw order.
-  void maybeSample(size_t PCIdx) {
-    if (!Opts.Sampler.Enabled)
-      return;
-    if (SkidCountdown > 0) {
-      if (--SkidCountdown == 0) {
-        Pending.Stack = captureStack(PCIdx);
-        Result.Samples.push_back(std::move(Pending));
-        Pending = PerfSample();
-      }
-    }
-    if (virtCycles() < NextSampleAt)
-      return;
-    NextSampleAt = virtCycles() + Opts.Sampler.PeriodCycles;
-    InterruptCharges += Opts.Costs.SampleInterruptCost;
-    if (Opts.Sampler.Precise) {
-      PerfSample S;
-      S.LBR = Ring.snapshot();
-      S.Stack = captureStack(PCIdx);
-      Result.Samples.push_back(std::move(S));
-      return;
-    }
-    if (SkidCountdown > 0)
-      return;
-    Pending.LBR = Ring.snapshot();
-    if (Opts.Sampler.MaxSkidInstructions == 0) {
-      Pending.Stack = captureStack(PCIdx);
-      Result.Samples.push_back(std::move(Pending));
-      Pending = PerfSample();
-      return;
-    }
-    SkidCountdown = 1 + Jitter.nextBelow(Opts.Sampler.MaxSkidInstructions);
-  }
-
   /// Called at the two packet hook positions after every branch event;
   /// consumes and cross-checks the TSC packet when one is due.
   /// \p CleanStop is set on a truncated trace's end.
@@ -269,24 +214,21 @@ private:
   const Binary &Bin;
   const TraceReplayOptions &Opts;
   PacketReader Reader;
-  ICache Cache;
-  BranchPredictor Predictor;
-  LBRRing Ring;
-  Rng Jitter;
+  MachineCore Core;
 
+  std::vector<MachineCore::Inst> Code;
   std::vector<ReplayFrame> Frames;
-  std::unordered_map<uint64_t, uint64_t> IndirectBTB;
   std::unordered_map<size_t, std::vector<std::pair<uint64_t, uint32_t>>>
       BlockProbeAt;
   TraceReplayResult Result;
 
+  /// The traced run's unperturbed clock, which the TSC cross-check builds
+  /// on. The virtual sampler gates on Base + InterruptCharges: the
+  /// sampled run's clock, perturbed by its own interrupt cost.
   uint64_t Base = 0;
   uint64_t InterruptCharges = 0;
   uint64_t BranchEvents = 0;
   uint64_t LastTimestamp = 0;
-  uint64_t NextSampleAt = 0;
-  PerfSample Pending;
-  uint32_t SkidCountdown = 0;
 };
 
 Expected<TraceReplayResult> Replayer::run(const std::string &Entry) {
@@ -294,14 +236,16 @@ Expected<TraceReplayResult> Replayer::run(const std::string &Entry) {
   if (EntryIdx == ~0u)
     return Status::error("trace replay: entry function '" + Entry +
                          "' not found");
+  if (Status S = Core.predecode(Code); !S.ok())
+    return Status::error("trace replay: " + S.message());
   if (Opts.CollectTiming)
     for (const ProbeRecord &P : Bin.Probes)
       if (!P.IsCallProbe)
         BlockProbeAt[P.InstIdx].push_back({P.Guid, P.ProbeId});
 
-  NextSampleAt = Opts.Sampler.PeriodCycles;
   Frames.push_back(ReplayFrame{EntryIdx, SIZE_MAX, 0, false, {0, 0}});
   size_t PC = Bin.Funcs[EntryIdx].EntryIdx;
+  MachineCore::ICStreak Streak;
 
   enum class Stop { None, Completed, Truncated, Limit };
   Stop Why = Stop::None;
@@ -313,19 +257,17 @@ Expected<TraceReplayResult> Replayer::run(const std::string &Entry) {
       Why = Stop::Limit;
       break;
     }
-    if (PC >= Bin.Code.size())
+    if (PC >= Code.size())
       return Status::error("trace replay: PC out of range (malformed binary)");
-    const MInst &I = Bin.Code[PC];
+    const MachineCore::Inst &I = Code[PC];
 
     ++Result.Instructions;
     uint64_t BaseBefore = Base;
     bool CondMispredict = false;
-    Base += Opts.Costs.baseCost(I.Op);
-    if (Cache.access(I.Addr)) {
-      ++Result.ICacheMisses;
-      Base += Opts.Costs.ICacheMissPenalty;
-    }
-    maybeSample(PC);
+    Core.fetch(I, Base, Streak);
+    uint64_t Virt = Base + InterruptCharges;
+    Core.maybeSample(PC, Virt, Frames);
+    InterruptCharges = Virt - Base;
 
     // Timing attribution: crossing a block probe re-keys the frame; the
     // instruction's cycles go to whatever block the frame is then in.
@@ -350,9 +292,8 @@ Expected<TraceReplayResult> Replayer::run(const std::string &Entry) {
     size_t NextPC = PC + 1;
     switch (I.Op) {
     case Opcode::Br:
-      NextPC = static_cast<size_t>(I.Target);
-      ++Result.UncondJumps;
-      recordBranch(I.Addr, Bin.Code[NextPC].Addr);
+      NextPC = I.Target;
+      Core.jump(I, Base);
       break;
 
     case Opcode::CondBr: {
@@ -364,17 +305,9 @@ Expected<TraceReplayResult> Replayer::run(const std::string &Entry) {
         break;
       }
       bool Taken = Bit != 0;
-      ++Result.CondBranches;
-      if (Predictor.mispredicted(I.Addr, Taken)) {
-        ++Result.Mispredicts;
-        Base += Opts.Costs.MispredictPenalty;
-        CondMispredict = true;
-      }
-      if (Taken) {
-        ++Result.CondTaken;
-        NextPC = static_cast<size_t>(I.Target);
-        recordBranch(I.Addr, Bin.Code[NextPC].Addr);
-      }
+      CondMispredict = Core.condBranch(I, Taken, Base);
+      if (Taken)
+        NextPC = I.Target;
       bool CleanStop = false;
       if (Status S = branchEventBoundary(CleanStop); !S.ok())
         return S;
@@ -395,14 +328,11 @@ Expected<TraceReplayResult> Replayer::run(const std::string &Entry) {
           break;
         }
         CalleeIdx = static_cast<uint32_t>(Tip);
-        ++Result.IndirectCalls;
-        uint64_t &Last = IndirectBTB[I.Addr];
-        if (Last != Bin.Funcs[CalleeIdx].EntryIdx + 1) {
-          ++Result.IndirectMispredicts;
-          ++Result.Mispredicts;
-          Base += Opts.Costs.MispredictPenalty;
-          Last = Bin.Funcs[CalleeIdx].EntryIdx + 1;
-        }
+        if (!Core.validCallee(CalleeIdx))
+          return Status::error("trace replay: TIP names function " +
+                               std::to_string(CalleeIdx) +
+                               ", which has no code");
+        Core.indirectCall(I, CalleeIdx, Base);
         // (Value profiles are not reconstructible — the trace records the
         // resolved callee, not the dispatch slot — and the sampling path
         // the replay reproduces never collects them.)
@@ -414,39 +344,34 @@ Expected<TraceReplayResult> Replayer::run(const std::string &Entry) {
           break;
         }
       }
-      const MachineFunction &Callee = Bin.Funcs[CalleeIdx];
-      ++Result.Calls;
+      ++Core.Counters.Calls;
+      NextPC = Bin.Funcs[CalleeIdx].EntryIdx;
       if (I.IsTailCall) {
         ReplayFrame &F = Frames.back();
         F.FuncIdx = CalleeIdx;
         F.HasKey = false; // New function body; re-keyed at its first probe.
-        NextPC = Callee.EntryIdx;
-        recordBranch(I.Addr, Bin.Code[NextPC].Addr);
+        Core.takenBranch(I.Addr, Code[NextPC].Addr, Base);
         break;
       }
       if (Frames.size() >= Opts.MaxCallDepth) {
         Why = Stop::Limit; // "call depth limit exceeded" in the traced run.
         break;
       }
-      ReplayFrame NewF;
-      NewF.FuncIdx = CalleeIdx;
-      NewF.RetIdx = PC + 1;
-      NewF.RetAddr = Bin.Code[PC + 1].Addr;
-      Frames.push_back(NewF);
-      NextPC = Callee.EntryIdx;
-      recordBranch(I.Addr, Bin.Code[NextPC].Addr);
+      Frames.push_back(ReplayFrame{CalleeIdx, I.RetIdx, I.RetAddr, false,
+                                   {0, 0}});
+      Core.takenBranch(I.Addr, Code[NextPC].Addr, Base);
       break;
     }
 
     case Opcode::Ret: {
-      size_t RetIdx = Frames.back().RetIdx;
+      ReplayFrame F = Frames.back();
       Frames.pop_back();
-      if (Frames.empty() || RetIdx == SIZE_MAX) {
+      if (Frames.empty() || F.RetIdx == SIZE_MAX) {
         Why = Stop::Completed;
         break;
       }
-      NextPC = RetIdx;
-      recordBranch(I.Addr, Bin.Code[NextPC].Addr);
+      NextPC = F.RetIdx;
+      Core.takenBranch(I.Addr, F.RetAddr, Base);
       break;
     }
 
@@ -472,7 +397,8 @@ Expected<TraceReplayResult> Replayer::run(const std::string &Entry) {
       return S;
     Result.Completed = Why == Stop::Completed;
   }
-  Result.Cycles = virtCycles();
+  Result.Cycles = Base + InterruptCharges;
+  Core.finishInto(Result);
   return std::move(Result);
 }
 

@@ -17,7 +17,8 @@
 ///    Rng seed a sampling run would use, including skid draws and the
 ///    modeled interrupt cost) to synthesize the exact PerfSample stream
 ///    that run would have produced — which is what makes trace-derived
-///    profiles bit-identical to the LBR sampling path;
+///    profiles bit-identical to the LBR sampling path. The cost model and
+///    PMU are the live interpreter's own (sim/MachineCore.h), not a copy;
 ///  - attributes cycles and mispredicts to pseudo-probed blocks, producing
 ///    the TimingProfile the timing-aware transform gates consume;
 ///  - cross-validates every TSC packet against the replayed cost model
@@ -27,7 +28,8 @@
 ///
 /// The decoder is a validator as much as a reader: truncated traces decode
 /// to their clean prefix, while corrupt ones (bad tags, out-of-range TIP
-/// targets, packets crossing a timestamp boundary, trailing bytes) are
+/// targets, packets crossing a timestamp boundary, trailing bytes) and
+/// malformed binaries (branch targets or callees out of range) are
 /// rejected with a Status — never a crash. The fuzz harness leans on this.
 ///
 //===----------------------------------------------------------------------===//
@@ -70,10 +72,9 @@ struct TraceReplayOptions {
   bool CollectTiming = true;
 };
 
-/// The replayed run. Counter fields mirror RunResult's microarchitectural
-/// counters and must match the traced run's exactly (minus the sampler- and
-/// trace-induced perturbation).
-struct TraceReplayResult {
+/// The replayed run. The MachineCounters must match the traced run's
+/// exactly (Cycles minus the sampler- and trace-induced perturbation).
+struct TraceReplayResult : MachineCounters {
   /// The program ran to completion in the trace (reached its outermost
   /// return). False when the trace is truncated or the traced run hit an
   /// execution limit.
@@ -91,15 +92,6 @@ struct TraceReplayResult {
   /// sample-interrupt cost (matches the sampling run's RunResult::Cycles).
   uint64_t Cycles = 0;
   uint64_t Instructions = 0;
-  uint64_t TakenBranches = 0;
-  uint64_t CondBranches = 0;
-  uint64_t CondTaken = 0;
-  uint64_t UncondJumps = 0;
-  uint64_t Mispredicts = 0;
-  uint64_t ICacheMisses = 0;
-  uint64_t Calls = 0;
-  uint64_t IndirectCalls = 0;
-  uint64_t IndirectMispredicts = 0;
 
   /// TSC packets seen / failing the write-cost cross-check (0 expected
   /// whenever Costs/Format match the recording).

@@ -22,6 +22,8 @@
 #include "support/Random.h"
 #include "workload/Workloads.h"
 
+#include "oracle/Oracle.h"
+
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -281,58 +283,37 @@ INSTANTIATE_TEST_SUITE_P(
 
 namespace {
 
-void expectBitIdentical(const RunResult &Ref, const RunResult &Fast,
-                        const std::string &Label) {
-  EXPECT_EQ(Ref.Completed, Fast.Completed) << Label;
-  EXPECT_EQ(Ref.Error, Fast.Error) << Label;
-  EXPECT_EQ(Ref.ExitValue, Fast.ExitValue) << Label;
-  EXPECT_EQ(Ref.Cycles, Fast.Cycles) << Label;
-  EXPECT_EQ(Ref.Instructions, Fast.Instructions) << Label;
-  EXPECT_EQ(Ref.TakenBranches, Fast.TakenBranches) << Label;
-  EXPECT_EQ(Ref.CondBranches, Fast.CondBranches) << Label;
-  EXPECT_EQ(Ref.CondTaken, Fast.CondTaken) << Label;
-  EXPECT_EQ(Ref.UncondJumps, Fast.UncondJumps) << Label;
-  EXPECT_EQ(Ref.Mispredicts, Fast.Mispredicts) << Label;
-  EXPECT_EQ(Ref.ICacheMisses, Fast.ICacheMisses) << Label;
-  EXPECT_EQ(Ref.Calls, Fast.Calls) << Label;
-  EXPECT_EQ(Ref.IndirectCalls, Fast.IndirectCalls) << Label;
-  EXPECT_EQ(Ref.IndirectMispredicts, Fast.IndirectMispredicts) << Label;
-  EXPECT_EQ(Ref.InstCounts, Fast.InstCounts) << Label;
-  EXPECT_EQ(Ref.Counters, Fast.Counters) << Label;
-
-  ASSERT_EQ(Ref.Samples.size(), Fast.Samples.size()) << Label;
-  for (size_t I = 0; I != Ref.Samples.size(); ++I) {
-    const PerfSample &A = Ref.Samples[I];
-    const PerfSample &B = Fast.Samples[I];
-    EXPECT_EQ(A.Stack, B.Stack) << Label << " sample " << I;
-    ASSERT_EQ(A.LBR.size(), B.LBR.size()) << Label << " sample " << I;
-    for (size_t J = 0; J != A.LBR.size(); ++J) {
-      EXPECT_EQ(A.LBR[J].Src, B.LBR[J].Src)
-          << Label << " sample " << I << " lbr " << J;
-      EXPECT_EQ(A.LBR[J].Dst, B.LBR[J].Dst)
-          << Label << " sample " << I << " lbr " << J;
-    }
-  }
-
-  ASSERT_EQ(Ref.ValueProfile.size(), Fast.ValueProfile.size()) << Label;
-  EXPECT_TRUE(Ref.ValueProfile == Fast.ValueProfile) << Label;
-}
-
 /// Runs \p Bin twice — reference interpreter and fast path — on identical
 /// memory images and asserts every observable output matches.
-void runBothAndCompare(const Binary &Bin, ExecConfig Config,
+void runBothAndCompare(const Binary &Bin, const ExecConfig &Config,
                        const WorkloadConfig &WC, uint64_t InputSeed,
                        const std::string &Label) {
   std::vector<int64_t> MemRef = generateInput(WC, InputSeed);
   std::vector<int64_t> MemFast = MemRef;
-
-  Config.ReferenceMode = true;
-  RunResult Ref = execute(Bin, "main", MemRef, Config);
-  Config.ReferenceMode = false;
+  RunResult Ref = executeReference(Bin, "main", MemRef, Config);
   RunResult Fast = execute(Bin, "main", MemFast, Config);
-
-  expectBitIdentical(Ref, Fast, Label);
+  EXPECT_EQ(diffRuns(Ref, Fast), "") << Label;
   EXPECT_EQ(MemRef, MemFast) << Label << ": final memory images differ";
+}
+
+/// Every cost-model knob off its default (and tracing on, so the
+/// per-byte write cost is charged): a knob the shared machine model
+/// ignored but the oracle honoured would diverge here.
+CostModel skewedCosts() {
+  CostModel C;
+  C.TakenBranchCost = 3;
+  C.MispredictPenalty = 9;
+  C.CallCost = 5;
+  C.RetCost = 2;
+  C.ICacheMissPenalty = 31;
+  C.ICacheLines = 96;
+  C.ICacheWays = 2;
+  C.ICacheLineBytes = 32;
+  C.CounterCost = 4;
+  C.SampleInterruptCost = 5;
+  C.TraceByteCost = 3;
+  C.BranchPredictorEntries = 512;
+  return C;
 }
 
 } // namespace
@@ -371,6 +352,11 @@ TEST_P(ExecutorEquivalence, FastPathBitIdenticalToReference) {
     ExecConfig Limited = Config;
     Limited.MaxInstructions = 2000;
     runBothAndCompare(*Bin, Limited, WC, Seed + 100, Label + "/limited");
+
+    ExecConfig Skewed = Config;
+    Skewed.Costs = skewedCosts();
+    Skewed.Trace.Enabled = true;
+    runBothAndCompare(*Bin, Skewed, WC, Seed + 100, Label + "/skewed-costs");
   }
 }
 

@@ -18,9 +18,11 @@
 #include "trace/TraceFormat.h"
 
 #include "TestHelpers.h"
+#include "oracle/Oracle.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 
 using namespace csspgo;
@@ -129,17 +131,10 @@ TracedPair sampleAndReplay(const Binary &Bin, SamplerConfig SC,
   return P;
 }
 
-void expectSamplesIdentical(const std::vector<PerfSample> &A,
-                            const std::vector<PerfSample> &B) {
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t I = 0; I != A.size(); ++I) {
-    ASSERT_EQ(A[I].LBR.size(), B[I].LBR.size()) << "sample " << I;
-    for (size_t J = 0; J != A[I].LBR.size(); ++J) {
-      EXPECT_EQ(A[I].LBR[J].Src, B[I].LBR[J].Src) << "sample " << I;
-      EXPECT_EQ(A[I].LBR[J].Dst, B[I].LBR[J].Dst) << "sample " << I;
-    }
-    EXPECT_EQ(A[I].Stack, B[I].Stack) << "sample " << I;
-  }
+/// The replay must reproduce the live sampled run's clock, every counter
+/// and every sample.
+void expectReplayMatchesSampled(const TracedPair &P) {
+  EXPECT_EQ(diffRuns(P.Sampled, replayedRun(P.Sampled, P.Replay)), "");
 }
 
 /// Key of the last probe in \p BB (what blockTiming looks up).
@@ -215,13 +210,11 @@ TEST(Trace, FastAndReferenceMachinesEmitIdenticalBytes) {
   auto Bin = compileToBinary(*M);
   ExecConfig Fast;
   Fast.Trace.Enabled = true;
-  ExecConfig Ref = Fast;
-  Ref.ReferenceMode = true;
   RunResult A = runWith(*Bin, Fast);
-  RunResult B = runWith(*Bin, Ref);
-  EXPECT_EQ(A.Trace.Bytes, B.Trace.Bytes);
-  EXPECT_EQ(A.Trace.Packets, B.Trace.Packets);
-  EXPECT_EQ(A.Cycles, B.Cycles);
+  std::vector<int64_t> Mem(4096, 0);
+  RunResult B = executeReference(*Bin, "main", Mem, Fast);
+  EXPECT_FALSE(A.Trace.Bytes.empty());
+  EXPECT_EQ(diffRuns(A, B), "");
 }
 
 //===----------------------------------------------------------------------===//
@@ -248,7 +241,7 @@ TEST(Trace, ReplaySamplesMatchPreciseSamplingBitForBit) {
   TracedPair P = sampleAndReplay(*Bin, testSampler(/*Precise=*/true));
   ASSERT_TRUE(P.Replay.Completed);
   ASSERT_GT(P.Sampled.Samples.size(), 10u);
-  expectSamplesIdentical(P.Replay.Samples, P.Sampled.Samples);
+  expectReplayMatchesSampled(P);
   EXPECT_EQ(P.Replay.TimestampMismatches, 0u);
   EXPECT_GT(P.Replay.Timestamps, 0u);
 }
@@ -261,21 +254,39 @@ TEST(Trace, ReplaySamplesMatchSkiddedSampling) {
         sampleAndReplay(*Bin, testSampler(/*Precise=*/false, Skid));
     ASSERT_TRUE(P.Replay.Completed) << "skid " << Skid;
     ASSERT_FALSE(P.Sampled.Samples.empty()) << "skid " << Skid;
-    expectSamplesIdentical(P.Replay.Samples, P.Sampled.Samples);
+    expectReplayMatchesSampled(P);
   }
 }
 
 TEST(Trace, ReplayMatchesUnderInterruptCostPerturbation) {
+  // The machine model lives in one place: whatever the cost model, the
+  // replay's clock (perturbed by interrupt delivery), counters and
+  // samples equal the live sampled run's.
   auto M = makeTraceModule(500);
   auto Bin = compileToBinary(*M);
-  CostModel Costs;
-  Costs.SampleInterruptCost = 7; // Interrupt delivery shifts the clock.
-  TracedPair P = sampleAndReplay(*Bin, testSampler(), Costs);
-  ASSERT_TRUE(P.Replay.Completed);
-  ASSERT_FALSE(P.Sampled.Samples.empty());
-  expectSamplesIdentical(P.Replay.Samples, P.Sampled.Samples);
-  // The replay's clock must agree with the perturbed sampling run's.
-  EXPECT_EQ(P.Replay.Cycles, P.Sampled.Cycles);
+  std::vector<CostModel> Models(5);
+  Models[0].SampleInterruptCost = 7;
+  Models[1].MispredictPenalty = 3;
+  Models[1].TakenBranchCost = 5;
+  Models[1].SampleInterruptCost = 1;
+  Models[2].ICacheLines = 8;
+  Models[2].ICacheWays = 2;
+  Models[2].SampleInterruptCost = 11;
+  Models[3].BranchPredictorEntries = 16;
+  Models[3].MispredictPenalty = 30;
+  Models[4].ICacheLines = 64;
+  Models[4].ICacheWays = 1;
+  Models[4].TakenBranchCost = 1;
+  Models[4].BranchPredictorEntries = 64;
+  Models[4].SampleInterruptCost = 40;
+  for (size_t I = 0; I != Models.size(); ++I) {
+    SCOPED_TRACE("cost model " + std::to_string(I));
+    TracedPair P = sampleAndReplay(*Bin, testSampler(), Models[I]);
+    ASSERT_TRUE(P.Replay.Completed);
+    ASSERT_FALSE(P.Sampled.Samples.empty());
+    EXPECT_EQ(P.Replay.TimestampMismatches, 0u);
+    expectReplayMatchesSampled(P);
+  }
 }
 
 TEST(Trace, UncompressedTimestampsValidateToo) {
@@ -291,7 +302,7 @@ TEST(Trace, UncompressedTimestampsValidateToo) {
   EXPECT_EQ(B.Replay.TimestampMismatches, 0u);
   // Raw 8-byte timestamps cost more wire than ULEB deltas.
   EXPECT_GT(B.Traced.Trace.Bytes.size(), A.Traced.Trace.Bytes.size());
-  expectSamplesIdentical(A.Replay.Samples, B.Replay.Samples);
+  EXPECT_TRUE(A.Replay.Samples == B.Replay.Samples);
 }
 
 TEST(Trace, WrongReplayCostModelIsCaughtByTimestamps) {
@@ -452,6 +463,49 @@ TEST(Trace, OutOfRangeTipCalleeIsRejected) {
   RO.Format = C.Trace;
   Expected<TraceReplayResult> R = replayTrace(*Bin, "main", Bad, RO);
   EXPECT_FALSE(static_cast<bool>(R));
+}
+
+TEST(Trace, MalformedBranchTargetIsRejected) {
+  auto M = makeTraceModule(50);
+  auto Bin = compileToBinary(*M);
+  ExecConfig C;
+  C.Trace.Enabled = true;
+  RunResult Traced = runWith(*Bin, C);
+  ASSERT_TRUE(Traced.Completed);
+
+  TraceReplayOptions RO;
+  RO.Sampler = testSampler();
+  RO.Format = C.Trace;
+  auto ExpectRejected = [&](const Binary &Bad) {
+    Expected<TraceReplayResult> R = replayTrace(Bad, "main", Traced.Trace, RO);
+    ASSERT_FALSE(static_cast<bool>(R));
+    EXPECT_NE(R.status().message().find("malformed binary"),
+              std::string::npos)
+        << R.status().message();
+    RunResult Live = runWith(Bad, C);
+    EXPECT_FALSE(Live.Completed);
+    EXPECT_NE(Live.Error.find("malformed binary"), std::string::npos)
+        << Live.Error;
+    EXPECT_EQ(Live.Instructions, 0u);
+  };
+  auto FirstOf = [](Binary &B, Opcode Op) {
+    return std::find_if(B.Code.begin(), B.Code.end(),
+                        [Op](const MInst &I) { return I.Op == Op; });
+  };
+
+  // A conditional branch past the end of the code.
+  Binary BadTarget = *Bin;
+  auto Br = FirstOf(BadTarget, Opcode::CondBr);
+  ASSERT_NE(Br, BadTarget.Code.end());
+  Br->Target = static_cast<int64_t>(BadTarget.Code.size()) + 3;
+  ExpectRejected(BadTarget);
+
+  // A direct call past the end of the function array.
+  Binary BadCallee = *Bin;
+  auto Call = FirstOf(BadCallee, Opcode::Call);
+  ASSERT_NE(Call, BadCallee.Code.end());
+  Call->CalleeIdx = static_cast<uint32_t>(BadCallee.Funcs.size());
+  ExpectRejected(BadCallee);
 }
 
 //===----------------------------------------------------------------------===//

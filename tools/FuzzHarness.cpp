@@ -2,6 +2,8 @@
 
 #include "FuzzHarness.h"
 
+#include "oracle/Oracle.h"
+
 #include "matcher/StaleMatcher.h"
 #include "pgo/BuildPipeline.h"
 #include "postlink/BinaryCFG.h"
@@ -20,7 +22,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <set>
-#include <sstream>
 #include <string>
 
 namespace csspgo {
@@ -53,62 +54,6 @@ WorkloadConfig randomWorkload(Rng &R) {
   W.ArithDensity = 1 + static_cast<unsigned>(R.nextBelow(4));
   return W;
 }
-
-#define CHECK_EQ_FIELD(Name)                                                   \
-  do {                                                                         \
-    if (Ref.Name != Fast.Name) {                                               \
-      std::ostringstream OS;                                                   \
-      OS << "executor divergence: " #Name " ref=" << Ref.Name                  \
-         << " fast=" << Fast.Name;                                             \
-      Err = OS.str();                                                          \
-      return false;                                                            \
-    }                                                                          \
-  } while (0)
-
-bool compareRuns(const RunResult &Ref, const RunResult &Fast,
-                 std::string &Err) {
-  CHECK_EQ_FIELD(Completed);
-  CHECK_EQ_FIELD(Error);
-  CHECK_EQ_FIELD(ExitValue);
-  CHECK_EQ_FIELD(Cycles);
-  CHECK_EQ_FIELD(Instructions);
-  CHECK_EQ_FIELD(TakenBranches);
-  CHECK_EQ_FIELD(CondBranches);
-  CHECK_EQ_FIELD(CondTaken);
-  CHECK_EQ_FIELD(UncondJumps);
-  CHECK_EQ_FIELD(Mispredicts);
-  CHECK_EQ_FIELD(ICacheMisses);
-  CHECK_EQ_FIELD(Calls);
-  CHECK_EQ_FIELD(IndirectCalls);
-  CHECK_EQ_FIELD(IndirectMispredicts);
-  if (Ref.Counters != Fast.Counters) {
-    Err = "executor divergence: instrumentation counters differ";
-    return false;
-  }
-  if (Ref.Samples.size() != Fast.Samples.size()) {
-    std::ostringstream OS;
-    OS << "executor divergence: sample count ref=" << Ref.Samples.size()
-       << " fast=" << Fast.Samples.size();
-    Err = OS.str();
-    return false;
-  }
-  for (size_t I = 0; I != Ref.Samples.size(); ++I) {
-    const PerfSample &A = Ref.Samples[I];
-    const PerfSample &B = Fast.Samples[I];
-    bool Same = A.Stack == B.Stack && A.LBR.size() == B.LBR.size();
-    for (size_t J = 0; Same && J != A.LBR.size(); ++J)
-      Same = A.LBR[J].Src == B.LBR[J].Src && A.LBR[J].Dst == B.LBR[J].Dst;
-    if (!Same) {
-      std::ostringstream OS;
-      OS << "executor divergence: sample " << I << " differs";
-      Err = OS.str();
-      return false;
-    }
-  }
-  return true;
-}
-
-#undef CHECK_EQ_FIELD
 
 /// Probe-id anchors present in the fresh IR of \p F: probe and call-site
 /// instructions. Matcher-recovered counts may land only on these.
@@ -163,7 +108,7 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
   BC.Variant = PGOVariant::CSSPGOFull;
   BuildResult Build = buildWithPGO(*Source, BC, nullptr);
 
-  // --- 1. Fast path vs reference interpreter ---------------------------
+  // --- 1. Fast path vs the reference interpreter (test oracle) --------
   ExecConfig Exec;
   Exec.Sampler.Enabled = true;
   const uint64_t Periods[] = {401, 997, 1999, 4001};
@@ -176,11 +121,11 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
   std::vector<int64_t> MemFast = generateInput(WC, Seed);
   std::vector<int64_t> MemRef = MemFast;
   RunResult Fast = execute(*Build.Bin, "main", MemFast, Exec);
-  ExecConfig RefExec = Exec;
-  RefExec.ReferenceMode = true;
-  RunResult Ref = execute(*Build.Bin, "main", MemRef, RefExec);
-  if (!compareRuns(Ref, Fast, Err))
+  RunResult Ref = executeReference(*Build.Bin, "main", MemRef, Exec);
+  if (std::string D = diffRuns(Ref, Fast); !D.empty()) {
+    Err = "executor divergence: " + D + " (reference vs fast)";
     return false;
+  }
   if (MemRef != MemFast) {
     Err = "executor divergence: final memory images differ";
     return false;
@@ -674,26 +619,11 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
       Err = "trace replay of a clean trace did not complete cleanly";
       return false;
     }
-    if (Replay->Cycles != Fast.Cycles ||
-        Replay->Samples.size() != Fast.Samples.size()) {
-      std::ostringstream OS;
-      OS << "trace replay diverges from the sampling run: cycles "
-         << Replay->Cycles << " vs " << Fast.Cycles << ", samples "
-         << Replay->Samples.size() << " vs " << Fast.Samples.size();
-      Err = OS.str();
+    if (std::string D = diffRuns(Fast, replayedRun(Fast, *Replay));
+        !D.empty()) {
+      Err = "trace replay diverges from the sampling run: " + D +
+            " (sampled vs replayed)";
       return false;
-    }
-    for (size_t I = 0; I != Replay->Samples.size(); ++I) {
-      const PerfSample &A = Replay->Samples[I];
-      const PerfSample &B = Fast.Samples[I];
-      bool Same = A.Stack == B.Stack && A.LBR.size() == B.LBR.size();
-      for (size_t J = 0; Same && J != A.LBR.size(); ++J)
-        Same = A.LBR[J].Src == B.LBR[J].Src && A.LBR[J].Dst == B.LBR[J].Dst;
-      if (!Same) {
-        Err = "trace replay sample " + std::to_string(I) +
-              " differs from the sampling run's";
-        return false;
-      }
     }
 
     for (int M = 0; M != 8 && !Traced.Trace.Bytes.empty(); ++M) {
