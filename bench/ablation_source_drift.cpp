@@ -212,15 +212,15 @@ void continuousIngestTable(unsigned Jobs, size_t CellLimit) {
     Merged.IsCS = Store->isCS();
     Status Loaded;
     if (Merged.IsCS) {
-      Expected<ContextProfile> CS = Store->loadContext();
+      Expected<ContextProfileView> CS = Store->loadContextView();
       if (CS)
-        Merged.CS = CS.take();
+        Merged.CS = contextProfileOf(*CS);
       else
         Loaded = CS.takeError();
     } else {
-      Expected<FlatProfile> Flat = Store->loadFlat();
+      Expected<FlatProfileView> Flat = Store->loadFlatView();
       if (Flat)
-        Merged.Flat = Flat.take();
+        Merged.Flat = flatProfileOf(*Flat);
       else
         Loaded = Flat.takeError();
     }

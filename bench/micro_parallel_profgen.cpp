@@ -3,7 +3,7 @@
 // Throughput benchmark of the sharded profile-generation pipeline
 // (ShardedProfGen): partitions a large LBR sample set into K shards,
 // unwinds and builds context tries on a thread pool, and reduces with
-// mergeContextProfiles. The production workflow aggregates samples from
+// mergeContextViews. The production workflow aggregates samples from
 // many hosts (§IV-A), so generation throughput is the operational
 // bottleneck this pipeline attacks.
 //
@@ -18,8 +18,8 @@
 // the same fleet-sized database (the serial profile cloned under
 // per-module name suffixes — one binary profiled on K hosts), each plane
 // starting from its native representation. The map plane folds the K
-// part tries sequentially with mergeContextProfiles (the pre-arena
-// reducer); the flat plane k-way merges the K arena views over sorted
+// part tries sequentially with the test oracle's mergeContextProfiles
+// (the pre-arena reducer); the flat plane k-way merges the K arena views over sorted
 // slices (mergeContextViews — what ShardedProfGen phase 3 and the store
 // ingest folds run; views arrive for free from the workers' parallel
 // flatten or the store's zero-copy loader, and the one-time flatten cost
@@ -32,13 +32,14 @@
 
 #include "BenchCommon.h"
 
+#include "oracle/Oracle.h"
+
 #include "codegen/Linker.h"
 #include "probe/ProbeInserter.h"
 #include "probe/ProbeTable.h"
 #include "profgen/ShardedProfGen.h"
 #include "profile/ProfileArena.h"
 #include "profile/ProfileIO.h"
-#include "profile/ProfileMerge.h"
 #include "sim/Executor.h"
 #include "support/SourceText.h"
 #include "support/ThreadPool.h"

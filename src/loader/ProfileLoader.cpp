@@ -655,9 +655,7 @@ Expected<LoaderStats> loadProfileFromStore(Module &M, ProfileStore &Store,
   // selected payload tiles into one arena (the per-function seeking that
   // makes module-scoped loading O(module), not O(store)), and the arena
   // is bridged to the map containers only once, at the end, for the
-  // annotation pass. Bit-identical to decoding each function into maps —
-  // ArenaTest holds the bridge down — but without the per-record tree
-  // rebuilds on the hot path.
+  // annotation pass (ArenaTest holds the bridge down).
   if (Store.isCS()) {
     ContextViewLoader L(Store);
     for (size_t I = 0; I != Store.numFunctions(); ++I) {

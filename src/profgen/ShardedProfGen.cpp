@@ -117,8 +117,8 @@ ContextProfile generateCSProfileSharded(const Binary &Bin,
   // arena views in parallel (each worker flattens its own shard), the
   // sorted context slices k-way merge in one pass, and the result trie is
   // rebuilt once. Bit-identical — counts, stats, saturation — to folding
-  // the parts sequentially with mergeContextProfiles (the merge contract
-  // in ProfileArena.h), but without K-1 full destination-trie rewalks.
+  // the parts sequentially (the merge contract in ProfileArena.h), but
+  // without K-1 full destination-trie rewalks.
   std::vector<ContextProfileView> Views(Parts.size());
   Pool.parallelFor(Parts.size(),
                    [&](size_t I) { Views[I] = contextViewOf(Parts[I]); });

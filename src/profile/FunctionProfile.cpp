@@ -64,37 +64,20 @@ FunctionProfile::getOrCreateInlinee(ProfileKey K, const std::string &Callee) {
   return P;
 }
 
-uint64_t FunctionProfile::merge(const FunctionProfile &Other, uint64_t Num,
-                                uint64_t Den) {
+uint64_t FunctionProfile::merge(const FunctionProfile &Other) {
   uint64_t Saturated = 0;
-  auto Scale = [&](uint64_t V) -> uint64_t {
-    if (Num == Den)
-      return V;
-    if (!Den)
-      return V;
-    // 128-bit intermediate: V * Num overflows uint64_t long before the
-    // scaled result does (e.g. scaling a near-max count by 3/2).
-    unsigned __int128 Wide =
-        (static_cast<unsigned __int128>(V) * Num + Den / 2) / Den;
-    if (Wide > UINT64_MAX) {
-      ++Saturated;
-      return UINT64_MAX;
-    }
-    return static_cast<uint64_t>(Wide);
-  };
   auto SatInto = [&Saturated](uint64_t &Slot, uint64_t V) {
     if (saturatingAccum(Slot, V))
       ++Saturated;
   };
   for (const auto &[K, N] : Other.Body) {
-    uint64_t S = Scale(N);
-    SatInto(Body[K], S);
-    SatInto(TotalSamples, S);
+    SatInto(Body[K], N);
+    SatInto(TotalSamples, N);
   }
-  SatInto(HeadSamples, Scale(Other.HeadSamples));
+  SatInto(HeadSamples, Other.HeadSamples);
   for (const auto &[K, Targets] : Other.Calls)
     for (const auto &[Callee, N] : Targets)
-      SatInto(Calls[K][Callee], Scale(N));
+      SatInto(Calls[K][Callee], N);
   for (const auto &[K, Map] : Other.Inlinees)
     for (const auto &[Callee, P] : Map) {
       FunctionProfile &Sub = getOrCreateInlinee(K, Callee);
@@ -105,7 +88,7 @@ uint64_t FunctionProfile::merge(const FunctionProfile &Other, uint64_t Num,
         Sub.Guid = P.Guid;
       if (P.Checksum)
         Sub.Checksum = P.Checksum;
-      Saturated += Sub.merge(P, Num, Den);
+      Saturated += Sub.merge(P);
     }
   return Saturated;
 }

@@ -115,14 +115,13 @@ public:
   /// Gets or creates a nested inlinee profile.
   FunctionProfile &getOrCreateInlinee(ProfileKey K, const std::string &Callee);
 
-  /// Accumulates \p Other into this profile, scaling counts by \p Num/Den.
-  /// Used when merging un-inlined context profiles into a base profile.
-  /// Counts saturate at UINT64_MAX instead of wrapping; returns the number
-  /// of additions (body slots, heads, call targets, recursively through
-  /// inlinees) that saturated, so merge pipelines can report clamping
-  /// (MergeStats::SaturatedCounts) instead of silently corrupting counts.
-  uint64_t merge(const FunctionProfile &Other, uint64_t Num = 1,
-                 uint64_t Den = 1);
+  /// Accumulates \p Other into this profile. Used when merging un-inlined
+  /// context profiles into a base profile. Counts saturate at UINT64_MAX
+  /// instead of wrapping; returns the number of additions (body slots,
+  /// heads, call targets, recursively through inlinees) that saturated,
+  /// so merge pipelines can report clamping (MergeStats::SaturatedCounts)
+  /// instead of silently corrupting counts.
+  uint64_t merge(const FunctionProfile &Other);
 
   /// Max body sample count (a hotness proxy).
   uint64_t maxBodyCount() const;

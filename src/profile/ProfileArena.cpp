@@ -511,9 +511,9 @@ buildRemaps(NameInterner &Out, const std::vector<const ViewT *> &Parts) {
 }
 
 /// Per-source merge-event statistics shared by the flat and context
-/// merges: mergeFlatProfiles / mergeContextProfiles count one event per
-/// (part, entry) pair for every merge *source* (the base entry existed
-/// already and contributes none).
+/// merges: the sequential fold counts one event per (part, entry) pair
+/// for every merge *source* (the base entry existed already and
+/// contributes none).
 void countMergeEvents(MergeStats &Stats, bool HadBase,
                       const std::vector<RecSource> &Srcs) {
   for (size_t I = 0; I != Srcs.size(); ++I) {
@@ -725,17 +725,15 @@ mergeContextViews(const std::vector<const ContextProfileView *> &Parts,
 }
 
 //===----------------------------------------------------------------------===//
-// View decay scaler (mirrors ProfileMerge's ProfileScaler)
+// View decay scaler
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Slot-for-slot port of ProfileMerge's ProfileScaler onto arena
-/// records: same traversal order (body in key order, head, call targets
-/// in (key, callee) order, then inlinees depth-first), same 128-bit
-/// round-half-up arithmetic, same per-function-name head and per-callee
-/// call-target telescoping accumulators — so a view scaled here and a
-/// map profile scaled there stay bit-identical. Accumulators key by
+/// The decay scaler (contract in ProfileArena.h): body in key order,
+/// head, call targets in (key, callee) order, then inlinees depth-first,
+/// with 128-bit round-half-up arithmetic and per-function-name head and
+/// per-callee call-target telescoping accumulators. Accumulators key by
 /// NameId, which is bijective with names within one arena.
 class ViewScaler {
 public:

@@ -5,13 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Flat, arena-backed struct-of-arrays representation of sample profiles.
-/// The map-based containers (FunctionProfile / ContextProfile) are the
-/// canonical *semantic* model, but their pointer-chasing layout dominates
-/// the cost of the profile data plane: every body slot is a red-black tree
-/// node, every callee name a heap string, every merge a rebuild of those
-/// trees. The arena keeps the same information as four append-only pools
-/// of POD slots plus an interned name table:
+/// Flat, arena-backed struct-of-arrays representation of sample profiles
+/// — the profile data plane. The map-based containers (FunctionProfile /
+/// ContextProfile) are the canonical *semantic* model and what the
+/// compiler passes consume, but their pointer-chasing layout would
+/// dominate the data plane: every body slot a red-black tree node, every
+/// callee name a heap string, every merge a rebuild of those trees. So
+/// the store decodes, and sharded profgen, the fleet service and epoch
+/// ingestion merge and scale, only on views; maps are built from a view
+/// once, at the consumer, through flatProfileOf / contextProfileOf. The
+/// arena keeps the same information as four append-only pools of POD
+/// slots plus an interned name table:
 ///
 ///   Body      [ (key, count) ... ]          sorted by ProfileKey
 ///   Calls     [ (key, callee, count) ... ]  sorted by (key, callee name)
@@ -27,16 +31,18 @@
 /// slices and conversion back to the map containers is a monotone build.
 ///
 /// The conversions are exact: view -> map -> view and map -> view -> map
-/// are identities, the k-way merges reproduce the sequential map merges
-/// bit-for-bit (including MergeStats and saturation behavior), and the
-/// view scaler reproduces ProfileMerge's decay scaler slot-for-slot.
-/// ArenaTest and the differential fuzzer hold all of that down.
+/// are identities. The merges and the scaler are specified below in map
+/// terms; the test oracle (tests/oracle) implements those specifications
+/// independently on the map containers, and ArenaTest and the
+/// differential fuzzer hold the views to it bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSSPGO_PROFILE_PROFILEARENA_H
 #define CSSPGO_PROFILE_PROFILEARENA_H
 
+#include "profile/ContextTrie.h"
+#include "profile/FunctionProfile.h"
 #include "profile/ProfileMerge.h"
 
 #include <cstdint>
@@ -186,33 +192,64 @@ ContextProfileView contextViewOf(const ContextProfile &P);
 /// nodes are reseeded exactly as ContextTrieNode::getOrCreateChild does.
 ContextProfile contextProfileOf(const ContextProfileView &V);
 
-/// K-way merge of flat views over sorted slices. Reproduces, bit for
-/// bit (values, Guid/Checksum carry, saturation behavior and MergeStats):
+/// K-way merge of flat views over sorted slices: the parts fold in order
+/// into one database, as if by
 ///
 ///   Dst = copy(*Parts[0]);
-///   for (i = 1 .. K-1) Stats += mergeFlatProfiles(Dst, *Parts[i]);
+///   for (i = 1 .. K-1) Stats += mergeInto(Dst, *Parts[i]);
 ///
-/// With \p IntoEmptyDst the first part is a merge *source* too
-/// (Dst starts empty, as in ProfileStore::ingestEpoch's first epoch):
+/// where mergeInto counts each source function as added or merged, sums
+/// its counts into MergeStats::CountsSummed, carries nonzero Guid /
+/// Checksum over (recursively through inlinees) and accumulates every
+/// slot — body, head, call targets, nested inlinees — with saturation at
+/// UINT64_MAX (counted in MergeStats::SaturatedCounts). With
+/// \p IntoEmptyDst the first part is a merge *source* too (Dst starts
+/// empty, as in ingestEpoch's first epoch):
 ///
-///   Dst = {}; for (i = 0 .. K-1) Stats += mergeFlatProfiles(Dst, ...);
+///   Dst = {}; for (i = 0 .. K-1) Stats += mergeInto(Dst, *Parts[i]);
 ///
-/// All parts must share one kind (fatal mismatch otherwise, same as the
-/// map merge). Input slices must be canonically ordered — true of every
-/// in-tree producer; debug builds assert it.
+/// All parts must share one kind: merging line-based with probe-based
+/// counts is a fatal usage error. Input slices must be canonically
+/// ordered — true of every in-tree producer, and of every view the store
+/// loaders return (they reject out-of-order input); debug builds assert
+/// it.
 FlatProfileView mergeFlatViews(const std::vector<const FlatProfileView *> &Parts,
                                MergeStats &Stats, bool IntoEmptyDst = false);
 
-/// K-way merge of context views; same contract as mergeFlatViews but
-/// emulating sequential mergeContextProfiles (including the trie's GUID
-/// seeding of newly created nodes and ShouldBeInlined OR-folding).
+/// K-way merge of context views; same contract as mergeFlatViews, folding
+/// context by context. A context new to Dst is created the way
+/// ContextTrieNode::getOrCreateChild creates it (Name = leaf, Guid =
+/// computeFunctionGuid(leaf)), and ShouldBeInlined OR-folds.
 ContextProfileView
 mergeContextViews(const std::vector<const ContextProfileView *> &Parts,
                   MergeStats &Stats, bool IntoEmptyDst = false);
 
-/// Decay-scales a view in place; slot-for-slot identical to
-/// scaleFlatProfile / scaleContextProfile on the equivalent map profile
-/// (same traversal order, same telescoping head/call-edge accumulators).
+/// Scales every count in \p V by Num/Den (round half up). This is the
+/// decay step of multi-epoch ingestion (ingestEpoch), so it must keep a
+/// scaled profile verifiable at VerifyLevel::Full:
+///
+///  * Count conservation is restored structurally: after scaling a
+///    function's body slots, TotalSamples is recomputed as their
+///    saturating sum.
+///
+///  * Head/call-edge conservation (sum of a function's head samples ==
+///    sum of call-target counts into it, database-wide) cannot survive
+///    independent per-slot rounding — two slots of 1 scaled by 1/2 round
+///    to 2, one slot of 2 rounds to 1. Instead, all head slots of a
+///    function name share one cumulative accumulator (and all call-target
+///    slots into it share another): slot i becomes
+///    round(S_i * Num/Den) - round(S_{i-1} * Num/Den) over the prefix sums
+///    S. Each side telescopes to round(true_sum * Num/Den), so equal sums
+///    stay equal under any Num/Den.
+///
+///  * Exact-count (Instr) profiles get \p ExactCounts = true: no edge
+///    accumulators (the equality does not apply to them), and the head is
+///    clamped to the recomputed total so HEAD <= TOTAL keeps holding.
+///
+/// Slots are visited in canonical order (functions or contexts in view
+/// order; per record: body, head, call targets, then inlinees depth
+/// first), which fixes every slot's value. Num == Den is a no-op; Num = 0
+/// zeroes every count.
 void scaleFlatView(FlatProfileView &V, uint64_t Num, uint64_t Den,
                    bool ExactCounts = false);
 void scaleContextView(ContextProfileView &V, uint64_t Num, uint64_t Den);

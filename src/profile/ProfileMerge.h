@@ -1,23 +1,23 @@
-//===- profile/ProfileMerge.h - Profile merging -----------------*- C++ -*-===//
+//===- profile/ProfileMerge.h - Profile merge statistics --------*- C++ -*-===//
 //
 // Part of the CSSPGO reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Merging of profiles from multiple profiling runs (the production
-/// workflow aggregates samples from many hosts before feeding PGO). The
-/// same primitives serve as the reduction step of the sharded
-/// profile-generation pipeline (ShardedProfGen), so each merge reports
-/// MergeStats making the reduction observable.
+/// Observability record of profile merges. The production workflow
+/// aggregates samples from many hosts before feeding PGO; the merges that
+/// do it (mergeFlatViews / mergeContextViews in ProfileArena.h) serve as
+/// the reduction step of sharded profile generation, fleet ingestion and
+/// the store's epoch fold, and each reports MergeStats so the reduction
+/// is observable.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSSPGO_PROFILE_PROFILEMERGE_H
 #define CSSPGO_PROFILE_PROFILEMERGE_H
 
-#include "profile/ContextTrie.h"
-#include "profile/FunctionProfile.h"
+#include <cstdint>
 
 namespace csspgo {
 
@@ -44,45 +44,6 @@ struct MergeStats {
     return *this;
   }
 };
-
-/// Accumulates \p Src into \p Dst (counts are summed). An empty \p Dst
-/// adopts \p Src's kind; otherwise a kind mismatch (line-based vs
-/// probe-based) is a fatal usage error reported with a clear message —
-/// merging profiles keyed by different anchor spaces silently produces
-/// garbage counts.
-MergeStats mergeFlatProfiles(FlatProfile &Dst, const FlatProfile &Src);
-
-/// Accumulates \p Src into \p Dst context-by-context. Same kind rules as
-/// mergeFlatProfiles.
-MergeStats mergeContextProfiles(ContextProfile &Dst,
-                                const ContextProfile &Src);
-
-/// Scales every count in \p Profile by Num/Den (round half up). This is
-/// the decay step of multi-epoch ingestion (ProfileStore::ingestEpoch), so
-/// it must keep a scaled profile verifiable at VerifyLevel::Full:
-///
-///  * Count conservation is restored structurally: after scaling a
-///    function's body slots, TotalSamples is recomputed as their
-///    saturating sum.
-///
-///  * Head/call-edge conservation (sum of a function's head samples ==
-///    sum of call-target counts into it, database-wide) cannot survive
-///    independent per-slot rounding — two slots of 1 scaled by 1/2 round
-///    to 2, one slot of 2 rounds to 1. Instead, all head slots of a
-///    function name share one cumulative accumulator (and all call-target
-///    slots into it share another): slot i becomes
-///    round(S_i * Num/Den) - round(S_{i-1} * Num/Den) over the prefix sums
-///    S. Each side telescopes to round(true_sum * Num/Den), so equal sums
-///    stay equal under any Num/Den.
-///
-///  * Exact-count (Instr) profiles get \p ExactCounts = true: no edge
-///    accumulators (the equality does not apply to them), and the head is
-///    clamped to the recomputed total so HEAD <= TOTAL keeps holding.
-///
-/// Num == Den is a no-op; Num = 0 zeroes every count.
-void scaleFlatProfile(FlatProfile &Profile, uint64_t Num, uint64_t Den,
-                      bool ExactCounts = false);
-void scaleContextProfile(ContextProfile &Profile, uint64_t Num, uint64_t Den);
 
 } // namespace csspgo
 

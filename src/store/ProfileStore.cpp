@@ -83,100 +83,6 @@ void encodeRecord(ByteWriter &W, const FunctionProfile &P,
   }
 }
 
-bool decodeRecord(ByteReader &R, FunctionProfile &P,
-                  const std::vector<std::string_view> &Names, unsigned Depth,
-                  std::string &Err) {
-  if (Depth > MaxRecordDepth) {
-    Err = "inlinee nesting exceeds depth limit";
-    return false;
-  }
-  uint64_t NBody, NCalls, NInl, Idx, Disc, N;
-  if (!R.uleb(P.TotalSamples) || !R.uleb(P.HeadSamples) || !R.uleb(NBody)) {
-    Err = "truncated record header";
-    return false;
-  }
-  for (uint64_t I = 0; I != NBody; ++I) {
-    if (!R.uleb(Idx) || !R.uleb(Disc) || !R.uleb(N) || Idx > UINT32_MAX ||
-        Disc > UINT32_MAX) {
-      Err = "malformed body entry";
-      return false;
-    }
-    ProfileKey K(static_cast<uint32_t>(Idx), static_cast<uint32_t>(Disc));
-    if (!P.Body.emplace(K, N).second) {
-      Err = "duplicate body key";
-      return false;
-    }
-  }
-  if (!R.uleb(NCalls)) {
-    Err = "truncated call-site count";
-    return false;
-  }
-  for (uint64_t I = 0; I != NCalls; ++I) {
-    uint64_t NTargets;
-    if (!R.uleb(Idx) || !R.uleb(Disc) || !R.uleb(NTargets) ||
-        Idx > UINT32_MAX || Disc > UINT32_MAX) {
-      Err = "malformed call site";
-      return false;
-    }
-    ProfileKey K(static_cast<uint32_t>(Idx), static_cast<uint32_t>(Disc));
-    auto [SiteIt, Fresh] = P.Calls.emplace(
-        K, std::map<std::string, uint64_t>());
-    if (!Fresh) {
-      Err = "duplicate call-site key";
-      return false;
-    }
-    for (uint64_t T = 0; T != NTargets; ++T) {
-      uint64_t NameIdx;
-      if (!R.uleb(NameIdx) || !R.uleb(N) || NameIdx >= Names.size()) {
-        Err = "malformed call target";
-        return false;
-      }
-      if (!SiteIt->second.emplace(std::string(Names[NameIdx]), N).second) {
-        Err = "duplicate call target";
-        return false;
-      }
-    }
-  }
-  if (!R.uleb(NInl)) {
-    Err = "truncated inline-site count";
-    return false;
-  }
-  for (uint64_t I = 0; I != NInl; ++I) {
-    uint64_t NCallees;
-    if (!R.uleb(Idx) || !R.uleb(Disc) || !R.uleb(NCallees) ||
-        Idx > UINT32_MAX || Disc > UINT32_MAX) {
-      Err = "malformed inline site";
-      return false;
-    }
-    ProfileKey K(static_cast<uint32_t>(Idx), static_cast<uint32_t>(Disc));
-    auto [SiteIt, Fresh] = P.Inlinees.emplace(
-        K, std::map<std::string, FunctionProfile>());
-    if (!Fresh) {
-      Err = "duplicate inline-site key";
-      return false;
-    }
-    for (uint64_t C = 0; C != NCallees; ++C) {
-      uint64_t NameIdx, Guid, Checksum;
-      if (!R.uleb(NameIdx) || !R.uleb(Guid) || !R.uleb(Checksum) ||
-          NameIdx >= Names.size()) {
-        Err = "malformed inlinee";
-        return false;
-      }
-      FunctionProfile Sub;
-      Sub.Name = std::string(Names[NameIdx]);
-      Sub.Guid = Guid;
-      Sub.Checksum = Checksum;
-      if (!decodeRecord(R, Sub, Names, Depth + 1, Err))
-        return false;
-      if (!SiteIt->second.emplace(Sub.Name, std::move(Sub)).second) {
-        Err = "duplicate inlinee";
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 constexpr NameId InvalidNameId = ~NameId(0);
 
 /// Lazily maps store string-table indices to arena name ids, interning a
@@ -199,13 +105,12 @@ struct NameMapper {
   }
 };
 
-/// Flat-plane record decoder: cursors one payload tile straight into an
-/// arena — body/call slots append to the pools, inlinee children recurse
-/// through a temporary so the parent's inline slice stays contiguous.
-/// Mirrors decodeRecord's validation with the order requirement tightened
-/// from "no duplicate keys" to "strictly ascending" — the canonical order
-/// every writer emits (std::map iteration), and what lets merges run on
-/// the slices without re-sorting.
+/// The store's one record decoder: cursors one payload tile straight into
+/// an arena — body/call slots append to the pools, inlinee children
+/// recurse through a temporary so the parent's inline slice stays
+/// contiguous. Every slice must be strictly ascending — the canonical
+/// order every writer emits (std::map iteration), and what lets merges
+/// run on the slices without re-sorting.
 bool decodeRecordView(ByteReader &R, ProfileArena &A, NameMapper &NM,
                       unsigned Depth, uint32_t &RecOut, std::string &Err) {
   if (Depth > MaxRecordDepth) {
@@ -355,7 +260,8 @@ int compareContextFrames(const ProfileArena &A, const ContextRecord &X,
 /// walk over the whole table. Compact layout: u32 count + count u64
 /// GUIDs. The table is emitted sorted-unique (callers collect names into
 /// a std::set); findFunction's binary search and the canonical
-/// "ascending index is ascending name" record order stand on that.
+/// "ascending index is ascending name" record order stand on that, and
+/// open() rejects a non-compact table that breaks it.
 std::string encodeStringTable(const std::vector<std::string> &Strings,
                               bool Compact) {
   ByteWriter W;
@@ -691,6 +597,9 @@ bool ProfileStore::decodeSections(std::string &Err) {
       // this loop, which open() pays on every store.
       std::string_view Blob = Sec.substr(4 + 4ull * Count);
       Names.resize(Count);
+      // Sorted-unique is required, not assumed: findFunction's binary
+      // search and the canonical "ascending index is ascending name"
+      // record order stand on it, and the view merges assert that order.
       uint32_t Prev = 0;
       for (uint32_t I = 0; I != Count; ++I) {
         uint32_t End = loadStoreWord32(Sec.data() + 4 + 4ull * I);
@@ -700,16 +609,15 @@ bool ProfileStore::decodeSections(std::string &Err) {
         }
         Names[I] = std::string_view(Blob.data() + Prev, End - Prev);
         Prev = End;
+        if (I && !(Names[I - 1] < Names[I])) {
+          Err = "string table not in strictly ascending order";
+          return false;
+        }
       }
       if (Prev != Blob.size()) {
         Err = "trailing bytes in string table";
         return false;
       }
-      // The writer emits the table sorted-unique (a writer contract, not
-      // re-validated here: findFunction's binary search and the
-      // "ascending index is ascending name" record order stand on it,
-      // but an unsorted table only mis-orders results — every access is
-      // still bounds-checked).
     }
   }
 
@@ -763,6 +671,10 @@ bool ProfileStore::decodeSections(std::string &Err) {
       E.Head = loadStoreWord(P + 28);
       if (E.NameIdx >= Names.size()) {
         Err = "malformed index entry";
+        return false;
+      }
+      if (I && E.NameIdx <= Index[I - 1].NameIdx) {
+        Err = "index entries not in ascending name order";
         return false;
       }
       if (E.Offset != Expected || E.Size > PayloadSize - E.Offset) {
@@ -907,10 +819,9 @@ int ProfileStore::findFunction(const std::string &Name) const {
     auto It = NameToFunc.find(Name);
     return It == NameToFunc.end() ? -1 : static_cast<int>(It->second);
   }
-  // The index is name-sorted (the writer iterates a sorted map over a
-  // sorted-unique string table — a writer contract), so lookup is a
-  // binary search over borrowed views — no side tables, nothing built up
-  // front.
+  // The index is name-sorted (open() checks both the string table and
+  // the index order), so lookup is a binary search over borrowed views —
+  // no side tables, nothing built up front.
   auto It = std::lower_bound(
       Index.begin(), Index.end(), std::string_view(Name),
       [this](const IndexEntry &E, std::string_view N) {
@@ -944,114 +855,6 @@ void ProfileStore::resolveNames(const Module &M) {
   NameToFunc.clear();
   GuidToFunc.clear();
   LookupsBuilt = false;
-}
-
-Status ProfileStore::loadFunction(size_t I, FlatProfile &Into) const {
-  if (isCS())
-    return Status::error("store holds a context-sensitive profile; use "
-                         "loadFunctionContexts");
-  const IndexEntry &E = Index[I];
-  ByteReader R(section(StoreSection::FlatPayload).substr(E.Offset, E.Size));
-  FunctionProfile P;
-  std::string Err;
-  if (!decodeRecord(R, P, Names, 0, Err))
-    return Status::error(Err);
-  if (!R.done())
-    return Status::error("record shorter than its index slice");
-  if (P.TotalSamples != E.Total || P.HeadSamples != E.Head)
-    return Status::error("record totals disagree with the function index");
-  P.Name = std::string(Names[E.NameIdx]);
-  P.Guid = E.MetaGuid;
-  P.Checksum = E.MetaChecksum;
-  Into.Kind = kind();
-  Into.Functions[P.Name] = std::move(P);
-  return {};
-}
-
-Status ProfileStore::loadFunctionContexts(size_t I,
-                                          ContextProfile &Into) const {
-  std::string Err;
-  if (!loadFunctionContextsImpl(I, Into, Err))
-    return Status::error(Err);
-  return {};
-}
-
-bool ProfileStore::loadFunctionContextsImpl(size_t I, ContextProfile &Into,
-                                            std::string &Err) const {
-  if (!isCS()) {
-    Err = "store holds a flat profile; use loadFunction";
-    return false;
-  }
-  const IndexEntry &E = Index[I];
-  ByteReader R(section(StoreSection::CSPayload).substr(E.Offset, E.Size));
-  uint64_t NContexts;
-  if (!R.uleb(NContexts)) {
-    Err = "malformed context block";
-    return false;
-  }
-  Into.Kind = kind();
-  for (uint64_t C = 0; C != NContexts; ++C) {
-    uint64_t NFrames;
-    if (!R.uleb(NFrames) || NFrames == 0 || NFrames > R.remaining()) {
-      Err = "malformed context frame count";
-      return false;
-    }
-    SampleContext Ctx;
-    for (uint64_t F = 0; F != NFrames; ++F) {
-      uint64_t NameIdx, Site;
-      if (!R.uleb(NameIdx) || !R.uleb(Site) || NameIdx >= Names.size() ||
-          Site > UINT32_MAX) {
-        Err = "malformed context frame";
-        return false;
-      }
-      Ctx.push_back(
-          {std::string(Names[NameIdx]), static_cast<uint32_t>(Site)});
-    }
-    if (Ctx.back().Site != 0 || Ctx.back().Func != Names[E.NameIdx]) {
-      Err = "context leaf disagrees with its index entry";
-      return false;
-    }
-    uint8_t NodeFlags;
-    uint64_t Guid, Checksum;
-    if (!R.u8(NodeFlags) || NodeFlags > 1 || !R.uleb(Guid) ||
-        !R.uleb(Checksum)) {
-      Err = "malformed context node header";
-      return false;
-    }
-    FunctionProfile P;
-    if (!decodeRecord(R, P, Names, 0, Err))
-      return false;
-    P.Name = Ctx.back().Func;
-    P.Guid = Guid;
-    P.Checksum = Checksum;
-    ContextTrieNode &N = Into.getOrCreateNode(Ctx);
-    N.HasProfile = true;
-    N.ShouldBeInlined = NodeFlags & 1;
-    N.Profile = std::move(P);
-  }
-  if (!R.done()) {
-    Err = "context block shorter than its index slice";
-    return false;
-  }
-  return true;
-}
-
-Expected<FlatProfile> ProfileStore::loadFlat() const {
-  FlatProfile Out;
-  Out.Kind = kind();
-  for (size_t I = 0; I != Index.size(); ++I)
-    if (Status S = loadFunction(I, Out); !S.ok())
-      return S;
-  return Out;
-}
-
-Expected<ContextProfile> ProfileStore::loadContext() const {
-  ContextProfile Out;
-  Out.Kind = kind();
-  for (size_t I = 0; I != Index.size(); ++I)
-    if (Status S = loadFunctionContexts(I, Out); !S.ok())
-      return S;
-  return Out;
 }
 
 Expected<FlatProfileView> ProfileStore::loadFlatView() const {
@@ -1129,19 +932,34 @@ Status ContextViewLoader::load(size_t I) {
   uint64_t NContexts;
   if (!R.uleb(NContexts))
     return Status::error("malformed context block");
+  // The block's contexts must be strictly ascending in trie-DFS order —
+  // what the writer emits, and what rules out a repeated context, which
+  // the view merges would otherwise meet as an out-of-order input. Each
+  // context's path keys [(0, F0), (S0, F1), ...] compare as a vector:
+  // compareContextFrames's order, decided on store string indices, which
+  // ascend with names (the writer emits a sorted-unique table) even where
+  // a compact store's "guid.<n>" placeholders do not.
+  std::vector<std::pair<uint64_t, uint64_t>> Prev, Cur;
   for (uint64_t C = 0; C != NContexts; ++C) {
     uint64_t NFrames;
     if (!R.uleb(NFrames) || NFrames == 0 || NFrames > R.remaining())
       return Status::error("malformed context frame count");
     ContextRecord CR;
     CR.FramesBegin = static_cast<uint32_t>(V.Arena.Frames.size());
+    Cur.clear();
+    uint64_t InSite = 0;
     for (uint64_t F = 0; F != NFrames; ++F) {
       uint64_t NameIdx, Site;
       if (!R.uleb(NameIdx) || !R.uleb(Site) || NameIdx >= NM.Map.size() ||
           Site > UINT32_MAX)
         return Status::error("malformed context frame");
       V.Arena.Frames.push_back({NM(NameIdx), static_cast<uint32_t>(Site)});
+      Cur.push_back({InSite, NameIdx});
+      InSite = Site;
     }
+    if (C && !(Prev < Cur))
+      return Status::error("contexts not in ascending trie order");
+    std::swap(Prev, Cur);
     CR.FramesEnd = static_cast<uint32_t>(V.Arena.Frames.size());
     FrameSlot Leaf = V.Arena.Frames.back();
     if (Leaf.Site != 0 || Leaf.Func != NM(E.NameIdx))

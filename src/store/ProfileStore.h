@@ -17,19 +17,16 @@
 /// in-memory profile (including Guid/Checksum, which the text format
 /// drops), and writing the loaded profile again is byte-identical. Decay
 /// scaling preserves the verifier's head/call-edge conservation by
-/// construction (see scaleFlatProfile), so an ingested store always passes
+/// construction (see scaleFlatView), so an ingested store always passes
 /// strict `csspgo_verify`.
 ///
-/// Two read planes share one validated container:
-///
-///  * the map plane (`loadFunction` / `loadFlat` / …) materializes the
-///    classic FunctionProfile containers — the reference path;
-///  * the flat plane (`openBorrowed` + FlatViewLoader / ContextViewLoader)
-///    cursors the indexed payload tiles straight into a ProfileArena:
-///    no byte copy of the container, no map nodes, no per-record string
-///    allocation — lazy materialization is pointer fixup plus a varint
-///    cursor. Both planes decode the same bytes to the same profiles;
-///    ArenaTest and the fuzzer diff them.
+/// There is one read plane: `open`/`openBorrowed` validate the container,
+/// and FlatViewLoader / ContextViewLoader (or the eager loadFlatView /
+/// loadContextView) cursor the indexed payload tiles straight into a
+/// ProfileArena — no byte copy of the container under a borrowed open, no
+/// map nodes, no per-record string allocation. Callers that need the map
+/// containers (the loader's annotation pass, the tools) build them once
+/// from the view with flatProfileOf / contextProfileOf.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -144,19 +141,8 @@ public:
   /// "guid.<decimal>" placeholder. No-op for stores written with names.
   void resolveNames(const Module &M);
 
-  /// Materializes function \p I into \p Into (lazy path). The decoded
-  /// record was hash-validated at open(), so a failure here means the
-  /// writer/reader disagree — reported, never a crash.
-  Status loadFunction(size_t I, FlatProfile &Into) const;
-  /// CS stores: materializes every context whose leaf is function \p I.
-  Status loadFunctionContexts(size_t I, ContextProfile &Into) const;
-
-  /// Eager full materialization (tools, ingest, conversion).
-  Expected<FlatProfile> loadFlat() const;
-  Expected<ContextProfile> loadContext() const;
-
-  /// Eager flat-plane materialization: decodes every function into an
-  /// arena view. The flat view's functions keep the index (= name) order;
+  /// Eager full materialization (tools, ingest, conversion): decodes
+  /// every function into an arena view. The flat view's functions keep the index (= name) order;
   /// the context view's contexts are sorted into global trie-DFS order,
   /// so both satisfy the canonical-order contract of the view merges.
   Expected<FlatProfileView> loadFlatView() const;
@@ -196,8 +182,6 @@ private:
   }
   std::string_view section(StoreSection S) const;
   bool decodeSections(std::string &Err);
-  bool loadFunctionContextsImpl(size_t I, ContextProfile &Into,
-                                std::string &Err) const;
   /// Guid lookup map (and, for compact stores, the name map — non-compact
   /// name lookup binary searches the sorted index instead) built on first
   /// findFunction* use so open() stays off the O(N log N) map-build path.
@@ -236,8 +220,10 @@ class FlatViewLoader {
 public:
   explicit FlatViewLoader(const ProfileStore &S);
 
-  /// Appends function \p I's record to the view. Same validation and
-  /// failure cases as ProfileStore::loadFunction.
+  /// Appends function \p I's record to the view. The record was
+  /// hash-validated at open(), so a failure here means a malformed or
+  /// non-canonical record (writer/reader disagreement or a hostile store
+  /// with a recomputed hash) — reported, never a crash.
   Status load(size_t I);
 
   FlatProfileView &view() { return V; }
@@ -253,7 +239,8 @@ private:
 
 /// CS counterpart of FlatViewLoader: load(I) appends every context whose
 /// leaf is function I, in the tile's (trie-DFS within leaf) order. Use
-/// ProfileStore::loadContextView for a globally DFS-ordered view.
+/// ProfileStore::loadContextView for a globally DFS-ordered view. A block
+/// whose contexts are not strictly ascending in that order is rejected.
 class ContextViewLoader {
 public:
   explicit ContextViewLoader(const ProfileStore &S);
@@ -301,9 +288,9 @@ struct IngestResult {
 ///
 /// The fold runs on the flat data plane end-to-end — borrowed-buffer open,
 /// arena decode, view decay-scale, k-way view merge — and bridges to the
-/// map containers only for the (mandatory) Full verification and the
-/// writer. Every step is bit-identical to the map pipeline, so the stores
-/// this produces are byte-for-byte what the map fold produced.
+/// map containers once, for the (mandatory) Full verification and the
+/// writer. A store that opens but decodes to non-canonical views fails
+/// the fold with an error, never an abort.
 IngestResult ingestEpoch(std::string &Bytes, const FlatProfile &Fresh,
                          const IngestOptions &Opts = {});
 IngestResult ingestEpoch(std::string &Bytes, const ContextProfile &Fresh,

@@ -98,15 +98,15 @@ ProfileBundle loadStoreBundle(const std::string &Bytes) {
   Bundle.Has = true;
   Bundle.IsCS = Store->isCS();
   if (Bundle.IsCS) {
-    Expected<ContextProfile> CS = Store->loadContext();
+    Expected<ContextProfileView> CS = Store->loadContextView();
     if (!CS)
       fatal("store snapshot does not load: " + CS.status().message());
-    Bundle.CS = CS.take();
+    Bundle.CS = contextProfileOf(*CS);
   } else {
-    Expected<FlatProfile> Flat = Store->loadFlat();
+    Expected<FlatProfileView> Flat = Store->loadFlatView();
     if (!Flat)
       fatal("store snapshot does not load: " + Flat.status().message());
-    Bundle.Flat = Flat.take();
+    Bundle.Flat = flatProfileOf(*Flat);
   }
   return Bundle;
 }

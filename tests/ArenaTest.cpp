@@ -7,22 +7,25 @@
 //
 //   * view round trips are identities (map -> view -> map, including
 //     Guid/Checksum metadata the text format drops);
-//   * the k-way slice merges reproduce the sequential map merges bit for
-//     bit — values, MergeStats, and UINT64_MAX saturation behavior —
-//     through both buildRemaps paths (identical fleet-shard name tables
-//     and fully disjoint ones) and both IntoEmptyDst modes;
-//   * the view decay scaler matches the map scaler slot for slot;
+//   * the k-way slice merges reproduce the test oracle's sequential map
+//     merges bit for bit — values, MergeStats, and UINT64_MAX saturation
+//     behavior — through both buildRemaps paths (identical fleet-shard
+//     name tables and fully disjoint ones) and both IntoEmptyDst modes;
+//   * the view decay scaler matches the oracle's map scaler slot for
+//     slot;
 //   * the borrowed-buffer store open rejects structurally corrupt
 //     metadata even when the content hash has been recomputed to match
 //     (the fixed-width section validation, not just the hash, holds the
-//     line), and the view loaders decode the same bytes to the same
-//     profiles as the eager map loads.
+//     line), the view loaders decode a written store back to exactly the
+//     profile that was written, and stores whose names or contexts are
+//     out of canonical order fail with an error — never reaching the
+//     view merges' order assertions.
 //
 //===----------------------------------------------------------------------===//
 
+#include "oracle/Oracle.h"
 #include "profile/ProfileArena.h"
 #include "profile/ProfileIO.h"
-#include "profile/ProfileMerge.h"
 #include "store/ProfileStore.h"
 #include "store/StoreFormat.h"
 #include "support/Random.h"
@@ -566,19 +569,16 @@ TEST(ArenaStore, FlatViewLoaderUnionEqualsEagerLoad) {
   Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
   ASSERT_TRUE(bool(S)) << S.status().message();
 
-  Expected<FlatProfile> Eager = S->loadFlat();
-  ASSERT_TRUE(bool(Eager)) << Eager.status().message();
-
   FlatViewLoader Loader(*S);
   for (size_t I = 0; I != S->numFunctions(); ++I) {
     Status St = Loader.load(I);
     ASSERT_TRUE(St.ok()) << St.message();
   }
-  expectEqualFlat(*Eager, flatProfileOf(Loader.view()), "lazy union");
+  expectEqualFlat(P, flatProfileOf(Loader.view()), "lazy union");
 
   Expected<FlatProfileView> EagerView = S->loadFlatView();
   ASSERT_TRUE(bool(EagerView)) << EagerView.status().message();
-  expectEqualFlat(*Eager, flatProfileOf(*EagerView), "eager view");
+  expectEqualFlat(P, flatProfileOf(*EagerView), "eager view");
 }
 
 TEST(ArenaStore, ContextViewLoaderUnionEqualsEagerLoad) {
@@ -587,9 +587,6 @@ TEST(ArenaStore, ContextViewLoaderUnionEqualsEagerLoad) {
   Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
   ASSERT_TRUE(bool(S)) << S.status().message();
 
-  Expected<ContextProfile> Eager = S->loadContext();
-  ASSERT_TRUE(bool(Eager)) << Eager.status().message();
-
   ContextViewLoader Loader(*S);
   for (size_t I = 0; I != S->numFunctions(); ++I) {
     Status St = Loader.load(I);
@@ -597,9 +594,110 @@ TEST(ArenaStore, ContextViewLoaderUnionEqualsEagerLoad) {
   }
   // The per-leaf tile order differs from global DFS order, but the
   // rebuilt trie is keyed, so the materialized profiles must agree.
-  expectEqualContext(*Eager, contextProfileOf(Loader.view()), "lazy union");
+  expectEqualContext(P, contextProfileOf(Loader.view()), "lazy union");
 
   Expected<ContextProfileView> EagerView = S->loadContextView();
   ASSERT_TRUE(bool(EagerView)) << EagerView.status().message();
-  expectEqualContext(*Eager, contextProfileOf(*EagerView), "eager view");
+  expectEqualContext(P, contextProfileOf(*EagerView), "eager view");
+}
+
+//===----------------------------------------------------------------------===//
+// Out-of-order hostile stores. A store whose hash was recomputed over a
+// non-canonical payload opens or loads with an error Status, and an
+// ingest over it fails cleanly with the bytes untouched — the view
+// merges' order assertions are never reached.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Two same-length function names, so hostile edits keep every size.
+FlatProfile twoFunctionFlat() {
+  FlatProfile P;
+  P.Kind = ProfileKind::ProbeBased;
+  P.getOrCreate("aa").addBody({1, 0}, 10);
+  P.getOrCreate("bb").addBody({1, 0}, 20);
+  return P;
+}
+
+/// Folds \p Fresh into \p Bad at half decay and expects a clean failure.
+template <typename ProfileT>
+void expectIngestRejects(std::string Bad, const ProfileT &Fresh) {
+  const std::string Before = Bad;
+  IngestOptions IO;
+  IO.DecayPermille = 500;
+  IngestResult R = ingestEpoch(Bad, Fresh, IO);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_FALSE(R.Error.empty());
+  EXPECT_EQ(Bad, Before);
+}
+
+} // namespace
+
+TEST(ArenaStore, RepeatedContextInALeafBlockIsRejected) {
+  // main@1 -> f and main@2 -> f share leaf f and encode to equal lengths;
+  // copying the first over the second repeats a context in f's block.
+  ContextProfile P;
+  P.Kind = ProfileKind::ProbeBased;
+  for (uint32_t Site : {1u, 2u}) {
+    ContextTrieNode &N = P.getOrCreateNode({{"main", Site}, {"f", 0}});
+    N.HasProfile = true;
+    N.Profile.addBody({1, 0}, 5);
+  }
+  std::string Bytes = writeStore(P, {{1, 10, 1000}});
+  Expected<ProfileStore> S = ProfileStore::open(Bytes);
+  ASSERT_TRUE(bool(S)) << S.status().message();
+  int F = S->findFunction("f");
+  ASSERT_GE(F, 0);
+  auto [Off, Size] = S->functionTile(F);
+  ASSERT_EQ(Bytes[Off], 2); // Context count.
+  ASSERT_EQ((Size - 1) % 2, 0u);
+  uint64_t Len = (Size - 1) / 2;
+  std::string Bad = Bytes;
+  ASSERT_NE(Bad.compare(Off + 1, Len, Bad, Off + 1 + Len, Len), 0);
+  Bad.replace(Off + 1 + Len, Len, Bytes, Off + 1, Len);
+  rehash(Bad);
+
+  Expected<ProfileStore> B = ProfileStore::openBorrowed(Bad);
+  ASSERT_TRUE(bool(B)) << B.status().message();
+  Expected<ContextProfileView> V = B->loadContextView();
+  ASSERT_FALSE(bool(V));
+  EXPECT_NE(V.status().message().find("ascending"), std::string::npos)
+      << V.status().message();
+  expectIngestRejects(Bad, P);
+}
+
+TEST(ArenaStore, DuplicateIndexNameIsRejected) {
+  FlatProfile P = twoFunctionFlat();
+  std::string Bytes = writeStore(P, {{1, 30, 1000}});
+  auto [Off, Size] = sectionSpan(Bytes, "func-index");
+  ASSERT_EQ(Size, 72u);
+  // Entry 1 names entry 0's function.
+  std::string Bad = Bytes;
+  putU32(Bad, Off + 36, loadStoreWord32(Bytes.data() + Off));
+  rehash(Bad);
+
+  Expected<ProfileStore> S = ProfileStore::openBorrowed(Bad);
+  ASSERT_FALSE(bool(S));
+  EXPECT_NE(S.status().message().find("index"), std::string::npos)
+      << S.status().message();
+  expectIngestRejects(Bad, P);
+}
+
+TEST(ArenaStore, UnsortedStringTableIsRejected) {
+  FlatProfile P = twoFunctionFlat();
+  std::string Bytes = writeStore(P, {{1, 30, 1000}});
+  auto [Off, Size] = sectionSpan(Bytes, "string-table");
+  ASSERT_EQ(loadStoreWord32(Bytes.data() + Off), 2u);
+  // Blob "aabb" -> "bbaa": same offsets, descending names.
+  size_t Blob = Off + 4 + 4 * 2;
+  ASSERT_EQ(Bytes.substr(Blob, 4), "aabb");
+  std::string Bad = Bytes;
+  Bad.replace(Blob, 4, "bbaa");
+  rehash(Bad);
+
+  Expected<ProfileStore> S = ProfileStore::openBorrowed(Bad);
+  ASSERT_FALSE(bool(S));
+  EXPECT_NE(S.status().message().find("string table"), std::string::npos)
+      << S.status().message();
+  expectIngestRejects(Bad, P);
 }

@@ -8,11 +8,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "oracle/Oracle.h"
 #include "loader/ProfileLoader.h"
 #include "matcher/StaleMatcher.h"
 #include "pgo/PGODriver.h"
 #include "probe/ProbeInserter.h"
-#include "profile/ProfileMerge.h"
 #include "quality/BlockOverlap.h"
 #include "workload/Workloads.h"
 

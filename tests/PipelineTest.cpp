@@ -284,15 +284,17 @@ TEST(StatusMigration, OwnedAndBorrowedOpensAgree) {
   std::string Bytes = writeStore(sampledFlat(), {});
   Expected<ProfileStore> S = ProfileStore::open(std::string(Bytes));
   ASSERT_TRUE(bool(S)) << S.status().message();
-  Expected<FlatProfile> Back = S->loadFlat();
+  Expected<FlatProfileView> Back = S->loadFlatView();
   ASSERT_TRUE(bool(Back)) << Back.status().message();
-  EXPECT_EQ(serializeFlatProfile(*Back), serializeFlatProfile(sampledFlat()));
+  EXPECT_EQ(serializeFlatProfile(flatProfileOf(*Back)),
+            serializeFlatProfile(sampledFlat()));
 
   Expected<ProfileStore> B = ProfileStore::openBorrowed(Bytes);
   ASSERT_TRUE(bool(B)) << B.status().message();
-  Expected<FlatProfile> BorrowedBack = B->loadFlat();
+  Expected<FlatProfileView> BorrowedBack = B->loadFlatView();
   ASSERT_TRUE(bool(BorrowedBack)) << BorrowedBack.status().message();
-  EXPECT_EQ(serializeFlatProfile(*BorrowedBack), serializeFlatProfile(*Back));
+  EXPECT_EQ(serializeFlatProfile(flatProfileOf(*BorrowedBack)),
+            serializeFlatProfile(sampledFlat()));
 
   // And the two surfaces agree on failures.
   std::string Junk = "CSPF this is not a store";

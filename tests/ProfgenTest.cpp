@@ -1,6 +1,7 @@
 //===- tests/ProfgenTest.cpp - profile generation tests ---------*- C++ -*-===//
 
 #include "codegen/Linker.h"
+#include "oracle/Oracle.h"
 #include "probe/ProbeInserter.h"
 #include "probe/ProbeTable.h"
 #include "profgen/AutoFDOGenerator.h"
@@ -12,7 +13,6 @@
 #include "profgen/ShardedProfGen.h"
 #include "profgen/Symbolizer.h"
 #include "profile/ProfileIO.h"
-#include "profile/ProfileMerge.h"
 #include "opt/Inliner.h"
 #include "sim/InstrRuntime.h"
 #include "support/Hashing.h"

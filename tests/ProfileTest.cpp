@@ -1,9 +1,10 @@
 //===- tests/ProfileTest.cpp - profile container tests ----------*- C++ -*-===//
 
+#include "oracle/Oracle.h"
 #include "profile/ContextTrie.h"
 #include "profile/FunctionProfile.h"
+#include "profile/ProfileArena.h"
 #include "profile/ProfileIO.h"
-#include "profile/ProfileMerge.h"
 #include "profile/Trimmer.h"
 #include "support/Hashing.h"
 
@@ -62,10 +63,6 @@ TEST(FunctionProfile, MergeSumsAndScales) {
   A.merge(B);
   EXPECT_EQ(A.bodyAt({1, 0}), 40u);
   EXPECT_EQ(A.HeadSamples, 4u);
-  FunctionProfile C = makeProfile("f", 1);
-  FunctionProfile D = makeProfile("f", 1);
-  C.merge(D, 1, 2); // Half weight.
-  EXPECT_EQ(C.bodyAt({1, 0}), 15u);
 }
 
 TEST(FunctionProfile, NestedInlinees) {
@@ -351,6 +348,21 @@ TEST(MergeDeathTest, KindMismatchIsFatal) {
   B.Kind = ProfileKind::ProbeBased;
   B.getOrCreate("f").addBody({1, 0}, 1);
   EXPECT_DEATH(mergeFlatProfiles(A, B), "different kinds");
+
+  // The view merges that ship hold the same line.
+  FlatProfileView VA = flatViewOf(A), VB = flatViewOf(B);
+  MergeStats Stats;
+  EXPECT_DEATH(mergeFlatViews({&VA, &VB}, Stats), "different kinds");
+  ContextProfile CA, CB;
+  CA.Kind = ProfileKind::LineBased;
+  CB.Kind = ProfileKind::ProbeBased;
+  for (ContextProfile *C : {&CA, &CB}) {
+    ContextTrieNode &N = C->getOrCreateNode({{"main", 1}, {"f", 0}});
+    N.HasProfile = true;
+    N.Profile.addBody({1, 0}, 1);
+  }
+  ContextProfileView CVA = contextViewOf(CA), CVB = contextViewOf(CB);
+  EXPECT_DEATH(mergeContextViews({&CVA, &CVB}, Stats), "different kinds");
 }
 
 TEST(Merge, PropagatesInlineeMetadata) {

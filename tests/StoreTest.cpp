@@ -15,11 +15,11 @@
 #include "codegen/Linker.h"
 #include "ir/Printer.h"
 #include "loader/ProfileLoader.h"
+#include "oracle/Oracle.h"
 #include "probe/ProbeInserter.h"
 #include "probe/ProbeTable.h"
 #include "profgen/ProfileGenerator.h"
 #include "profile/ProfileIO.h"
-#include "profile/ProfileMerge.h"
 #include "profile/ProfileSummary.h"
 #include "sim/Executor.h"
 #include "store/ProfileStore.h"
@@ -115,15 +115,15 @@ ProfileStore openOrDie(const std::string &Bytes) {
 }
 
 FlatProfile loadFlatOrDie(const ProfileStore &S) {
-  Expected<FlatProfile> P = S.loadFlat();
-  EXPECT_TRUE(bool(P)) << P.status().message();
-  return P ? P.take() : FlatProfile();
+  Expected<FlatProfileView> V = S.loadFlatView();
+  EXPECT_TRUE(bool(V)) << V.status().message();
+  return V ? flatProfileOf(*V) : FlatProfile();
 }
 
 ContextProfile loadContextOrDie(const ProfileStore &S) {
-  Expected<ContextProfile> P = S.loadContext();
-  EXPECT_TRUE(bool(P)) << P.status().message();
-  return P ? P.take() : ContextProfile();
+  Expected<ContextProfileView> V = S.loadContextView();
+  EXPECT_TRUE(bool(V)) << V.status().message();
+  return V ? contextProfileOf(*V) : ContextProfile();
 }
 
 } // namespace
@@ -216,20 +216,22 @@ TEST(Store, LazyUnionEqualsEagerLoad) {
   FlatProfile P = lineFlat();
   ProfileStore S = openOrDie(writeStore(P, {}));
 
-  FlatProfile Union;
+  FlatViewLoader Union(S);
   for (size_t I = 0; I != S.numFunctions(); ++I) {
-    Status St = S.loadFunction(I, Union);
+    Status St = Union.load(I);
     ASSERT_TRUE(St.ok()) << St.message();
   }
-  EXPECT_EQ(serializeFlatProfile(Union), serializeFlatProfile(P));
+  EXPECT_EQ(serializeFlatProfile(flatProfileOf(Union.view())),
+            serializeFlatProfile(P));
 
   // A single-function load materializes exactly that function, with the
   // totals the index advertised.
   int MainIdx = S.findFunction("main");
   ASSERT_GE(MainIdx, 0);
-  FlatProfile One;
-  Status St = S.loadFunction(MainIdx, One);
+  FlatViewLoader OneLoader(S);
+  Status St = OneLoader.load(MainIdx);
   ASSERT_TRUE(St.ok()) << St.message();
+  FlatProfile One = flatProfileOf(OneLoader.view());
   EXPECT_EQ(One.Functions.size(), 1u);
   EXPECT_EQ(One.Functions.at("main").TotalSamples,
             S.functionTotalSamples(MainIdx));
@@ -288,9 +290,10 @@ TEST(Store, CompactNamesShrinkTheTableAndResolve) {
   S.resolveNames(M);
   int Idx = S.findFunction(Names[3]);
   ASSERT_GE(Idx, 0);
-  FlatProfile Back;
-  Status St = S.loadFunction(Idx, Back);
+  FlatViewLoader L(S);
+  Status St = L.load(Idx);
   ASSERT_TRUE(St.ok()) << St.message();
+  FlatProfile Back = flatProfileOf(L.view());
   EXPECT_EQ(Back.Functions.at(Names[3]).bodyAt({1, 0}), 13u);
 }
 

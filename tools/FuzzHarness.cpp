@@ -9,7 +9,6 @@
 #include "postlink/BinaryCFG.h"
 #include "profgen/ProfileGenerator.h"
 #include "profile/ProfileIO.h"
-#include "profile/ProfileMerge.h"
 #include "profile/ProfileSummary.h"
 #include "profile/Trimmer.h"
 #include "sim/Executor.h"
@@ -23,6 +22,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <tuple>
 
 namespace csspgo {
 
@@ -330,20 +330,36 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
   }
 
   // --- 8. Binary store round trip --------------------------------------
-  // text -> binary -> text is the identity; lazy per-function reads union
-  // to the eager load; the persisted summary reproduces hot thresholds;
-  // and truncations / bit flips are rejected at open(), never a crash.
-  std::string CSBytes = writeStore(CSRes.CS, {});
+  // On the store's one (arena view) read plane: the eager view load and
+  // the lazy per-function view loads both reproduce the source profile
+  // (text -> binary -> text is the identity); the persisted summary
+  // reproduces hot thresholds; the k-way view merge matches the oracle's
+  // sequential map merge count-for-count and stat-for-stat; and
+  // truncations / bit flips are rejected at open() — by the owning and
+  // borrowed opens alike, with the same diagnostics — never a crash.
   {
+    std::string CSBytes = writeStore(CSRes.CS, {});
     Expected<ProfileStore> CSStore = ProfileStore::open(CSBytes);
     if (!CSStore) {
       Err = "freshly written CS store does not open: " +
             CSStore.status().message();
       return false;
     }
-    Expected<ContextProfile> CSBack = CSStore->loadContext();
-    if (!CSBack || serializeContextProfile(*CSBack) != CSText) {
+    Expected<ContextProfileView> CV = CSStore->loadContextView();
+    if (!CV || serializeContextProfile(contextProfileOf(*CV)) != CSText) {
       Err = "CS store round trip is not lossless";
+      return false;
+    }
+    ContextViewLoader Unit(*CSStore);
+    for (size_t I = 0; I != CSStore->numFunctions(); ++I) {
+      Status St = Unit.load(I);
+      if (!St.ok()) {
+        Err = "CS store lazy load failed: " + St.message();
+        return false;
+      }
+    }
+    if (serializeContextProfile(contextProfileOf(Unit.view())) != CSText) {
+      Err = "CS store lazy loads do not union to the source profile";
       return false;
     }
     if (CSStore->hotThreshold(0.9) != hotThreshold(CSRes.CS, 0.9)) {
@@ -351,35 +367,34 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
       return false;
     }
 
-    for (const auto &[What, Flat] :
-         {std::pair<const char *, const FlatProfile &>{"probe-only",
-                                                       PORes.Flat},
-          {"autofdo", AFRes.Flat}}) {
+    for (const auto &[What, Flat, Text] :
+         {std::tuple<const char *, const FlatProfile &, const std::string &>{
+              "probe-only", PORes.Flat, POText},
+          {"autofdo", AFRes.Flat, AFText}}) {
       std::string Bytes = writeStore(Flat, {});
-      Expected<ProfileStore> S = ProfileStore::open(Bytes);
+      Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
       if (!S) {
         Err = std::string("freshly written ") + What +
               " store does not open: " + S.status().message();
         return false;
       }
-      Expected<FlatProfile> Eager = S->loadFlat();
-      if (!Eager ||
-          serializeFlatProfile(*Eager) != serializeFlatProfile(Flat)) {
+      Expected<FlatProfileView> Eager = S->loadFlatView();
+      if (!Eager || serializeFlatProfile(flatProfileOf(*Eager)) != Text) {
         Err = std::string(What) + " store round trip is not lossless";
         return false;
       }
-      FlatProfile Lazy;
+      FlatViewLoader Lazy(*S);
       for (size_t I = 0; I != S->numFunctions(); ++I) {
-        Status St = S->loadFunction(I, Lazy);
+        Status St = Lazy.load(I);
         if (!St.ok()) {
           Err = std::string(What) +
                 " store lazy load failed: " + St.message();
           return false;
         }
       }
-      if (serializeFlatProfile(Lazy) != serializeFlatProfile(*Eager)) {
+      if (serializeFlatProfile(flatProfileOf(Lazy.view())) != Text) {
         Err = std::string(What) +
-              " store lazy loads do not union to the eager load";
+              " store lazy loads do not union to the source profile";
         return false;
       }
       if (S->hotThreshold(0.9) != hotThreshold(Flat, 0.9)) {
@@ -387,6 +402,28 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
               " store summary threshold diverges from the profile's";
         return false;
       }
+    }
+
+    // Slice merge differential: the k-way view merge must be bit- and
+    // stat-identical to the oracle's sequential map merge of the same
+    // parts.
+    FlatProfile MapAcc;
+    MergeStats MapStats = mergeFlatProfiles(MapAcc, PORes.Flat);
+    MapStats += mergeFlatProfiles(MapAcc, PORes.Flat);
+    FlatProfileView Part = flatViewOf(PORes.Flat);
+    MergeStats ViewStats;
+    FlatProfile ViewAcc = flatProfileOf(
+        mergeFlatViews({&Part, &Part}, ViewStats, /*IntoEmptyDst=*/true));
+    if (serializeFlatProfile(ViewAcc) != serializeFlatProfile(MapAcc)) {
+      Err = "flat view merge diverges from the map merge";
+      return false;
+    }
+    if (ViewStats.ContextsAdded != MapStats.ContextsAdded ||
+        ViewStats.ContextsMerged != MapStats.ContextsMerged ||
+        ViewStats.CountsSummed != MapStats.CountsSummed ||
+        ViewStats.SaturatedCounts != MapStats.SaturatedCounts) {
+      Err = "flat view merge stats diverge from the map merge stats";
+      return false;
     }
 
     // Corrupted containers must be rejected with a diagnostic.
@@ -412,72 +449,6 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
         return false;
       }
     }
-  }
-
-  // --- 9. Zero-copy reader vs map plane --------------------------------
-  // The borrowed-buffer open plus the arena view loaders are a second,
-  // independent decoder over the same validated bytes. They must produce
-  // the same profiles as the map plane, their slice merge must match the
-  // sequential map merge count-for-count and stat-for-stat, and borrowed
-  // opens must reject corruption with the exact same diagnostics.
-  {
-    Expected<ProfileStore> BS = ProfileStore::openBorrowed(CSBytes);
-    if (!BS) {
-      Err = "borrowed CS open rejects bytes the owning open accepted: " +
-            BS.status().message();
-      return false;
-    }
-    Expected<ContextProfileView> CV = BS->loadContextView();
-    if (!CV || serializeContextProfile(contextProfileOf(*CV)) != CSText) {
-      Err = "zero-copy CS view diverges from the map-plane load";
-      return false;
-    }
-    ContextViewLoader Unit(*BS);
-    for (size_t I = 0; I != BS->numFunctions(); ++I) {
-      Status St = Unit.load(I);
-      if (!St.ok()) {
-        Err = "zero-copy CS lazy load failed: " + St.message();
-        return false;
-      }
-    }
-    if (serializeContextProfile(contextProfileOf(Unit.view())) != CSText) {
-      Err = "zero-copy CS lazy loads do not union to the eager load";
-      return false;
-    }
-
-    std::string FlatBytes = writeStore(PORes.Flat, {});
-    Expected<ProfileStore> FS = ProfileStore::openBorrowed(FlatBytes);
-    if (!FS) {
-      Err = "borrowed flat open rejects bytes the owning open accepted: " +
-            FS.status().message();
-      return false;
-    }
-    Expected<FlatProfileView> FV = FS->loadFlatView();
-    if (!FV || serializeFlatProfile(flatProfileOf(*FV)) != POText) {
-      Err = "zero-copy flat view diverges from the map-plane load";
-      return false;
-    }
-
-    // Slice merge differential: the k-way view merge must be bit- and
-    // stat-identical to the sequential map merge of the same parts.
-    FlatProfile MapAcc;
-    MergeStats MapStats = mergeFlatProfiles(MapAcc, PORes.Flat);
-    MapStats += mergeFlatProfiles(MapAcc, PORes.Flat);
-    FlatProfileView Part = flatViewOf(PORes.Flat);
-    MergeStats ViewStats;
-    FlatProfile ViewAcc = flatProfileOf(
-        mergeFlatViews({&Part, &Part}, ViewStats, /*IntoEmptyDst=*/true));
-    if (serializeFlatProfile(ViewAcc) != serializeFlatProfile(MapAcc)) {
-      Err = "flat view merge diverges from the map merge";
-      return false;
-    }
-    if (ViewStats.ContextsAdded != MapStats.ContextsAdded ||
-        ViewStats.ContextsMerged != MapStats.ContextsMerged ||
-        ViewStats.CountsSummed != MapStats.CountsSummed ||
-        ViewStats.SaturatedCounts != MapStats.SaturatedCounts) {
-      Err = "flat view merge stats diverge from the map merge stats";
-      return false;
-    }
 
     // Borrowed and owning opens agree on rejections, diagnostics included.
     std::string Prefix = CSBytes.substr(0, R.nextBelow(CSBytes.size()));
@@ -502,7 +473,7 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
     }
   }
 
-  // --- 10. Post-link round trip: identity or clean rejection -----------
+  // --- 9. Post-link round trip: identity or clean rejection ------------
   // The binary rewriter's whole-binary validation is the crash barrier the
   // post-link optimizer stands on: a linker-produced binary must
   // reconstruct and reassemble to field-for-field identity, and a
@@ -586,7 +557,7 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
     }
   }
 
-  // --- 11. Trace decoder: replay differential + corruption barrier -----
+  // --- 10. Trace decoder: replay differential + corruption barrier -----
   // A core-instruction trace of the same run, replayed under the sampling
   // run's configuration, must reproduce that run's sample stream bit for
   // bit (the trace-mode headline property, here under randomized

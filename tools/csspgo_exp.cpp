@@ -593,21 +593,21 @@ int cmdConvert(int, char **argv) {
       return 1;
     }
     if (S->isCS()) {
-      Expected<ContextProfile> CS = S->loadContext();
+      Expected<ContextProfileView> CS = S->loadContextView();
       if (!CS) {
         std::fprintf(stderr, "convert: %s: %s\n", argv[2],
                      CS.status().message().c_str());
         return 1;
       }
-      Out = serializeContextProfile(*CS);
+      Out = serializeContextProfile(contextProfileOf(*CS));
     } else {
-      Expected<FlatProfile> Flat = S->loadFlat();
+      Expected<FlatProfileView> Flat = S->loadFlatView();
       if (!Flat) {
         std::fprintf(stderr, "convert: %s: %s\n", argv[2],
                      Flat.status().message().c_str());
         return 1;
       }
-      Out = serializeFlatProfile(*Flat);
+      Out = serializeFlatProfile(flatProfileOf(*Flat));
     }
   } else {
     // Text -> binary.
