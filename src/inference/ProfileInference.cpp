@@ -3,53 +3,29 @@
 #include "inference/ProfileInference.h"
 
 #include "inference/MinCostFlow.h"
-#include "ir/CFG.h"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
 
 namespace csspgo {
 
 namespace {
-constexpr int64_t InfCap = int64_t(1) << 40;
-} // namespace
 
-/// Cheap fallback for very large functions where MCF would be slow:
-/// propagate counts along the CFG in reverse post order and derive edge
-/// weights proportionally from successor counts.
-static void localSmooth(Function &F) {
-  auto RPO = reversePostOrder(F);
-  auto Preds = computePredecessors(F);
-  for (BasicBlock *B : RPO) {
-    uint64_t In = 0;
-    for (BasicBlock *P : Preds[B]) {
-      auto Succs = P->successors();
-      for (unsigned S = 0; S != Succs.size(); ++S)
-        if (Succs[S] == B)
-          In += P->succWeight(S);
-    }
-    if (B != F.getEntry())
-      B->setCount(std::max(B->HasCount ? B->Count : 0, In));
-    else if (!B->HasCount)
-      B->setCount(In);
-    // Distribute the block count over successors proportionally to the
-    // successors' raw counts.
-    auto Succs = B->successors();
-    if (Succs.empty())
-      continue;
-    uint64_t Total = 0;
-    for (BasicBlock *S : Succs)
-      Total += S->HasCount ? S->Count : 0;
-    B->SuccWeights.clear();
-    for (BasicBlock *S : Succs) {
-      uint64_t W = Total ? static_cast<uint64_t>(
-                               static_cast<double>(B->Count) *
-                               (S->HasCount ? S->Count : 0) / Total)
-                         : B->Count / Succs.size();
-      B->SuccWeights.push_back(W);
-    }
-  }
+/// Capacity of the unbounded arcs. Measured counts are clamped to
+/// InfCap / N, so all of them together fit through any one arc and no
+/// residual capacity can overflow.
+constexpr int64_t InfCap = int64_t(1) << 62;
+
+/// Index of every block of \p F in F.Blocks.
+std::unordered_map<const BasicBlock *, size_t> indexBlocks(const Function &F) {
+  std::unordered_map<const BasicBlock *, size_t> Index;
+  Index.reserve(F.Blocks.size());
+  for (size_t I = 0; I != F.Blocks.size(); ++I)
+    Index.emplace(F.Blocks[I].get(), I);
+  return Index;
 }
+
+} // namespace
 
 void inferFunctionProfile(Function &F, const InferenceOptions &Opts) {
   bool Any = false;
@@ -58,69 +34,67 @@ void inferFunctionProfile(Function &F, const InferenceOptions &Opts) {
   if (!Any || F.Blocks.empty())
     return;
 
-  if (F.Blocks.size() > 600) {
-    localSmooth(F);
-    return;
-  }
+  const size_t N = F.Blocks.size();
+  const auto Index = indexBlocks(F);
+  // A saturated count (UINT64_MAX from the saturating merges) stays the
+  // hottest count of the function instead of wrapping to a negative
+  // capacity.
+  const uint64_t MaxCount = static_cast<uint64_t>(InfCap) / N;
 
   MinCostFlowSolver Solver;
   // Two nodes per block: in (2i) and out (2i+1).
-  std::map<BasicBlock *, int> Index;
-  for (auto &BB : F.Blocks) {
-    int In = Solver.addNode();
+  for (size_t I = 0; I != N; ++I) {
     Solver.addNode();
-    Index[BB.get()] = In;
+    Solver.addNode();
   }
+  auto InNode = [](size_t I) { return static_cast<int>(2 * I); };
+  auto OutNode = [](size_t I) { return static_cast<int>(2 * I + 1); };
 
   // Block arcs: reward matching the measured count, penalize exceeding it.
-  std::vector<int> MatchEdge(F.Blocks.size(), -1);
-  std::vector<int> ExtraEdge(F.Blocks.size(), -1);
-  for (size_t I = 0; I != F.Blocks.size(); ++I) {
-    BasicBlock *B = F.Blocks[I].get();
-    int In = Index[B], Out = In + 1;
-    uint64_t W = B->HasCount ? B->Count : 0;
+  std::vector<int> MatchEdge(N, -1), ExtraEdge(N);
+  for (size_t I = 0; I != N; ++I) {
+    const BasicBlock &B = *F.Blocks[I];
+    uint64_t W = B.HasCount ? std::min(B.Count, MaxCount) : 0;
     if (W > 0) {
-      MatchEdge[I] =
-          Solver.addEdge(In, Out, static_cast<int64_t>(W), -Opts.MatchReward);
-      ExtraEdge[I] = Solver.addEdge(In, Out, InfCap, Opts.ExceedPenalty);
+      MatchEdge[I] = Solver.addEdge(InNode(I), OutNode(I),
+                                    static_cast<int64_t>(W), -Opts.MatchReward);
+      ExtraEdge[I] =
+          Solver.addEdge(InNode(I), OutNode(I), InfCap, Opts.ExceedPenalty);
     } else {
-      ExtraEdge[I] = Solver.addEdge(In, Out, InfCap, Opts.UnknownPenalty);
+      ExtraEdge[I] =
+          Solver.addEdge(InNode(I), OutNode(I), InfCap, Opts.UnknownPenalty);
     }
   }
 
-  // CFG arcs.
-  std::map<std::pair<BasicBlock *, unsigned>, int> CFGEdge;
-  for (auto &BB : F.Blocks) {
-    auto Succs = BB->successors();
-    for (unsigned S = 0; S != Succs.size(); ++S) {
-      int Id = Solver.addEdge(Index[BB.get()] + 1, Index[Succs[S]], InfCap, 0);
-      CFGEdge[{BB.get(), S}] = Id;
-    }
+  // CFG arcs; block I's successor S is edge SuccEdge[SuccBegin[I] + S].
+  std::vector<int> SuccEdge;
+  std::vector<size_t> SuccBegin(N);
+  for (size_t I = 0; I != N; ++I) {
+    SuccBegin[I] = SuccEdge.size();
+    for (BasicBlock *Succ : F.Blocks[I]->successors())
+      SuccEdge.push_back(
+          Solver.addEdge(OutNode(I), InNode(Index.at(Succ)), InfCap, 0));
   }
 
   // Circulation closure: exits feed back into the entry.
-  int EntryIn = Index[F.getEntry()];
-  for (auto &BB : F.Blocks)
-    if (BB->numSuccessors() == 0)
-      Solver.addEdge(Index[BB.get()] + 1, EntryIn, InfCap, 0);
+  for (size_t I = 0; I != N; ++I)
+    if (F.Blocks[I]->numSuccessors() == 0)
+      Solver.addEdge(OutNode(I), InNode(0), InfCap, 0);
 
   Solver.solve();
 
   // Read the inferred profile back.
-  for (size_t I = 0; I != F.Blocks.size(); ++I) {
-    BasicBlock *B = F.Blocks[I].get();
-    int64_t Flow = 0;
+  for (size_t I = 0; I != N; ++I) {
+    BasicBlock &B = *F.Blocks[I];
+    int64_t Flow = Solver.flowOn(ExtraEdge[I]);
     if (MatchEdge[I] >= 0)
       Flow += Solver.flowOn(MatchEdge[I]);
-    if (ExtraEdge[I] >= 0)
-      Flow += Solver.flowOn(ExtraEdge[I]);
-    B->setCount(static_cast<uint64_t>(Flow < 0 ? 0 : Flow));
-    B->SuccWeights.clear();
-    unsigned NumSucc = B->numSuccessors();
-    for (unsigned S = 0; S != NumSucc; ++S) {
-      int64_t EFlow = Solver.flowOn(CFGEdge.at({B, S}));
-      B->SuccWeights.push_back(static_cast<uint64_t>(EFlow < 0 ? 0 : EFlow));
-    }
+    B.setCount(static_cast<uint64_t>(Flow));
+    unsigned NumSucc = B.numSuccessors();
+    B.SuccWeights.resize(NumSucc);
+    for (unsigned S = 0; S != NumSucc; ++S)
+      B.SuccWeights[S] = static_cast<uint64_t>(
+          Solver.flowOn(SuccEdge[SuccBegin[I] + S]));
   }
 }
 
@@ -130,29 +104,25 @@ void inferModuleProfile(Module &M, const InferenceOptions &Opts) {
 }
 
 bool isProfileConsistent(const Function &F, uint64_t Tolerance) {
-  std::map<const BasicBlock *, uint64_t> InFlow;
+  const auto Index = indexBlocks(F);
+  std::vector<uint64_t> InFlow(F.Blocks.size(), 0);
+  auto Differs = [Tolerance](uint64_t A, uint64_t B) {
+    return (A > B ? A - B : B - A) > Tolerance;
+  };
   for (auto &BB : F.Blocks) {
     auto Succs = BB->successors();
     uint64_t Out = 0;
     for (unsigned S = 0; S != Succs.size(); ++S) {
       uint64_t W = S < BB->SuccWeights.size() ? BB->SuccWeights[S] : 0;
-      InFlow[Succs[S]] += W;
+      InFlow[Index.at(Succs[S])] += W;
       Out += W;
     }
-    if (!Succs.empty()) {
-      uint64_t Diff = Out > BB->Count ? Out - BB->Count : BB->Count - Out;
-      if (Diff > Tolerance)
-        return false;
-    }
-  }
-  for (auto &BB : F.Blocks) {
-    if (BB.get() == F.getEntry())
-      continue;
-    uint64_t In = InFlow[BB.get()];
-    uint64_t Diff = In > BB->Count ? In - BB->Count : BB->Count - In;
-    if (Diff > Tolerance)
+    if (!Succs.empty() && Differs(Out, BB->Count))
       return false;
   }
+  for (size_t I = 1; I != F.Blocks.size(); ++I)
+    if (Differs(InFlow[I], F.Blocks[I]->Count))
+      return false;
   return true;
 }
 

@@ -129,8 +129,6 @@ TEST_P(InferenceConsistency, ProducesFlowConsistentProfiles) {
       BB->setCount(R.nextBelow(5000));
   inferModuleProfile(*M);
   for (auto &F : M->Functions) {
-    if (F->Blocks.size() > 150)
-      continue; // Fallback path is only approximately consistent.
     EXPECT_TRUE(isProfileConsistent(*F, 1))
         << F->getName() << " inconsistent after inference (seed " << Seed
         << ")";

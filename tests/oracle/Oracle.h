@@ -15,17 +15,23 @@
 ///  * for the profile data plane, the sequential map-container merges and
 ///    decay scaler that specify mergeFlatViews / mergeContextViews /
 ///    scaleFlatView / scaleContextView (profile/ProfileArena.h), written
-///    without the arena.
+///    without the arena;
+///  * for profile inference, the N-pass cycle-canceling min-cost
+///    circulation solver and its inference network, which the
+///    parent-graph solver of inference/MinCostFlow.h must match in
+///    optimal objective.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSSPGO_TESTS_ORACLE_ORACLE_H
 #define CSSPGO_TESTS_ORACLE_ORACLE_H
 
+#include "inference/ProfileInference.h"
 #include "profile/ContextTrie.h"
 #include "profile/FunctionProfile.h"
 #include "profile/ProfileMerge.h"
 #include "sim/Executor.h"
+#include "support/Random.h"
 #include "trace/TraceDecoder.h"
 
 #include <string>
@@ -67,6 +73,57 @@ MergeStats mergeContextProfiles(ContextProfile &Dst,
 void scaleFlatProfile(FlatProfile &Profile, uint64_t Num, uint64_t Den,
                       bool ExactCounts = false);
 void scaleContextProfile(ContextProfile &Profile, uint64_t Num, uint64_t Den);
+
+/// Min-cost circulation by negative-cycle canceling, each cycle found by a
+/// full N-pass Bellman-Ford. Same interface as MinCostFlowSolver; stops
+/// after 4096 cancellations.
+class ReferenceMinCostFlow {
+public:
+  int addNode();
+  int addEdge(int From, int To, int64_t Cap, int64_t Cost);
+  void solve();
+  int64_t flowOn(int EdgeId) const;
+  int numNodes() const { return NumNodes; }
+
+private:
+  struct Arc {
+    int To = 0;
+    int64_t Cap = 0; ///< Residual capacity.
+    int64_t Cost = 0;
+    int Rev = 0; ///< Index of the reverse arc in Adj[To].
+  };
+
+  /// Returns the (node, arc index) pairs of a negative cycle of the
+  /// residual graph, empty if none.
+  std::vector<std::pair<int, int>> findNegativeCycle() const;
+
+  int NumNodes = 0;
+  std::vector<std::vector<Arc>> Adj;
+  /// Public edge id -> (node, arc index).
+  std::vector<std::pair<int, int>> EdgeIndex;
+  std::vector<int64_t> OrigCap;
+};
+
+/// inferFunctionProfile on the reference solver and the network it was
+/// first built with (counts capped by 2^40-capacity arcs), for every
+/// function size.
+void inferFunctionProfileReference(Function &F,
+                                   const InferenceOptions &Opts = {});
+
+/// The cost the inference network assigns to the block counts \p F carries
+/// against the measured counts \p Measured (one per block, 0 where
+/// unmeasured). Equal for any two optimal inferences of the same counts.
+int64_t inferenceObjective(const Function &F,
+                           const std::vector<uint64_t> &Measured,
+                           const InferenceOptions &Opts = {});
+
+/// Draws a circulation network from \p R (parallel, zero-capacity and
+/// negative-cost edges, isolated nodes) and solves it with both
+/// MinCostFlowSolver and ReferenceMinCostFlow. Returns an empty string
+/// when MinCostFlowSolver's flow stays within 0 <= flow <= cap on every
+/// edge, is conserved at every node and costs what the reference's
+/// costs; else a message naming the first violation.
+std::string diffRandomCirculation(Rng &R);
 
 } // namespace csspgo
 

@@ -643,6 +643,16 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
     }
   }
 
+  // --- 11. Min-cost flow: the parent-graph solver vs cycle canceling ---
+  // Random circulation networks (parallel, zero-capacity and negative
+  // arcs, isolated nodes): the solver behind profile inference must reach
+  // the oracle's optimal objective with a feasible, conserved flow.
+  for (int K = 0; K != 8; ++K)
+    if (std::string D = diffRandomCirculation(R); !D.empty()) {
+      Err = "min-cost flow diverges from the oracle: " + D;
+      return false;
+    }
+
   return true;
 }
 

@@ -26,7 +26,10 @@
 ///  - truncated profile text either fails to parse or parses to a profile
 ///    that is still self-consistent;
 ///  - stale-profile matching after a random CFG drift lands recovered
-///    counts only on anchors that exist in the fresh IR.
+///    counts only on anchors that exist in the fresh IR;
+///  - the min-cost flow solver behind profile inference reaches the test
+///    oracle's optimal objective on random circulation networks, with
+///    flow conserved at every node and 0 <= flow <= cap on every arc.
 ///
 /// Iteration seeds are derived as Base + I * golden-ratio so a reported
 /// failure reproduces in isolation with `csspgo_exp fuzz 1 <seed>`.
