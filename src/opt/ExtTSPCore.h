@@ -5,18 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Ext-TSP layout objective and greedy chain solver (Newell & Pupyrev,
-/// "Improved Basic Block Reordering"), factored out of the IR-level layout
-/// pass so the post-link optimizer can score reconstructed *binary* CFGs
-/// with the exact same objective. The score of a layout sums, over CFG
-/// edges (s -> t) with weight w:
+/// The Ext-TSP layout objective and chain-merging solver (Newell &
+/// Pupyrev, "Improved Basic Block Reordering"), factored out of the
+/// IR-level layout pass so the post-link optimizer can score
+/// reconstructed *binary* CFGs with the exact same objective. The score
+/// of a layout sums, over CFG edges (s -> t) with weight w:
 ///   - w                          if t is placed directly after s;
 ///   - w * 0.1 * (1 - d / 1024)  for short forward jumps of distance d;
 ///   - w * 0.1 * (1 - d / 640)   for short backward jumps.
 ///
 /// Blocks are abstract here: the caller supplies byte sizes, weighted
 /// edges and the entry index; the solver returns a permutation with the
-/// entry block's chain first. ExtTSPLayout.cpp feeds it IR blocks;
+/// entry block first. ExtTSPLayout.cpp feeds it IR blocks;
 /// postlink/PostLinkOptimizer.cpp feeds it disassembled machine blocks.
 ///
 //===----------------------------------------------------------------------===//
@@ -24,10 +24,7 @@
 #ifndef CSSPGO_OPT_EXTTSPCORE_H
 #define CSSPGO_OPT_EXTTSPCORE_H
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace csspgo {
@@ -45,124 +42,45 @@ struct Edge {
   double Weight = 0;
 };
 
-/// A chain of blocks under construction.
-struct Chain {
-  std::vector<unsigned> Blocks;
-  uint64_t Size = 0;
-  bool ContainsEntry = false;
-};
-
-/// Greedy chain-merging solver over the Ext-TSP objective. Quadratic in
-/// the number of chains — callers cap the block count (the IR pass and the
-/// post-link reorderer both fall back / bail above 64 blocks).
-class Solver {
-public:
-  Solver(std::vector<uint64_t> Sizes, std::vector<Edge> Edges,
-         unsigned EntryIdx)
-      : Sizes(std::move(Sizes)), Edges(std::move(Edges)) {
-    for (unsigned I = 0; I != this->Sizes.size(); ++I) {
-      Chain C;
-      C.Blocks = {I};
-      C.Size = this->Sizes[I];
-      C.ContainsEntry = I == EntryIdx;
-      Chains.push_back(std::move(C));
-    }
-  }
-
-  /// Ext-TSP score of placing the given blocks consecutively.
-  double scoreOfOrder(const std::vector<unsigned> &Order) const {
-    // Offsets of each block in the tentative layout.
-    std::map<unsigned, uint64_t> Offset;
-    std::map<unsigned, uint64_t> EndOffset;
-    uint64_t Pos = 0;
-    for (unsigned B : Order) {
-      Offset[B] = Pos;
-      Pos += Sizes[B];
-      EndOffset[B] = Pos;
-    }
-    double Score = 0;
-    for (const Edge &E : Edges) {
-      auto SrcIt = EndOffset.find(E.Src);
-      auto DstIt = Offset.find(E.Dst);
-      if (SrcIt == EndOffset.end() || DstIt == Offset.end())
-        continue;
-      uint64_t SrcEnd = SrcIt->second;
-      uint64_t DstBegin = DstIt->second;
-      if (SrcEnd == DstBegin) {
-        Score += E.Weight;
-      } else if (DstBegin > SrcEnd) {
-        double D = static_cast<double>(DstBegin - SrcEnd);
-        if (D < ForwardDistance)
-          Score += E.Weight * ForwardWeight * (1.0 - D / ForwardDistance);
-      } else {
-        double D = static_cast<double>(SrcEnd - DstBegin);
-        if (D < BackwardDistance)
-          Score += E.Weight * BackwardWeight * (1.0 - D / BackwardDistance);
-      }
-    }
-    return Score;
-  }
-
-  /// Runs greedy chain merging and returns the final block permutation,
-  /// entry chain first.
-  std::vector<unsigned> run() {
-    // Greedy chain merging: pick the pair/orientation with the best gain.
-    while (Chains.size() > 1) {
-      double BestGain = 0;
-      size_t BestA = 0, BestB = 0;
-      bool Found = false;
-      for (size_t I = 0; I != Chains.size(); ++I) {
-        for (size_t J = 0; J != Chains.size(); ++J) {
-          if (I == J)
-            continue;
-          // The entry chain can only be extended at its tail.
-          if (Chains[J].ContainsEntry)
-            continue;
-          double Base =
-              scoreOfOrder(Chains[I].Blocks) + scoreOfOrder(Chains[J].Blocks);
-          double Gain = scoreMerge(Chains[I], Chains[J]) - Base;
-          if (!Found || Gain > BestGain) {
-            BestGain = Gain;
-            BestA = I;
-            BestB = J;
-            Found = true;
-          }
-        }
-      }
-      if (!Found)
-        break;
-      // Merge B into A.
-      Chain &A = Chains[BestA];
-      Chain &B = Chains[BestB];
-      A.Blocks.insert(A.Blocks.end(), B.Blocks.begin(), B.Blocks.end());
-      A.Size += B.Size;
-      A.ContainsEntry |= B.ContainsEntry;
-      Chains.erase(Chains.begin() + static_cast<ptrdiff_t>(BestB));
-    }
-
-    // Entry chain first, then remaining chains by decreasing hotness proxy
-    // (we keep insertion order — remaining chains are cold).
-    std::stable_sort(Chains.begin(), Chains.end(),
-                     [](const Chain &X, const Chain &Y) {
-                       return X.ContainsEntry > Y.ContainsEntry;
-                     });
-    std::vector<unsigned> Order;
-    for (const Chain &C : Chains)
-      Order.insert(Order.end(), C.Blocks.begin(), C.Blocks.end());
-    return Order;
-  }
-
-private:
-  double scoreMerge(const Chain &A, const Chain &B) const {
-    std::vector<unsigned> Order = A.Blocks;
-    Order.insert(Order.end(), B.Blocks.begin(), B.Blocks.end());
-    return scoreOfOrder(Order);
-  }
-
+/// One layout problem: a byte size per block, the weighted edges between
+/// them (parallel edges and self-loops allowed) and the entry block.
+struct Instance {
   std::vector<uint64_t> Sizes;
   std::vector<Edge> Edges;
-  std::vector<Chain> Chains;
+  unsigned Entry = 0;
 };
+
+/// The objective's term for one edge of weight \p Weight whose source
+/// block ends at byte \p SrcEnd and whose destination begins at
+/// \p DstBegin.
+inline double edgeScore(uint64_t SrcEnd, uint64_t DstBegin, double Weight) {
+  if (SrcEnd == DstBegin)
+    return Weight;
+  if (DstBegin > SrcEnd) {
+    double D = static_cast<double>(DstBegin - SrcEnd);
+    return D < ForwardDistance
+               ? Weight * ForwardWeight * (1.0 - D / ForwardDistance)
+               : 0.0;
+  }
+  double D = static_cast<double>(SrcEnd - DstBegin);
+  return D < BackwardDistance
+             ? Weight * BackwardWeight * (1.0 - D / BackwardDistance)
+             : 0.0;
+}
+
+/// Ext-TSP score of placing the blocks of \p Order consecutively, summed
+/// in edge order. Edges with an endpoint outside \p Order do not count.
+double scoreOfOrder(const Instance &I, const std::vector<unsigned> &Order);
+
+/// Greedy chain merging: starting from one chain per block, repeatedly
+/// appends the chain pair with the largest Ext-TSP gain until one chain
+/// is left, and returns it. The entry chain is only ever extended at its
+/// tail, so the entry block comes first. Gains are cached per pair of
+/// chains joined by an edge and recomputed only for the pairs a merge
+/// touches. Ties go to the first (head, tail) pair in chain creation
+/// order; when no pair gains anything, the first pair in that order is
+/// merged.
+std::vector<unsigned> solve(const Instance &I);
 
 } // namespace exttsp
 } // namespace csspgo

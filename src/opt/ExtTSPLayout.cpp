@@ -2,27 +2,24 @@
 //
 // Profile-guided basic-block reordering using the Ext-TSP objective
 // (Newell & Pupyrev, "Improved Basic Block Reordering", ref [15] of the
-// paper). The objective and the greedy chain solver live in
+// paper). The objective and the chain-merging solver live in
 // opt/ExtTSPCore.h, shared with the post-link optimizer, which runs the
 // same scorer over reconstructed binary CFGs.
 //
-// The optimizer greedily merges chains of blocks, always keeping the
-// entry chain first. With no profile, the pass keeps the natural order.
-// This pass is where post-inline profile accuracy pays off: wrong edge
-// weights (the Fig. 3a scaling artifact) place the wrong successor in the
-// fallthrough position, which the simulator charges via taken-branch and
-// i-cache costs.
+// Every profiled function, whatever its size, goes through the solver,
+// which keeps the entry block first. With no profile, the pass keeps the
+// natural order. This pass is where post-inline profile accuracy pays off:
+// wrong edge weights (the Fig. 3a scaling artifact) place the wrong
+// successor in the fallthrough position, which the simulator charges via
+// taken-branch and i-cache costs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Lowering.h"
 #include "ir/CFG.h"
-#include "opt/ExtTSPCore.h"
 #include "opt/PassManager.h"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
+#include <cassert>
 
 namespace csspgo {
 
@@ -38,50 +35,21 @@ uint64_t blockSize(const BasicBlock &BB) {
 
 } // namespace
 
-/// Fast-path layout for big functions: greedy fallthrough chaining in the
-/// spirit of Pettis-Hansen. Start chains at the hottest unplaced blocks and
-/// extend along the heaviest outgoing edge.
-static std::vector<unsigned> greedyChainOrder(Function &F) {
-  unsigned N = static_cast<unsigned>(F.Blocks.size());
-  std::vector<bool> Placed(N, false);
-  std::vector<unsigned> ByHotness(N);
-  for (unsigned I = 0; I != N; ++I)
-    ByHotness[I] = I;
-  std::stable_sort(ByHotness.begin(), ByHotness.end(),
-                   [&F](unsigned A, unsigned B) {
-                     return F.Blocks[A]->Count > F.Blocks[B]->Count;
-                   });
-
-  std::vector<unsigned> Order;
-  auto Extend = [&](unsigned Start) {
-    unsigned Cur = Start;
-    while (true) {
-      Placed[Cur] = true;
-      Order.push_back(Cur);
-      BasicBlock *B = F.Blocks[Cur].get();
-      auto Succs = B->successors();
-      unsigned Best = N;
-      uint64_t BestW = 0;
-      for (unsigned S = 0; S != Succs.size(); ++S) {
-        unsigned Idx = F.blockIndex(Succs[S]);
-        if (Placed[Idx])
-          continue;
-        uint64_t W = B->succWeight(S);
-        if (Best == N || W > BestW) {
-          Best = Idx;
-          BestW = W;
-        }
-      }
-      if (Best == N)
-        return;
-      Cur = Best;
+exttsp::Instance extTSPInstanceOf(const Function &F) {
+  exttsp::Instance In;
+  for (unsigned I = 0; I != F.Blocks.size(); ++I) {
+    BasicBlock *B = F.Blocks[I].get();
+    In.Sizes.push_back(blockSize(*B));
+    auto Succs = B->successors();
+    for (unsigned S = 0; S != Succs.size(); ++S) {
+      exttsp::Edge E;
+      E.Src = I;
+      E.Dst = F.blockIndex(Succs[S]);
+      E.Weight = B->HasCount ? static_cast<double>(B->succWeight(S)) : 0.0;
+      In.Edges.push_back(E);
     }
-  };
-  Extend(0); // Entry chain first.
-  for (unsigned I : ByHotness)
-    if (!Placed[I])
-      Extend(I);
-  return Order;
+  }
+  return In;
 }
 
 unsigned runExtTSPLayout(Function &F, const OptOptions &Opts) {
@@ -92,40 +60,7 @@ unsigned runExtTSPLayout(Function &F, const OptOptions &Opts) {
   if (!F.getEntry()->HasCount)
     return 0;
 
-  // Full Ext-TSP is quadratic in chains; fall back to greedy fallthrough
-  // chaining for very large functions.
-  if (F.Blocks.size() > 64) {
-    std::vector<unsigned> Order = greedyChainOrder(F);
-    bool Identity = true;
-    for (unsigned I = 0; I != Order.size(); ++I)
-      Identity &= Order[I] == I;
-    if (Identity)
-      return 0;
-    std::vector<std::unique_ptr<BasicBlock>> NewOrder;
-    NewOrder.reserve(F.Blocks.size());
-    for (unsigned I : Order)
-      NewOrder.push_back(std::move(F.Blocks[I]));
-    F.Blocks = std::move(NewOrder);
-    return 1;
-  }
-
-  std::vector<uint64_t> Sizes;
-  std::vector<exttsp::Edge> Edges;
-  for (unsigned I = 0; I != F.Blocks.size(); ++I) {
-    BasicBlock *B = F.Blocks[I].get();
-    Sizes.push_back(blockSize(*B));
-    auto Succs = B->successors();
-    for (unsigned S = 0; S != Succs.size(); ++S) {
-      exttsp::Edge E;
-      E.Src = I;
-      E.Dst = F.blockIndex(Succs[S]);
-      E.Weight = B->HasCount ? static_cast<double>(B->succWeight(S)) : 0.0;
-      Edges.push_back(E);
-    }
-  }
-
-  exttsp::Solver Solver(std::move(Sizes), std::move(Edges), 0);
-  std::vector<unsigned> Order = Solver.run();
+  std::vector<unsigned> Order = exttsp::solve(extTSPInstanceOf(F));
   assert(Order.size() == F.Blocks.size() && "layout must be a permutation");
   if (Order.front() != 0)
     return 0; // Entry must stay first; bail out defensively.

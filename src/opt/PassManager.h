@@ -19,6 +19,7 @@
 
 #include "ir/Module.h"
 #include "opt/BlockTiming.h"
+#include "opt/ExtTSPCore.h"
 
 #include <cstdint>
 #include <string>
@@ -125,6 +126,11 @@ unsigned runConstantFold(Function &F, const OptOptions &Opts);
 unsigned runExtTSPLayout(Function &F, const OptOptions &Opts);
 unsigned runFunctionSplit(Function &F, const OptOptions &Opts);
 /// @}
+
+/// The layout problem runExtTSPLayout solves for \p F: each block's
+/// lowered byte size and every CFG edge weighted by its profile count,
+/// with block 0 as the entry.
+exttsp::Instance extTSPInstanceOf(const Function &F);
 
 /// Runs the mid-level scalar/CFG pipeline (no inlining, no layout) on every
 /// function, iterating to a fixpoint (bounded).

@@ -96,21 +96,21 @@ unsigned foldIdenticalCode(const Binary &Bin, LayoutPlan &Plan) {
 /// Reorders one function's hot blocks along mapped edge counts. Returns
 /// true when the layout changed.
 bool reorderFunction(const BinaryCFG &CFG, const BinaryProfile &Prof,
-                     FuncLayout &FL, size_t MaxBlocks, double MinGain) {
+                     FuncLayout &FL, double MinGain) {
   size_t NumHot = FL.NumHot;
-  if (NumHot < 3 || NumHot > MaxBlocks)
+  if (NumHot < 3)
     return false;
 
   // Local index space over the hot blocks; the entry block leads its
   // section, so local 0 is the entry.
   std::map<unsigned, unsigned> LocalOf;
-  std::vector<uint64_t> Sizes;
+  exttsp::Instance In;
   for (size_t I = 0; I != NumHot; ++I) {
     LocalOf[FL.Blocks[I]] = static_cast<unsigned>(I);
-    Sizes.push_back(CFG.Blocks[FL.Blocks[I]].SizeBytes);
+    In.Sizes.push_back(CFG.Blocks[FL.Blocks[I]].SizeBytes);
   }
 
-  std::vector<exttsp::Edge> Edges;
+  std::vector<exttsp::Edge> &Edges = In.Edges;
   double TotalWeight = 0;
   auto AddEdge = [&](unsigned SrcB, int64_t DstB, double W) {
     if (DstB < 0)
@@ -153,12 +153,11 @@ bool reorderFunction(const BinaryCFG &CFG, const BinaryProfile &Prof,
       return false;
   }
 
-  exttsp::Solver Solver(std::move(Sizes), std::move(Edges), 0);
   std::vector<unsigned> CurrentOrder(NumHot);
   for (unsigned I = 0; I != NumHot; ++I)
     CurrentOrder[I] = I;
-  double CurrentScore = Solver.scoreOfOrder(CurrentOrder);
-  std::vector<unsigned> Order = Solver.run();
+  double CurrentScore = exttsp::scoreOfOrder(In, CurrentOrder);
+  std::vector<unsigned> Order = exttsp::solve(In);
   if (Order.size() != NumHot || Order.front() != 0)
     return false; // Entry must stay first; bail out defensively.
   bool Identity = true;
@@ -169,7 +168,7 @@ bool reorderFunction(const BinaryCFG &CFG, const BinaryProfile &Prof,
   // Score gate: apply only a clear win over the layout the binary already
   // has — near-ties are churn (extra synthesized branches, moved code)
   // with no modeled upside.
-  if (Solver.scoreOfOrder(Order) <= CurrentScore * (1.0 + MinGain))
+  if (exttsp::scoreOfOrder(In, Order) <= CurrentScore * (1.0 + MinGain))
     return false;
 
   std::vector<unsigned> NewHot;
@@ -248,9 +247,8 @@ Expected<PostLinkResult> runPostLink(const Binary &Bin,
       FuncLayout &FL = Plan.Funcs[F];
       if (FL.Blocks.empty() || !Prof.FuncHasCounts[F])
         continue;
-      if (Opts.Reorder && reorderFunction(CFG, Prof, FL,
-                                          Opts.MaxReorderBlocks,
-                                          Opts.ReorderMinGain))
+      if (Opts.Reorder &&
+          reorderFunction(CFG, Prof, FL, Opts.ReorderMinGain))
         ++Res.Stats.FuncsReordered;
       if (Opts.Split) {
         unsigned Moved = splitFunction(Prof, FL, Opts.SplitThreshold,

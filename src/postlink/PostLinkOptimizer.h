@@ -70,9 +70,6 @@ struct PostLinkOptions {
   /// evidence of coldness, and production inputs drift — moving a block
   /// that does run costs a taken branch plus cold-region i-cache misses.
   uint64_t SplitMinFuncCount = 16;
-  /// Ext-TSP is quadratic in chains; functions with more hot blocks keep
-  /// their layout (mirrors the IR pass's fallback bound).
-  size_t MaxReorderBlocks = 64;
   ProfileMapOptions Map; ///< Profile mapping / stale-matcher routing.
 };
 

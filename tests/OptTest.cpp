@@ -5,12 +5,19 @@
 #include "opt/InlineCost.h"
 #include "opt/Inliner.h"
 #include "opt/PassManager.h"
+#include "pgo/PGODriver.h"
 #include "probe/ProbeInserter.h"
+#include "support/Random.h"
 #include "workload/ProgramGenerator.h"
+#include "workload/Workloads.h"
 
 #include "TestHelpers.h"
+#include "oracle/Oracle.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
 
 using namespace csspgo;
 using namespace csspgo::testing;
@@ -346,6 +353,180 @@ TEST(ExtTSP, NoProfileNoReorder) {
   OptOptions Opts;
   EXPECT_EQ(runExtTSPLayout(*F, Opts), 0u);
 }
+
+TEST(ExtTSP, MatchesReferenceOnRandomGraphs) {
+  for (uint64_t Seed = 1; Seed != 1001; ++Seed) {
+    Rng R(Seed);
+    std::string Diff = diffRandomExtTSP(R);
+    ASSERT_TRUE(Diff.empty()) << "seed " << Seed << ": " << Diff;
+  }
+}
+
+namespace {
+
+/// The order runExtTSPLayout left \p F in, as indices into \p Before (the
+/// blocks as they were when it ran).
+std::vector<unsigned> appliedOrder(const Function &F,
+                                   const std::vector<BasicBlock *> &Before) {
+  std::vector<unsigned> Order;
+  for (const auto &BB : F.Blocks)
+    Order.push_back(static_cast<unsigned>(
+        std::find(Before.begin(), Before.end(), BB.get()) - Before.begin()));
+  return Order;
+}
+
+std::vector<BasicBlock *> blocksOf(const Function &F) {
+  std::vector<BasicBlock *> Blocks;
+  for (const auto &BB : F.Blocks)
+    Blocks.push_back(BB.get());
+  return Blocks;
+}
+
+} // namespace
+
+TEST(ExtTSP, LargeFunctionUsesFullSolver) {
+  // A row of 14 five-block gadgets: E branches to X (20) or Z (10), X to Y
+  // (15) or W (5), and Z branches to Y (100). Greedy chaining follows
+  // the heaviest successor from E, so Y lands behind X and Z's heavy edge
+  // becomes a jump; Ext-TSP places Z before Y.
+  Module M("m");
+  Function *F = M.createFunction("main", 0);
+  Builder B(F);
+  constexpr unsigned Gadgets = 14;
+  std::vector<BasicBlock *> E, X, Z, Y, W;
+  for (unsigned G = 0; G != Gadgets; ++G) {
+    std::string N = std::to_string(G);
+    E.push_back(F->createBlock("e" + N));
+    X.push_back(F->createBlock("x" + N));
+    Z.push_back(F->createBlock("z" + N));
+    Y.push_back(F->createBlock("y" + N));
+    W.push_back(F->createBlock("w" + N));
+  }
+  BasicBlock *Exit = F->createBlock("exit");
+  B.setInsertBlock(E[0]);
+  RegId C = B.emitConst(1);
+  for (unsigned G = 0; G != Gadgets; ++G) {
+    BasicBlock *Next = G + 1 == Gadgets ? Exit : E[G + 1];
+    B.setInsertBlock(E[G]);
+    B.emitCondBr(Operand::reg(C), X[G], Z[G]);
+    E[G]->setCount(30);
+    E[G]->SuccWeights = {20, 10};
+    B.setInsertBlock(X[G]);
+    B.emitCondBr(Operand::reg(C), Y[G], W[G]);
+    X[G]->setCount(20);
+    X[G]->SuccWeights = {15, 5};
+    B.setInsertBlock(Z[G]);
+    B.emitBr(Y[G]);
+    Z[G]->setCount(100);
+    Z[G]->SuccWeights = {100};
+    B.setInsertBlock(Y[G]);
+    B.emitBr(Next);
+    Y[G]->setCount(115);
+    Y[G]->SuccWeights = {115};
+    B.setInsertBlock(W[G]);
+    B.emitBr(Next);
+    W[G]->setCount(5);
+    W[G]->SuccWeights = {5};
+  }
+  B.setInsertBlock(Exit);
+  B.emitRet(Operand::imm(0));
+  Exit->setCount(30);
+  M.EntryFunction = "main";
+  ASSERT_GT(F->Blocks.size(), 64u);
+
+  exttsp::Instance In = extTSPInstanceOf(*F);
+  double Greedy = exttsp::scoreOfOrder(In, greedyChainOrder(*F));
+  std::vector<BasicBlock *> Before = blocksOf(*F);
+  OptOptions Opts;
+  EXPECT_EQ(runExtTSPLayout(*F, Opts), 1u);
+  std::vector<unsigned> Order = appliedOrder(*F, Before);
+  EXPECT_EQ(Order, exttsp::solve(In));
+  EXPECT_GT(exttsp::scoreOfOrder(In, Order), Greedy);
+  EXPECT_TRUE(verifyModule(M).empty());
+  EXPECT_EQ(runExit(M), 0);
+}
+
+//===----------------------------------------------------------------------===//
+// Oracle property: on every profiled function of every workload preset, as
+// the late pipeline sees it, the layout passes matchExtTSPReference up to
+// 64 blocks, and scores at least what greedy chaining did above that.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+class LayoutOracle : public ::testing::TestWithParam<std::string> {};
+
+} // namespace
+
+TEST_P(LayoutOracle, MatchesReferenceOnEveryFunction) {
+  ExperimentConfig C;
+  // At 0.3, ClangProxy carries functions of more than 600 blocks.
+  C.Workload =
+      workloadPreset(GetParam(), GetParam() == "ClangProxy" ? 0.3 : 0.1);
+  C.EvalRuns = 1;
+  PGODriver Driver(C);
+  unsigned Checked = 0, Large = 0, EqualScore = 0, ExactTie = 0;
+  size_t MaxBlocks = 0;
+  for (PGOVariant V : {PGOVariant::AutoFDO, PGOVariant::CSSPGOFull}) {
+    SCOPED_TRACE(variantName(V));
+    VariantOutcome Out = Driver.run(V);
+    ASSERT_TRUE(Out.Profile.Has);
+    // PGODriver's build configuration, with layout left to this test.
+    BuildConfig BC;
+    BC.Variant = V;
+    BC.Opt = C.Opt;
+    BC.Opt.EnableLayout = false;
+    BC.Inline = C.Inline;
+    BC.Loader = C.Loader;
+    BC.EnableInference = C.EnableInference;
+    if (C.VerifyProfiles)
+      BC.Loader.Verify = VerifyLevel::Full;
+    if (V == PGOVariant::CSSPGOFull && C.RunPreInliner)
+      BC.Loader.InlineHotContexts = false;
+    BuildResult Build = buildWithPGO(Driver.source(), BC, &Out.Profile);
+    for (auto &F : Build.IR->Functions) {
+      if (F->Blocks.size() < 3 || !F->getEntry()->HasCount)
+        continue; // runExtTSPLayout keeps these as they are.
+      exttsp::Instance In = extTSPInstanceOf(*F);
+      std::vector<BasicBlock *> Before = blocksOf(*F);
+      std::vector<unsigned> Greedy;
+      if (F->Blocks.size() > 64)
+        Greedy = greedyChainOrder(*F);
+      runExtTSPLayout(*F, OptOptions());
+      std::vector<unsigned> Order = appliedOrder(*F, Before);
+      ++Checked;
+      MaxBlocks = std::max(MaxBlocks, Before.size());
+      if (!Greedy.empty()) {
+        ++Large;
+        EXPECT_GE(exttsp::scoreOfOrder(In, Order),
+                  exttsp::scoreOfOrder(In, Greedy))
+            << F->getName() << " (" << Before.size() << " blocks)";
+        continue;
+      }
+      std::string Why;
+      LayoutMatch Match = matchExtTSPReference(In, Order, &Why);
+      EqualScore += Match == LayoutMatch::EqualScore;
+      ExactTie += Match == LayoutMatch::ExactTie;
+      EXPECT_NE(Match, LayoutMatch::Diverged)
+          << F->getName() << " (" << Before.size() << " blocks): " << Why;
+    }
+  }
+  std::printf("[ layout   ] %s: %u functions (largest %zu blocks), %u above "
+              "64 blocks; of the rest, %u ordered differently at an equal "
+              "score and %u at an exact tie the reference broke the other "
+              "way\n",
+              GetParam().c_str(), Checked, MaxBlocks, Large, EqualScore,
+              ExactTie);
+  EXPECT_GT(Checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, LayoutOracle,
+    ::testing::Values("AdRanker", "AdRetriever", "AdFinder", "HHVM", "HaaS",
+                      "ClangProxy", "RpcFanout", "InterpLoop", "ColdBoot"),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      return Info.param;
+    });
 
 TEST(FunctionSplit, MarksZeroCountBlocksCold) {
   auto M = makeCallerModule(5);

@@ -210,6 +210,68 @@ TEST(PostLinkRewrite, SplitMovesNeverExecutedBlocks) {
   expectRoundTripIdentity(Out, "split binary");
 }
 
+TEST(PostLinkRewrite, ReordersFunctionsAboveSixtyFourHotBlocks) {
+  // main's loop body is a run of 70 blocks laid out in reverse: each one
+  // jumps back to the block before it. Every function goes through the
+  // solver whatever its size, so the body must come out in execution
+  // order.
+  constexpr unsigned Steps = 70;
+  auto M = std::make_unique<Module>("large");
+  Function *Main = M->createFunction("main", 0);
+  Builder B(Main);
+  BasicBlock *Entry = Main->createBlock("entry");
+  BasicBlock *Header = Main->createBlock("header");
+  std::vector<BasicBlock *> Step(Steps);
+  for (unsigned S = Steps; S-- != 0;)
+    Step[S] = Main->createBlock("step" + std::to_string(S));
+  BasicBlock *Latch = Main->createBlock("latch");
+  BasicBlock *Exit = Main->createBlock("exit");
+
+  B.setInsertBlock(Entry);
+  RegId Acc = B.emitConst(0);
+  RegId I = B.emitConst(0);
+  B.emitBr(Header);
+  B.setInsertBlock(Header);
+  RegId Cond = B.emitBinary(Opcode::CmpLT, Operand::reg(I), Operand::imm(40));
+  B.emitCondBr(Operand::reg(Cond), Step[0], Exit);
+  for (unsigned S = 0; S != Steps; ++S) {
+    B.setInsertBlock(Step[S]);
+    B.emitBinary(Opcode::Add, Operand::reg(Acc), Operand::imm(S));
+    Step[S]->Insts.back().Dst = Acc;
+    B.emitBr(S + 1 == Steps ? Latch : Step[S + 1]);
+  }
+  B.setInsertBlock(Latch);
+  B.emitBinary(Opcode::Add, Operand::reg(I), Operand::imm(1));
+  Latch->Insts.back().Dst = I;
+  B.emitBr(Header);
+  B.setInsertBlock(Exit);
+  B.emitRet(Operand::reg(Acc));
+  M->EntryFunction = "main";
+
+  auto Bin = compileToBinary(*M);
+  ExecConfig Exec;
+  Exec.Sampler.Enabled = true;
+  Exec.Sampler.PeriodCycles = 7;
+  std::vector<int64_t> Memory(1024, 0);
+  RunResult Train = execute(*Bin, "main", Memory, Exec);
+  ASSERT_TRUE(Train.Completed);
+  EXPECT_EQ(Train.ExitValue, 40 * (Steps * (Steps - 1) / 2));
+
+  PostLinkOptions Opts;
+  Opts.Fold = false;
+  Opts.Split = false;
+  Expected<PostLinkResult> R =
+      runPostLink(*Bin, Train.Samples, nullptr, nullptr, Opts);
+  ASSERT_TRUE(R.hasValue()) << R.status().message();
+  Expected<BinaryCFG> CFG = reconstructBinaryCFG(*Bin);
+  ASSERT_TRUE(CFG.hasValue());
+  LayoutPlan Plan = identityLayout(*CFG);
+  EXPECT_GT(Plan.Funcs[Bin->funcIndexByName("main")].NumHot, 64u);
+  EXPECT_EQ(R->Stats.FuncsReordered, 1u);
+  EXPECT_EQ(runBinary(*R->Bin), Train.ExitValue);
+  expectRoundTripIdentity(*R->Bin, "reordered binary");
+}
+
 TEST(PostLinkRewrite, StackedOnPGOPreservesSemantics) {
   PGODriver Driver(smallExperiment());
   PostLinkOutcome Out = Driver.runPostLink(PGOVariant::CSSPGOFull);

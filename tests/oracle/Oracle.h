@@ -19,7 +19,11 @@
 ///  * for profile inference, the N-pass cycle-canceling min-cost
 ///    circulation solver and its inference network, which the
 ///    parent-graph solver of inference/MinCostFlow.h must match in
-///    optimal objective.
+///    optimal objective;
+///  * for block layout, the Ext-TSP chain merger that rescores every chain
+///    pair on every merge, which the incremental solver of
+///    opt/ExtTSPCore.h must match, and the greedy fallthrough chaining
+///    that large functions used to get, which it must beat.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +31,7 @@
 #define CSSPGO_TESTS_ORACLE_ORACLE_H
 
 #include "inference/ProfileInference.h"
+#include "opt/ExtTSPCore.h"
 #include "profile/ContextTrie.h"
 #include "profile/FunctionProfile.h"
 #include "profile/ProfileMerge.h"
@@ -124,6 +129,44 @@ int64_t inferenceObjective(const Function &F,
 /// edge, is conserved at every node and costs what the reference's
 /// costs; else a message naming the first violation.
 std::string diffRandomCirculation(Rng &R);
+
+/// The block order of the chain merger that rescores every ordered chain
+/// pair as score(A + B) - score(A) - score(B) on every step.
+std::vector<unsigned> referenceExtTSPOrder(const exttsp::Instance &In);
+
+/// Greedy fallthrough chaining in the spirit of Pettis-Hansen, the order
+/// functions above 64 blocks used to get: chains start at the hottest
+/// unplaced blocks (the entry first) and follow the heaviest edge.
+std::vector<unsigned> greedyChainOrder(Function &F);
+
+/// How an Ext-TSP order compares with referenceExtTSPOrder's.
+enum class LayoutMatch {
+  Identical,  ///< The reference's order.
+  EqualScore, ///< Another order of the same blocks, bit-equal in score.
+  /// The reference's rounded gains broke an exact tie the other way, and
+  /// the order is the one the exact gains lead to.
+  ExactTie,
+  Diverged, ///< None of the above.
+};
+
+/// Compares \p Order, exttsp::solve's order for \p In, with the
+/// reference's. Where the two differ in score, replays the merges with
+/// exact gains (the score of the cross edges, summed in edge order, as
+/// exttsp::solve computes them) beside the reference's rounded
+/// score(A + B) - score(A) - score(B): the first step where the two picks
+/// differ must tie in exact gain, to within 1e-12 of the total edge
+/// weight, and \p Order must be the order the exact gains lead to. On
+/// Diverged, \p Why (if given) says what differs.
+LayoutMatch matchExtTSPReference(const exttsp::Instance &In,
+                                 const std::vector<unsigned> &Order,
+                                 std::string *Why = nullptr);
+
+/// Draws an Ext-TSP instance from \p R (parallel edges, self-loops, zero
+/// weights, zero-size blocks, any entry block) and solves it with
+/// exttsp::solve. Returns an empty string when the order starts at the
+/// entry block and matchExtTSPReference does not find it Diverged; else a
+/// message with the instance.
+std::string diffRandomExtTSP(Rng &R);
 
 } // namespace csspgo
 

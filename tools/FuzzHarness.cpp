@@ -653,6 +653,16 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
       return false;
     }
 
+  // --- 12. Ext-TSP: the incremental chain merger vs rescoring ---
+  // Random layout instances (parallel edges, self-loops, zero weights,
+  // zero-size blocks): block layout must pick the oracle's order, or one
+  // with a bit-equal score, with the entry block first.
+  for (int K = 0; K != 8; ++K)
+    if (std::string D = diffRandomExtTSP(R); !D.empty()) {
+      Err = "Ext-TSP layout diverges from the oracle: " + D;
+      return false;
+    }
+
   return true;
 }
 

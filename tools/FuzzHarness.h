@@ -29,7 +29,10 @@
 ///    counts only on anchors that exist in the fresh IR;
 ///  - the min-cost flow solver behind profile inference reaches the test
 ///    oracle's optimal objective on random circulation networks, with
-///    flow conserved at every node and 0 <= flow <= cap on every arc.
+///    flow conserved at every node and 0 <= flow <= cap on every arc;
+///  - the incremental Ext-TSP solver behind block layout returns the test
+///    oracle's order, or one with a bit-equal score, on random layout
+///    instances.
 ///
 /// Iteration seeds are derived as Base + I * golden-ratio so a reported
 /// failure reproduces in isolation with `csspgo_exp fuzz 1 <seed>`.
