@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// CFG analyses shared by the optimizer: predecessor maps, reachability,
-/// reverse post order, and natural-loop detection (back edges to a block
-/// that dominates the source; we use a lightweight dominance check).
+/// CFG analyses shared by the optimizer: predecessor lists that passes keep
+/// current as they edit edges, reverse post order, an index-based
+/// dominator tree, natural-loop detection (back edges to a block that
+/// dominates the source) and unreachable-block removal.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,26 +17,67 @@
 
 #include "ir/Function.h"
 
-#include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 namespace csspgo {
 
-/// Returns a map from block to its predecessors (in layout order).
-std::map<BasicBlock *, std::vector<BasicBlock *>>
-computePredecessors(Function &F);
+/// The predecessors of every block of a function, one entry per edge (a
+/// CondBr with both targets equal contributes two), each list in layout
+/// order, as a rebuild would list them. A pass that edits the CFG keeps it
+/// current by bracketing each edit of a block's terminator with
+/// detachSuccessors / attachSuccessors instead of rebuilding it. Layout
+/// order stays well defined because passes only append and erase blocks.
+class PredecessorMap {
+public:
+  explicit PredecessorMap(Function &F);
 
-/// Returns the set of blocks reachable from the entry.
-std::set<BasicBlock *> computeReachable(Function &F);
+  /// Predecessors of \p B in layout order (empty for a block the map does
+  /// not know).
+  const std::vector<BasicBlock *> &operator[](const BasicBlock *B) const;
+
+  /// Removes \p B's edges from its successors' lists. Call before editing
+  /// \p B's terminator.
+  void detachSuccessors(const BasicBlock *B);
+  /// Adds \p B's edges to its successors' lists, at \p B's layout
+  /// position. Call after editing \p B's terminator.
+  void attachSuccessors(BasicBlock *B);
+  /// Registers \p B, just appended to the layout, with no edges yet.
+  void addBlock(const BasicBlock *B);
+  /// Detaches \p B's edges and forgets \p B. Call before erasing it.
+  void eraseBlock(const BasicBlock *B);
+
+private:
+  struct Entry {
+    unsigned Order = 0; ///< Increases along the layout.
+    std::vector<BasicBlock *> Preds;
+  };
+  std::unordered_map<const BasicBlock *, Entry> Map;
+  unsigned NextOrder = 0;
+};
 
 /// Returns blocks in reverse post order from the entry (unreachable blocks
 /// excluded).
 std::vector<BasicBlock *> reversePostOrder(Function &F);
 
-/// Dominator sets (simple iterative dataflow; functions are small).
-/// Dom[B] contains every block that dominates B, including B itself.
-std::map<BasicBlock *, std::set<BasicBlock *>> computeDominators(Function &F);
+/// The dominator tree of the blocks reachable from the entry: one
+/// immediate dominator per block, indexed by reverse-post-order number and
+/// computed by the Cooper-Harvey-Kennedy iteration.
+class DominatorTree {
+public:
+  explicit DominatorTree(Function &F);
+
+  bool isReachable(const BasicBlock *B) const { return Number.count(B); }
+
+  /// True if \p A dominates \p B (every reachable block dominates itself).
+  /// False when either block is unreachable.
+  bool dominates(const BasicBlock *A, const BasicBlock *B) const;
+
+private:
+  std::unordered_map<const BasicBlock *, unsigned> Number; ///< RPO index.
+  std::vector<unsigned> IDom; ///< By RPO index; IDom[0] = 0 (the entry).
+};
 
 /// A natural loop: header plus body blocks (header included).
 struct Loop {
@@ -45,11 +87,15 @@ struct Loop {
   std::vector<BasicBlock *> Latches;
 };
 
-/// Finds natural loops (merging loops that share a header).
+/// Finds natural loops (merging loops that share a header). Loops come in
+/// the layout order of their first back edge's source; latches in layout
+/// order of the back edges. A body holds every block that reaches a latch
+/// without passing the header, unreachable predecessors included.
 std::vector<Loop> findLoops(Function &F);
 
 /// Removes blocks unreachable from the entry. Returns true if changed.
-bool removeUnreachableBlocks(Function &F);
+/// When \p Preds is given, it is kept current.
+bool removeUnreachableBlocks(Function &F, PredecessorMap *Preds = nullptr);
 
 } // namespace csspgo
 

@@ -23,7 +23,7 @@ namespace csspgo {
 unsigned runCodeMotion(Function &F, const OptOptions &Opts) {
   unsigned Changed = 0;
   auto Loops = findLoops(F);
-  auto Preds = computePredecessors(F);
+  PredecessorMap Preds(F);
 
   for (Loop &L : Loops) {
     BasicBlock *H = L.Header;
@@ -88,8 +88,12 @@ unsigned runCodeMotion(Function &F, const OptOptions &Opts) {
     if (Outside.empty())
       continue; // Unreachable loop.
     BasicBlock *Pre = F.createBlock("preheader");
-    for (BasicBlock *P : Outside)
+    Preds.addBlock(Pre);
+    for (BasicBlock *P : Outside) {
+      Preds.detachSuccessors(P);
       P->replaceSuccessor(H, Pre);
+      Preds.attachSuccessors(P);
+    }
     // Move the hoistable instructions (in order) into the preheader.
     for (size_t K = 0; K != Hoistable.size(); ++K)
       Pre->Insts.push_back(H->Insts[Hoistable[K]]);
@@ -103,6 +107,12 @@ unsigned runCodeMotion(Function &F, const OptOptions &Opts) {
     Br.OriginGuid = Pre->Insts.front().OriginGuid;
     Br.InlineStack = Pre->Insts.front().InlineStack;
     Pre->Insts.push_back(std::move(Br));
+    Preds.attachSuccessors(Pre);
+    // The preheader sits on the way into H, so it belongs to every other
+    // loop that holds H: an enclosing loop must see the hoisted writes.
+    for (Loop &Other : Loops)
+      if (&Other != &L && Other.Blocks.count(H))
+        Other.Blocks.insert(Pre);
 
     // Profile maintenance: the preheader runs once per loop entry = sum of
     // entering edge counts; approximate with header count minus latch
@@ -122,7 +132,6 @@ unsigned runCodeMotion(Function &F, const OptOptions &Opts) {
     }
 
     Changed += Hoistable.size();
-    Preds = computePredecessors(F);
   }
   return Changed;
 }

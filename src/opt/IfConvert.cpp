@@ -24,6 +24,7 @@
 #include "ir/CFG.h"
 #include "opt/PassManager.h"
 
+#include <map>
 #include <set>
 
 namespace csspgo {
@@ -101,8 +102,7 @@ bool armsInterfere(const BasicBlock *T, const BasicBlock *F) {
 } // namespace
 
 static bool tryConvertAt(Function &F, BasicBlock *B, const OptOptions &Opts,
-                         std::map<BasicBlock *, std::vector<BasicBlock *>>
-                             &Preds) {
+                         PredecessorMap &Preds) {
   if (!B->hasTerminator())
     return false;
   Instruction Term = B->terminator();
@@ -171,6 +171,7 @@ static bool tryConvertAt(Function &F, BasicBlock *B, const OptOptions &Opts,
 
   // Hoist both arms into B with fresh temporaries, then select.
   Operand Cond = Term.A;
+  Preds.detachSuccessors(B);
   B->Insts.pop_back(); // Drop the CondBr.
 
   std::map<RegId, Operand> TVal, FVal;
@@ -216,26 +217,27 @@ static bool tryConvertAt(Function &F, BasicBlock *B, const OptOptions &Opts,
   Br.OriginGuid = Term.OriginGuid;
   Br.InlineStack = Term.InlineStack;
   B->Insts.push_back(std::move(Br));
+  Preds.attachSuccessors(B);
   B->SuccWeights.clear();
   if (B->HasCount)
     B->SuccWeights = {B->Count};
 
   // The arms become unreachable; collect them now.
-  removeUnreachableBlocks(F);
+  removeUnreachableBlocks(F, &Preds);
   return true;
 }
 
 unsigned runIfConvert(Function &F, const OptOptions &Opts) {
   unsigned Changed = 0;
   bool Progress = true;
+  PredecessorMap Preds(F);
   while (Progress) {
     Progress = false;
-    auto Preds = computePredecessors(F);
     for (auto &BBPtr : F.Blocks) {
       if (tryConvertAt(F, BBPtr.get(), Opts, Preds)) {
         ++Changed;
         Progress = true;
-        break; // Block list mutated; restart with fresh preds.
+        break; // Block list mutated; rescan from the first block.
       }
     }
   }

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <functional>
 #include <set>
+#include <string>
+#include <unordered_map>
 
 namespace csspgo {
 
@@ -232,29 +234,42 @@ InlinerStats runBottomUpInliner(Module &M, const InlineParams &Params) {
 }
 
 unsigned removeDeadFunctions(Module &M) {
+  // Call sites naming each function across the module. A function whose
+  // count is zero is dead; erasing it releases its own call sites, which
+  // may kill its callees in turn. Address-taken functions (dispatch-table
+  // entries) stay alive, and so does a cycle of dead functions that call
+  // each other, since each keeps a call site of the next.
+  std::unordered_map<std::string, unsigned> Uses;
+  for (const std::string &Entry : M.FunctionTable)
+    ++Uses[Entry];
+  auto ForEachCallee = [](const Function &F, auto Fn) {
+    for (auto &BB : F.Blocks)
+      for (const Instruction &I : BB->Insts)
+        if (I.Op == Opcode::Call)
+          Fn(I.Callee);
+  };
+  for (auto &F : M.Functions)
+    ForEachCallee(*F, [&Uses](const std::string &Callee) { ++Uses[Callee]; });
+  auto Removable = [&M](const Function &F) {
+    return !F.IsEntryPoint && F.getName() != M.EntryFunction;
+  };
+  std::vector<Function *> Dead;
+  for (auto &F : M.Functions)
+    if (Removable(*F) && !Uses.count(F->getName()))
+      Dead.push_back(F.get());
   unsigned Removed = 0;
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    std::set<std::string> Called;
-    // Address-taken functions (dispatch-table entries) stay alive.
-    for (const std::string &Entry : M.FunctionTable)
-      Called.insert(Entry);
-    for (auto &F : M.Functions)
-      for (auto &BB : F->Blocks)
-        for (const Instruction &I : BB->Insts)
-          if (I.Op == Opcode::Call)
-            Called.insert(I.Callee);
-    for (auto &F : M.Functions) {
-      if (F->IsEntryPoint || F->getName() == M.EntryFunction)
-        continue;
-      if (Called.count(F->getName()))
-        continue;
-      M.eraseFunction(F.get());
-      ++Removed;
-      Progress = true;
-      break; // Iterator invalidated.
-    }
+  while (!Dead.empty()) {
+    Function *F = Dead.back();
+    Dead.pop_back();
+    ForEachCallee(*F, [&](const std::string &Callee) {
+      if (--Uses[Callee])
+        return;
+      Function *G = M.getFunction(Callee);
+      if (G && Removable(*G))
+        Dead.push_back(G);
+    });
+    M.eraseFunction(F);
+    ++Removed;
   }
   return Removed;
 }

@@ -49,9 +49,9 @@ unsigned runJumpThreading(Function &F, const OptOptions &Opts) {
   unsigned Changed = 0;
   bool Progress = true;
   unsigned Guard = 0;
+  PredecessorMap Preds(F);
   while (Progress && Guard++ < 32) {
     Progress = false;
-    auto Preds = computePredecessors(F);
     for (auto &BBPtr : F.Blocks) {
       BasicBlock *T = BBPtr.get();
       if (T == F.getEntry())
@@ -85,9 +85,11 @@ unsigned runJumpThreading(Function &F, const OptOptions &Opts) {
 
       // Splice a copy of T into P, replacing P's Br. P's terminator (and
       // thus its successor arity) changes; stale weights must go.
+      Preds.detachSuccessors(P);
       P->Insts.pop_back();
       for (const Instruction &I : T->Insts)
         P->Insts.push_back(I);
+      Preds.attachSuccessors(P);
       P->SuccWeights.clear();
 
       // Profile maintenance: P takes its proportional share of T's
@@ -109,9 +111,9 @@ unsigned runJumpThreading(Function &F, const OptOptions &Opts) {
 
       Progress = true;
       ++Changed;
-      break; // CFG changed; recompute predecessors.
+      break; // CFG changed; rescan from the first block.
     }
-    removeUnreachableBlocks(F);
+    removeUnreachableBlocks(F, &Preds);
   }
   return Changed;
 }

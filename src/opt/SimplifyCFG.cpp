@@ -48,38 +48,36 @@ static unsigned foldBranches(Function &F) {
   return Changed;
 }
 
-/// Splices single-successor -> single-predecessor block pairs.
+/// Splices single-successor -> single-predecessor block pairs, first pair
+/// in layout order first. A splice changes no other block's predecessor
+/// count, so no block before B can start to qualify and the scan resumes
+/// at B.
 static unsigned mergeStraightLine(Function &F) {
   unsigned Changed = 0;
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    auto Preds = computePredecessors(F);
-    for (auto &BBPtr : F.Blocks) {
-      BasicBlock *B = BBPtr.get();
-      if (!B->hasTerminator())
-        continue;
-      Instruction &T = B->terminator();
-      if (T.Op != Opcode::Br)
-        continue;
-      BasicBlock *S = T.Succ0;
-      if (S == B || S == F.getEntry())
-        continue;
-      if (Preds[S].size() != 1)
-        continue;
-      // Splice S into B.
-      B->Insts.pop_back(); // Drop the Br.
-      for (Instruction &I : S->Insts)
-        B->Insts.push_back(std::move(I));
-      S->Insts.clear();
-      // Profile: the merged block executes as often as B did.
-      B->SuccWeights = std::move(S->SuccWeights);
-      // Make S unreachable; erased below.
-      F.eraseBlock(S);
-      Progress = true;
-      ++Changed;
-      break; // Iterator invalidated; restart.
+  PredecessorMap Preds(F);
+  for (size_t I = 0; I < F.Blocks.size();) {
+    BasicBlock *B = F.Blocks[I].get();
+    BasicBlock *S = nullptr;
+    if (B->hasTerminator() && B->terminator().Op == Opcode::Br)
+      S = B->terminator().Succ0;
+    if (!S || S == B || S == F.getEntry() || Preds[S].size() != 1) {
+      ++I;
+      continue;
     }
+    // Splice S into B.
+    Preds.detachSuccessors(B);
+    Preds.eraseBlock(S);
+    B->Insts.pop_back(); // Drop the Br.
+    for (Instruction &Inst : S->Insts)
+      B->Insts.push_back(std::move(Inst));
+    S->Insts.clear();
+    // Profile: the merged block executes as often as B did.
+    B->SuccWeights = std::move(S->SuccWeights);
+    Preds.attachSuccessors(B);
+    if (F.blockIndex(S) < I)
+      --I;
+    F.eraseBlock(S);
+    ++Changed;
   }
   return Changed;
 }
@@ -88,7 +86,8 @@ static unsigned mergeStraightLine(Function &F) {
 /// blocks) directly to the destination.
 static unsigned bypassForwarders(Function &F) {
   unsigned Changed = 0;
-  auto Preds = computePredecessors(F);
+  // One snapshot taken before any edit: later blocks see stale lists.
+  PredecessorMap Preds(F);
   for (auto &BBPtr : F.Blocks) {
     BasicBlock *B = BBPtr.get();
     if (B == F.getEntry() || !B->hasTerminator())

@@ -25,8 +25,12 @@
 
 #include "ir/CFG.h"
 #include "opt/PassManager.h"
+#include "support/Hashing.h"
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <unordered_map>
 
 namespace csspgo {
 
@@ -55,10 +59,11 @@ static size_t commonSuffixLen(const BasicBlock &A, const BasicBlock &B) {
   return N;
 }
 
-/// Splits the common suffix of \p A and \p B into a fresh shared block.
-/// Both blocks must currently end with identical terminators.
-static void mergeSuffix(Function &F, BasicBlock *A, BasicBlock *B,
-                        size_t SuffixLen) {
+/// Splits the common suffix of \p A and \p B into a fresh shared block
+/// and returns it. Both blocks must currently end with identical
+/// terminators.
+static BasicBlock *mergeSuffix(Function &F, BasicBlock *A, BasicBlock *B,
+                               size_t SuffixLen) {
   BasicBlock *T = F.createBlock("tailmerge");
   T->Insts.assign(A->Insts.end() - static_cast<ptrdiff_t>(SuffixLen),
                   A->Insts.end());
@@ -96,55 +101,160 @@ static void mergeSuffix(Function &F, BasicBlock *A, BasicBlock *B,
     if (Src->HasCount)
       Src->SuccWeights = {Src->Count};
   }
+  return T;
+}
+
+/// A hash that agrees with Instruction::isIdenticalTo: identical
+/// instructions hash equal. It covers what isIdenticalTo compares and
+/// nothing else (debug locations and profile data stay out), and an
+/// anchor's identity only where isIdenticalTo checks it.
+static uint64_t hashInstruction(const Instruction &I) {
+  uint64_t H = (static_cast<uint64_t>(I.Op) << 40) ^
+               (static_cast<uint64_t>(I.IsTailCall) << 32) ^ I.Dst;
+  auto Add = [&H](uint64_t V) { H = hashCombine(H, V); };
+  auto AddOperand = [&Add](const Operand &O) {
+    Add((static_cast<uint64_t>(O.K) << 62) ^ static_cast<uint64_t>(O.Val));
+  };
+  AddOperand(I.A);
+  AddOperand(I.B);
+  AddOperand(I.C);
+  for (const Operand &O : I.Args)
+    AddOperand(O);
+  if (!I.Callee.empty())
+    Add(std::hash<std::string>()(I.Callee));
+  Add(reinterpret_cast<uintptr_t>(I.Succ0) ^
+      (reinterpret_cast<uintptr_t>(I.Succ1) << 1));
+  if (I.isIntrinsic() || (I.isCall() && I.ProbeId != 0))
+    Add((static_cast<uint64_t>(I.ProbeId) << 32) ^ I.OriginGuid);
+  return H;
+}
+
+/// Partial merges factor out a common tail of at least this many
+/// instructions (terminator + 2).
+constexpr size_t MinSuffix = 3;
+
+/// The candidate keys of one block: a hash of all of its instructions,
+/// and one of its last MinSuffix (0 when the block is too short to give
+/// up a tail of that length and keep an instruction).
+struct BlockKeys {
+  uint64_t Whole = 0;
+  uint64_t Tail = 0;
+};
+
+static BlockKeys keysOf(const BasicBlock &B) {
+  BlockKeys K;
+  K.Whole = B.Insts.size();
+  size_t TailFrom = B.Insts.size() - std::min(B.Insts.size(), MinSuffix);
+  for (size_t I = 0; I != B.Insts.size(); ++I) {
+    uint64_t H = hashInstruction(B.Insts[I]);
+    K.Whole = hashCombine(K.Whole, H);
+    if (I >= TailFrom)
+      K.Tail = hashCombine(K.Tail, H);
+  }
+  // 0 is "not a candidate"; remapping a hash keeps it agreeing.
+  K.Whole = K.Whole ? K.Whole : 1;
+  if (B.Insts.size() <= MinSuffix)
+    K.Tail = 0;
+  else
+    K.Tail = K.Tail ? K.Tail : 1;
+  return K;
+}
+
+/// Returns the first (I, J), I < J, in index order whose blocks share a
+/// nonzero key and satisfy \p Accept, or (0, 0). Only blocks in one key's
+/// bucket are compared, so \p Accept must fail for blocks whose keys
+/// differ.
+template <typename AcceptFn>
+static std::pair<size_t, size_t> firstPair(const std::vector<uint64_t> &Keys,
+                                           AcceptFn Accept) {
+  // Sorted by (key, index), each key's bucket is one run in index order.
+  std::vector<std::pair<uint64_t, size_t>> Sorted;
+  for (size_t I = 0; I != Keys.size(); ++I)
+    if (Keys[I])
+      Sorted.emplace_back(Keys[I], I);
+  std::sort(Sorted.begin(), Sorted.end());
+  std::vector<size_t> Pos(Keys.size());
+  for (size_t P = 0; P != Sorted.size(); ++P)
+    Pos[Sorted[P].second] = P;
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    if (!Keys[I])
+      continue;
+    for (size_t P = Pos[I] + 1;
+         P != Sorted.size() && Sorted[P].first == Keys[I]; ++P)
+      if (Accept(I, Sorted[P].second))
+        return {I, Sorted[P].second};
+  }
+  return {0, 0};
 }
 
 unsigned runTailMerge(Function &F, const OptOptions &Opts) {
   (void)Opts; // Merging is blocked by anchors at any barrier strength.
   unsigned Changed = 0;
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    auto Preds = computePredecessors(F);
-    // Whole-block merges first.
-    for (size_t I = 0; I != F.Blocks.size() && !Progress; ++I) {
-      for (size_t J = I + 1; J != F.Blocks.size() && !Progress; ++J) {
-        BasicBlock *A = F.Blocks[I].get();
-        BasicBlock *B = F.Blocks[J].get();
-        if (B == F.getEntry() || A == B)
-          continue;
-        if (!blocksIdentical(*A, *B))
-          continue;
-        // Merge B into A.
-        for (BasicBlock *P : Preds[B])
-          P->replaceSuccessor(B, A);
-        if (A->HasCount || B->HasCount)
-          A->setCount(A->Count + B->Count);
-        F.eraseBlock(B);
-        ++Changed;
-        Progress = true;
+  PredecessorMap Preds(F);
+  // Keys per block, dropped whenever a block's instructions change.
+  std::unordered_map<const BasicBlock *, BlockKeys> KeyCache;
+  auto KeysOf = [&KeyCache](const BasicBlock *B) -> const BlockKeys & {
+    auto It = KeyCache.find(B);
+    if (It == KeyCache.end())
+      It = KeyCache.emplace(B, keysOf(*B)).first;
+    return It->second;
+  };
+  std::vector<uint64_t> Keys;
+  // Each step takes the first pair in (I, J) index order, whole-block
+  // merges before partial ones, and rescans after every merge.
+  while (true) {
+    Keys.clear();
+    for (auto &BB : F.Blocks)
+      Keys.push_back(KeysOf(BB.get()).Whole);
+    // Whole-block merges first. J > I >= 0, so B is never the entry.
+    auto [I, J] = firstPair(Keys, [&F](size_t I, size_t J) {
+      return blocksIdentical(*F.Blocks[I], *F.Blocks[J]);
+    });
+    if (J) {
+      // Merge B into A.
+      BasicBlock *A = F.Blocks[I].get();
+      BasicBlock *B = F.Blocks[J].get();
+      std::vector<BasicBlock *> BPreds = Preds[B];
+      BPreds.erase(std::unique(BPreds.begin(), BPreds.end()), BPreds.end());
+      for (BasicBlock *P : BPreds) {
+        Preds.detachSuccessors(P);
+        P->replaceSuccessor(B, A);
+        Preds.attachSuccessors(P);
+        KeyCache.erase(P);
       }
-    }
-    if (Progress)
+      if (A->HasCount || B->HasCount)
+        A->setCount(A->Count + B->Count);
+      Preds.eraseBlock(B);
+      KeyCache.erase(B);
+      F.eraseBlock(B);
+      ++Changed;
       continue;
-    // Partial (suffix) merges: factor a common tail of >= 3 instructions
-    // (terminator + 2) into a shared block.
-    constexpr size_t MinSuffix = 3;
-    size_t NumBlocks = F.Blocks.size();
-    for (size_t I = 0; I != NumBlocks && !Progress; ++I) {
-      for (size_t J = I + 1; J != NumBlocks && !Progress; ++J) {
-        BasicBlock *A = F.Blocks[I].get();
-        BasicBlock *B = F.Blocks[J].get();
-        if (A == B)
-          continue;
-        size_t Suffix = commonSuffixLen(*A, *B);
-        if (Suffix < MinSuffix || Suffix >= A->Insts.size() ||
-            Suffix >= B->Insts.size())
-          continue;
-        mergeSuffix(F, A, B, Suffix);
-        ++Changed;
-        Progress = true;
-      }
     }
+    // Partial (suffix) merges: factor a common tail of >= MinSuffix
+    // instructions into a shared block.
+    Keys.clear();
+    for (auto &BB : F.Blocks)
+      Keys.push_back(KeysOf(BB.get()).Tail);
+    size_t Suffix = 0;
+    std::tie(I, J) = firstPair(Keys, [&F, &Suffix](size_t I, size_t J) {
+      const BasicBlock &A = *F.Blocks[I], &B = *F.Blocks[J];
+      Suffix = commonSuffixLen(A, B);
+      return Suffix >= MinSuffix && Suffix < A.Insts.size() &&
+             Suffix < B.Insts.size();
+    });
+    if (!J)
+      break;
+    BasicBlock *A = F.Blocks[I].get();
+    BasicBlock *B = F.Blocks[J].get();
+    Preds.detachSuccessors(A);
+    Preds.detachSuccessors(B);
+    BasicBlock *T = mergeSuffix(F, A, B, Suffix);
+    Preds.addBlock(T);
+    for (BasicBlock *X : {A, B, T})
+      Preds.attachSuccessors(X);
+    KeyCache.erase(A);
+    KeyCache.erase(B);
+    ++Changed;
   }
   return Changed;
 }

@@ -46,7 +46,7 @@ TEST(IR, SuccessorsAndPredecessors) {
   EXPECT_EQ(Succs[0], Then);
   EXPECT_EQ(Succs[1], Else);
 
-  auto Preds = computePredecessors(*F);
+  PredecessorMap Preds(*F);
   ASSERT_EQ(Preds[Join].size(), 2u);
   EXPECT_EQ(Preds[Entry].size(), 0u);
 }
@@ -115,13 +115,14 @@ TEST(IR, ReversePostOrderStartsAtEntry) {
 TEST(IR, DominatorsOfDiamond) {
   Module M("m");
   Function *F = addBranchyFunction(M, "f");
-  auto Dom = computeDominators(*F);
+  DominatorTree DT(*F);
   BasicBlock *Entry = F->Blocks[0].get();
   BasicBlock *Then = F->Blocks[1].get();
   BasicBlock *Join = F->Blocks[3].get();
-  EXPECT_TRUE(Dom[Join].count(Entry));
-  EXPECT_FALSE(Dom[Join].count(Then));
-  EXPECT_TRUE(Dom[Then].count(Entry));
+  EXPECT_TRUE(DT.dominates(Entry, Join));
+  EXPECT_FALSE(DT.dominates(Then, Join));
+  EXPECT_TRUE(DT.dominates(Entry, Then));
+  EXPECT_TRUE(DT.dominates(Join, Join));
 }
 
 TEST(IR, FindLoopsDetectsNaturalLoop) {

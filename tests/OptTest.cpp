@@ -1,6 +1,7 @@
 //===- tests/OptTest.cpp - optimizer pass tests -----------------*- C++ -*-===//
 
 #include "ir/CFG.h"
+#include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "opt/InlineCost.h"
 #include "opt/Inliner.h"
@@ -18,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 
 using namespace csspgo;
 using namespace csspgo::testing;
@@ -279,6 +281,69 @@ TEST(CodeMotion, HoistsInvariantFromHeader) {
     EXPECT_NE(Inst.Op, Opcode::Mul);
 }
 
+TEST(CodeMotion, NestedLoopPreheaderKeepsOuterWrites) {
+  // entry -> HO {x = r + 1; k < 3 ? HI : exit}
+  //          HI {r = k * 7; j < 2 ? BI : LO}
+  //          BI {j += 1; acc += x; br HI}
+  //          LO {k += 1; j = 0; br HO}
+  // The inner loop hoists r = k * 7 into a preheader between HO and HI,
+  // which is inside the outer loop: r is then still written there, and
+  // x = r + 1 must stay in HO.
+  Module M("m");
+  Function *F = M.createFunction("main", 0);
+  Builder B(F);
+  BasicBlock *E = F->createBlock("entry");
+  BasicBlock *HO = F->createBlock("ho");
+  BasicBlock *HI = F->createBlock("hi");
+  BasicBlock *BI = F->createBlock("bi");
+  BasicBlock *LO = F->createBlock("lo");
+  BasicBlock *X = F->createBlock("exit");
+  auto Into = [](BasicBlock *BB, RegId Dst) { BB->Insts.back().Dst = Dst; };
+  B.setInsertBlock(E);
+  RegId R = B.emitConst(0), K = B.emitConst(0), J = B.emitConst(0);
+  RegId Acc = B.emitConst(0), Xv = B.emitConst(0);
+  B.emitBr(HO);
+  B.setInsertBlock(HO);
+  B.emitBinary(Opcode::Add, Operand::reg(R), Operand::imm(1));
+  Into(HO, Xv);
+  RegId C1 = B.emitBinary(Opcode::CmpLT, Operand::reg(K), Operand::imm(3));
+  B.emitCondBr(Operand::reg(C1), HI, X);
+  B.setInsertBlock(HI);
+  B.emitBinary(Opcode::Mul, Operand::reg(K), Operand::imm(7));
+  Into(HI, R);
+  RegId C2 = B.emitBinary(Opcode::CmpLT, Operand::reg(J), Operand::imm(2));
+  B.emitCondBr(Operand::reg(C2), BI, LO);
+  B.setInsertBlock(BI);
+  B.emitBinary(Opcode::Add, Operand::reg(J), Operand::imm(1));
+  Into(BI, J);
+  B.emitBinary(Opcode::Add, Operand::reg(Acc), Operand::reg(Xv));
+  Into(BI, Acc);
+  B.emitBr(HI);
+  B.setInsertBlock(LO);
+  B.emitBinary(Opcode::Add, Operand::reg(K), Operand::imm(1));
+  Into(LO, K);
+  B.emitConst(0);
+  Into(LO, J);
+  B.emitBr(HO);
+  B.setInsertBlock(X);
+  B.emitRet(Operand::reg(Acc));
+  M.EntryFunction = "main";
+  ASSERT_EQ(runExit(M), 20);
+
+  // Without the fix, the outer loop's writes miss r and x = r + 1 leaves
+  // HO as well, computed once from the initial r.
+  auto Unfixed = M.clone();
+  EXPECT_EQ(referenceCodeMotion(*Unfixed->getFunction("main"), OptOptions(),
+                                /*KeepOuterWrites=*/false),
+            2u);
+  EXPECT_EQ(runExit(*Unfixed), 6);
+
+  EXPECT_EQ(runCodeMotion(*F, OptOptions()), 1u);
+  EXPECT_TRUE(verifyModule(M).empty());
+  EXPECT_EQ(runExit(M), 20);
+  EXPECT_EQ(HO->Insts.front().Dst, Xv);
+}
+
 TEST(DCE, RemovesUnreadPureInstructions) {
   Module M("m");
   Function *F = M.createFunction("main", 0);
@@ -528,6 +593,227 @@ INSTANTIATE_TEST_SUITE_P(
       return Info.param;
     });
 
+//===----------------------------------------------------------------------===//
+// CFG analyses against the set-based oracle on random CFGs.
+//===----------------------------------------------------------------------===//
+
+TEST(CFG, FindLoopsMatchesReference) {
+  Rng R(0xCF6);
+  unsigned Unreachable = 0, SelfLoops = 0, Irreducible = 0, SharedHeaders = 0;
+  for (int Iter = 0; Iter != 1000; ++Iter) {
+    std::unique_ptr<Module> M = randomCFGModule(R);
+    Function &F = *M->Functions.front();
+    std::vector<Loop> Loops = findLoops(F);
+    ASSERT_EQ(diffLoops(F, Loops, F, referenceFindLoops(F)), "")
+        << printModule(*M);
+
+    DominatorTree DT(F);
+    std::vector<BasicBlock *> RPO = reversePostOrder(F);
+    std::map<BasicBlock *, size_t> Pos;
+    for (BasicBlock *B : RPO)
+      Pos[B] = Pos.size();
+    bool HasIrreducible = false;
+    for (auto &B : F.Blocks) {
+      Unreachable += !DT.isReachable(B.get());
+      for (BasicBlock *S : B->successors()) {
+        SelfLoops += S == B.get();
+        // A retreating edge whose target does not dominate its source.
+        HasIrreducible |= DT.isReachable(B.get()) &&
+                          Pos[S] <= Pos[B.get()] && !DT.dominates(S, B.get());
+      }
+    }
+    Irreducible += HasIrreducible;
+    for (const Loop &L : Loops)
+      SharedHeaders += L.Latches.size() > 1;
+  }
+  std::printf("[ cfg      ] 1000 random CFGs: %u unreachable blocks, %u "
+              "self-loops, %u with irreducible regions, %u loops with "
+              "several latches\n",
+              Unreachable, SelfLoops, Irreducible, SharedHeaders);
+  EXPECT_GT(Unreachable, 0u);
+  EXPECT_GT(SelfLoops, 0u);
+  EXPECT_GT(Irreducible, 0u);
+  EXPECT_GT(SharedHeaders, 0u);
+}
+
+TEST(CFG, TailMergeAndCodeMotionMatchReference) {
+  Rng R(0x7A11);
+  for (int Iter = 0; Iter != 1000; ++Iter)
+    ASSERT_EQ(diffRandomCFG(R), "") << "iteration " << Iter;
+}
+
+TEST(CFG, PredecessorMapStaysCurrent) {
+  // Random edits kept current in place must leave the lists a rebuild
+  // computes: one entry per edge, in layout order.
+  Rng R(0x9ED5);
+  for (int Iter = 0; Iter != 300; ++Iter) {
+    std::unique_ptr<Module> M = randomCFGModule(R);
+    Function &F = *M->Functions.front();
+    PredecessorMap Preds(F);
+    for (int Edit = 0; Edit != 10; ++Edit) {
+      auto Pick = [&] { return F.Blocks[R.nextBelow(F.Blocks.size())].get(); };
+      switch (R.nextBelow(3)) {
+      case 0: { // Retarget one block's terminator.
+        BasicBlock *B = Pick();
+        Preds.detachSuccessors(B);
+        B->replaceSuccessor(B->terminator().Succ0, Pick());
+        Preds.attachSuccessors(B);
+        break;
+      }
+      case 1: { // Append a block that branches somewhere.
+        BasicBlock *N = F.createBlock("new");
+        Preds.addBlock(N);
+        Instruction Br;
+        Br.Op = Opcode::Br;
+        Br.Succ0 = Pick();
+        N->Insts.push_back(Br);
+        Preds.attachSuccessors(N);
+        break;
+      }
+      case 2:
+        removeUnreachableBlocks(F, &Preds);
+        break;
+      }
+      PredecessorMap Fresh(F);
+      for (auto &B : F.Blocks)
+        ASSERT_EQ(Preds[B.get()], Fresh[B.get()])
+            << "iteration " << Iter << ", edit " << Edit;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Oracle property: on every function of every workload preset, through the
+// mid-level pipeline as runMidLevelPipeline drives it, tail merge and code
+// motion print the same IR as their set-based references, and loop unroll
+// sees the reference's loops. The reference runs in lockstep on a second
+// copy of the module, so block labels must match too.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+class MidLevelOracle : public ::testing::TestWithParam<std::string> {};
+
+} // namespace
+
+TEST_P(MidLevelOracle, MatchesReferenceOnEveryFunction) {
+  ExperimentConfig C;
+  C.Workload =
+      workloadPreset(GetParam(), GetParam() == "ClangProxy" ? 0.3 : 0.1);
+  C.EvalRuns = 1;
+  PGODriver Driver(C);
+  const OptOptions &Opts = C.Opt;
+  unsigned Funcs = 0, Calls = 0, FixChanged = 0;
+  for (PGOVariant V :
+       {PGOVariant::None, PGOVariant::AutoFDO, PGOVariant::CSSPGOFull}) {
+    SCOPED_TRACE(variantName(V));
+    VariantOutcome Out;
+    if (V != PGOVariant::None) {
+      Out = Driver.run(V);
+      ASSERT_TRUE(Out.Profile.Has);
+    }
+    // PGODriver's build configuration with every mid-level and late pass
+    // off, so the built IR is what runMidLevelPipeline would get.
+    BuildConfig BC;
+    BC.Variant = V;
+    BC.Opt = C.Opt;
+    for (bool *Pass :
+         {&BC.Opt.EnableConstantFold, &BC.Opt.EnableSimplifyCFG,
+          &BC.Opt.EnableJumpThreading, &BC.Opt.EnableIfConvert,
+          &BC.Opt.EnableLoopUnroll, &BC.Opt.EnableCodeMotion,
+          &BC.Opt.EnableTailMerge, &BC.Opt.EnableDCE, &BC.Opt.EnableLayout,
+          &BC.Opt.EnableFunctionSplit})
+      *Pass = false;
+    BC.Inline = C.Inline;
+    BC.Loader = C.Loader;
+    BC.EnableInference = C.EnableInference;
+    if (C.VerifyProfiles)
+      BC.Loader.Verify = VerifyLevel::Full;
+    if (V == PGOVariant::CSSPGOFull && C.RunPreInliner)
+      BC.Loader.InlineHotContexts = false;
+    BuildResult Build = buildWithPGO(
+        Driver.source(), BC, V == PGOVariant::None ? nullptr : &Out.Profile);
+    auto Prod = Build.IR->clone(), Ref = Build.IR->clone();
+    auto Whole = Build.IR->clone();
+    runMidLevelPipeline(*Whole, Opts);
+
+    for (size_t FI = 0; FI != Prod->Functions.size(); ++FI) {
+      Function &P = *Prod->Functions[FI], &R = *Ref->Functions[FI];
+      ++Funcs;
+      bool Same = true, Fixed = false;
+      auto Check = [&](const char *Pass, unsigned CP, unsigned CR) {
+        ++Calls;
+        std::string TP = printFunction(P), TR = printFunction(R);
+        if (CP == CR && TP == TR)
+          return;
+        ADD_FAILURE() << Pass << " on " << P.getName() << ": " << CP
+                      << " vs " << CR << " changes\n"
+                      << TP << "reference:\n" << TR;
+        Same = false;
+      };
+      for (int Round = 0; Round != 3 && Same; ++Round) {
+        unsigned Changed = 0;
+        auto Both = [&](unsigned (*Pass)(Function &, const OptOptions &)) {
+          Changed += Pass(P, Opts);
+          Pass(R, Opts);
+        };
+        if (Opts.EnableConstantFold)
+          Both(runConstantFold);
+        if (Opts.EnableSimplifyCFG)
+          Both(runSimplifyCFG);
+        if (Opts.EnableJumpThreading)
+          Both(runJumpThreading);
+        if (Opts.EnableIfConvert)
+          Both(runIfConvert);
+        if (Round == 0 && Opts.EnableLoopUnroll) {
+          std::string D = diffLoops(P, findLoops(P), R, referenceFindLoops(R));
+          EXPECT_EQ(D, "") << P.getName();
+          Same &= D.empty();
+          unsigned CP = runLoopUnroll(P, Opts);
+          Check("loop unroll", CP, runLoopUnroll(R, Opts));
+          Changed += CP;
+        }
+        if (Opts.EnableCodeMotion) {
+          auto Unfixed = cloneFunctionAlone(R), Fix = cloneFunctionAlone(R);
+          referenceCodeMotion(*Unfixed->Functions.front(), Opts, false);
+          referenceCodeMotion(*Fix->Functions.front(), Opts, true);
+          Fixed |= printModule(*Unfixed) != printModule(*Fix);
+          unsigned CP = runCodeMotion(P, Opts);
+          Check("code motion", CP, referenceCodeMotion(R, Opts, true));
+          Changed += CP;
+        }
+        if (Opts.EnableTailMerge) {
+          unsigned CP = runTailMerge(P, Opts);
+          Check("tail merge", CP, referenceTailMerge(R));
+          Changed += CP;
+        }
+        if (Opts.EnableDCE)
+          Both(runDCE);
+        if (Opts.EnableSimplifyCFG)
+          Both(runSimplifyCFG);
+        if (!Changed)
+          break;
+      }
+      FixChanged += Fixed;
+    }
+    EXPECT_EQ(printModule(*Prod), printModule(*Whole))
+        << "this test's pass loop no longer matches runMidLevelPipeline";
+  }
+  std::printf("[ midlevel ] %s: %u function builds, %u tail merge / code "
+              "motion / unroll calls matched the reference; the nested-loop "
+              "preheader fix changed the code-motion result of %u\n",
+              GetParam().c_str(), Funcs, Calls, FixChanged);
+  EXPECT_GT(Calls, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, MidLevelOracle,
+    ::testing::Values("AdRanker", "AdRetriever", "AdFinder", "HHVM", "HaaS",
+                      "ClangProxy", "RpcFanout", "InterpLoop", "ColdBoot"),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      return Info.param;
+    });
+
 TEST(FunctionSplit, MarksZeroCountBlocksCold) {
   auto M = makeCallerModule(5);
   Function *F = M->getFunction("leaf");
@@ -553,6 +839,39 @@ TEST(FunctionSplit, WholeColdFunctionMovesEntirely) {
   // Still compiles and runs correctly with a fully cold callee.
   auto R = compileAndRun(*M);
   ASSERT_TRUE(R.Completed);
+}
+
+TEST(Inliner, RemoveDeadFunctionsReachesTheFixpoint) {
+  // main -> live; dead1 -> dead2 -> dead3 (a chain nobody calls); cyc1 <->
+  // cyc2 (a dead cycle, which survives); tab (only in the dispatch table).
+  Module M("m");
+  auto Define = [&M](const std::string &Name,
+                     std::vector<std::string> Callees) {
+    Function *F = M.createFunction(Name, 0);
+    Builder B(F);
+    B.setInsertBlock(F->createBlock("entry"));
+    for (const std::string &C : Callees)
+      B.emitCall(C, {});
+    B.emitRet(Operand::imm(0));
+  };
+  Define("dead3", {});
+  Define("cyc1", {"cyc2"});
+  Define("dead2", {"dead3", "dead3"});
+  Define("live", {});
+  Define("cyc2", {"cyc1", "live"});
+  Define("dead1", {"dead2"});
+  Define("tab", {"dead3"});
+  Define("main", {"live"});
+  M.EntryFunction = "main";
+  M.FunctionTable = {"tab"};
+  ASSERT_TRUE(verifyModule(M).empty());
+  EXPECT_EQ(removeDeadFunctions(M), 2u);
+  std::vector<std::string> Left;
+  for (auto &F : M.Functions)
+    Left.push_back(F->getName());
+  EXPECT_EQ(Left, (std::vector<std::string>{"dead3", "cyc1", "live", "cyc2",
+                                            "tab", "main"}));
+  EXPECT_EQ(removeDeadFunctions(M), 0u);
 }
 
 TEST(Inliner, MechanicsPreserveSemantics) {

@@ -23,7 +23,11 @@
 ///  * for block layout, the Ext-TSP chain merger that rescores every chain
 ///    pair on every merge, which the incremental solver of
 ///    opt/ExtTSPCore.h must match, and the greedy fallthrough chaining
-///    that large functions used to get, which it must beat.
+///    that large functions used to get, which it must beat;
+///  * for the mid-level CFG analyses, set-of-sets dominators, the loop
+///    finder over them, pair-scan tail merge and code motion on std::map
+///    predecessors, which ir/CFG.h's dominator tree and the passes in
+///    opt/ must reproduce to the byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +35,8 @@
 #define CSSPGO_TESTS_ORACLE_ORACLE_H
 
 #include "inference/ProfileInference.h"
+#include "ir/CFG.h"
+#include "opt/PassManager.h"
 #include "opt/ExtTSPCore.h"
 #include "profile/ContextTrie.h"
 #include "profile/FunctionProfile.h"
@@ -39,6 +45,9 @@
 #include "support/Random.h"
 #include "trace/TraceDecoder.h"
 
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -167,6 +176,48 @@ LayoutMatch matchExtTSPReference(const exttsp::Instance &In,
 /// entry block and matchExtTSPReference does not find it Diverged; else a
 /// message with the instance.
 std::string diffRandomExtTSP(Rng &R);
+
+/// Dominator sets by iterative dataflow: Dom[B] holds every block that
+/// dominates B, B included; unreachable blocks have no entry.
+std::map<BasicBlock *, std::set<BasicBlock *>> referenceDominators(Function &F);
+
+/// findLoops over referenceDominators: the same loops, in the same order,
+/// with the same blocks and latch order.
+std::vector<Loop> referenceFindLoops(Function &F);
+
+/// runTailMerge comparing every block pair (I < J) in index order,
+/// rebuilding predecessors and restarting the scan after each merge.
+unsigned referenceTailMerge(Function &F);
+
+/// runCodeMotion over referenceFindLoops, rebuilding predecessors after
+/// each hoist. With \p KeepOuterWrites, a new preheader joins every other
+/// loop that holds its header, as runCodeMotion does; without it, the
+/// loops stay as first found (the nested-loop miscompile).
+unsigned referenceCodeMotion(Function &F, const OptOptions &Opts,
+                             bool KeepOuterWrites);
+
+/// Compares two loop lists by layout position of headers, blocks and
+/// latches. Returns an empty string when equal, else what differs first.
+std::string diffLoops(const Function &FA, const std::vector<Loop> &A,
+                      const Function &FB, const std::vector<Loop> &B);
+
+/// A module holding only a copy of \p F (labels, counts and edge weights
+/// included; block ids for new labels restart).
+std::unique_ptr<Module> cloneFunctionAlone(const Function &F);
+
+/// Draws a module with one function, "main", of 1 to 24 blocks from \p R:
+/// mostly fallthrough edges plus random ones, so loops nest, share
+/// headers and have several latches, and self-loops, irreducible regions
+/// and unreachable blocks occur; small register and probe-id alphabets
+/// and copied blocks give tail merge whole and partial candidates.
+std::unique_ptr<Module> randomCFGModule(Rng &R);
+
+/// Draws randomCFGModule(R) and checks DominatorTree and findLoops
+/// against referenceDominators and referenceFindLoops, and runTailMerge
+/// and runCodeMotion against their references on clones (change counts
+/// and printed IR). Returns an empty string when all agree, else what
+/// differs with the printed function as a repro.
+std::string diffRandomCFG(Rng &R);
 
 } // namespace csspgo
 

@@ -663,6 +663,17 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
       return false;
     }
 
+  // --- 13. Mid-level CFG analyses: dominator tree, loops, tail merge ---
+  // Random CFGs (unreachable blocks, self-loops, irreducible regions,
+  // shared headers, copied blocks): the dominator tree and findLoops must
+  // agree with the set-based oracle, and tail merge and code motion must
+  // print the oracle's IR. The divergence message carries the function.
+  for (int K = 0; K != 8; ++K)
+    if (std::string D = diffRandomCFG(R); !D.empty()) {
+      Err = "mid-level CFG analysis diverges from the oracle: " + D;
+      return false;
+    }
+
   return true;
 }
 

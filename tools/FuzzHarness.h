@@ -32,7 +32,10 @@
 ///    flow conserved at every node and 0 <= flow <= cap on every arc;
 ///  - the incremental Ext-TSP solver behind block layout returns the test
 ///    oracle's order, or one with a bit-equal score, on random layout
-///    instances.
+///    instances;
+///  - the dominator tree and loop finder agree with the oracle's
+///    set-based dominators and loops on random CFGs, and tail merge and
+///    code motion print the oracle's IR there.
 ///
 /// Iteration seeds are derived as Base + I * golden-ratio so a reported
 /// failure reproduces in isolation with `csspgo_exp fuzz 1 <seed>`.
