@@ -95,9 +95,9 @@ inline void printHeader(const char *Id, const char *Title) {
 }
 
 /// Worker count for the bench fan-out: `-j N` / `-jN` on the command line,
-/// else $CSSPGO_BENCH_JOBS, else 1 (serial). Every fanned-out task is a
-/// deterministic, independent pipeline, so any job count prints the same
-/// numbers; this is purely a wall-clock knob.
+/// else 1 (serial). Every fanned-out task is a deterministic, independent
+/// pipeline, so any job count prints the same numbers; this is purely a
+/// wall-clock knob.
 inline unsigned benchJobs(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
@@ -106,9 +106,20 @@ inline unsigned benchJobs(int argc, char **argv) {
     if (A.rfind("-j", 0) == 0 && A.size() > 2)
       return std::max(1, std::atoi(A.c_str() + 2));
   }
-  if (const char *Env = std::getenv("CSSPGO_BENCH_JOBS"))
-    return std::max(1, std::atoi(Env));
   return 1;
+}
+
+/// Cells to run of a bench matrix of \p Full cells: the first
+/// $CSSPGO_CELLS when it is set to N > 0, else all of them. A run of fewer
+/// than \p Full cells is a smoke run: benches skip the gates and tables
+/// that only hold over the whole matrix.
+inline size_t cellLimit(size_t Full) {
+  if (const char *Env = std::getenv("CSSPGO_CELLS")) {
+    int N = std::atoi(Env);
+    if (N > 0)
+      return std::min(static_cast<size_t>(N), Full);
+  }
+  return Full;
 }
 
 /// Runs Fn(0) .. Fn(Count-1) — serially when Jobs <= 1, else on a

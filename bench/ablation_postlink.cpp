@@ -14,11 +14,10 @@
 // binaries of a workload). The workload cells fan out over runMany
 // (-j N); any job count prints byte-identical output.
 //
-// Environment:
-//   CSSPGO_POSTLINK_CELLS        limit to the first N workloads (CI smoke)
-//   CSSPGO_POSTLINK_MIN_SPEEDUP  minimum aggregate PGO+BOLT-over-PGO ratio
-//                                (geomean; default 1.0) or exit 1
-//   CSSPGO_SCALE                 request-count multiplier (BenchCommon)
+// Over the full matrix the aggregate PGO+BOLT-over-PGO ratio (geomean)
+// must be at least 1 or the bench exits 1; a run truncated by
+// CSSPGO_CELLS (the first N workloads, a CI smoke) skips that gate.
+// CSSPGO_SCALE scales the workloads (BenchCommon).
 //
 //===----------------------------------------------------------------------===//
 
@@ -95,11 +94,8 @@ int main(int argc, char **argv) {
 
   std::vector<std::string> Workloads = serverWorkloadNames();
   Workloads.push_back("ClangProxy");
-  if (const char *Env = std::getenv("CSSPGO_POSTLINK_CELLS")) {
-    unsigned N = static_cast<unsigned>(std::atoi(Env));
-    if (N > 0 && N < Workloads.size())
-      Workloads.resize(N);
-  }
+  const size_t FullMatrix = Workloads.size();
+  Workloads.resize(cellLimit(FullMatrix));
 
   auto Rows = runMany<Row>(Workloads.size(), Jobs, [&](size_t I) {
     return runWorkload(Workloads[I]);
@@ -145,14 +141,19 @@ int main(int argc, char **argv) {
                          "(see the checks column)\n");
     return 1;
   }
-  double MinSpeedup = 1.0;
-  if (const char *Env = std::getenv("CSSPGO_POSTLINK_MIN_SPEEDUP"))
-    MinSpeedup = std::atof(Env);
-  if (Geomean < MinSpeedup) {
+  // The aggregate is a claim about the whole matrix; a truncated smoke
+  // run says so instead of gating on a subset.
+  if (Rows.size() < FullMatrix) {
+    std::fprintf(stderr,
+                 "aggregate gate skipped: %zu of %zu workloads ran\n",
+                 Rows.size(), FullMatrix);
+    return 0;
+  }
+  if (Geomean < 1.0) {
     std::fprintf(stderr,
                  "FAIL: stacked PGO+BOLT is only %.4fx PGO-only in "
-                 "aggregate (minimum %.4fx)\n",
-                 Geomean, MinSpeedup);
+                 "aggregate (minimum 1x)\n",
+                 Geomean);
     return 1;
   }
   return 0;

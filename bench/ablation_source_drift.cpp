@@ -21,8 +21,9 @@
 //    source.
 //
 // All cells are independent pipelines and fan out over runMany (-j N);
-// any job count prints byte-identical tables. CSSPGO_DRIFT_CELLS=N
-// limits table 2 to its first N cells and skips table 1 (CI smoke).
+// any job count prints byte-identical tables. CSSPGO_CELLS=N runs the
+// first N cells of tables 2 and 3; a truncated run skips table 1, whose
+// paper comparison needs all four cells.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,9 +39,6 @@ using namespace csspgo::bench;
 namespace {
 
 void legacyCommentDriftTable(unsigned Jobs) {
-  TextTable Table({"workload", "variant", "no-drift vs plain",
-                   "drifted vs plain", "drift cost", "stale drops"});
-
   struct Cell {
     const char *Workload;
     PGOVariant Variant;
@@ -49,6 +47,11 @@ void legacyCommentDriftTable(unsigned Jobs) {
                         {"AdRanker", PGOVariant::CSSPGOFull},
                         {"HHVM", PGOVariant::AutoFDO},
                         {"HHVM", PGOVariant::CSSPGOFull}};
+  if (cellLimit(std::size(Cells)) < std::size(Cells))
+    return;
+  std::printf("-- comment drift (CFG preserved), stale matching off --\n");
+  TextTable Table({"workload", "variant", "no-drift vs plain",
+                   "drifted vs plain", "drift cost", "stale drops"});
   auto Rows = runMany<std::vector<std::string>>(
       std::size(Cells), Jobs, [&](size_t Idx) {
         const Cell &C = Cells[Idx];
@@ -82,7 +85,7 @@ void legacyCommentDriftTable(unsigned Jobs) {
               "unaffected (probe ids don't shift; CFG checksum matches).\n\n");
 }
 
-void cfgDriftDropVsMatchTable(unsigned Jobs, size_t CellLimit) {
+void cfgDriftDropVsMatchTable(unsigned Jobs) {
   TextTable Table({"workload", "variant", "drift", "no-drift vs plain",
                    "drop vs plain", "match vs plain", "recovered",
                    "stale d/m", "anchors", "counts rec"});
@@ -96,8 +99,7 @@ void cfgDriftDropVsMatchTable(unsigned Jobs, size_t CellLimit) {
                         {"AdRanker", PGOVariant::CSSPGOFull, false},
                         {"AdRanker", PGOVariant::AutoFDO, true},
                         {"AdRanker", PGOVariant::CSSPGOFull, true}};
-  size_t Count = CellLimit ? std::min(CellLimit, std::size(Cells))
-                           : std::size(Cells);
+  size_t Count = cellLimit(std::size(Cells));
   auto Rows = runMany<std::vector<std::string>>(Count, Jobs, [&](size_t Idx) {
     const Cell &C = Cells[Idx];
     ExperimentConfig Config = makeConfig(C.Workload);
@@ -154,7 +156,7 @@ void cfgDriftDropVsMatchTable(unsigned Jobs, size_t CellLimit) {
               "column applies the mis-keyed line profile as-is.\n");
 }
 
-void continuousIngestTable(unsigned Jobs, size_t CellLimit) {
+void continuousIngestTable(unsigned Jobs) {
   TextTable Table({"workload", "variant", "stale v1 vs plain",
                    "merged store vs plain", "ingest gain", "verify"});
 
@@ -164,8 +166,7 @@ void continuousIngestTable(unsigned Jobs, size_t CellLimit) {
   };
   const Cell Cells[] = {{"AdRanker", PGOVariant::AutoFDO},
                         {"AdRanker", PGOVariant::CSSPGOFull}};
-  size_t Count = CellLimit ? std::min(CellLimit, std::size(Cells))
-                           : std::size(Cells);
+  size_t Count = cellLimit(std::size(Cells));
   auto Rows = runMany<std::vector<std::string>>(Count, Jobs, [&](size_t Idx) {
     const Cell &C = Cells[Idx];
     ExperimentConfig Config = makeConfig(C.Workload);
@@ -259,24 +260,11 @@ int main(int argc, char **argv) {
   unsigned Jobs = benchJobs(argc, argv);
   printHeader("Ablation", "source drift — §III-A + stale matching");
 
-  size_t CellLimit = 0;
-  bool Smoke = false;
-  if (const char *Env = std::getenv("CSSPGO_DRIFT_CELLS")) {
-    int N = std::atoi(Env);
-    if (N > 0) {
-      CellLimit = static_cast<size_t>(N);
-      Smoke = true;
-    }
-  }
-
-  if (!Smoke) {
-    std::printf("-- comment drift (CFG preserved), stale matching off --\n");
-    legacyCommentDriftTable(Jobs);
-  }
+  legacyCommentDriftTable(Jobs);
   std::printf("-- CFG drift, drop vs match --\n");
-  cfgDriftDropVsMatchTable(Jobs, CellLimit);
+  cfgDriftDropVsMatchTable(Jobs);
   std::printf("\n-- continuous ingestion across drift "
               "(two-epoch store vs stale single epoch) --\n");
-  continuousIngestTable(Jobs, CellLimit);
+  continuousIngestTable(Jobs);
   return 0;
 }

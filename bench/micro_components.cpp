@@ -16,7 +16,7 @@
 #include "pgo/BuildPipeline.h"
 #include "probe/ProbeInserter.h"
 #include "profgen/AutoFDOGenerator.h"
-#include "profgen/CSProfileGenerator.h"
+#include "profgen/ProfileGenerator.h"
 #include "sim/Executor.h"
 #include "workload/Workloads.h"
 
@@ -95,8 +95,12 @@ BENCHMARK(BM_AutoFDOProfileGen)->Unit(benchmark::kMillisecond);
 
 void BM_CSProfileGen(benchmark::State &State) {
   Fixture &F = fixture();
+  ProfGenOptions Opts;
+  Opts.Kind = ProfGenKind::CS;
+  Opts.Parallelism = 1;
+  ProfileGenerator Gen(*F.Bin, &F.Probes, Opts);
   for (auto _ : State) {
-    ContextProfile P = generateCSProfile(*F.Bin, F.Probes, F.Samples);
+    ContextProfile P = Gen.generate(F.Samples).CS;
     benchmark::DoNotOptimize(P.totalSamples());
   }
   State.SetItemsProcessed(

@@ -12,9 +12,8 @@
 // second) and samples/second for each path, plus the fast/reference
 // speedup. Scale the workload with CSSPGO_SCALE; repetitions with
 // CSSPGO_MICRO_REPS (default 3). Emits the same one-line JSON summary
-// shape as micro_parallel_profgen. CSSPGO_EXEC_MIN_SPEEDUP turns the
-// fast-over-reference ratio into a gate (exit 1 below it; default 0 =
-// off, since wall-clock gates only make sense on quiet dedicated hosts).
+// shape as micro_parallel_profgen. Only bit-identity is gated: a
+// wall-clock ratio gate only makes sense on a quiet dedicated host.
 //
 //===----------------------------------------------------------------------===//
 
@@ -131,16 +130,6 @@ int main() {
                  "FAIL: fast path diverged from the reference interpreter: "
                  "%s\n",
                  Diff.c_str());
-    return 1;
-  }
-  double MinSpeedup = 0; // Off unless the environment opts in.
-  if (const char *Env = std::getenv("CSSPGO_EXEC_MIN_SPEEDUP"))
-    MinSpeedup = std::atof(Env);
-  if (Speedup < MinSpeedup) {
-    std::fprintf(stderr,
-                 "FAIL: fast path is only %.2fx the reference "
-                 "interpreter (minimum %.2fx)\n",
-                 Speedup, MinSpeedup);
     return 1;
   }
   return 0;

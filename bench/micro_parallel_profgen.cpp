@@ -8,7 +8,7 @@
 // bottleneck this pipeline attacks.
 //
 // The harness replicates one profiled run's samples up to a target count
-// (default 1,000,000; argv[1] or CSSPGO_PARBENCH_SAMPLES overrides) and
+// (default 1,000,000; argv[1] overrides) and
 // times serial vs sharded generation for K in {2, 4, 8}, verifying every
 // sharded dump is bit-identical to the serial one. Expect >=2x at 4
 // threads on a machine with >=4 cores; on a single-core host every K
@@ -24,9 +24,8 @@
 // ingest folds run; views arrive for free from the workers' parallel
 // flatten or the store's zero-copy loader, and the one-time flatten cost
 // is reported separately as flatten_ms). Both reductions must be
-// bit-identical with identical MergeStats, and the flat plane must clear
-// a minimum speedup (CSSPGO_MERGE_MIN_SPEEDUP, default 3x) or the bench
-// exits 1.
+// bit-identical with identical MergeStats, and the flat plane must be at
+// least 3x faster (a same-machine ratio) or the bench exits 1.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,14 +65,6 @@ std::string fmt(double Value, int Digits) {
   return Buf;
 }
 
-size_t targetSampleCount(int argc, char **argv) {
-  if (argc > 1)
-    return std::strtoull(argv[1], nullptr, 10);
-  if (const char *Env = std::getenv("CSSPGO_PARBENCH_SAMPLES"))
-    return std::strtoull(Env, nullptr, 10);
-  return 1000000;
-}
-
 /// Deep-renames a function profile under a per-module \p Suffix — every
 /// name the record mentions (own, call targets, inlinees) moves with it,
 /// so the clones stay internally consistent.
@@ -98,7 +89,7 @@ FunctionProfile renameProfile(const FunctionProfile &P,
 } // namespace
 
 int main(int argc, char **argv) {
-  size_t Target = targetSampleCount(argc, argv);
+  size_t Target = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1000000;
 
   // One real profiled run supplies the sample shapes; replication scales
   // the volume to datacenter-aggregation size without hours of simulation.
@@ -126,12 +117,11 @@ int main(int argc, char **argv) {
               "%u hardware threads\n\n",
               Samples.size(), Seed.size(), ThreadPool::defaultConcurrency());
 
-  CSProfileOptions Opts;
-
   auto Start = std::chrono::steady_clock::now();
   CSProfileGenStats SerialStats;
   ContextProfile Serial = generateCSProfileSharded(
-      *Bin, Probes, Samples, Opts, /*Parallelism=*/1, &SerialStats);
+      *Bin, Probes, Samples, /*InferMissingFrames=*/true, /*Parallelism=*/1,
+      &SerialStats);
   double SerialSec = secondsSince(Start);
   std::string SerialDump = serializeContextProfile(Serial);
 
@@ -147,9 +137,9 @@ int main(int argc, char **argv) {
     Start = std::chrono::steady_clock::now();
     CSProfileGenStats Stats;
     MergeStats Reduce;
-    ContextProfile Sharded = generateCSProfileSharded(*Bin, Probes, Samples,
-                                                      Opts, K, &Stats,
-                                                      &Reduce);
+    ContextProfile Sharded = generateCSProfileSharded(
+        *Bin, Probes, Samples, /*InferMissingFrames=*/true, K, &Stats,
+        &Reduce);
     double Sec = secondsSince(Start);
     bool Identical = serializeContextProfile(Sharded) == SerialDump &&
                      Stats.Samples == SerialStats.Samples &&
@@ -260,9 +250,7 @@ int main(int argc, char **argv) {
                  "FAIL: sharded profile differs from the serial profile\n");
     return 1;
   }
-  double MinMergeSpeedup = 3.0;
-  if (const char *Env = std::getenv("CSSPGO_MERGE_MIN_SPEEDUP"))
-    MinMergeSpeedup = std::atof(Env);
+  const double MinMergeSpeedup = 3.0;
   if (MergeSpeedup < MinMergeSpeedup) {
     std::fprintf(stderr,
                  "FAIL: flat-slice reduce is only %.2fx the map-plane "

@@ -12,9 +12,9 @@
 //                 the whole database;
 //   flat-lazy:    openBorrowed + binary-search lookup + ContextViewLoader
 //                 over one link unit of a simulated fleet database (the
-//                 workload profile cloned under per-module name suffixes,
-//                 CSSPGO_IO_CLONES modules, default 16) — the zero-copy
-//                 module-scoped path a build job takes.
+//                 workload profile cloned under per-module name suffixes
+//                 into 16 modules) — the zero-copy module-scoped path a
+//                 build job takes.
 //
 // Every path is checked for bit-identity (serialized text of the loaded
 // profile) before timing. Reports best-of-N wall times
@@ -22,9 +22,9 @@
 // Emits the shared one-line JSON summary, keyed on the clang-like
 // ClangProxy workload, and exits 1 if the binary container is not
 // smaller than text, the lazy module-scoped load is not faster than the
-// eager full text parse, or the lazy module-scoped load is under the
-// minimum speedup over the eager full-store load (CSSPGO_IO_MIN_SPEEDUP,
-// default 5x) — the store's "K of N functions costs O(K)" contract.
+// eager full text parse, or the lazy module-scoped load is under 5x
+// faster than the eager full-store load — the store's "K of N functions
+// costs O(K)" contract.
 //
 //===----------------------------------------------------------------------===//
 
@@ -254,9 +254,7 @@ int main(int argc, char **argv) {
   unsigned Reps = 3;
   if (const char *Env = std::getenv("CSSPGO_MICRO_REPS"))
     Reps = std::max(1, std::atoi(Env));
-  unsigned Clones = 16;
-  if (const char *Env = std::getenv("CSSPGO_IO_CLONES"))
-    Clones = std::max(1, std::atoi(Env));
+  const unsigned Clones = 16;
 
   printHeader("micro_profile_io",
               "profile store: text vs binary, eager vs lazy");
@@ -308,9 +306,7 @@ int main(int argc, char **argv) {
   if (Clang.LoadLazyFlat >= Clang.ParseText)
     fail("lazy module-scoped load is not faster than the eager text "
          "parse on ClangProxy");
-  double MinSpeedup = 5.0;
-  if (const char *Env = std::getenv("CSSPGO_IO_MIN_SPEEDUP"))
-    MinSpeedup = std::atof(Env);
+  const double MinSpeedup = 5.0;
   if (LazySpeedup < MinSpeedup) {
     char Buf[128];
     std::snprintf(Buf, sizeof(Buf),

@@ -9,11 +9,9 @@
 // contract), and exits nonzero if throughput is zero or the stores
 // diverge — the CI smoke asserts both.
 //
-// CSSPGO_SCALE scales the per-host workload; CSSPGO_FLEET_HOSTS and
-// CSSPGO_FLEET_EPOCHS override the fleet shape. CSSPGO_INGEST_MIN_SPEEDUP
-// additionally gates the best sharded-over-serial throughput ratio (exit
-// 1 below it; default 0 = off — wall-clock gates are opt-in, for quiet
-// dedicated hosts).
+// CSSPGO_SCALE scales the per-host workload; CSSPGO_FLEET_EPOCHS sets the
+// number of epochs (default 4). The best sharded-over-serial throughput
+// ratio is printed, not gated: it needs a quiet multi-core host.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,24 +36,19 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-unsigned envUnsigned(const char *Name, unsigned Default) {
-  const char *Env = std::getenv(Name);
-  if (!Env)
-    return Default;
-  unsigned long long V = std::strtoull(Env, nullptr, 10);
-  return V ? static_cast<unsigned>(V) : Default;
-}
-
 } // namespace
 
 int main() {
   ServiceConfig SC;
-  SC.Fleet.Hosts = envUnsigned("CSSPGO_FLEET_HOSTS", 12);
+  SC.Fleet.Hosts = 12;
   SC.Fleet.Services = 3;
   SC.Fleet.RequestScale = 0.05 * bench::scaleFromEnv();
   SC.DecayPermille = 900;
   SC.QueueBound = 8;
-  const unsigned Epochs = envUnsigned("CSSPGO_FLEET_EPOCHS", 4);
+  unsigned Epochs = 4;
+  if (const char *Env = std::getenv("CSSPGO_FLEET_EPOCHS"))
+    if (unsigned long long V = std::strtoull(Env, nullptr, 10))
+      Epochs = static_cast<unsigned>(V);
 
   std::printf("fleet ingestion: %u hosts x %u services, %u epochs, "
               "queue bound %zu\n\n",
@@ -122,15 +115,5 @@ int main() {
               "(nonzero, sharded passes bit-identical); best sharded "
               "speedup %.2fx\n",
               SerialRate, ShardSpeedup);
-  double MinSpeedup = 0; // Off unless the environment opts in.
-  if (const char *Env = std::getenv("CSSPGO_INGEST_MIN_SPEEDUP"))
-    MinSpeedup = std::atof(Env);
-  if (ShardSpeedup < MinSpeedup) {
-    std::fprintf(stderr,
-                 "FAIL: best sharded ingestion is only %.2fx serial "
-                 "(minimum %.2fx)\n",
-                 ShardSpeedup, MinSpeedup);
-    return 1;
-  }
   return 0;
 }

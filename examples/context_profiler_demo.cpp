@@ -21,7 +21,7 @@
 #include "probe/ProbeInserter.h"
 #include "probe/ProbeTable.h"
 #include "profgen/BinarySizeExtractor.h"
-#include "profgen/CSProfileGenerator.h"
+#include "profgen/ProfileGenerator.h"
 #include "profile/ProfileIO.h"
 #include "sim/Executor.h"
 
@@ -124,8 +124,13 @@ int main() {
               static_cast<unsigned long long>(R.Cycles), R.Samples.size());
 
   // 3. Reconstruct contexts (Algorithm 1) and build the trie.
-  CSProfileGenStats Stats;
-  ContextProfile CS = generateCSProfile(*Bin, Probes, R.Samples, {}, &Stats);
+  ProfGenOptions GenOpts;
+  GenOpts.Kind = ProfGenKind::CS;
+  GenOpts.Parallelism = 1;
+  ProfGenResult Gen =
+      ProfileGenerator(*Bin, &Probes, GenOpts).generate(R.Samples);
+  const CSProfileGenStats &Stats = Gen.Stats;
+  ContextProfile &CS = Gen.CS;
   std::printf("unwinder: %llu samples, %llu unsynced\n",
               static_cast<unsigned long long>(Stats.Samples),
               static_cast<unsigned long long>(Stats.UnsyncedSamples));

@@ -16,6 +16,13 @@ namespace {
 /// residual capacity can overflow.
 constexpr int64_t InfCap = int64_t(1) << 62;
 
+/// Per-unit reward for flow matching a measured count.
+constexpr int64_t MatchReward = 2;
+/// Per-unit penalty for flow exceeding a measured count.
+constexpr int64_t ExceedPenalty = 2;
+/// Per-unit penalty for routing flow through unmeasured blocks.
+constexpr int64_t UnknownPenalty = 1;
+
 /// Index of every block of \p F in F.Blocks.
 std::unordered_map<const BasicBlock *, size_t> indexBlocks(const Function &F) {
   std::unordered_map<const BasicBlock *, size_t> Index;
@@ -27,7 +34,7 @@ std::unordered_map<const BasicBlock *, size_t> indexBlocks(const Function &F) {
 
 } // namespace
 
-void inferFunctionProfile(Function &F, const InferenceOptions &Opts) {
+void inferFunctionProfile(Function &F) {
   bool Any = false;
   for (auto &BB : F.Blocks)
     Any |= BB->HasCount && BB->Count > 0;
@@ -57,12 +64,12 @@ void inferFunctionProfile(Function &F, const InferenceOptions &Opts) {
     uint64_t W = B.HasCount ? std::min(B.Count, MaxCount) : 0;
     if (W > 0) {
       MatchEdge[I] = Solver.addEdge(InNode(I), OutNode(I),
-                                    static_cast<int64_t>(W), -Opts.MatchReward);
+                                    static_cast<int64_t>(W), -MatchReward);
       ExtraEdge[I] =
-          Solver.addEdge(InNode(I), OutNode(I), InfCap, Opts.ExceedPenalty);
+          Solver.addEdge(InNode(I), OutNode(I), InfCap, ExceedPenalty);
     } else {
       ExtraEdge[I] =
-          Solver.addEdge(InNode(I), OutNode(I), InfCap, Opts.UnknownPenalty);
+          Solver.addEdge(InNode(I), OutNode(I), InfCap, UnknownPenalty);
     }
   }
 
@@ -98,9 +105,9 @@ void inferFunctionProfile(Function &F, const InferenceOptions &Opts) {
   }
 }
 
-void inferModuleProfile(Module &M, const InferenceOptions &Opts) {
+void inferModuleProfile(Module &M) {
   for (auto &F : M.Functions)
-    inferFunctionProfile(*F, Opts);
+    inferFunctionProfile(*F);
 }
 
 bool isProfileConsistent(const Function &F, uint64_t Tolerance) {

@@ -22,22 +22,13 @@
 
 namespace csspgo {
 
-struct InferenceOptions {
-  /// Per-unit reward for flow matching a measured count.
-  int64_t MatchReward = 2;
-  /// Per-unit penalty for flow exceeding a measured count.
-  int64_t ExceedPenalty = 2;
-  /// Per-unit penalty for routing flow through unmeasured blocks.
-  int64_t UnknownPenalty = 1;
-};
-
 /// Runs inference on \p F in place: blocks get consistent Count and
 /// SuccWeights. Blocks without annotation participate with weight 0 and
 /// may receive inferred flow. No-op when no block has a count.
-void inferFunctionProfile(Function &F, const InferenceOptions &Opts = {});
+void inferFunctionProfile(Function &F);
 
 /// Runs inference over every function of \p M.
-void inferModuleProfile(Module &M, const InferenceOptions &Opts = {});
+void inferModuleProfile(Module &M);
 
 /// Returns true if the annotated counts are flow-consistent: for every
 /// block (except entry/exits), count equals the sum of incoming edge

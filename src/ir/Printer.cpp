@@ -14,7 +14,7 @@ static std::string operandStr(const Operand &O) {
   return "<none>";
 }
 
-std::string printInstruction(const Instruction &I, const PrintOptions &Opts) {
+std::string printInstruction(const Instruction &I) {
   std::ostringstream OS;
   switch (I.Op) {
   case Opcode::Store:
@@ -76,27 +76,16 @@ std::string printInstruction(const Instruction &I, const PrintOptions &Opts) {
        << ", " << operandStr(I.B);
     break;
   }
-  if (Opts.ShowLines) {
-    OS << "  !dbg :" << I.DL.Line;
-    if (I.DL.Discriminator)
-      OS << "." << I.DL.Discriminator;
-  }
-  if (Opts.ShowInlineStack && !I.InlineStack.empty()) {
-    OS << "  !inlined[";
-    for (size_t F = 0; F != I.InlineStack.size(); ++F) {
-      if (F)
-        OS << " @ ";
-      OS << I.InlineStack[F].FuncGuid << ":" << I.InlineStack[F].CallLoc.Line;
-    }
-    OS << "]";
-  }
+  OS << "  !dbg :" << I.DL.Line;
+  if (I.DL.Discriminator)
+    OS << "." << I.DL.Discriminator;
   return OS.str();
 }
 
-std::string printBlock(const BasicBlock &BB, const PrintOptions &Opts) {
+std::string printBlock(const BasicBlock &BB) {
   std::ostringstream OS;
   OS << BB.getLabel() << ":";
-  if (Opts.ShowProfile && BB.HasCount) {
+  if (BB.HasCount) {
     OS << "  ; count=" << BB.Count;
     if (!BB.SuccWeights.empty()) {
       OS << " weights=[";
@@ -112,11 +101,11 @@ std::string printBlock(const BasicBlock &BB, const PrintOptions &Opts) {
     OS << "  ; cold";
   OS << "\n";
   for (const Instruction &I : BB.Insts)
-    OS << "  " << printInstruction(I, Opts) << "\n";
+    OS << "  " << printInstruction(I) << "\n";
   return OS.str();
 }
 
-std::string printFunction(const Function &F, const PrintOptions &Opts) {
+std::string printFunction(const Function &F) {
   std::ostringstream OS;
   OS << "func " << F.getName() << "(" << F.getNumParams() << " params, "
      << F.getNumRegs() << " regs)";
@@ -126,16 +115,16 @@ std::string printFunction(const Function &F, const PrintOptions &Opts) {
     OS << " ; probed checksum=" << F.ProbeCFGChecksum;
   OS << " {\n";
   for (const auto &BB : F.Blocks)
-    OS << printBlock(*BB, Opts);
+    OS << printBlock(*BB);
   OS << "}\n";
   return OS.str();
 }
 
-std::string printModule(const Module &M, const PrintOptions &Opts) {
+std::string printModule(const Module &M) {
   std::ostringstream OS;
   OS << "; module " << M.getName() << ", entry=" << M.EntryFunction << "\n";
   for (const auto &F : M.Functions)
-    OS << printFunction(*F, Opts) << "\n";
+    OS << printFunction(*F) << "\n";
   return OS.str();
 }
 

@@ -18,18 +18,10 @@
 
 namespace csspgo {
 
-/// Options controlling how much annotation the printer emits.
-struct PrintOptions {
-  bool ShowLines = true;    ///< !dbg line/discriminator annotations.
-  bool ShowProfile = true;  ///< Block counts and edge weights.
-  bool ShowInlineStack = false; ///< Per-instruction inline context.
-};
-
-std::string printInstruction(const Instruction &I,
-                             const PrintOptions &Opts = {});
-std::string printBlock(const BasicBlock &BB, const PrintOptions &Opts = {});
-std::string printFunction(const Function &F, const PrintOptions &Opts = {});
-std::string printModule(const Module &M, const PrintOptions &Opts = {});
+std::string printInstruction(const Instruction &I);
+std::string printBlock(const BasicBlock &BB);
+std::string printFunction(const Function &F);
+std::string printModule(const Module &M);
 
 } // namespace csspgo
 

@@ -41,11 +41,6 @@ void annotateBlocksByAnchors(const std::vector<BasicBlock *> &Blocks,
 /// given correlation kind (line offset or call probe id).
 ProfileKey callSiteKey(const Instruction &Call, ProfileKind Kind);
 
-/// Total call-target samples recorded for \p Call in \p P; falls back to
-/// the containing block's body count at the call's key.
-uint64_t callSiteCount(const Instruction &Call, const BasicBlock &BB,
-                       const FunctionProfile &P, ProfileKind Kind);
-
 } // namespace csspgo
 
 #endif // CSSPGO_LOADER_CORRELATORS_H

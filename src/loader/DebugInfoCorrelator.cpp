@@ -27,16 +27,4 @@ ProfileKey callSiteKey(const Instruction &Call, ProfileKind Kind) {
   return {Call.DL.Line, Call.DL.Discriminator};
 }
 
-uint64_t callSiteCount(const Instruction &Call, const BasicBlock &BB,
-                       const FunctionProfile &P, ProfileKind Kind) {
-  ProfileKey Key = callSiteKey(Call, Kind);
-  uint64_t FromTargets = P.callAt(Key);
-  if (FromTargets)
-    return FromTargets;
-  uint64_t FromBody = P.bodyAt(Key);
-  if (FromBody)
-    return FromBody;
-  return BB.HasCount ? BB.Count : 0;
-}
-
 } // namespace csspgo

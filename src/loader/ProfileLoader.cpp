@@ -120,8 +120,10 @@ public:
     // materialization), which used to double-count it in the stats the
     // dashboard aggregates. Each *site* still runs its own remap.
     bool FirstAttempt = AttemptedFns.insert(F.getName()).second;
-    if (FirstAttempt)
+    if (FirstAttempt) {
       Stats.StaleMatches.push_back({F.getName(), R.Stats});
+      Stats.StaleLCSFallbacks += R.Stats.LCSFallback;
+    }
     if (!R.Stats.Accepted) {
       ++Stats.StaleDropped;
       return Probe ? nullptr : &P;
@@ -290,24 +292,20 @@ unsigned promoteIndirectCallsIn(Module &M, Function &F,
 
 /// Shared recursive replay of inlining for flat profiles: after annotating
 /// \p Blocks of \p F from \p P, inline call sites that have a nested
-/// inlinee profile (replay) or are hot, then annotate the cloned bodies
-/// from the inlinee profile and recurse.
+/// inlinee profile, then annotate the cloned bodies from that inlinee
+/// profile and recurse. Sites without one stay calls: scaling the callee's
+/// aggregate profile by the call-site share is the Fig. 3a hazard.
 struct FlatInlineDriver {
   Module &M;
-  const FlatProfile &Profile;
   ProfileKind Kind;
   bool Anchored;
   const LoaderOptions &Opts;
-  uint64_t HotThreshold;
   LoaderStats &Stats;
   StaleResolver &Resolver;
 
-  /// \p Scale is the accumulated execution-share of the inline chain
-  /// enclosing \p Blocks: annotated counts of cloned bodies multiply by
-  /// it so nested replay inside a scaled outer body stays consistent.
   void processCallsIn(Function &F, std::vector<BasicBlock *> Blocks,
-                      const FunctionProfile &P, int Depth, double Scale) {
-    if (Depth > 8)
+                      const FunctionProfile &P, int Depth) {
+    if (Depth > 8 || !Opts.ReplayInlining)
       return;
     bool Progress = true;
     while (Progress) {
@@ -321,56 +319,25 @@ struct FlatInlineDriver {
           if (!Callee || Callee == &F || Callee->NoInline ||
               Callee->IsEntryPoint)
             continue;
-          ProfileKey Key = callSiteKey(Inst, Kind);
           const FunctionProfile *InlineeProf =
-              P.inlineeAt(Key, Inst.Callee);
-          uint64_t CSCount = callSiteCount(Inst, *BB, P, Kind);
-          bool Replay = Opts.ReplayInlining && InlineeProf &&
-                        InlineeProf->totalBodySamples() > 0;
-          bool Hot = Opts.InlineHotFlatCallsites &&
-                     static_cast<double>(CSCount) * Scale >= HotThreshold;
-          if (!Replay && !Hot)
+              P.inlineeAt(callSiteKey(Inst, Kind), Inst.Callee);
+          if (!InlineeProf || InlineeProf->totalBodySamples() == 0)
             continue;
           if (estimateFunctionSize(*Callee) > Opts.MaxInlineSize)
             continue;
           // Stale inlinee profiles (checksum-guarded for probes, anchor
-          // checked for lines) route through the matcher; when they stay
-          // unrecoverable, only hot sites proceed (scaled fallback).
-          if (InlineeProf) {
-            InlineeProf = Resolver.resolve(*InlineeProf, *Callee);
-            if (!InlineeProf && !Hot)
-              continue;
-          }
+          // checked for lines) route through the matcher; unrecoverable
+          // ones leave the site a call.
+          InlineeProf = Resolver.resolve(*InlineeProf, *Callee);
+          if (!InlineeProf)
+            continue;
           InlinedBody Body = inlineCallSite(F, BB, I, *Callee);
           if (!Body.Success)
             continue;
           ++Stats.InlinedCallsites;
           std::vector<BasicBlock *> Cloned = mappedBlocks(Body);
-          const FunctionProfile *BodyProf = InlineeProf;
-          const FunctionProfile *CalleeFlat = Profile.find(Inst.Callee);
-          if (!BodyProf)
-            BodyProf = CalleeFlat;
-          if (BodyProf) {
-            annotate(Cloned, *BodyProf, Callee->getGuid(), Kind, Anchored);
-            double NewScale = Scale;
-            if (!InlineeProf && CalleeFlat) {
-              // No context slice available: scale the callee's aggregate
-              // profile by the call-site share (the Fig. 3a artifact).
-              uint64_t Head = std::max<uint64_t>(CalleeFlat->HeadSamples, 1);
-              NewScale =
-                  Scale * std::min(1.0, static_cast<double>(CSCount) / Head);
-            }
-            // Replayed slices are exact relative to the callee copy of
-            // the profiling binary but still execute under the enclosing
-            // chain's share.
-            if (NewScale != 1.0)
-              for (BasicBlock *CB : Cloned)
-                CB->setCount(static_cast<uint64_t>(CB->Count * NewScale));
-            processCallsIn(F, Cloned, *BodyProf, Depth + 1, NewScale);
-          } else {
-            for (BasicBlock *CB : Cloned)
-              CB->setCount(0);
-          }
+          annotate(Cloned, *InlineeProf, Callee->getGuid(), Kind, Anchored);
+          processCallsIn(F, Cloned, *InlineeProf, Depth + 1);
           Progress = true;
           break;
         }
@@ -404,8 +371,7 @@ LoaderStats loadFlatProfile(Module &M, const FlatProfile &Profile,
   Stats.HotThresholdUsed = HotThreshold;
 
   StaleResolver Resolver(M, Profile.Kind, Opts, Stats);
-  FlatInlineDriver Driver{M,    Profile,      Profile.Kind, Anchored,
-                          Opts, HotThreshold, Stats,        Resolver};
+  FlatInlineDriver Driver{M, Profile.Kind, Anchored, Opts, Stats, Resolver};
 
   for (Function *F : topDownOrder(M)) {
     // Declaration-only functions (no body yet) have nothing to annotate.
@@ -427,15 +393,11 @@ LoaderStats loadFlatProfile(Module &M, const FlatProfile &Profile,
     if (Opts.PromoteIndirectCalls)
       Stats.PromotedIndirectCalls += promoteIndirectCallsIn(
           M, *F, *P, Profile.Kind, HotThreshold, Opts);
-    // Instrumentation profiles carry no inline hierarchy to replay, but
-    // their exact counts make hot-call-site early inlining safe (the
-    // scaled annotation is internally consistent); sampling profiles only
-    // do this when explicitly enabled (Fig. 3a hazard).
-    if (!IsInstr || Opts.InlineHotFlatCallsites)
-      Driver.processCallsIn(*F, allBlocks(*F), *P, 0, 1.0);
+    // Instrumentation profiles carry no inline hierarchy to replay.
+    if (!IsInstr)
+      Driver.processCallsIn(*F, allBlocks(*F), *P, 0);
   }
-  if (Opts.ProfileSampleAccurate)
-    markUnprofiledFunctionsCold(M);
+  markUnprofiledFunctionsCold(M);
   return Stats;
 }
 
@@ -563,8 +525,10 @@ LoaderStats loadContextProfile(Module &M, const ContextProfile &Profile,
       Stats.StaleMatched += Summary.FunctionsMatched;
       Stats.StaleAnchorsMatched += Summary.AnchorsMatched;
       Stats.StaleCountsRecovered += Summary.CountsRecovered;
-      for (const auto &[Name, S] : Summary.PerFunction)
+      for (const auto &[Name, S] : Summary.PerFunction) {
         Stats.StaleMatches.push_back({Name, S});
+        Stats.StaleLCSFallbacks += S.LCSFallback;
+      }
     }
   }
   const ContextProfile &Prof = Corrected ? *Corrected : Profile;
@@ -622,8 +586,7 @@ LoaderStats loadContextProfile(Module &M, const ContextProfile &Profile,
     // Top-down context-sensitive inlining across all live contexts of F.
     Driver.processCallsIn(*F, allBlocks(*F), LiveNodes, 0);
   }
-  if (Opts.ProfileSampleAccurate)
-    markUnprofiledFunctionsCold(M);
+  markUnprofiledFunctionsCold(M);
   return Stats;
 }
 

@@ -41,19 +41,9 @@ struct LoaderOptions {
   /// Replay inline decisions recorded in the profile (nested inlinee
   /// profiles / ShouldBeInlined contexts).
   bool ReplayInlining = true;
-  /// Flat profiles only: additionally inline *hot* call sites that have no
-  /// nested inlinee profile, annotating the body by scaling the callee's
-  /// aggregate profile. This is the Fig. 3a context-insensitive scaling —
-  /// post-inline counts become unreliable, so production AutoFDO leans on
-  /// replay instead; off by default, on for the ablation.
-  bool InlineHotFlatCallsites = false;
   /// For CS loading: also inline hot contexts the pre-inliner did not
   /// mark (used when the pre-inliner is disabled in ablations).
   bool InlineHotContexts = true;
-  /// Sample-accurate mode (production default): a function with no
-  /// samples in the profile is *known cold* — all its blocks get count 0
-  /// so splitting and the inliner treat it accordingly.
-  bool ProfileSampleAccurate = true;
   /// Promote dominant indirect-call targets to guarded direct calls
   /// (indirect-call promotion). Requires call-target records: exact value
   /// profiles for Instr PGO, LBR-observed targets for sampling PGO.
@@ -105,6 +95,10 @@ struct LoaderStats {
   uint64_t StaleAnchorsMatched = 0;
   /// Body samples carried over to fresh keys across applied recoveries.
   uint64_t StaleCountsRecovered = 0;
+  /// Anchor alignments that exceeded MatcherConfig::MaxLCSProduct and fell
+  /// back from the LCS to unique-anchor matching, summed over the per-
+  /// function attempts in StaleMatches (MatchStats::LCSFallback).
+  unsigned StaleLCSFallbacks = 0;
   /// Per-function matching attempts (accepted and rejected).
   std::vector<StaleMatchRecord> StaleMatches;
   unsigned InlinedCallsites = 0;

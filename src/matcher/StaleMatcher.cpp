@@ -126,10 +126,11 @@ longestIncreasingByFresh(const std::vector<std::pair<uint32_t, uint32_t>> &Cand)
 
 /// Aligns the two call-anchor sequences; returns matched (stale, fresh)
 /// key pairs, ascending on both sides. LCS DP when affordable, else
-/// unique-callee anchors filtered through an LIS.
+/// unique-callee anchors filtered through an LIS (\p UsedFallback set).
 std::vector<std::pair<uint32_t, uint32_t>>
 alignCallAnchors(const std::vector<CallAnchor> &Stale,
-                 const std::vector<CallAnchor> &Fresh, size_t MaxProduct) {
+                 const std::vector<CallAnchor> &Fresh, size_t MaxProduct,
+                 bool &UsedFallback) {
   std::vector<std::pair<uint32_t, uint32_t>> Out;
   const size_t N = Stale.size(), M = Fresh.size();
   if (!N || !M)
@@ -159,6 +160,7 @@ alignCallAnchors(const std::vector<CallAnchor> &Stale,
 
   // Fallback: match callee names that are unique on both sides, then keep
   // the largest order-consistent subset.
+  UsedFallback = true;
   std::map<std::string, std::vector<size_t>> StaleByCallee, FreshByCallee;
   for (size_t I = 0; I != N; ++I)
     for (const std::string &C : Stale[I].Callees)
@@ -191,6 +193,7 @@ struct AlignedRemap {
   std::vector<std::pair<uint32_t, uint32_t>> Pairs;
   unsigned AnchorsTotal = 0;
   unsigned AnchorsMatched = 0;
+  bool LCSFallback = false;
 
   /// Maps \p StaleKey; returns false when the key has no trustworthy
   /// fresh counterpart (its count is dropped). Matched anchors map
@@ -234,7 +237,8 @@ AlignedRemap computeRemap(const FunctionProfile &AnchorSource,
   std::vector<CallAnchor> Stale = extractStaleCallAnchors(AnchorSource);
   for (const CallAnchor &A : Stale)
     R.StaleCallKeys.insert(A.Key);
-  R.Pairs = alignCallAnchors(Stale, R.Fresh.Calls, Cfg.MaxLCSProduct);
+  R.Pairs = alignCallAnchors(Stale, R.Fresh.Calls, Cfg.MaxLCSProduct,
+                             R.LCSFallback);
   R.AnchorsTotal = static_cast<unsigned>(Stale.size());
   R.AnchorsMatched = static_cast<unsigned>(R.Pairs.size());
   if (Kind == ProfileKind::ProbeBased && R.Fresh.BlockIds.count(1) &&
@@ -307,6 +311,7 @@ void rewriteThroughRemap(const FunctionProfile &P, const AlignedRemap &R,
           matchStaleProfileImpl(Sub, *CalleeF, M, Kind, Cfg, Depth + 1);
       S.AnchorsTotal += Rec.Stats.AnchorsTotal;
       S.AnchorsMatched += Rec.Stats.AnchorsMatched;
+      S.LCSFallback += Rec.Stats.LCSFallback;
       S.SamplesTotal += Rec.Stats.SamplesTotal;
       if (!Rec.Stats.Accepted)
         continue; // Dropped inlinee: the loader falls back to the
@@ -337,6 +342,7 @@ MatchResult matchStaleProfileImpl(const FunctionProfile &P, const Function &F,
   AlignedRemap Remap = computeRemap(P, F, Kind, Cfg);
   R.Stats.AnchorsTotal = Remap.AnchorsTotal;
   R.Stats.AnchorsMatched = Remap.AnchorsMatched;
+  R.Stats.LCSFallback = Remap.LCSFallback;
   rewriteThroughRemap(P, Remap, F, M, Kind, Cfg, Depth, R.Recovered, R.Stats);
   finalizeStats(R.Stats, Cfg);
   return R;
@@ -475,6 +481,7 @@ matchContextProfile(const ContextProfile &CS, const Module &M,
     St.Remap = computeRemap(St.Merged, *St.F, ProfileKind::ProbeBased, Cfg);
     St.Stats.AnchorsTotal = St.Remap.AnchorsTotal;
     St.Stats.AnchorsMatched = St.Remap.AnchorsMatched;
+    St.Stats.LCSFallback = St.Remap.LCSFallback;
     FunctionProfile Trial;
     rewriteThroughRemap(St.Merged, St.Remap, *St.F, M,
                         ProfileKind::ProbeBased, Cfg, 0, Trial, St.Stats);

@@ -62,7 +62,8 @@ struct MatcherConfig {
   unsigned MaxInlineeDepth = 8;
   /// |stale anchors| * |fresh anchors| above which the LCS DP is skipped
   /// in favor of unique-anchor matching (guards quadratic blowup on
-  /// machine-generated monster functions).
+  /// machine-generated monster functions). Counted in
+  /// MatchStats::LCSFallback.
   size_t MaxLCSProduct = size_t(1) << 22;
 };
 
@@ -72,6 +73,9 @@ struct MatchStats {
   unsigned AnchorsTotal = 0;
   /// Anchors the LCS aligned to a fresh key.
   unsigned AnchorsMatched = 0;
+  /// Alignments (this function's and recursed inlinees') that exceeded
+  /// MatcherConfig::MaxLCSProduct and used unique-anchor matching.
+  unsigned LCSFallback = 0;
   /// Body samples in the stale profile (including recursed inlinees).
   uint64_t SamplesTotal = 0;
   /// Body samples carried over to fresh keys.

@@ -167,26 +167,8 @@ VariantOutcome PGODriver::run(PGOVariant V) {
   BuildConfig ProfConfig = makeBuildConfig(V);
   BuildResult ProfBuild = buildWithPGO(*Source, ProfConfig, nullptr);
 
-  // 2. Profile collection + generation; sampling variants iterate the
-  //    production loop (profile the optimized binary of the previous
-  //    iteration — continuous profiling in deployment).
+  // 2. Profile collection + generation.
   Out.Profile = collectProfile(V, ProfBuild, Out);
-  bool Sampled = V == PGOVariant::AutoFDO ||
-                 V == PGOVariant::CSSPGOProbeOnly ||
-                 V == PGOVariant::CSSPGOFull || V == PGOVariant::Trace;
-  if (Sampled) {
-    for (unsigned Iter = 1; Iter < Config.ProfileIterations; ++Iter) {
-      BuildResult IterBuild =
-          buildWithPGO(*Source, makeBuildConfig(V), &Out.Profile);
-      // ProfilingCycles/overhead stay those of the first (anchored vs
-      // plain, same pipeline) run — the Fig. 8 comparison; this
-      // re-profiling run executes an already-optimized binary.
-      VariantOutcome Scratch;
-      Out.Profile = collectProfile(V, IterBuild, Scratch);
-      Out.ProfGen = Scratch.ProfGen;
-      Out.ProfGenReduce = Scratch.ProfGenReduce;
-    }
-  }
 
   // Profiling overhead: profiling-binary cycles vs the plain binary on
   // the same training input. Sampling itself is free in the PMU; the

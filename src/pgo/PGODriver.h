@@ -50,15 +50,6 @@ struct ExperimentConfig {
   /// timestamp density, compression). Enabled is set by the driver.
   TraceConfig Trace;
 
-  /// Continuous-profiling iterations for sampling-based variants: the
-  /// production workflow profiles the *currently deployed optimized*
-  /// binary, so profiles reflect its inlining (AutoFDO's partial context
-  /// sensitivity comes exactly from there, §II-B). Iteration 1 profiles a
-  /// plain build; each further iteration rebuilds with the profile and
-  /// re-profiles. Instrumentation PGO needs no iteration (exact counts on
-  /// pristine IR).
-  unsigned ProfileIterations = 1;
-
   /// Full-CSSPGO profile-generation pipeline knobs.
   bool TrimColdContexts = true;
   uint64_t TrimThresholdDivisor = 5000; ///< threshold = total/divisor.

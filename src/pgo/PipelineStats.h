@@ -14,7 +14,7 @@
 /// PipelineStats is that aggregate: one value, filled in by
 /// ProfilePipeline as stages run, summable across runs/epochs/services
 /// with operator+=, and serializable with toJSON() for machine consumers
-/// (`csspgo_exp run --json`, `csspgo_exp serve/fleet`).
+/// (`csspgo_exp run --json`, `csspgo_exp serve`).
 ///
 //===----------------------------------------------------------------------===//
 

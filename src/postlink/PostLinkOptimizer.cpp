@@ -233,7 +233,7 @@ Expected<PostLinkResult> runPostLink(const Binary &Bin,
   PostLinkResult Res;
   Res.Stats.TextBytesBefore = Bin.textSize();
 
-  BinaryProfile Prof = mapProfileToBinary(CFG, Samples, FnProf, IR, Opts.Map);
+  BinaryProfile Prof = mapProfileToBinary(CFG, Samples, FnProf, IR);
   Res.Stats.Map = Prof.Stats;
 
   LayoutPlan Plan = identityLayout(CFG);

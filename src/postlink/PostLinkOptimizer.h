@@ -70,7 +70,6 @@ struct PostLinkOptions {
   /// evidence of coldness, and production inputs drift — moving a block
   /// that does run costs a taken branch plus cold-region i-cache misses.
   uint64_t SplitMinFuncCount = 16;
-  ProfileMapOptions Map; ///< Profile mapping / stale-matcher routing.
 };
 
 struct PostLinkStats {

@@ -33,8 +33,8 @@ void creditRange(const BinaryCFG &CFG, size_t Begin, size_t End,
 
 BinaryProfile mapProfileToBinary(const BinaryCFG &CFG,
                                  const std::vector<PerfSample> &Samples,
-                                 const FlatProfile *FnProf, const Module *IR,
-                                 const ProfileMapOptions &Opts) {
+                                 const FlatProfile *FnProf,
+                                 const Module *IR) {
   const Binary &Bin = *CFG.Bin;
   BinaryProfile Prof;
   Prof.BlockCounts.assign(CFG.Blocks.size(), 0);
@@ -94,13 +94,8 @@ BinaryProfile mapProfileToBinary(const BinaryCFG &CFG,
         if (Fn && Fn->HasProbes && P->Checksum &&
             P->Checksum != Fn->ProbeCFGChecksum) {
           ++St.StaleProfiles;
-          if (!Opts.MatchStale) {
-            ++St.StaleDropped;
-            continue;
-          }
-          MatchResult R = matchStaleProfile(*P, *Fn, *IR,
-                                            ProfileKind::ProbeBased,
-                                            Opts.Matcher);
+          MatchResult R =
+              matchStaleProfile(*P, *Fn, *IR, ProfileKind::ProbeBased);
           if (!R.Stats.Accepted) {
             ++St.StaleDropped;
             continue;

@@ -48,13 +48,6 @@
 namespace csspgo {
 namespace postlink {
 
-struct ProfileMapOptions {
-  /// Route stale function profiles (checksum mismatch vs the IR) through
-  /// the anchor matcher instead of dropping them outright.
-  bool MatchStale = true;
-  MatcherConfig Matcher;
-};
-
 struct ProfileMapStats {
   uint64_t LBREndpoints = 0; ///< Branch-record endpoints seen.
   uint64_t LBRResolved = 0;  ///< Endpoints resolving to an instruction.
@@ -87,13 +80,13 @@ struct BinaryProfile {
 };
 
 /// Maps \p Samples (and, for LBR-dark functions, \p FnProf) onto \p CFG.
-/// \p IR, when given, enables staleness detection and matcher routing for
-/// the probe-count fallback; without it stale profiles are dropped.
+/// \p IR, when given, enables staleness detection for the probe-count
+/// fallback: a function profile whose checksum mismatches the IR routes
+/// through the anchor matcher and is dropped only if the match fails.
 BinaryProfile mapProfileToBinary(const BinaryCFG &CFG,
                                  const std::vector<PerfSample> &Samples,
                                  const FlatProfile *FnProf = nullptr,
-                                 const Module *IR = nullptr,
-                                 const ProfileMapOptions &Opts = {});
+                                 const Module *IR = nullptr);
 
 } // namespace postlink
 } // namespace csspgo

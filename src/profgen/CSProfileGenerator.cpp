@@ -120,20 +120,6 @@ ContextProfile generateCSProfileChunk(const Symbolizer &Sym,
   return Out;
 }
 
-ContextProfile generateCSProfile(const Binary &Bin, const ProbeTable &Probes,
-                                 const std::vector<PerfSample> &Samples,
-                                 const CSProfileOptions &Opts,
-                                 CSProfileGenStats *Stats) {
-  ProfGenOptions GenOpts;
-  GenOpts.Kind = ProfGenKind::CS;
-  GenOpts.InferMissingFrames = Opts.InferMissingFrames;
-  GenOpts.Parallelism = 1;
-  ProfGenResult R = ProfileGenerator(Bin, &Probes, GenOpts).generate(Samples);
-  if (Stats)
-    *Stats = R.Stats;
-  return std::move(R.CS);
-}
-
 namespace {
 
 /// Navigates nested probe-keyed profiles along inline frames.
@@ -238,19 +224,6 @@ FlatProfile generateProbeOnlyProfileChunk(const Symbolizer &Sym,
   for (auto &[Name, P] : Out.Functions)
     FixMeta(P);
   return Out;
-}
-
-FlatProfile generateProbeOnlyProfile(const Binary &Bin,
-                                     const ProbeTable &Probes,
-                                     const std::vector<PerfSample> &Samples,
-                                     CSProfileGenStats *Stats) {
-  ProfGenOptions GenOpts;
-  GenOpts.Kind = ProfGenKind::ProbeOnly;
-  GenOpts.Parallelism = 1;
-  ProfGenResult R = ProfileGenerator(Bin, &Probes, GenOpts).generate(Samples);
-  if (Stats)
-    *Stats = R.Stats;
-  return std::move(R.Flat);
 }
 
 } // namespace csspgo

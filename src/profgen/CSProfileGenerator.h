@@ -32,31 +32,6 @@ struct CSProfileGenStats {
   MissingFrameInferrer::Stats TailCallStats;
 };
 
-struct CSProfileOptions {
-  /// Enable the missing-frame inferrer.
-  bool InferMissingFrames = true;
-};
-
-/// Generates a probe-based context profile from \p Samples taken on
-/// \p Bin. \p Probes supplies function checksums (the .pseudo_probe_desc
-/// section). Thin wrapper over the ProfileGenerator facade (serial path);
-/// prefer the facade in new code.
-ContextProfile
-generateCSProfile(const Binary &Bin, const ProbeTable &Probes,
-                  const std::vector<PerfSample> &Samples,
-                  const CSProfileOptions &Opts = {},
-                  CSProfileGenStats *Stats = nullptr);
-
-/// Generates the "probe-only CSSPGO" profile (Fig. 6's middle variant): a
-/// *flat* probe-keyed profile with nested inlinee profiles from the
-/// binary's probe inline metadata, but no stack-based calling contexts.
-/// Same correlation quality as full CSSPGO, no context sensitivity.
-/// Thin wrapper over the ProfileGenerator facade (serial path).
-FlatProfile generateProbeOnlyProfile(const Binary &Bin,
-                                     const ProbeTable &Probes,
-                                     const std::vector<PerfSample> &Samples,
-                                     CSProfileGenStats *Stats = nullptr);
-
 /// Chunk-level CS generation, the unit of work of the sharded pipeline
 /// (ShardedProfGen): unwinds Samples[Begin, End) and materializes a
 /// context trie for just that slice. \p Inferrer must already hold the

@@ -44,14 +44,13 @@ ProfileGenerator::generate(const std::vector<PerfSample> &Samples) const {
   ProfGenResult R;
   switch (Opts.Kind) {
   case ProfGenKind::CS: {
-    CSProfileOptions CSOpts;
-    CSOpts.InferMissingFrames = Opts.InferMissingFrames;
     R.ShardsUsed = static_cast<unsigned>(
         planShards(Samples.size(),
                    resolveParallelism(Opts.Parallelism, Samples.size()))
             .size());
-    R.CS = generateCSProfileSharded(Bin, *Probes, Samples, CSOpts,
-                                    Opts.Parallelism, &R.Stats, &R.Reduce);
+    R.CS = generateCSProfileSharded(Bin, *Probes, Samples,
+                                    Opts.InferMissingFrames, Opts.Parallelism,
+                                    &R.Stats, &R.Reduce);
     R.IsCS = true;
     break;
   }

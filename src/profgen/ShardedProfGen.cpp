@@ -70,7 +70,7 @@ collectEdgesSharded(const Symbolizer &Sym,
 ContextProfile generateCSProfileSharded(const Binary &Bin,
                                         const ProbeTable &Probes,
                                         const std::vector<PerfSample> &Samples,
-                                        const CSProfileOptions &Opts,
+                                        bool InferMissingFrames,
                                         unsigned Parallelism,
                                         CSProfileGenStats *Stats,
                                         MergeStats *Reduce) {
@@ -81,14 +81,14 @@ ContextProfile generateCSProfileSharded(const Binary &Bin,
   if (Plan.size() <= 1) {
     // Serial fast path: no pool, no reduction.
     MissingFrameInferrer Edges;
-    if (Opts.InferMissingFrames)
+    if (InferMissingFrames)
       collectTailCallEdges(Sym, Samples, Edges);
     if (Reduce)
       *Reduce = MergeStats{};
     CSProfileGenStats Local;
     ContextProfile Out = generateCSProfileChunk(
         Sym, Probes, Samples, 0, Samples.size(),
-        Opts.InferMissingFrames ? &Edges : nullptr, Stats ? &Local : nullptr);
+        InferMissingFrames ? &Edges : nullptr, Stats ? &Local : nullptr);
     if (Stats)
       *Stats = Local;
     return Out;
@@ -99,7 +99,7 @@ ContextProfile generateCSProfileSharded(const Binary &Bin,
   // Phase 1: the shared inference graph, from ALL samples (see the
   // determinism note in the header).
   MissingFrameInferrer Edges;
-  if (Opts.InferMissingFrames)
+  if (InferMissingFrames)
     Edges = collectEdgesSharded(Sym, Samples, Plan, Pool);
 
   // Phase 2: per-shard unwinding + trie construction. Each shard gets its
@@ -110,7 +110,7 @@ ContextProfile generateCSProfileSharded(const Binary &Bin,
   Pool.parallelFor(Plan.size(), [&](size_t I) {
     Parts[I] = generateCSProfileChunk(
         Sym, Probes, Samples, Plan[I].Begin, Plan[I].End,
-        Opts.InferMissingFrames ? &Inferrers[I] : nullptr, &PartStats[I]);
+        InferMissingFrames ? &Inferrers[I] : nullptr, &PartStats[I]);
   });
 
   // Phase 3: reduction on the flat plane. The part tries convert to

@@ -47,19 +47,20 @@ std::vector<ShardRange> planShards(size_t Count, unsigned Shards);
 /// per hardware thread; the result is clamped to [1, SampleCount].
 unsigned resolveParallelism(unsigned Requested, size_t SampleCount);
 
-/// Sharded CS profile generation; bit-identical to generateCSProfile for
-/// any \p Parallelism. \p Reduce, when given, receives the accumulated
-/// MergeStats of the reduction (zeros when a single shard ran).
+/// Sharded CS profile generation; bit-identical to the serial run
+/// (\p Parallelism 1) for any \p Parallelism. \p InferMissingFrames
+/// enables the missing-frame inferrer. \p Reduce, when given, receives the
+/// accumulated MergeStats of the reduction (zeros when a single shard ran).
 ContextProfile generateCSProfileSharded(const Binary &Bin,
                                         const ProbeTable &Probes,
                                         const std::vector<PerfSample> &Samples,
-                                        const CSProfileOptions &Opts,
+                                        bool InferMissingFrames,
                                         unsigned Parallelism,
                                         CSProfileGenStats *Stats = nullptr,
                                         MergeStats *Reduce = nullptr);
 
-/// Sharded probe-only profile generation; bit-identical to
-/// generateProbeOnlyProfile for any \p Parallelism.
+/// Sharded probe-only profile generation; bit-identical to the serial run
+/// for any \p Parallelism.
 FlatProfile
 generateProbeOnlyProfileSharded(const Binary &Bin, const ProbeTable &Probes,
                                 const std::vector<PerfSample> &Samples,

@@ -238,10 +238,9 @@ Expected<TraceReplayResult> Replayer::run(const std::string &Entry) {
                          "' not found");
   if (Status S = Core.predecode(Code); !S.ok())
     return Status::error("trace replay: " + S.message());
-  if (Opts.CollectTiming)
-    for (const ProbeRecord &P : Bin.Probes)
-      if (!P.IsCallProbe)
-        BlockProbeAt[P.InstIdx].push_back({P.Guid, P.ProbeId});
+  for (const ProbeRecord &P : Bin.Probes)
+    if (!P.IsCallProbe)
+      BlockProbeAt[P.InstIdx].push_back({P.Guid, P.ProbeId});
 
   Frames.push_back(ReplayFrame{EntryIdx, SIZE_MAX, 0, false, {0, 0}});
   size_t PC = Bin.Funcs[EntryIdx].EntryIdx;
@@ -271,23 +270,17 @@ Expected<TraceReplayResult> Replayer::run(const std::string &Entry) {
 
     // Timing attribution: crossing a block probe re-keys the frame; the
     // instruction's cycles go to whatever block the frame is then in.
-    bool HasAttr = false;
-    std::pair<uint64_t, uint32_t> Attr{0, 0};
-    if (Opts.CollectTiming) {
-      auto It = BlockProbeAt.find(PC);
-      if (It != BlockProbeAt.end()) {
-        ReplayFrame &F = Frames.back();
-        for (const auto &Key : It->second) {
-          ++Result.Timing.Blocks[Key].Executed;
-          F.Key = Key;
-          F.HasKey = true;
-        }
-      }
-      if (Frames.back().HasKey) {
-        HasAttr = true;
-        Attr = Frames.back().Key;
+    auto It = BlockProbeAt.find(PC);
+    if (It != BlockProbeAt.end()) {
+      ReplayFrame &F = Frames.back();
+      for (const auto &Key : It->second) {
+        ++Result.Timing.Blocks[Key].Executed;
+        F.Key = Key;
+        F.HasKey = true;
       }
     }
+    bool HasAttr = Frames.back().HasKey;
+    std::pair<uint64_t, uint32_t> Attr = Frames.back().Key;
 
     size_t NextPC = PC + 1;
     switch (I.Op) {

@@ -68,8 +68,6 @@ struct TraceReplayOptions {
   /// the traced run stopped.
   uint64_t MaxInstructions = 4ull << 30;
   uint32_t MaxCallDepth = 512;
-  /// Build the per-block TimingProfile (needs Binary::Probes).
-  bool CollectTiming = true;
 };
 
 /// The replayed run. The MachineCounters must match the traced run's
@@ -85,7 +83,7 @@ struct TraceReplayResult : MachineCounters {
   /// The virtual PMU's samples (only with Sampler.Enabled) —
   /// bit-identical to the equivalent sampling run's RunResult::Samples.
   std::vector<PerfSample> Samples;
-  /// Measured per-block timing (only with CollectTiming).
+  /// Measured per-block timing (keyed by Binary::Probes).
   TimingProfile Timing;
 
   /// Virtual sampled-run cycles: unperturbed cycles plus the modeled

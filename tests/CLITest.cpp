@@ -3,7 +3,10 @@
 // Golden-output tests for the documented CLI surface: the `--help` text
 // of every subcommand is pinned verbatim, so any change to the surface
 // (flags, operands, semantics) must update the goldens consciously. Plus
-// unit tests for the shared flag parser every subcommand goes through.
+// unit tests for the shared flag parser every subcommand goes through,
+// the dispatcher's rejection of unknown spellings, and a check that the
+// README's bench environment-knob table lists exactly the knobs the
+// benches and tools read.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,7 +14,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -64,20 +75,6 @@ TEST(CLIGolden, HelpRun) {
   EXPECT_EQ(helpFor("run"),
             std::string("usage: csspgo_exp run <workload> <variant> [scale]\n"
                         "  end-to-end PGO run\n"
-                        "\n"
-                        "with --postlink, additionally stacks the post-link "
-                        "optimizer on\n"
-                        "the optimized binary (the `bolt` pipeline with "
-                        "default knobs) and\n"
-                        "reports both measurements.\n"
-                        "\n"
-                        "with --mode, selects how the csspgo variant's "
-                        "training profile is\n"
-                        "collected: sample (PMU sampling, the default), "
-                        "trace (core-\n"
-                        "instruction trace replay, plus measured per-block "
-                        "timing for the\n"
-                        "transform gates) or instr (counters).\n"
                         "\n"
                         "with --json, prints one machine-readable object "
                         "instead: the run\n"
@@ -237,17 +234,6 @@ TEST(CLIGolden, HelpServe) {
           GlobalBlock);
 }
 
-TEST(CLIGolden, HelpFleet) {
-  EXPECT_EQ(helpFor("fleet"),
-            std::string("usage: csspgo_exp fleet [flags]\n"
-                        "  one drained pass, dashboard only\n"
-                        "\n"
-                        "equivalent to `serve --exit-after-drain`; accepts "
-                        "the same flags.\n"
-                        "\n") +
-                GlobalBlock);
-}
-
 TEST(CLIGolden, HelpTrain) {
   EXPECT_EQ(
       helpFor("train"),
@@ -294,7 +280,7 @@ TEST(CLIGolden, UsageListsEverySubcommandAndEndsWithGlobals) {
   std::string U = cli::usageText();
   size_t Count = 0;
   const cli::SubcommandInfo *Subs = cli::subcommands(Count);
-  EXPECT_EQ(Count, 13u);
+  EXPECT_EQ(Count, 12u);
   size_t Prev = 0;
   for (size_t I = 0; I != Count; ++I) {
     size_t Pos = U.find(std::string("csspgo_exp ") + Subs[I].Name);
@@ -369,20 +355,22 @@ TEST(CLIFlags, NegativeAndPaddedValuesAreRejected) {
 }
 
 TEST(CLIFlags, TakeValueFlagConsumesValueOrReportsMissing) {
-  Argv A({"run", "AdRanker", "csspgo", "--mode", "trace"});
-  std::string Mode, Err;
-  ASSERT_TRUE(cli::takeValueFlag(A.Count, A.Ptrs.data(), "--mode", Mode, Err));
-  EXPECT_EQ(Mode, "trace");
-  EXPECT_EQ(A.Count, 4); // Flag and value consumed.
+  Argv A({"train", "0.05", "--policy", "ingest"});
+  std::string Policy, Err;
+  ASSERT_TRUE(
+      cli::takeValueFlag(A.Count, A.Ptrs.data(), "--policy", Policy, Err));
+  EXPECT_EQ(Policy, "ingest");
+  EXPECT_EQ(A.Count, 3); // Flag and value consumed.
 
-  Argv B({"run", "AdRanker", "csspgo"});
-  Mode.clear();
-  ASSERT_TRUE(cli::takeValueFlag(B.Count, B.Ptrs.data(), "--mode", Mode, Err));
-  EXPECT_TRUE(Mode.empty()); // Absent: untouched.
+  Argv B({"train", "0.05"});
+  Policy.clear();
+  ASSERT_TRUE(
+      cli::takeValueFlag(B.Count, B.Ptrs.data(), "--policy", Policy, Err));
+  EXPECT_TRUE(Policy.empty()); // Absent: untouched.
 
-  Argv C({"run", "AdRanker", "csspgo", "--mode"});
+  Argv C({"train", "0.05", "--policy"});
   EXPECT_FALSE(
-      cli::takeValueFlag(C.Count, C.Ptrs.data(), "--mode", Mode, Err));
+      cli::takeValueFlag(C.Count, C.Ptrs.data(), "--policy", Policy, Err));
   EXPECT_FALSE(Err.empty());
 }
 
@@ -422,7 +410,7 @@ TEST(CLIFlags, FindSubcommandAndMinOperands) {
   const cli::SubcommandInfo *Run = cli::findSubcommand("run");
   ASSERT_NE(Run, nullptr);
   EXPECT_EQ(Run->MinOperands, 2);
-  EXPECT_TRUE(Run->LocalFlags); // run parses --postlink itself.
+  EXPECT_FALSE(Run->LocalFlags); // The dispatcher rejects any --flag.
   const cli::SubcommandInfo *Bolt = cli::findSubcommand("bolt");
   ASSERT_NE(Bolt, nullptr);
   EXPECT_EQ(Bolt->MinOperands, 2);
@@ -434,4 +422,97 @@ TEST(CLIFlags, FindSubcommandAndMinOperands) {
   ASSERT_NE(Train, nullptr);
   EXPECT_EQ(Train->MinOperands, 0);
   EXPECT_TRUE(Train->LocalFlags); // train parses --releases etc. itself.
+}
+
+//===----------------------------------------------------------------------===//
+// The dispatcher: spellings the tool does not have exit 2 with the usage.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs csspgo_exp with \p Args; returns its exit code, and its stdout and
+/// stderr in \p Output.
+int runTool(const std::string &Args, std::string &Output) {
+  std::string Cmd = std::string(CSSPGO_EXP_BINARY) + " " + Args + " 2>&1";
+  FILE *P = popen(Cmd.c_str(), "r");
+  if (!P)
+    return -1;
+  char Buf[4096];
+  size_t N = 0;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), P)) > 0)
+    Output.append(Buf, N);
+  int Status = pclose(P);
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+}
+
+} // namespace
+
+TEST(CLIDispatch, UnknownSubcommandsAndRunFlagsExitWithUsage) {
+  for (const char *Args : {"fleet", "fleet --epochs 1",
+                           "run AdRanker csspgo 0.05 --mode trace",
+                           "run AdRanker csspgo 0.05 --postlink"}) {
+    std::string Output;
+    EXPECT_EQ(runTool(Args, Output), 2) << Args;
+    EXPECT_NE(Output.find("usage:\n  csspgo_exp run"), std::string::npos)
+        << Args << ":\n"
+        << Output;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The README's "Benchmark environment knobs" table names every CSSPGO_*
+// variable bench/ and tools/ read, and nothing else.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string readFile(const std::filesystem::path &Path) {
+  std::ifstream In(Path);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+} // namespace
+
+TEST(KnobSurface, ReadmeTableMatchesEveryGetenv) {
+  const std::filesystem::path Root = CSSPGO_SOURCE_DIR;
+  const std::regex Knob("CSSPGO_[A-Z0-9_]+");
+
+  // The first column of each row of the table under the heading.
+  std::set<std::string> Documented;
+  std::istringstream Readme(readFile(Root / "README.md"));
+  std::string Line;
+  bool InSection = false;
+  while (std::getline(Readme, Line)) {
+    if (Line.rfind("## ", 0) == 0) {
+      InSection = Line == "## Benchmark environment knobs";
+      continue;
+    }
+    if (!InSection || Line.rfind("| ", 0) != 0)
+      continue;
+    std::string First = Line.substr(0, Line.find('|', 1));
+    for (std::sregex_iterator It(First.begin(), First.end(), Knob), End;
+         It != End; ++It)
+      Documented.insert(It->str());
+  }
+  ASSERT_FALSE(Documented.empty()) << "knob table not found in README.md";
+
+  const std::regex Getenv("getenv\\(\"(CSSPGO_[A-Z0-9_]+)\"\\)");
+  std::set<std::string> Read;
+  for (const char *Dir : {"bench", "tools"})
+    for (const auto &Entry : std::filesystem::directory_iterator(Root / Dir)) {
+      std::string Ext = Entry.path().extension().string();
+      if (Ext != ".cpp" && Ext != ".h")
+        continue;
+      std::string Text = readFile(Entry.path());
+      for (std::sregex_iterator It(Text.begin(), Text.end(), Getenv), End;
+           It != End; ++It)
+        Read.insert((*It)[1].str());
+    }
+
+  for (const std::string &K : Read)
+    EXPECT_TRUE(Documented.count(K)) << K << " is read but not in the table";
+  for (const std::string &K : Documented)
+    EXPECT_TRUE(Read.count(K)) << K << " is in the table but read nowhere";
 }

@@ -339,3 +339,68 @@ TEST(Matcher, LineDriftRecoveryImprovesOverlap) {
   EXPECT_GT(MatchRep.ProgramOverlap, DropRep.ProgramOverlap)
       << "anchor matching must beat mis-correlated line application";
 }
+
+// Above MatcherConfig::MaxLCSProduct the alignment switches from the LCS
+// DP to unique-callee anchors. The switch is counted, and its output is
+// the unique-anchor one: a callee called twice on the stale side aligns
+// under the LCS but is no anchor of the fallback.
+TEST(Matcher, LCSCutoffIsCounted) {
+  Module M("lcs");
+  for (const char *Leaf : {"a", "b", "c"}) {
+    Builder B(M.createFunction(Leaf, 0));
+    B.setInsertBlock(M.getFunction(Leaf)->createBlock("entry"));
+    B.emitRet(Operand::imm(1));
+  }
+  Function *Main = M.createFunction("main", 0);
+  {
+    Builder B(Main);
+    B.setInsertBlock(Main->createBlock("entry"));
+    for (const char *Leaf : {"a", "b", "c"})
+      B.emitCall(Leaf, {});
+    B.emitRet(Operand::imm(0));
+  }
+  M.EntryFunction = "main";
+  insertProbes(M, AnchorKind::PseudoProbe);
+
+  std::map<std::string, uint32_t> FreshKey;
+  for (const auto &I : Main->getEntry()->Insts)
+    if (I.isCall())
+      FreshKey[I.Callee] = I.ProbeId;
+  ASSERT_EQ(FreshKey.size(), 3u);
+
+  // Stale call anchors a, b, b, c at keys 10..13 (one extra call to b).
+  FunctionProfile Stale;
+  Stale.Name = "main";
+  Stale.Guid = Main->getGuid();
+  Stale.Checksum = Main->ProbeCFGChecksum ^ 1;
+  uint32_t Key = 10;
+  for (const char *Callee : {"a", "b", "b", "c"}) {
+    Stale.addBody({Key, 0}, 5);
+    Stale.addCall({Key, 0}, Callee, 5);
+    ++Key;
+  }
+
+  MatchResult LCS = matchStaleProfile(Stale, *Main, M, ProfileKind::ProbeBased);
+  EXPECT_EQ(LCS.Stats.LCSFallback, 0u);
+  EXPECT_EQ(LCS.Stats.AnchorsTotal, 4u);
+  EXPECT_EQ(LCS.Stats.AnchorsMatched, 3u);
+
+  MatcherConfig Small;
+  Small.MaxLCSProduct = 4 * 3 - 1;
+  MatchResult Cut =
+      matchStaleProfile(Stale, *Main, M, ProfileKind::ProbeBased, Small);
+  EXPECT_EQ(Cut.Stats.LCSFallback, 1u);
+  EXPECT_EQ(Cut.Stats.AnchorsTotal, 4u);
+  EXPECT_EQ(Cut.Stats.AnchorsMatched, 2u) << "pairs (10, a) and (13, c)";
+  for (const char *Callee : {"a", "c"}) {
+    auto It = Cut.Recovered.Calls.find({FreshKey[Callee], 0});
+    ASSERT_NE(It, Cut.Recovered.Calls.end()) << Callee;
+    EXPECT_EQ(It->second.count(Callee), 1u) << Callee;
+  }
+
+  // At exactly the cutoff the DP still runs.
+  Small.MaxLCSProduct = 4 * 3;
+  EXPECT_EQ(matchStaleProfile(Stale, *Main, M, ProfileKind::ProbeBased, Small)
+                .Stats.LCSFallback,
+            0u);
+}

@@ -139,11 +139,3 @@ TEST(PGOEndToEnd, TrimmingKeepsSemanticsAndShrinksProfile) {
             profileSizeBytes(U.Profile.CS) * 105 / 100);
 }
 
-TEST(PGOEndToEnd, IterativeProfilingStaysCorrect) {
-  ExperimentConfig Config = smallExperiment();
-  Config.ProfileIterations = 2;
-  PGODriver Driver(Config);
-  const VariantOutcome &Base = Driver.baseline();
-  VariantOutcome Out = Driver.run(PGOVariant::AutoFDO);
-  EXPECT_EQ(Out.ExitValue, Base.ExitValue);
-}

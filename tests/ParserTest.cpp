@@ -17,8 +17,7 @@ namespace {
 
 /// Print -> parse -> print must be a fixed point.
 void expectRoundTrip(const Module &M) {
-  PrintOptions Opts;
-  std::string T1 = printModule(M, Opts);
+  std::string T1 = printModule(M);
   std::string Error;
   auto Back = parseModule(T1, &Error);
   ASSERT_NE(Back, nullptr) << Error;
@@ -26,7 +25,7 @@ void expectRoundTrip(const Module &M) {
   // header; copy the table for verification purposes.
   Back->FunctionTable = M.FunctionTable;
   EXPECT_TRUE(verifyModule(*Back).empty());
-  EXPECT_EQ(printModule(*Back, Opts), T1);
+  EXPECT_EQ(printModule(*Back), T1);
 }
 
 } // namespace

@@ -367,14 +367,6 @@ TEST(PostLinkRewrite, StaleProbeProfileRoutesThroughMatcher) {
   // Only the checksum lied — the anchors still align, so the matcher
   // recovers the counts instead of dropping them.
   EXPECT_GT(Prof.Stats.StaleRecovered, 0u);
-
-  // With matcher routing off, the same profiles are dropped.
-  ProfileMapOptions NoMatch;
-  NoMatch.MatchStale = false;
-  BinaryProfile Dropped =
-      mapProfileToBinary(*CFG, {}, &Flat, Build.IR.get(), NoMatch);
-  EXPECT_EQ(Dropped.Stats.StaleRecovered, 0u);
-  EXPECT_EQ(Dropped.Stats.StaleDropped, Dropped.Stats.StaleProfiles);
 }
 
 //===----------------------------------------------------------------------===//

@@ -117,6 +117,26 @@ Profiled profileContextModule(int64_t Iters, bool Precise = true) {
   return P;
 }
 
+/// Serial (Parallelism 1) ProfileGenerator run of \p Kind over \p Samples.
+ProfGenResult generateSerial(const Profiled &P,
+                             const std::vector<PerfSample> &Samples,
+                             ProfGenKind Kind, bool InferMissingFrames = true) {
+  ProfGenOptions Opts;
+  Opts.Kind = Kind;
+  Opts.InferMissingFrames = InferMissingFrames;
+  Opts.Parallelism = 1;
+  return ProfileGenerator(*P.Bin, &P.Probes, Opts).generate(Samples);
+}
+
+ContextProfile generateCS(const Profiled &P) {
+  return generateSerial(P, P.Samples, ProfGenKind::CS).CS;
+}
+
+FlatProfile generateProbeOnly(const Profiled &P,
+                              const std::vector<PerfSample> &Samples) {
+  return generateSerial(P, Samples, ProfGenKind::ProbeOnly).Flat;
+}
+
 } // namespace
 
 TEST(Symbolizer, ClassifiesBranches) {
@@ -150,7 +170,7 @@ TEST(Symbolizer, ResolvesNamesIncludingDebugNames) {
 
 TEST(CSProfile, SeparatesCallingContexts) {
   auto P = profileContextModule(3000);
-  ContextProfile CS = generateCSProfile(*P.Bin, P.Probes, P.Samples);
+  ContextProfile CS = generateCS(P);
 
   // Find shared's contexts under svcA and svcB.
   uint64_t AddViaA = 0, SubViaA = 0, AddViaB = 0, SubViaB = 0;
@@ -178,7 +198,7 @@ TEST(CSProfile, SeparatesCallingContexts) {
 
 TEST(CSProfile, ChecksumsPersisted) {
   auto P = profileContextModule(500);
-  ContextProfile CS = generateCSProfile(*P.Bin, P.Probes, P.Samples);
+  ContextProfile CS = generateCS(P);
   const ContextTrieNode *Base = CS.findBase("main");
   ASSERT_NE(Base, nullptr);
   EXPECT_EQ(Base->Profile.Checksum,
@@ -187,8 +207,8 @@ TEST(CSProfile, ChecksumsPersisted) {
 
 TEST(CSProfile, FlattenedMatchesProbeOnlyScale) {
   auto P = profileContextModule(2000);
-  ContextProfile CS = generateCSProfile(*P.Bin, P.Probes, P.Samples);
-  FlatProfile Probe = generateProbeOnlyProfile(*P.Bin, P.Probes, P.Samples);
+  ContextProfile CS = generateCS(P);
+  FlatProfile Probe = generateProbeOnly(P, P.Samples);
   FlatProfile Flat = CS.flatten();
   // Context-merged totals should be close to the flat probe totals (same
   // ranges, same probes; flat keeps nested inlinees separate so compare
@@ -329,10 +349,10 @@ inlined:
 TEST(Unwinder, SkidDegradesSyncedFraction) {
   auto Precise = profileContextModule(3000, /*Precise=*/true);
   auto Skid = profileContextModule(3000, /*Precise=*/false);
-  CSProfileGenStats SPrecise, SSkid;
-  generateCSProfile(*Precise.Bin, Precise.Probes, Precise.Samples, {},
-                    &SPrecise);
-  generateCSProfile(*Skid.Bin, Skid.Probes, Skid.Samples, {}, &SSkid);
+  CSProfileGenStats SPrecise =
+      generateSerial(Precise, Precise.Samples, ProfGenKind::CS).Stats;
+  CSProfileGenStats SSkid =
+      generateSerial(Skid, Skid.Samples, ProfGenKind::CS).Stats;
   ASSERT_GT(SPrecise.Samples, 0u);
   ASSERT_GT(SSkid.Samples, 0u);
   double PreciseUnsynced =
@@ -362,16 +382,17 @@ TEST(ShardedProfGen, PlansNearEqualContiguousShards) {
 
 TEST(ShardedProfGen, CSBitIdenticalToSerialForAnyShardCount) {
   auto P = profileContextModule(3000);
-  CSProfileGenStats SerialStats;
-  ContextProfile Serial = generateCSProfile(*P.Bin, P.Probes, P.Samples, {},
-                                            &SerialStats);
+  ProfGenResult SerialRun = generateSerial(P, P.Samples, ProfGenKind::CS);
+  const CSProfileGenStats &SerialStats = SerialRun.Stats;
+  const ContextProfile &Serial = SerialRun.CS;
   std::string SerialDump = serializeContextProfile(Serial);
   ASSERT_GT(SerialStats.Samples, 0u);
   for (unsigned K : {1u, 2u, 4u, 7u}) {
     CSProfileGenStats Stats;
     MergeStats Reduce;
     ContextProfile Sharded = generateCSProfileSharded(
-        *P.Bin, P.Probes, P.Samples, {}, K, &Stats, &Reduce);
+        *P.Bin, P.Probes, P.Samples, /*InferMissingFrames=*/true, K,
+        &Stats, &Reduce);
     EXPECT_EQ(serializeContextProfile(Sharded), SerialDump)
         << "shard count " << K;
     EXPECT_EQ(Stats.Samples, SerialStats.Samples) << K;
@@ -387,14 +408,15 @@ TEST(ShardedProfGen, CSIdenticalUnderSkidAndInference) {
   // Skidded samples exercise the unsynced-degradation path; the shared
   // tail-call edge graph keeps inference identical across partitions.
   auto P = profileContextModule(3000, /*Precise=*/false);
-  CSProfileGenStats SerialStats;
-  ContextProfile Serial = generateCSProfile(*P.Bin, P.Probes, P.Samples, {},
-                                            &SerialStats);
+  ProfGenResult SerialRun = generateSerial(P, P.Samples, ProfGenKind::CS);
+  const CSProfileGenStats &SerialStats = SerialRun.Stats;
+  const ContextProfile &Serial = SerialRun.CS;
   std::string SerialDump = serializeContextProfile(Serial);
   for (unsigned K : {2u, 5u}) {
     CSProfileGenStats Stats;
     ContextProfile Sharded = generateCSProfileSharded(
-        *P.Bin, P.Probes, P.Samples, {}, K, &Stats);
+        *P.Bin, P.Probes, P.Samples, /*InferMissingFrames=*/true, K,
+        &Stats);
     EXPECT_EQ(serializeContextProfile(Sharded), SerialDump) << K;
     EXPECT_EQ(Stats.UnsyncedSamples, SerialStats.UnsyncedSamples) << K;
     EXPECT_EQ(Stats.TailCallStats.Attempts, SerialStats.TailCallStats.Attempts)
@@ -407,9 +429,10 @@ TEST(ShardedProfGen, CSIdenticalUnderSkidAndInference) {
 
 TEST(ShardedProfGen, ProbeOnlyBitIdenticalToSerial) {
   auto P = profileContextModule(2000);
-  CSProfileGenStats SerialStats;
-  FlatProfile Serial = generateProbeOnlyProfile(*P.Bin, P.Probes, P.Samples,
-                                                &SerialStats);
+  ProfGenResult SerialRun =
+      generateSerial(P, P.Samples, ProfGenKind::ProbeOnly);
+  const CSProfileGenStats &SerialStats = SerialRun.Stats;
+  const FlatProfile &Serial = SerialRun.Flat;
   std::string SerialDump = serializeFlatProfile(Serial);
   for (unsigned K : {1u, 2u, 4u, 7u}) {
     CSProfileGenStats Stats;
@@ -430,23 +453,22 @@ TEST(ShardedProfGen, MergeOfSplitSampleSetsEqualsFullSet) {
   std::vector<PerfSample> A(P.Samples.begin(), P.Samples.begin() + Half);
   std::vector<PerfSample> B(P.Samples.begin() + Half, P.Samples.end());
 
-  FlatProfile FullFlat =
-      generateProbeOnlyProfile(*P.Bin, P.Probes, P.Samples);
-  FlatProfile MergedFlat = generateProbeOnlyProfile(*P.Bin, P.Probes, A);
-  MergeStats FS =
-      mergeFlatProfiles(MergedFlat, generateProbeOnlyProfile(*P.Bin, P.Probes, B));
+  FlatProfile FullFlat = generateProbeOnly(P, P.Samples);
+  FlatProfile MergedFlat = generateProbeOnly(P, A);
+  MergeStats FS = mergeFlatProfiles(MergedFlat, generateProbeOnly(P, B));
   EXPECT_EQ(serializeFlatProfile(MergedFlat), serializeFlatProfile(FullFlat));
   EXPECT_GT(FS.ContextsAdded + FS.ContextsMerged, 0u);
 
   // CS with inference off: per-half edge graphs would differ, but pure
   // accumulation is exactly partition-invariant.
-  CSProfileOptions NoInfer;
-  NoInfer.InferMissingFrames = false;
-  ContextProfile FullCS =
-      generateCSProfile(*P.Bin, P.Probes, P.Samples, NoInfer);
-  ContextProfile MergedCS = generateCSProfile(*P.Bin, P.Probes, A, NoInfer);
-  mergeContextProfiles(MergedCS,
-                       generateCSProfile(*P.Bin, P.Probes, B, NoInfer));
+  auto NoInferCS = [&P](const std::vector<PerfSample> &Samples) {
+    return generateSerial(P, Samples, ProfGenKind::CS,
+                          /*InferMissingFrames=*/false)
+        .CS;
+  };
+  ContextProfile FullCS = NoInferCS(P.Samples);
+  ContextProfile MergedCS = NoInferCS(A);
+  mergeContextProfiles(MergedCS, NoInferCS(B));
   EXPECT_EQ(serializeContextProfile(MergedCS),
             serializeContextProfile(FullCS));
 }
@@ -481,8 +503,8 @@ TEST(ProfileGeneratorFacade, DispatchesEveryKind) {
   EXPECT_FALSE(RP.IsCS);
   EXPECT_EQ(RP.Flat.Kind, ProfileKind::ProbeBased);
   EXPECT_EQ(serializeFlatProfile(RP.Flat),
-            serializeFlatProfile(
-                generateProbeOnlyProfile(*P.Bin, P.Probes, P.Samples)));
+            serializeFlatProfile(generateProbeOnlyProfileSharded(
+                *P.Bin, P.Probes, P.Samples, /*Parallelism=*/1)));
 
   ProfGenOptions Auto;
   Auto.Kind = ProfGenKind::AutoFDO;

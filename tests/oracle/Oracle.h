@@ -121,15 +121,13 @@ private:
 /// inferFunctionProfile on the reference solver and the network it was
 /// first built with (counts capped by 2^40-capacity arcs), for every
 /// function size.
-void inferFunctionProfileReference(Function &F,
-                                   const InferenceOptions &Opts = {});
+void inferFunctionProfileReference(Function &F);
 
 /// The cost the inference network assigns to the block counts \p F carries
 /// against the measured counts \p Measured (one per block, 0 where
 /// unmeasured). Equal for any two optimal inferences of the same counts.
 int64_t inferenceObjective(const Function &F,
-                           const std::vector<uint64_t> &Measured,
-                           const InferenceOptions &Opts = {});
+                           const std::vector<uint64_t> &Measured);
 
 /// Draws a circulation network from \p R (parallel, zero-capacity and
 /// negative-cost edges, isolated nodes) and solves it with both

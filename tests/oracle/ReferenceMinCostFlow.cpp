@@ -117,9 +117,13 @@ int64_t ReferenceMinCostFlow::flowOn(int EdgeId) const {
 
 namespace {
 constexpr int64_t InfCap = int64_t(1) << 40;
+/// The inference network's arc costs, as in inference/ProfileInference.cpp.
+constexpr int64_t MatchReward = 2;
+constexpr int64_t ExceedPenalty = 2;
+constexpr int64_t UnknownPenalty = 1;
 } // namespace
 
-void inferFunctionProfileReference(Function &F, const InferenceOptions &Opts) {
+void inferFunctionProfileReference(Function &F) {
   bool Any = false;
   for (auto &BB : F.Blocks)
     Any |= BB->HasCount && BB->Count > 0;
@@ -144,10 +148,10 @@ void inferFunctionProfileReference(Function &F, const InferenceOptions &Opts) {
     uint64_t W = B->HasCount ? B->Count : 0;
     if (W > 0) {
       MatchEdge[I] =
-          Solver.addEdge(In, Out, static_cast<int64_t>(W), -Opts.MatchReward);
-      ExtraEdge[I] = Solver.addEdge(In, Out, InfCap, Opts.ExceedPenalty);
+          Solver.addEdge(In, Out, static_cast<int64_t>(W), -MatchReward);
+      ExtraEdge[I] = Solver.addEdge(In, Out, InfCap, ExceedPenalty);
     } else {
-      ExtraEdge[I] = Solver.addEdge(In, Out, InfCap, Opts.UnknownPenalty);
+      ExtraEdge[I] = Solver.addEdge(In, Out, InfCap, UnknownPenalty);
     }
   }
 
@@ -188,20 +192,19 @@ void inferFunctionProfileReference(Function &F, const InferenceOptions &Opts) {
 }
 
 int64_t inferenceObjective(const Function &F,
-                           const std::vector<uint64_t> &Measured,
-                           const InferenceOptions &Opts) {
+                           const std::vector<uint64_t> &Measured) {
   assert(Measured.size() == F.Blocks.size());
   int64_t Cost = 0;
   for (size_t I = 0; I != F.Blocks.size(); ++I) {
     auto Flow = static_cast<int64_t>(F.Blocks[I]->Count);
     auto W = static_cast<int64_t>(Measured[I]);
     if (W == 0) {
-      Cost += Flow * Opts.UnknownPenalty;
+      Cost += Flow * UnknownPenalty;
       continue;
     }
     // An optimum fills the rewarded arc before the exceeding one.
     int64_t Matched = std::min(Flow, W);
-    Cost += -Matched * Opts.MatchReward + (Flow - Matched) * Opts.ExceedPenalty;
+    Cost += -Matched * MatchReward + (Flow - Matched) * ExceedPenalty;
   }
   return Cost;
 }

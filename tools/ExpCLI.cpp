@@ -22,19 +22,10 @@ namespace {
 
 const SubcommandInfo Table[] = {
     {"run", "<workload> <variant> [scale]", "end-to-end PGO run", 2,
-     "with --postlink, additionally stacks the post-link optimizer on\n"
-     "the optimized binary (the `bolt` pipeline with default knobs) and\n"
-     "reports both measurements.\n"
-     "\n"
-     "with --mode, selects how the csspgo variant's training profile is\n"
-     "collected: sample (PMU sampling, the default), trace (core-\n"
-     "instruction trace replay, plus measured per-block timing for the\n"
-     "transform gates) or instr (counters).\n"
-     "\n"
      "with --json, prints one machine-readable object instead: the run\n"
      "header plus the unified pipeline stats (profgen, reduce, loader,\n"
      "verify) in stable key order.",
-     true},
+     false},
     {"trace", "<workload> [scale]",
      "trace-mode diagnostics and sampling-path cross-check", 1,
      "collects a core-instruction trace of the training run (TNT/TIP\n"
@@ -106,10 +97,6 @@ const SubcommandInfo Table[] = {
      "  --queue-bound N     ingestion queue capacity (default 16)\n"
      "  --drift-every N     deploy a drifted release every N epochs\n"
      "  --exit-after-drain  exit after one drained pass",
-     true},
-    {"fleet", "[flags]", "one drained pass, dashboard only",
-     0,
-     "equivalent to `serve --exit-after-drain`; accepts the same flags.",
      true},
     {"train", "[scale]", "longitudinal release-train staleness simulation",
      0,

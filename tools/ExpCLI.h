@@ -30,8 +30,7 @@ namespace cli {
 /// dispatch. A flag a subcommand has no use for is simply unused — the
 /// set parses uniformly everywhere.
 struct GlobalOptions {
-  /// -j/--parallelism: profile-generation shards, or ingestion shards for
-  /// serve/fleet.
+  /// -j/--parallelism: profile-generation shards, or serve's ingestion shards.
   unsigned Parallelism = 1;
   /// --format: profile transport for optimized builds.
   ProfileTransport Transport = ProfileTransport::InMemory;

@@ -150,56 +150,17 @@ void printRunJSON(const char *Workload, PGOVariant V,
 }
 
 int cmdRun(int argc, char **argv) {
-  bool PostLink = cli::takeBoolFlag(argc, argv, "--postlink");
-  std::string Mode, Err;
-  if (!cli::takeValueFlag(argc, argv, "--mode", Mode, Err)) {
-    std::fprintf(stderr, "run: %s\n", Err.c_str());
-    return 2;
-  }
-  if (const char *Flag = cli::firstFlag(argc, argv)) {
-    std::fprintf(stderr, "run: unknown option '%s'\n", Flag);
-    return 2;
-  }
-  if (argc < 4)
-    return usage();
   PGOVariant V;
   if (!parseVariant(argv[3], V)) {
     std::fprintf(stderr, "unknown variant '%s'\n", argv[3]);
     return 2;
   }
-  if (!Mode.empty()) {
-    // --mode selects the collection mechanism behind the csspgo profile:
-    // sampling (the default), the core-instruction trace, or counters.
-    if (V != PGOVariant::CSSPGOFull && V != PGOVariant::Trace) {
-      std::fprintf(stderr, "run: --mode applies to the csspgo variant\n");
-      return 2;
-    }
-    if (Mode == "sample")
-      V = PGOVariant::CSSPGOFull;
-    else if (Mode == "trace")
-      V = PGOVariant::Trace;
-    else if (Mode == "instr")
-      V = PGOVariant::Instr;
-    else {
-      std::fprintf(stderr, "run: unknown --mode '%s' (sample|trace|instr)\n",
-                   Mode.c_str());
-      return 2;
-    }
-  }
   ExperimentConfig Config =
       makeConfig(argv[2], argc > 4 ? std::atof(argv[4]) : 1.0);
   PGODriver Driver(Config);
   const VariantOutcome &Base = Driver.baseline();
-  VariantOutcome Out;
-  PostLinkOutcome PL;
-  if (PostLink) {
-    PL = Driver.runPostLink(V);
-    Out = std::move(PL.Base);
-  } else {
-    Out = Driver.run(V);
-  }
-  bool ExitOk = Out.ExitValue == Base.ExitValue &&
-                (!PostLink || PL.ExitValue == Out.ExitValue);
+  VariantOutcome Out = Driver.run(V);
+  bool ExitOk = Out.ExitValue == Base.ExitValue;
   if (G.JSON) {
     printRunJSON(argv[2], V, Config, Out, Base);
     if (V == PGOVariant::Trace)
@@ -213,16 +174,6 @@ int cmdRun(int argc, char **argv) {
                   static_cast<unsigned long long>(Out.TraceTimestamps),
                   static_cast<unsigned long long>(
                       Out.TraceTimestampMismatches));
-    if (PostLink)
-      std::printf("{\"postlink\":{\"eval_cycles\":%.0f,"
-                  "\"mapped_sample_rate\":%.4f,\"funcs_folded\":%u,"
-                  "\"funcs_reordered\":%u,\"funcs_split\":%u,"
-                  "\"transforms_gated\":%s,\"exit_match\":%s}}\n",
-                  PL.EvalCyclesMean, PL.Stats.Map.MappedSampleRate,
-                  PL.Stats.FuncsFolded, PL.Stats.FuncsReordered,
-                  PL.Stats.FuncsSplit,
-                  PL.Stats.TransformsGated ? "true" : "false",
-                  PL.ExitValue == Out.ExitValue ? "true" : "false");
     return ExitOk ? 0 : 1;
   }
   std::printf("workload:            %s (%u requests)\n", argv[2],
@@ -271,21 +222,6 @@ int cmdRun(int argc, char **argv) {
                   Out.Build->Loader.StoreFunctionsMaterialized,
                   Out.Build->Loader.StoreFunctionsSkipped);
     std::printf("\n");
-  }
-  if (PostLink) {
-    double VsBase = Out.EvalCyclesMean > 0
-                        ? (Out.EvalCyclesMean - PL.EvalCyclesMean) /
-                              Out.EvalCyclesMean * 100.0
-                        : 0.0;
-    std::printf("post-link cycles:    %.0f (%s vs the PGO'd binary)\n",
-                PL.EvalCyclesMean, formatSignedPercent(VsBase).c_str());
-    std::printf("post-link:           mapped %.1f%%, %u folded, "
-                "%u reordered, %u split%s\n",
-                PL.Stats.Map.MappedSampleRate * 100.0, PL.Stats.FuncsFolded,
-                PL.Stats.FuncsReordered, PL.Stats.FuncsSplit,
-                PL.Stats.TransformsGated
-                    ? " (layout transforms gated: low mapped rate)"
-                    : "");
   }
   std::printf("exit value:          %lld (plain %lld%s)\n",
               static_cast<long long>(Out.ExitValue),
@@ -759,11 +695,10 @@ int cmdStore(int argc, char **argv) {
   return usage();
 }
 
-/// serve/fleet: drive the continuous-profiling service. One "pass"
-/// streams --epochs epochs end to end and prints the dashboard; serve
-/// repeats passes forever unless --exit-after-drain, fleet is a single
-/// pass by construction.
-int runService(int argc, char **argv, bool ExitAfterDrain) {
+/// serve: drive the continuous-profiling service. One "pass" streams
+/// --epochs epochs end to end and prints the dashboard; passes repeat
+/// forever unless --exit-after-drain.
+int cmdServe(int argc, char **argv) {
   unsigned long long Hosts = 32, NumServices = 3, Epochs = 8, Seed = 1,
                      ScalePermille = 50, QueueBound = 16, DriftEvery = 0;
   std::string Err;
@@ -777,7 +712,7 @@ int runService(int argc, char **argv, bool ExitAfterDrain) {
     std::fprintf(stderr, "serve: %s\n", Err.c_str());
     return 2;
   }
-  ExitAfterDrain |= cli::takeBoolFlag(argc, argv, "--exit-after-drain");
+  bool ExitAfterDrain = cli::takeBoolFlag(argc, argv, "--exit-after-drain");
   if (const char *Flag = cli::firstFlag(argc, argv)) {
     std::fprintf(stderr, "serve: unknown option '%s'\n", Flag);
     return 2;
@@ -814,8 +749,6 @@ int runService(int argc, char **argv, bool ExitAfterDrain) {
   }
 }
 
-int cmdServe(int argc, char **argv) { return runService(argc, argv, false); }
-int cmdFleet(int argc, char **argv) { return runService(argc, argv, true); }
 
 /// `train [scale]`: the longitudinal release-train simulator
 /// (train/ReleaseTrain.h). The exit status pins the train's invariants —
@@ -930,8 +863,7 @@ const HandlerEntry Handlers[] = {
     {"run", cmdRun},       {"trace", cmdTrace},     {"bolt", cmdBolt},
     {"profile", cmdProfile}, {"compare", cmdCompare}, {"ir", cmdIR},
     {"convert", cmdConvert}, {"store", cmdStore},   {"fuzz", cmdFuzz},
-    {"serve", cmdServe},   {"fleet", cmdFleet},     {"train", cmdTrain},
-    {"list", cmdList},
+    {"serve", cmdServe},   {"train", cmdTrain},     {"list", cmdList},
 };
 
 int usage() {
