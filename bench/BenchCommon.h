@@ -122,23 +122,15 @@ inline size_t cellLimit(size_t Full) {
   return Full;
 }
 
-/// Runs Fn(0) .. Fn(Count-1) — serially when Jobs <= 1, else on a
-/// ThreadPool — and returns the results in index order, so tables print
-/// rows in the same order as the serial loop they replace. Tasks must be
-/// independent (each typically owns its PGODriver); the first task
-/// exception is rethrown after all tasks finish.
+/// Runs Fn(0) .. Fn(Count-1) through forEachIndex (serial when Jobs <= 1,
+/// else on a ThreadPool) and returns the results in index order, so tables
+/// print rows in the same order as the serial loop they replace. Tasks
+/// must be independent (each typically owns its PGODriver).
 template <typename ResultT>
 std::vector<ResultT> runMany(size_t Count, unsigned Jobs,
                              const std::function<ResultT(size_t)> &Fn) {
   std::vector<ResultT> Out(Count);
-  if (Jobs <= 1 || Count <= 1) {
-    for (size_t I = 0; I != Count; ++I)
-      Out[I] = Fn(I);
-    return Out;
-  }
-  ThreadPool Pool(static_cast<unsigned>(
-      std::min<size_t>(Jobs, Count)));
-  Pool.parallelFor(Count, [&](size_t I) { Out[I] = Fn(I); });
+  forEachIndex(Count, Jobs, [&](size_t I) { Out[I] = Fn(I); });
   return Out;
 }
 

@@ -29,6 +29,7 @@
 
 #include "BenchCommon.h"
 
+#include "pgo/ProfilePipeline.h"
 #include "sim/Executor.h"
 #include "store/ProfileStore.h"
 #include "workload/DriftPlan.h"
@@ -69,7 +70,7 @@ void legacyCommentDriftTable(unsigned Jobs) {
         BC.Loader.RecoverStaleProfiles = false; // Paper's legacy behavior.
         BuildResult DriftBuild = buildWithPGO(*Drifted, BC, &Out.Profile);
 
-        double DriftMean = evalMeanCycles(DriftBuild, Config);
+        double DriftMean = evaluateBinary(*DriftBuild.Bin, Config).Mean;
         double NoDrift = improvement(Out.EvalCyclesMean, Plain.EvalCyclesMean);
         double WithDrift = improvement(DriftMean, Plain.EvalCyclesMean);
         return std::vector<std::string>{
@@ -122,18 +123,18 @@ void cfgDriftDropVsMatchTable(unsigned Jobs) {
     // drifted PGO builds (the drift itself perturbs code layout).
     BuildConfig PlainBC;
     BuildResult PlainV2 = buildWithPGO(*V2, PlainBC, nullptr);
-    double PlainV2Mean = evalMeanCycles(PlainV2, Config);
+    double PlainV2Mean = evaluateBinary(*PlainV2.Bin, Config).Mean;
 
     // Drop build (legacy) vs match build (stale matcher on) from the
     // same stale profile.
     BuildConfig DropBC = staleVariantBuildConfig(C.Variant, Config);
     DropBC.Loader.RecoverStaleProfiles = false;
     BuildResult DropBuild = buildWithPGO(*V2, DropBC, &Out.Profile);
-    double DropMean = evalMeanCycles(DropBuild, Config);
+    double DropMean = evaluateBinary(*DropBuild.Bin, Config).Mean;
 
     BuildConfig MatchBC = staleVariantBuildConfig(C.Variant, Config);
     BuildResult MatchBuild = buildWithPGO(*V2, MatchBC, &Out.Profile);
-    double MatchMean = evalMeanCycles(MatchBuild, Config);
+    double MatchMean = evaluateBinary(*MatchBuild.Bin, Config).Mean;
 
     double NoDrift = improvement(Out.EvalCyclesMean, Plain.EvalCyclesMean);
     double Drop = improvement(DropMean, PlainV2Mean);
@@ -202,40 +203,18 @@ void continuousIngestTable(unsigned Jobs) {
 
     // The merged aggregate out of the store vs the stale v1 profile
     // alone, both applied to the next build of the v2 source.
-    Expected<ProfileStore> Store = ProfileStore::openBorrowed(Bytes);
-    if (!Store) {
-      std::fprintf(stderr, "ingested store does not open: %s\n",
-                   Store.status().message().c_str());
-      std::exit(1);
-    }
-    ProfileBundle Merged;
-    Merged.Has = true;
-    Merged.IsCS = Store->isCS();
-    Status Loaded;
-    if (Merged.IsCS) {
-      Expected<ContextProfileView> CS = Store->loadContextView();
-      if (CS)
-        Merged.CS = contextProfileOf(*CS);
-      else
-        Loaded = CS.takeError();
-    } else {
-      Expected<FlatProfileView> Flat = Store->loadFlatView();
-      if (Flat)
-        Merged.Flat = flatProfileOf(*Flat);
-      else
-        Loaded = Flat.takeError();
-    }
-    if (!Loaded.ok()) {
+    Expected<ProfileBundle> Merged = loadStoreBundle(Bytes);
+    if (!Merged) {
       std::fprintf(stderr, "ingested store does not load: %s\n",
-                   Loaded.message().c_str());
+                   Merged.status().message().c_str());
       std::exit(1);
     }
 
     BuildConfig BC = staleVariantBuildConfig(C.Variant, Config);
     BuildResult StaleBuild = buildWithPGO(*V2, BC, &OutV1.Profile);
-    BuildResult MergedBuild = buildWithPGO(*V2, BC, &Merged);
-    double StaleMean = evalMeanCycles(StaleBuild, Config);
-    double MergedMean = evalMeanCycles(MergedBuild, Config);
+    BuildResult MergedBuild = buildWithPGO(*V2, BC, &*Merged);
+    double StaleMean = evaluateBinary(*StaleBuild.Bin, Config).Mean;
+    double MergedMean = evaluateBinary(*MergedBuild.Bin, Config).Mean;
 
     double Stale = improvement(StaleMean, PlainV2.EvalCyclesMean);
     double MergedImp = improvement(MergedMean, PlainV2.EvalCyclesMean);

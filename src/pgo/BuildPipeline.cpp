@@ -149,9 +149,4 @@ std::unique_ptr<Module> annotateForQuality(const Module &Source,
   return M;
 }
 
-std::unique_ptr<Module> annotateForQuality(const Module &Source,
-                                           const ProfileBundle &Profile) {
-  return annotateForQuality(Source, Profile, LoaderOptions());
-}
-
 } // namespace csspgo

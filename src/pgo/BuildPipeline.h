@@ -116,16 +116,12 @@ BuildResult buildWithPGO(const Module &Source, const BuildConfig &Config,
 /// clones \p Source, inserts matching anchors, correlates \p Profile onto
 /// the pristine IR with *no inlining*, runs inference, and returns the
 /// annotated module. Modules produced this way from different profiles are
-/// block-for-block comparable.
-std::unique_ptr<Module> annotateForQuality(const Module &Source,
-                                           const ProfileBundle &Profile);
-
-/// As above, but seeded from \p Base so loader policy knobs (e.g.
+/// block-for-block comparable. Loader policy knobs of \p Base (e.g.
 /// RecoverStaleProfiles for a drop-policy quality column) carry through;
-/// the no-inline settings still override Base's inlining fields.
+/// the no-inline settings override Base's inlining fields.
 std::unique_ptr<Module> annotateForQuality(const Module &Source,
                                            const ProfileBundle &Profile,
-                                           const LoaderOptions &Base);
+                                           const LoaderOptions &Base = {});
 
 } // namespace csspgo
 

@@ -35,6 +35,39 @@ BuildConfig PGODriver::makeBuildConfig(PGOVariant V) const {
   return B;
 }
 
+/// The ProfilePipeline options a PGODriver generates \p V's profile with.
+static PipelineOptions pipelineOptions(const ExperimentConfig &Config,
+                                       PGOVariant V) {
+  PipelineOptions PipeOpts;
+  PipeOpts.InferMissingFrames = Config.InferMissingFrames;
+  PipeOpts.Parallelism = Config.Parallelism;
+  PipeOpts.Transport = Config.Transport;
+  PipeOpts.Verify =
+      Config.VerifyProfiles ? VerifyLevel::Full : VerifyLevel::Off;
+  PipeOpts.Strict = Config.VerifyStrict;
+  switch (V) {
+  case PGOVariant::Instr:
+    PipeOpts.Kind = ProfGenKind::Instr;
+    break;
+  case PGOVariant::AutoFDO:
+    PipeOpts.Kind = ProfGenKind::AutoFDO;
+    break;
+  case PGOVariant::CSSPGOProbeOnly:
+    PipeOpts.Kind = ProfGenKind::ProbeOnly;
+    break;
+  case PGOVariant::CSSPGOFull:
+  case PGOVariant::Trace:
+    PipeOpts.Kind = ProfGenKind::CS;
+    PipeOpts.trimColdContexts(Config.TrimColdContexts,
+                              Config.TrimThresholdDivisor);
+    PipeOpts.RunPreInliner = Config.RunPreInliner;
+    break;
+  case PGOVariant::None:
+    break;
+  }
+  return PipeOpts;
+}
+
 ProfileBundle PGODriver::collectProfile(PGOVariant V,
                                         const BuildResult &ProfBuild,
                                         VariantOutcome &Out) {
@@ -76,35 +109,7 @@ ProfileBundle PGODriver::collectProfile(PGOVariant V,
   // trimming and pre-inliner pass inside the pipeline, re-verified. The
   // optimized builds later consume the bundle through the configured
   // transport (in-memory / text / binary store, see BuildPipeline.h).
-  PipelineOptions PipeOpts;
-  PipeOpts.InferMissingFrames = Config.InferMissingFrames;
-  PipeOpts.Parallelism = Config.Parallelism;
-  PipeOpts.Transport = Config.Transport;
-  PipeOpts.Verify =
-      Config.VerifyProfiles ? VerifyLevel::Full : VerifyLevel::Off;
-  PipeOpts.Strict = Config.VerifyStrict;
-  switch (V) {
-  case PGOVariant::Instr:
-    PipeOpts.Kind = ProfGenKind::Instr;
-    break;
-  case PGOVariant::AutoFDO:
-    PipeOpts.Kind = ProfGenKind::AutoFDO;
-    break;
-  case PGOVariant::CSSPGOProbeOnly:
-    PipeOpts.Kind = ProfGenKind::ProbeOnly;
-    break;
-  case PGOVariant::CSSPGOFull:
-  case PGOVariant::Trace:
-    PipeOpts.Kind = ProfGenKind::CS;
-    PipeOpts.trimColdContexts(Config.TrimColdContexts,
-                              Config.TrimThresholdDivisor);
-    PipeOpts.RunPreInliner = Config.RunPreInliner;
-    break;
-  case PGOVariant::None:
-    break;
-  }
-
-  ProfilePipeline Pipeline(PipeOpts);
+  ProfilePipeline Pipeline(pipelineOptions(Config, V));
   bool Probed = V == PGOVariant::CSSPGOProbeOnly ||
                 V == PGOVariant::CSSPGOFull || V == PGOVariant::Trace;
   Expected<ProfileBundle> Generated = [&]() -> Expected<ProfileBundle> {
@@ -214,26 +219,15 @@ VariantOutcome PGODriver::run(PGOVariant V) {
 
   // 4. Evaluation runs (no collection enabled, so the perturbation knobs
   //    never fire; Costs still flows through for cost-model ablations).
-  ExecConfig Eval;
-  Eval.Costs = Config.Costs;
-  long double Sum = 0;
-  for (unsigned E = 0; E != Config.EvalRuns; ++E) {
-    std::vector<int64_t> EvalMem = generateInput(
-        Config.Workload, Config.EvalSeedBase + E, Config.EvalShift);
-    RunResult R = execute(*Build->Bin, "main", EvalMem, Eval);
-    Out.EvalCycles.push_back(R.Cycles);
-    Sum += R.Cycles;
-    if (E == 0) {
-      Out.ExitValue = R.ExitValue;
-      Out.EvalInstructions = R.Instructions;
-      Out.EvalICacheMisses = R.ICacheMisses;
-      Out.EvalMispredicts = R.Mispredicts;
-      Out.EvalTakenBranches = R.TakenBranches;
-      Out.EvalCalls = R.Calls;
-    }
-  }
-  Out.EvalCyclesMean =
-      Config.EvalRuns ? static_cast<double>(Sum / Config.EvalRuns) : 0;
+  EvalResult Eval = evaluateBinary(*Build->Bin, Config, Config.Costs);
+  Out.EvalCycles = std::move(Eval.Cycles);
+  Out.EvalCyclesMean = Eval.Mean;
+  Out.ExitValue = Eval.First.ExitValue;
+  Out.EvalInstructions = Eval.First.Instructions;
+  Out.EvalICacheMisses = Eval.First.ICacheMisses;
+  Out.EvalMispredicts = Eval.First.Mispredicts;
+  Out.EvalTakenBranches = Eval.First.TakenBranches;
+  Out.EvalCalls = Eval.First.Calls;
   Out.Build = std::move(Build);
   return Out;
 }
@@ -270,13 +264,8 @@ PostLinkOutcome PGODriver::stackPostLink(VariantOutcome Base,
   ProfileBundle ProbeBundle;
   const FlatProfile *FnProf = nullptr;
   if (!OptBin.Probes.empty()) {
-    PipelineOptions ProbeOpts;
-    ProbeOpts.Kind = ProfGenKind::ProbeOnly;
-    ProbeOpts.Parallelism = Config.Parallelism;
-    ProbeOpts.Verify =
-        Config.VerifyProfiles ? VerifyLevel::Full : VerifyLevel::Off;
-    ProbeOpts.Strict = Config.VerifyStrict;
-    ProfilePipeline ProbePipe(ProbeOpts);
+    ProfilePipeline ProbePipe(
+        pipelineOptions(Config, PGOVariant::CSSPGOProbeOnly));
     Expected<ProfileBundle> Generated = ProbePipe.generate(
         OptBin, &Out.Base.Build->ProbeDescs, Train.Samples);
     if (Generated) {
@@ -321,22 +310,9 @@ PostLinkOutcome PGODriver::stackPostLink(VariantOutcome Base,
   Out.CodeSizeBytes = Out.Bin->textSize();
 
   // Evaluate the rewritten binary on the exact inputs Base saw.
-  long double Sum = 0;
-  for (unsigned E = 0; E != Config.EvalRuns; ++E) {
-    std::vector<int64_t> EvalMem = generateInput(
-        Config.Workload, Config.EvalSeedBase + E, Config.EvalShift);
-    RunResult R = execute(*Out.Bin, "main", EvalMem, {});
-    Out.EvalCycles.push_back(R.Cycles);
-    Sum += R.Cycles;
-    if (E == 0) {
-      Out.ExitValue = R.ExitValue;
-      Out.EvalICacheMisses = R.ICacheMisses;
-      Out.EvalMispredicts = R.Mispredicts;
-      Out.EvalTakenBranches = R.TakenBranches;
-    }
-  }
-  Out.EvalCyclesMean =
-      Config.EvalRuns ? static_cast<double>(Sum / Config.EvalRuns) : 0;
+  EvalResult Eval = evaluateBinary(*Out.Bin, Config);
+  Out.EvalCyclesMean = Eval.Mean;
+  Out.ExitValue = Eval.First.ExitValue;
   return Out;
 }
 
@@ -357,15 +333,23 @@ BuildConfig staleVariantBuildConfig(PGOVariant V,
   return BC;
 }
 
-double evalMeanCycles(const BuildResult &Build,
-                      const ExperimentConfig &Config) {
+EvalResult evaluateBinary(const Binary &Bin, const ExperimentConfig &Config,
+                          const CostModel &Costs) {
+  EvalResult Out;
+  ExecConfig Exec;
+  Exec.Costs = Costs;
   long double Sum = 0;
   for (unsigned E = 0; E != Config.EvalRuns; ++E) {
     std::vector<int64_t> Mem = generateInput(
         Config.Workload, Config.EvalSeedBase + E, Config.EvalShift);
-    Sum += execute(*Build.Bin, "main", Mem, {}).Cycles;
+    RunResult R = execute(Bin, "main", Mem, Exec);
+    Out.Cycles.push_back(R.Cycles);
+    Sum += R.Cycles;
+    if (E == 0)
+      Out.First = std::move(R);
   }
-  return Config.EvalRuns ? static_cast<double>(Sum / Config.EvalRuns) : 0;
+  Out.Mean = Config.EvalRuns ? static_cast<double>(Sum / Config.EvalRuns) : 0;
+  return Out;
 }
 
 } // namespace csspgo

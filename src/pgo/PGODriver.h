@@ -144,12 +144,8 @@ struct PostLinkOutcome {
   bool RewriteKept = false;
 
   double EvalCyclesMean = 0;
-  std::vector<uint64_t> EvalCycles;
   int64_t ExitValue = 0; ///< Must equal Base.ExitValue (semantics check).
   uint64_t CodeSizeBytes = 0;
-  uint64_t EvalICacheMisses = 0;
-  uint64_t EvalMispredicts = 0;
-  uint64_t EvalTakenBranches = 0;
 
   std::unique_ptr<Binary> Bin; ///< The rewritten binary.
 };
@@ -214,11 +210,20 @@ private:
 BuildConfig staleVariantBuildConfig(PGOVariant V,
                                     const ExperimentConfig &Config);
 
-/// Mean optimized-binary cycles of \p Build over \p Config's eval inputs
-/// (seeds EvalSeedBase..+EvalRuns at EvalShift) — the drift ablation's and
-/// the release train's shared evaluation metric.
-double evalMeanCycles(const BuildResult &Build,
-                      const ExperimentConfig &Config);
+/// The eval runs of one binary: per-run cycles, their mean (a long double
+/// sum divided by the run count) and the first run's full result.
+struct EvalResult {
+  std::vector<uint64_t> Cycles;
+  double Mean = 0;
+  RunResult First;
+};
+
+/// Runs \p Bin under \p Costs, with no collection enabled, on \p Config's
+/// eval inputs (seeds EvalSeedBase..+EvalRuns at EvalShift) — the one
+/// evaluation of PGODriver::run, the post-link rewrite, the drift ablation
+/// and the release train.
+EvalResult evaluateBinary(const Binary &Bin, const ExperimentConfig &Config,
+                          const CostModel &Costs = CostModel());
 
 } // namespace csspgo
 

@@ -197,6 +197,28 @@ Status ProfilePipeline::ingest(std::string &StoreBytes,
   return {};
 }
 
+Expected<ProfileBundle> loadStoreBundle(std::string_view StoreBytes) {
+  Expected<ProfileStore> Store = ProfileStore::openBorrowed(StoreBytes);
+  if (!Store)
+    return Store.takeError();
+  ProfileBundle Bundle;
+  Bundle.Has = true;
+  Bundle.IsCS = Store->isCS();
+  Bundle.IsInstr = Store->isInstr();
+  if (Bundle.IsCS) {
+    Expected<ContextProfileView> CS = Store->loadContextView();
+    if (!CS)
+      return CS.takeError();
+    Bundle.CS = contextProfileOf(*CS);
+  } else {
+    Expected<FlatProfileView> Flat = Store->loadFlatView();
+    if (!Flat)
+      return Flat.takeError();
+    Bundle.Flat = flatProfileOf(*Flat);
+  }
+  return Bundle;
+}
+
 Expected<postlink::PostLinkResult>
 ProfilePipeline::postlink(const Binary &Bin,
                           const std::vector<PerfSample> &Samples,

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace csspgo {
@@ -193,6 +194,13 @@ private:
   postlink::PostLinkStats LastPostLink;
   TraceReplayResult LastTraceReplay;
 };
+
+/// The inverse of ProfilePipeline::ingest: decodes the merged aggregate
+/// of the store in \p StoreBytes into a bundle. The store's flags decide
+/// its shape: context-sensitive or flat, and IsInstr from the exact-counts
+/// flag, so the loader checks an ingested Instr profile as exact counts.
+/// A store that does not open or decode comes back as its error Status.
+Expected<ProfileBundle> loadStoreBundle(std::string_view StoreBytes);
 
 } // namespace csspgo
 

@@ -2,6 +2,7 @@
 
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <exception>
 
 namespace csspgo {
@@ -72,6 +73,17 @@ void ThreadPool::parallelFor(size_t Count,
   }
   if (First)
     std::rethrow_exception(First);
+}
+
+void forEachIndex(size_t Count, unsigned Jobs,
+                  const std::function<void(size_t)> &Fn) {
+  if (Jobs <= 1 || Count <= 1) {
+    for (size_t I = 0; I != Count; ++I)
+      Fn(I);
+    return;
+  }
+  ThreadPool Pool(static_cast<unsigned>(std::min<size_t>(Jobs, Count)));
+  Pool.parallelFor(Count, Fn);
 }
 
 } // namespace csspgo

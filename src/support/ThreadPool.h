@@ -6,7 +6,9 @@
 ///
 /// \file
 /// A fixed-size thread pool with future-returning task submission, used by
-/// the sharded profile-generation pipeline (ShardedProfGen). Tasks are
+/// the sharded profile-generation pipeline (ShardedProfGen), and the
+/// serial-or-pool index loop (forEachIndex) the benches and the release
+/// train fan their independent pipelines out with. Tasks are
 /// plain std::function<void()> thunks; exceptions thrown by a task are
 /// captured into its future and rethrown at get()/wait time in the
 /// submitting thread, so shard failures surface at the reduction point
@@ -63,6 +65,14 @@ private:
   std::condition_variable WakeWorkers;
   bool Stopping = false;
 };
+
+/// Runs Fn(0) .. Fn(Count-1): inline and in index order when \p Jobs <= 1
+/// or \p Count <= 1, else on a pool of min(Jobs, Count) workers. Callers
+/// write results into index-addressed slots, so the outcome does not
+/// depend on Jobs as long as the tasks are independent; with a pool, the
+/// first task exception is rethrown after every task has finished.
+void forEachIndex(size_t Count, unsigned Jobs,
+                  const std::function<void(size_t)> &Fn);
 
 } // namespace csspgo
 

@@ -4,7 +4,6 @@
 
 #include "pgo/ProfilePipeline.h"
 #include "quality/BlockOverlap.h"
-#include "sim/Executor.h"
 #include "store/ProfileStore.h"
 #include "support/ThreadPool.h"
 
@@ -57,20 +56,6 @@ double improvePct(double Cycles, double Base) {
 /// monotone scale — the store records, never interprets, them).
 uint64_t releaseTimestamp(unsigned R) { return 100 * (R + 1ull); }
 
-/// Index-sharded parallel loop matching the bench runMany contract:
-/// Jobs <= 1 (or a single task) runs inline, anything else fans out over
-/// a pool; results are written into index-addressed slots either way.
-void forEachIndex(size_t Count, unsigned Jobs,
-                  const std::function<void(size_t)> &Fn) {
-  if (Jobs <= 1 || Count <= 1) {
-    for (size_t I = 0; I != Count; ++I)
-      Fn(I);
-    return;
-  }
-  ThreadPool Pool(Jobs);
-  Pool.parallelFor(Count, Fn);
-}
-
 /// Everything phase A computes per release.
 struct ReleaseArtifact {
   double PlainCycles = 0;
@@ -88,27 +73,6 @@ struct ReleaseArtifact {
 [[noreturn]] void fatal(const std::string &Msg) {
   std::fprintf(stderr, "csspgo train: %s\n", Msg.c_str());
   std::abort();
-}
-
-ProfileBundle loadStoreBundle(const std::string &Bytes) {
-  Expected<ProfileStore> Store = ProfileStore::openBorrowed(Bytes);
-  if (!Store)
-    fatal("store snapshot does not open: " + Store.status().message());
-  ProfileBundle Bundle;
-  Bundle.Has = true;
-  Bundle.IsCS = Store->isCS();
-  if (Bundle.IsCS) {
-    Expected<ContextProfileView> CS = Store->loadContextView();
-    if (!CS)
-      fatal("store snapshot does not load: " + CS.status().message());
-    Bundle.CS = contextProfileOf(*CS);
-  } else {
-    Expected<FlatProfileView> Flat = Store->loadFlatView();
-    if (!Flat)
-      fatal("store snapshot does not load: " + Flat.status().message());
-    Bundle.Flat = flatProfileOf(*Flat);
-  }
-  return Bundle;
 }
 
 } // namespace
@@ -224,7 +188,11 @@ TrainResult runTrain(const TrainConfig &Config) {
     ProfileBundle StoreBundle;
     const ProfileBundle *Stale = &Artifacts[R - 1].Profile;
     if (Policy == StalePolicy::Ingest) {
-      StoreBundle = loadStoreBundle(Result.StoreSnapshots[R - 1]);
+      Expected<ProfileBundle> Loaded =
+          loadStoreBundle(Result.StoreSnapshots[R - 1]);
+      if (!Loaded)
+        fatal("store snapshot does not load: " + Loaded.status().message());
+      StoreBundle = Loaded.take();
       Stale = &StoreBundle;
     }
 
@@ -232,17 +200,15 @@ TrainResult runTrain(const TrainConfig &Config) {
 
     PolicyCell &Cell = Cells[Idx];
     Cell.Policy = Policy;
-    Cell.EvalCyclesMean = evalMeanCycles(Build, CR);
+    EvalResult Eval = evaluateBinary(*Build.Bin, CR);
+    Cell.EvalCyclesMean = Eval.Mean;
     Cell.VsPlainPct = improvePct(Cell.EvalCyclesMean, A.PlainCycles);
     Cell.VsOraclePct = improvePct(Cell.EvalCyclesMean, A.OracleCycles);
     Cell.StaleDropped = Build.Loader.StaleDropped;
     Cell.StaleMatched = Build.Loader.StaleMatched;
     Cell.CountsRecovered = Build.Loader.StaleCountsRecovered;
     Cell.VerifyClean = Build.Loader.VerifyViolations == 0;
-
-    std::vector<int64_t> Mem =
-        generateInput(CR.Workload, CR.EvalSeedBase, CR.EvalShift);
-    Cell.ExitValue = execute(*Build.Bin, "main", Mem, {}).ExitValue;
+    Cell.ExitValue = Eval.First.ExitValue;
     Cell.ExitMatch = Cell.ExitValue == A.PlainExit;
 
     // Quality: both the stale policy's profile and the oracle's annotate

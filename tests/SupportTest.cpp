@@ -183,6 +183,28 @@ TEST(ThreadPool, DrainsQueueOnDestruction) {
   EXPECT_EQ(Counter.load(), 16);
 }
 
+TEST(ThreadPool, ForEachIndexFillsSlotsAlikeAtAnyJobCount) {
+  // Jobs <= 1 runs inline in index order; more jobs fan out over a pool.
+  // Index-addressed results do not depend on which path ran.
+  for (size_t Count : {0u, 1u, 7u}) {
+    std::vector<size_t> Serial(Count), Pooled(Count), Order;
+    forEachIndex(Count, 1, [&](size_t I) {
+      Serial[I] = I * I;
+      Order.push_back(I);
+    });
+    forEachIndex(Count, 4, [&](size_t I) { Pooled[I] = I * I; });
+    EXPECT_EQ(Serial, Pooled) << Count << " tasks";
+    for (size_t I = 0; I != Order.size(); ++I)
+      EXPECT_EQ(Order[I], I);
+  }
+  EXPECT_THROW(forEachIndex(3, 2,
+                            [](size_t I) {
+                              if (I == 1)
+                                throw std::runtime_error("task failed");
+                            }),
+               std::runtime_error);
+}
+
 TEST(ThreadPool, DefaultConcurrencyIsPositive) {
   EXPECT_GE(ThreadPool::defaultConcurrency(), 1u);
 }

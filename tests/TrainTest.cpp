@@ -174,3 +174,21 @@ TEST(Train, PostLinkColumnReportsAndPreservesSemantics) {
   }
   EXPECT_NE(R.toJSON().find("\"postlink\": {"), std::string::npos);
 }
+
+TEST(Train, InstrIngestPolicyVerifiesClean) {
+  // The ingest policy rebuilds from the store's aggregate, so the bundle
+  // loaded back out of the store must keep the exact-counts flag: an
+  // Instr profile checked against the sampled-profile invariants reports
+  // violations on every release.
+  TrainConfig TC = tinyTrain(2);
+  TC.Variant = PGOVariant::Instr;
+  TC.Policies = {StalePolicy::Ingest};
+  TrainResult R = runTrain(TC);
+  ASSERT_EQ(R.Rows.size(), 2u);
+  for (const ReleaseRow &Row : R.Rows) {
+    const PolicyCell *C = R.cell(Row, StalePolicy::Ingest);
+    ASSERT_NE(C, nullptr);
+    EXPECT_TRUE(C->VerifyClean) << "release " << Row.Release;
+  }
+  EXPECT_TRUE(R.allClean());
+}

@@ -522,29 +522,14 @@ int cmdConvert(int, char **argv) {
   std::string Out;
   if (isStoreBytes(In)) {
     // Binary -> text.
-    Expected<ProfileStore> S = ProfileStore::open(std::move(In));
-    if (!S) {
+    Expected<ProfileBundle> Bundle = loadStoreBundle(In);
+    if (!Bundle) {
       std::fprintf(stderr, "convert: %s: %s\n", argv[2],
-                   S.status().message().c_str());
+                   Bundle.status().message().c_str());
       return 1;
     }
-    if (S->isCS()) {
-      Expected<ContextProfileView> CS = S->loadContextView();
-      if (!CS) {
-        std::fprintf(stderr, "convert: %s: %s\n", argv[2],
-                     CS.status().message().c_str());
-        return 1;
-      }
-      Out = serializeContextProfile(contextProfileOf(*CS));
-    } else {
-      Expected<FlatProfileView> Flat = S->loadFlatView();
-      if (!Flat) {
-        std::fprintf(stderr, "convert: %s: %s\n", argv[2],
-                     Flat.status().message().c_str());
-        return 1;
-      }
-      Out = serializeFlatProfile(flatProfileOf(*Flat));
-    }
+    Out = Bundle->IsCS ? serializeContextProfile(Bundle->CS)
+                       : serializeFlatProfile(Bundle->Flat);
   } else {
     // Text -> binary.
     StoreWriteOptions WO;
