@@ -69,7 +69,7 @@ int main(int argc, char **argv) {
     VariantOutcome Out = Driver.run(M.Variant);
 
     ModeResult R;
-    R.OverheadPct = Out.ProfilingOverheadPct;
+    R.OverheadPct = PGODriver::overheadPct(Out, Plain);
     R.EvalMean = Out.EvalCyclesMean;
     R.PlainMean = Plain.EvalCyclesMean;
     if (Out.Profile.IsCS)
@@ -88,7 +88,7 @@ int main(int argc, char **argv) {
         What += Buf;
       }
     }
-    R.Row = {M.Name, formatSignedPercent(Out.ProfilingOverheadPct),
+    R.Row = {M.Name, formatSignedPercent(R.OverheadPct),
              What,
              formatSignedPercent(
                  improvement(Out.EvalCyclesMean, Plain.EvalCyclesMean))};

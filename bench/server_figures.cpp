@@ -114,9 +114,9 @@ WorkloadRows runWorkload(const std::string &W) {
                                 Overlap(Instr.Profile)});
     Out.Rows[Table1].push_back(
         {"Profiling overhead",
-         formatPercent(std::max(0.0, Auto.ProfilingOverheadPct)),
-         formatPercent(std::max(0.0, Full.ProfilingOverheadPct)),
-         formatPercent(Instr.ProfilingOverheadPct)});
+         formatPercent(std::max(0.0, PGODriver::overheadPct(Auto, Plain))),
+         formatPercent(std::max(0.0, PGODriver::overheadPct(Full, Plain))),
+         formatPercent(PGODriver::overheadPct(Instr, Plain))});
   }
   return Out;
 }

@@ -46,7 +46,7 @@ int main(int argc, char **argv) {
   for (PGOVariant V : Variants) {
     VariantOutcome Out = Driver.run(V);
     Table.addRow({variantName(V),
-                  formatSignedPercent(Out.ProfilingOverheadPct),
+                  formatSignedPercent(PGODriver::overheadPct(Out, Base)),
                   formatSignedPercent(PGODriver::improvementPct(Out, Base)),
                   formatBytes(Out.CodeSizeBytes),
                   std::to_string(Out.ExitValue)});

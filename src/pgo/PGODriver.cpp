@@ -71,10 +71,6 @@ static PipelineOptions pipelineOptions(const ExperimentConfig &Config,
 ProfileBundle PGODriver::collectProfile(PGOVariant V,
                                         const BuildResult &ProfBuild,
                                         VariantOutcome &Out) {
-  ProfileBundle Bundle;
-  if (V == PGOVariant::None)
-    return Bundle;
-
   std::vector<int64_t> TrainMem =
       generateInput(Config.Workload, Config.TrainSeed);
 
@@ -147,7 +143,7 @@ ProfileBundle PGODriver::collectProfile(PGOVariant V,
     std::fprintf(stderr, "csspgo: %s", Generated.status().message().c_str());
     std::abort();
   }
-  Bundle = Generated.take();
+  ProfileBundle Bundle = Generated.take();
 
   if (V != PGOVariant::Instr)
     Out.ProfGen = Pipeline.stats().ProfGen;
@@ -169,40 +165,29 @@ VariantOutcome PGODriver::run(PGOVariant V) {
   Out.Variant = V;
 
   // 1. Profiling build (plain pipeline + variant anchors, no profile).
-  BuildConfig ProfConfig = makeBuildConfig(V);
-  BuildResult ProfBuild = buildWithPGO(*Source, ProfConfig, nullptr);
+  BuildConfig BC = makeBuildConfig(V);
+  auto ProfBuild =
+      std::make_unique<BuildResult>(buildWithPGO(*Source, BC, nullptr));
 
-  // 2. Profile collection + generation.
-  Out.Profile = collectProfile(V, ProfBuild, Out);
-
-  // Profiling overhead: profiling-binary cycles vs the plain binary on
-  // the same training input. Sampling itself is free in the PMU; the
-  // delta comes from anchors (counters cost cycles, probes at most block
-  // optimizations).
-  if (V != PGOVariant::None) {
-    const VariantOutcome &Plain = baseline();
-    // Plain profiling-run cycles were recorded on the train input too.
-    if (Plain.ProfilingCycles)
-      Out.ProfilingOverheadPct =
-          100.0 *
-          (static_cast<double>(Out.ProfilingCycles) - Plain.ProfilingCycles) /
-          Plain.ProfilingCycles;
-  } else {
-    // For the baseline, record the plain binary's train-input cycles as
-    // the overhead reference.
+  // 2. Profile collection + generation. The plain binary instead records
+  //    its train-input cycles, the overhead reference, and ships as is.
+  if (V == PGOVariant::None) {
     std::vector<int64_t> TrainMem =
         generateInput(Config.Workload, Config.TrainSeed);
     ExecConfig Plain;
     Plain.Costs = Config.Costs;
-    RunResult R = execute(*ProfBuild.Bin, "main", TrainMem, Plain);
-    Out.ProfilingCycles = R.Cycles;
+    Out.ProfilingCycles =
+        execute(*ProfBuild->Bin, "main", TrainMem, Plain).Cycles;
+  } else {
+    Out.Profile = collectProfile(V, *ProfBuild, Out);
   }
 
   // 3. Optimized build.
-  BuildConfig OptConfig = makeBuildConfig(V);
-  auto Build = std::make_unique<BuildResult>(
-      buildWithPGO(*Source, OptConfig,
-                   Out.Profile.Has ? &Out.Profile : nullptr));
+  std::unique_ptr<BuildResult> Build =
+      V == PGOVariant::None
+          ? std::move(ProfBuild)
+          : std::make_unique<BuildResult>(buildWithPGO(
+                *Source, BC, Out.Profile.Has ? &Out.Profile : nullptr));
   if (Config.VerifyProfiles && Config.VerifyStrict && Out.Profile.Has &&
       Build->Loader.VerifyViolations) {
     // The loader re-verified the profile it consumed; our profiles are
@@ -322,6 +307,15 @@ double PGODriver::improvementPct(const VariantOutcome &V,
     return 0;
   return 100.0 * (Baseline.EvalCyclesMean - V.EvalCyclesMean) /
          Baseline.EvalCyclesMean;
+}
+
+double PGODriver::overheadPct(const VariantOutcome &V,
+                              const VariantOutcome &Plain) {
+  if (!Plain.ProfilingCycles)
+    return 0;
+  return 100.0 *
+         (static_cast<double>(V.ProfilingCycles) - Plain.ProfilingCycles) /
+         Plain.ProfilingCycles;
 }
 
 BuildConfig staleVariantBuildConfig(PGOVariant V,

@@ -41,10 +41,10 @@ struct ExperimentConfig {
   bool PreciseSampling = true; ///< PEBS on (the paper's setup).
 
   /// Cost model for every run the driver executes. The perturbation knobs
-  /// (CounterCost, SampleInterruptCost, TraceByteCost) make the
-  /// ProfilingOverheadPct column reflect each mode's real collection
-  /// cost: counter increments for Instr, interrupt delivery for the
-  /// sampling variants, packet writes for Trace.
+  /// (CounterCost, SampleInterruptCost, TraceByteCost) make
+  /// PGODriver::overheadPct reflect each mode's real collection cost:
+  /// counter increments for Instr, interrupt delivery for the sampling
+  /// variants, packet writes for Trace.
   CostModel Costs;
   /// Core-instruction-trace knobs for the Trace variant (buffer bound,
   /// timestamp density, compression). Enabled is set by the driver.
@@ -87,10 +87,10 @@ struct ExperimentConfig {
 struct VariantOutcome {
   PGOVariant Variant = PGOVariant::None;
 
-  /// Cycles of the profiling run and the overhead vs the plain binary on
-  /// the same input (Fig. 8 / Table I "profiling overhead").
+  /// Cycles of the profiling run on the training input; for the plain
+  /// variant, the plain binary's cycles on that input (the reference
+  /// PGODriver::overheadPct measures against).
   uint64_t ProfilingCycles = 0;
-  double ProfilingOverheadPct = 0;
 
   /// Mean optimized-binary cycles over the eval inputs (the performance
   /// metric; lower is better) and the per-run values (for error bars).
@@ -159,7 +159,9 @@ public:
   /// already-edited variant of a program).
   PGODriver(ExperimentConfig Config, std::unique_ptr<Module> Source);
 
-  /// Runs the full pipeline for \p V. Results are deterministic.
+  /// Runs \p V's pipeline, and nothing else. Results are deterministic.
+  /// The plain variant ships its profiling build (it has no profile to
+  /// rebuild with).
   VariantOutcome run(PGOVariant V);
 
   /// Runs \p V, then stacks the post-link optimizer on the optimized
@@ -186,10 +188,18 @@ public:
   static double improvementPct(const VariantOutcome &V,
                                const VariantOutcome &Baseline);
 
+  /// Profiling overhead of \p V vs \p Plain on the training input, in
+  /// percent (Fig. 8 / Table I "profiling overhead"): sampling itself is
+  /// free in the PMU, so the delta comes from the anchors (counters cost
+  /// cycles, probes at most block optimizations) and the modeled
+  /// collection costs.
+  static double overheadPct(const VariantOutcome &V,
+                            const VariantOutcome &Plain);
+
   const Module &source() const { return *Source; }
   const ExperimentConfig &config() const { return Config; }
 
-  /// The plain (None) outcome, built on demand and cached.
+  /// The plain (None) outcome, run on first use and cached.
   const VariantOutcome &baseline();
 
 private:

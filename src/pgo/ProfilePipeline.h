@@ -78,10 +78,8 @@ struct PipelineOptions {
   uint32_t DecayPermille = 1000;
   bool CompactNames = false;
 
-  /// Run the post-link binary optimizer (reorder/split/fold) on the final
-  /// binary, BOLT-style. Consumers that own an executed binary call
-  /// ProfilePipeline::postLink when this is set.
-  bool PostLink = false;
+  /// Options of the post-link binary optimizer (reorder/split/fold) that
+  /// ProfilePipeline::postlink runs, BOLT-style, on a final binary.
   postlink::PostLinkOptions PostLinkOpts;
 
   PipelineOptions &kind(ProfGenKind K) { Kind = K; return *this; }
@@ -99,10 +97,8 @@ struct PipelineOptions {
   PipelineOptions &preInliner(bool B) { RunPreInliner = B; return *this; }
   PipelineOptions &decay(uint32_t Permille) { DecayPermille = Permille; return *this; }
   PipelineOptions &compactNames(bool B) { CompactNames = B; return *this; }
-  PipelineOptions &postLink(bool B) { PostLink = B; return *this; }
   PipelineOptions &postLinkOptions(const postlink::PostLinkOptions &O) {
     PostLinkOpts = O;
-    PostLink = true;
     return *this;
   }
 };

@@ -425,7 +425,8 @@ TEST(CLIFlags, FindSubcommandAndMinOperands) {
 }
 
 //===----------------------------------------------------------------------===//
-// The dispatcher: spellings the tool does not have exit 2 with the usage.
+// The dispatcher: spellings the tool does not have, unknown workloads and
+// scales that are not a finite number > 0 exit 2 with the usage.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -450,7 +451,9 @@ int runTool(const std::string &Args, std::string &Output) {
 TEST(CLIDispatch, UnknownSubcommandsAndRunFlagsExitWithUsage) {
   for (const char *Args : {"fleet", "fleet --epochs 1",
                            "run AdRanker csspgo 0.05 --mode trace",
-                           "run AdRanker csspgo 0.05 --postlink"}) {
+                           "run AdRanker csspgo 0.05 --postlink",
+                           "run Bogus csspgo 0.05", "run AdRanker csspgo -1",
+                           "run AdRanker csspgo abc", "ir Bogus"}) {
     std::string Output;
     EXPECT_EQ(runTool(Args, Output), 2) << Args;
     EXPECT_NE(Output.find("usage:\n  csspgo_exp run"), std::string::npos)

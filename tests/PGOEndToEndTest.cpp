@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "pgo/PGODriver.h"
+#include "postlink/BinaryCFG.h"
 #include "profile/ProfileIO.h"
 #include "quality/BlockOverlap.h"
 #include "workload/Workloads.h"
@@ -42,20 +43,43 @@ TEST(PGOEndToEnd, AllVariantsPreserveSemantics) {
 
 TEST(PGOEndToEnd, SamplingVariantsHaveNearZeroProfilingOverhead) {
   PGODriver Driver(smallExperiment());
-  Driver.baseline();
+  const VariantOutcome &Plain = Driver.baseline();
   VariantOutcome Auto = Driver.run(PGOVariant::AutoFDO);
   VariantOutcome Probe = Driver.run(PGOVariant::CSSPGOProbeOnly);
-  EXPECT_NEAR(Auto.ProfilingOverheadPct, 0.0, 0.5);
-  EXPECT_LT(std::abs(Probe.ProfilingOverheadPct), 3.0)
+  EXPECT_NEAR(PGODriver::overheadPct(Auto, Plain), 0.0, 0.5);
+  EXPECT_LT(std::abs(PGODriver::overheadPct(Probe, Plain)), 3.0)
       << "probes must be near-zero overhead";
 }
 
 TEST(PGOEndToEnd, InstrumentationHasLargeProfilingOverhead) {
   PGODriver Driver(smallExperiment());
-  Driver.baseline();
+  const VariantOutcome &Plain = Driver.baseline();
   VariantOutcome Instr = Driver.run(PGOVariant::Instr);
-  EXPECT_GT(Instr.ProfilingOverheadPct, 30.0)
+  EXPECT_GT(PGODriver::overheadPct(Instr, Plain), 30.0)
       << "counter increments must slow the profiling binary substantially";
+}
+
+TEST(PGOEndToEnd, PlainBaselineShipsItsOnlyBuild) {
+  PGODriver Driver(smallExperiment());
+  const VariantOutcome &Base = Driver.baseline();
+  const ExperimentConfig &C = Driver.config();
+  BuildConfig Plain;
+  Plain.Opt = C.Opt;
+  Plain.Inline = C.Inline;
+  Plain.Loader = C.Loader;
+  Plain.Loader.Verify = VerifyLevel::Full;
+  Plain.EnableInference = C.EnableInference;
+  BuildResult Fresh = buildWithPGO(Driver.source(), Plain, nullptr);
+
+  std::string Why;
+  EXPECT_TRUE(postlink::binariesIdentical(*Base.Build->Bin, *Fresh.Bin, &Why))
+      << Why;
+  EXPECT_EQ(Base.CodeSizeBytes, Fresh.Bin->textSize());
+  EvalResult Eval = evaluateBinary(*Fresh.Bin, C, C.Costs);
+  EXPECT_EQ(Base.EvalCycles, Eval.Cycles);
+  EXPECT_EQ(Base.EvalCyclesMean, Eval.Mean);
+  EXPECT_EQ(Base.ExitValue, Eval.First.ExitValue);
+  EXPECT_EQ(Base.EvalInstructions, Eval.First.Instructions);
 }
 
 TEST(PGOEndToEnd, ProfilesImprovePerformance) {

@@ -24,6 +24,7 @@
 #include "workload/Workloads.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,12 +59,39 @@ bool parseVariant(const std::string &S, PGOVariant &V) {
   return true;
 }
 
-ExperimentConfig makeConfig(const std::string &Workload, double Scale) {
-  ExperimentConfig Config;
-  Config.Workload = workloadPreset(Workload, Scale);
+/// Every workload name `list` prints, in its order.
+std::vector<std::string> workloadNames() {
+  std::vector<std::string> Names = serverWorkloadNames();
+  for (const std::string &W : archetypeWorkloadNames())
+    Names.push_back(W);
+  Names.push_back("ClangProxy");
+  return Names;
+}
+
+/// Fills \p Config from the <workload> [scale] operands (\p Scale null:
+/// 1.0). An unknown workload or a scale that is not a finite number > 0
+/// is reported and returns false; the caller exits with usage().
+bool makeConfig(const std::string &Workload, const char *Scale,
+                ExperimentConfig &Config) {
+  std::vector<std::string> Names = workloadNames();
+  if (std::find(Names.begin(), Names.end(), Workload) == Names.end()) {
+    std::fprintf(stderr, "unknown workload '%s'\n", Workload.c_str());
+    return false;
+  }
+  double S = 1.0;
+  if (Scale) {
+    char *End = nullptr;
+    S = std::strtod(Scale, &End);
+    if (End == Scale || *End || !std::isfinite(S) || S <= 0) {
+      std::fprintf(stderr, "bad scale '%s': want a finite number > 0\n",
+                   Scale);
+      return false;
+    }
+  }
+  Config.Workload = workloadPreset(Workload, S);
   Config.Parallelism = G.Parallelism;
   Config.Transport = G.Transport;
-  return Config;
+  return true;
 }
 
 bool readFileAll(const std::string &Path, std::string &Out) {
@@ -109,12 +137,9 @@ bool looksLikeContextText(const std::string &Text) {
 
 int cmdList(int, char **) {
   std::printf("workloads:");
-  for (const std::string &W : serverWorkloadNames())
+  for (const std::string &W : workloadNames())
     std::printf(" %s", W.c_str());
-  for (const std::string &W : archetypeWorkloadNames())
-    std::printf(" %s", W.c_str());
-  std::printf(" ClangProxy\n"
-              "variants: none instr autofdo probeonly csspgo trace\n");
+  std::printf("\nvariants: none instr autofdo probeonly csspgo trace\n");
   return 0;
 }
 
@@ -140,7 +165,7 @@ void printRunJSON(const char *Workload, PGOVariant V,
               "\"exit_value\":%lld,\"exit_match\":%s,"
               "\"pipeline\":%s}\n",
               Workload, Config.Workload.Requests, variantName(V),
-              transportName(G.Transport), Out.ProfilingOverheadPct,
+              transportName(G.Transport), PGODriver::overheadPct(Out, Base),
               Out.EvalCyclesMean, Base.EvalCyclesMean,
               PGODriver::improvementPct(Out, Base),
               static_cast<unsigned long long>(Out.CodeSizeBytes),
@@ -155,8 +180,9 @@ int cmdRun(int argc, char **argv) {
     std::fprintf(stderr, "unknown variant '%s'\n", argv[3]);
     return 2;
   }
-  ExperimentConfig Config =
-      makeConfig(argv[2], argc > 4 ? std::atof(argv[4]) : 1.0);
+  ExperimentConfig Config;
+  if (!makeConfig(argv[2], argc > 4 ? argv[4] : nullptr, Config))
+    return usage();
   PGODriver Driver(Config);
   const VariantOutcome &Base = Driver.baseline();
   VariantOutcome Out = Driver.run(V);
@@ -180,7 +206,7 @@ int cmdRun(int argc, char **argv) {
               Config.Workload.Requests);
   std::printf("variant:             %s\n", variantName(V));
   std::printf("profiling overhead:  %s\n",
-              formatSignedPercent(Out.ProfilingOverheadPct).c_str());
+              formatSignedPercent(PGODriver::overheadPct(Out, Base)).c_str());
   if (V == PGOVariant::Trace)
     std::printf("trace:               %s%s, %llu packets, %llu TSC "
                 "(%llu mismatches)\n",
@@ -250,8 +276,9 @@ int cmdTrace(int argc, char **argv) {
   if (argc < 3)
     return usage();
 
-  ExperimentConfig Config =
-      makeConfig(argv[2], argc > 3 ? std::atof(argv[3]) : 1.0);
+  ExperimentConfig Config;
+  if (!makeConfig(argv[2], argc > 3 ? argv[3] : nullptr, Config))
+    return usage();
   Config.Trace.TimestampEvery = static_cast<uint32_t>(Every);
   Config.Trace.MaxBytes = MaxKB * 1024;
   Config.Trace.CompressTimestamps = !NoCompress;
@@ -297,7 +324,7 @@ int cmdTrace(int argc, char **argv) {
         T.TraceTruncated ? "true" : "false",
         static_cast<unsigned long long>(T.TraceTimestamps),
         static_cast<unsigned long long>(T.TraceTimestampMismatches),
-        T.ProfilingOverheadPct, S.ProfilingOverheadPct,
+        PGODriver::overheadPct(T, Base), PGODriver::overheadPct(S, Base),
         Identical ? "true" : "false",
         static_cast<unsigned long long>(TimedBlocks),
         static_cast<unsigned long long>(TimedCycles),
@@ -320,8 +347,8 @@ int cmdTrace(int argc, char **argv) {
               static_cast<unsigned long long>(T.TraceTimestamps),
               static_cast<unsigned long long>(T.TraceTimestampMismatches));
   std::printf("profiling overhead:  %s (sampling %s)\n",
-              formatSignedPercent(T.ProfilingOverheadPct).c_str(),
-              formatSignedPercent(S.ProfilingOverheadPct).c_str());
+              formatSignedPercent(PGODriver::overheadPct(T, Base)).c_str(),
+              formatSignedPercent(PGODriver::overheadPct(S, Base)).c_str());
   std::printf("profile match:       %s\n",
               Identical ? "bit-identical to the sampling path"
                         : "MISMATCH vs the sampling path!");
@@ -366,8 +393,9 @@ int cmdBolt(int argc, char **argv) {
     std::fprintf(stderr, "unknown variant '%s'\n", argv[3]);
     return 2;
   }
-  ExperimentConfig Config =
-      makeConfig(argv[2], argc > 4 ? std::atof(argv[4]) : 1.0);
+  ExperimentConfig Config;
+  if (!makeConfig(argv[2], argc > 4 ? argv[4] : nullptr, Config))
+    return usage();
   PGODriver Driver(Config);
   const VariantOutcome &Base = Driver.baseline();
   PostLinkOutcome PL = Driver.runPostLink(V, Opts);
@@ -449,8 +477,9 @@ int cmdProfile(int argc, char **argv) {
     std::fprintf(stderr, "unknown variant '%s'\n", argv[3]);
     return 2;
   }
-  ExperimentConfig Config =
-      makeConfig(argv[2], argc > 4 ? std::atof(argv[4]) : 1.0);
+  ExperimentConfig Config;
+  if (!makeConfig(argv[2], argc > 4 ? argv[4] : nullptr, Config))
+    return usage();
   PGODriver Driver(Config);
   VariantOutcome Out = Driver.run(V);
   if (!Out.Profile.Has) {
@@ -466,8 +495,9 @@ int cmdProfile(int argc, char **argv) {
 }
 
 int cmdCompare(int argc, char **argv) {
-  ExperimentConfig Config =
-      makeConfig(argv[2], argc > 3 ? std::atof(argv[3]) : 1.0);
+  ExperimentConfig Config;
+  if (!makeConfig(argv[2], argc > 3 ? argv[3] : nullptr, Config))
+    return usage();
   PGODriver Driver(Config);
   const VariantOutcome &Base = Driver.baseline();
   TextTable Table({"variant", "profiling overhead", "vs plain", "size"});
@@ -476,7 +506,7 @@ int cmdCompare(int argc, char **argv) {
                        PGOVariant::Trace}) {
     VariantOutcome Out = Driver.run(V);
     Table.addRow({variantName(V),
-                  formatSignedPercent(Out.ProfilingOverheadPct),
+                  formatSignedPercent(PGODriver::overheadPct(Out, Base)),
                   formatSignedPercent(PGODriver::improvementPct(Out, Base)),
                   formatBytes(Out.CodeSizeBytes)});
   }
@@ -485,8 +515,10 @@ int cmdCompare(int argc, char **argv) {
 }
 
 int cmdIR(int argc, char **argv) {
-  auto M = generateProgram(
-      workloadPreset(argv[2], argc > 3 ? std::atof(argv[3]) : 1.0));
+  ExperimentConfig Config;
+  if (!makeConfig(argv[2], argc > 3 ? argv[3] : nullptr, Config))
+    return usage();
+  auto M = generateProgram(Config.Workload);
   std::fputs(printModule(*M).c_str(), stdout);
   return 0;
 }
@@ -627,8 +659,9 @@ int storeIngest(int argc, char **argv) {
   std::string Bytes; // Missing file = create a fresh store.
   readFileAll(argv[3], Bytes);
 
-  ExperimentConfig Config =
-      makeConfig(argv[4], argc > 6 ? std::atof(argv[6]) : 1.0);
+  ExperimentConfig Config;
+  if (!makeConfig(argv[4], argc > 6 ? argv[6] : nullptr, Config))
+    return usage();
   PGODriver Driver(Config);
   VariantOutcome Out = Driver.run(V);
   if (!Out.Profile.Has) {
@@ -776,7 +809,8 @@ int cmdTrain(int argc, char **argv) {
     }
     TC.Policies = {P};
   }
-  TC.Exp = makeConfig(Workload, argc > 2 ? std::atof(argv[2]) : 1.0);
+  if (!makeConfig(Workload, argc > 2 ? argv[2] : nullptr, TC.Exp))
+    return usage();
   TC.Releases = static_cast<unsigned>(Releases);
   TC.DriftSeed = Seed;
   TC.PostLink = PostLink;
