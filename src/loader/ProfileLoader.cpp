@@ -120,10 +120,8 @@ public:
     // materialization), which used to double-count it in the stats the
     // dashboard aggregates. Each *site* still runs its own remap.
     bool FirstAttempt = AttemptedFns.insert(F.getName()).second;
-    if (FirstAttempt) {
+    if (FirstAttempt)
       Stats.StaleMatches.push_back({F.getName(), R.Stats});
-      Stats.StaleLCSFallbacks += R.Stats.LCSFallback;
-    }
     if (!R.Stats.Accepted) {
       ++Stats.StaleDropped;
       return Probe ? nullptr : &P;
@@ -525,10 +523,8 @@ LoaderStats loadContextProfile(Module &M, const ContextProfile &Profile,
       Stats.StaleMatched += Summary.FunctionsMatched;
       Stats.StaleAnchorsMatched += Summary.AnchorsMatched;
       Stats.StaleCountsRecovered += Summary.CountsRecovered;
-      for (const auto &[Name, S] : Summary.PerFunction) {
+      for (const auto &[Name, S] : Summary.PerFunction)
         Stats.StaleMatches.push_back({Name, S});
-        Stats.StaleLCSFallbacks += S.LCSFallback;
-      }
     }
   }
   const ContextProfile &Prof = Corrected ? *Corrected : Profile;

@@ -95,10 +95,6 @@ struct LoaderStats {
   uint64_t StaleAnchorsMatched = 0;
   /// Body samples carried over to fresh keys across applied recoveries.
   uint64_t StaleCountsRecovered = 0;
-  /// Anchor alignments that exceeded MatcherConfig::MaxLCSProduct and fell
-  /// back from the LCS to unique-anchor matching, summed over the per-
-  /// function attempts in StaleMatches (MatchStats::LCSFallback).
-  unsigned StaleLCSFallbacks = 0;
   /// Per-function matching attempts (accepted and rejected).
   std::vector<StaleMatchRecord> StaleMatches;
   unsigned InlinedCallsites = 0;

@@ -97,89 +97,41 @@ bool anchorsEqual(const CallAnchor &A, const CallAnchor &B) {
   return false;
 }
 
-/// Longest increasing subsequence (by second element) over \p Cand, which
-/// is sorted by first element. Used by the unique-anchor fallback to keep
-/// an order-consistent subset of candidate pairs.
-std::vector<std::pair<uint32_t, uint32_t>>
-longestIncreasingByFresh(const std::vector<std::pair<uint32_t, uint32_t>> &Cand) {
-  const size_t N = Cand.size();
-  std::vector<size_t> Tail;   // Tail[l] = index of smallest ending value of LIS of length l+1.
-  std::vector<size_t> Parent(N, SIZE_MAX);
-  for (size_t I = 0; I != N; ++I) {
-    auto Cmp = [&](size_t A, uint32_t V) { return Cand[A].second < V; };
-    auto It = std::lower_bound(Tail.begin(), Tail.end(), Cand[I].second, Cmp);
-    if (It != Tail.begin())
-      Parent[I] = *(It - 1);
-    if (It == Tail.end())
-      Tail.push_back(I);
-    else
-      *It = I;
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> Out;
-  if (Tail.empty())
-    return Out;
-  for (size_t I = Tail.back(); I != SIZE_MAX; I = Parent[I])
-    Out.push_back(Cand[I]);
-  std::reverse(Out.begin(), Out.end());
-  return Out;
-}
-
-/// Aligns the two call-anchor sequences; returns matched (stale, fresh)
-/// key pairs, ascending on both sides. LCS DP when affordable, else
-/// unique-callee anchors filtered through an LIS (\p UsedFallback set).
+/// Aligns the two call-anchor sequences with an LCS DP; returns matched
+/// (stale, fresh) key pairs, ascending on both sides. The table is
+/// (N+1) * (M+1) with M the fresh function's call count, which comes from
+/// trusted IR, so it grows only linearly with a hostile profile.
 std::vector<std::pair<uint32_t, uint32_t>>
 alignCallAnchors(const std::vector<CallAnchor> &Stale,
-                 const std::vector<CallAnchor> &Fresh, size_t MaxProduct,
-                 bool &UsedFallback) {
+                 const std::vector<CallAnchor> &Fresh) {
   std::vector<std::pair<uint32_t, uint32_t>> Out;
   const size_t N = Stale.size(), M = Fresh.size();
   if (!N || !M)
     return Out;
-  if (N * M <= MaxProduct) {
-    std::vector<std::vector<uint32_t>> DP(N + 1,
-                                          std::vector<uint32_t>(M + 1, 0));
-    for (size_t I = N; I-- > 0;)
-      for (size_t J = M; J-- > 0;)
-        DP[I][J] = anchorsEqual(Stale[I], Fresh[J])
-                       ? DP[I + 1][J + 1] + 1
-                       : std::max(DP[I + 1][J], DP[I][J + 1]);
-    size_t I = 0, J = 0;
-    while (I < N && J < M) {
-      if (anchorsEqual(Stale[I], Fresh[J]) && DP[I][J] == DP[I + 1][J + 1] + 1) {
-        Out.push_back({Stale[I].Key, Fresh[J].Key});
-        ++I;
-        ++J;
-      } else if (DP[I + 1][J] >= DP[I][J + 1]) {
-        ++I;
-      } else {
-        ++J;
-      }
+  // LCS(I, J) = LCS length of Stale[I..] and Fresh[J..], row-major.
+  std::vector<uint32_t> DP((N + 1) * (M + 1), 0);
+  auto LCS = [&](size_t I, size_t J) -> uint32_t & {
+    return DP[I * (M + 1) + J];
+  };
+  for (size_t I = N; I-- > 0;)
+    for (size_t J = M; J-- > 0;)
+      LCS(I, J) = anchorsEqual(Stale[I], Fresh[J])
+                      ? LCS(I + 1, J + 1) + 1
+                      : std::max(LCS(I + 1, J), LCS(I, J + 1));
+  size_t I = 0, J = 0;
+  while (I < N && J < M) {
+    if (anchorsEqual(Stale[I], Fresh[J]) &&
+        LCS(I, J) == LCS(I + 1, J + 1) + 1) {
+      Out.push_back({Stale[I].Key, Fresh[J].Key});
+      ++I;
+      ++J;
+    } else if (LCS(I + 1, J) >= LCS(I, J + 1)) {
+      ++I;
+    } else {
+      ++J;
     }
-    return Out;
   }
-
-  // Fallback: match callee names that are unique on both sides, then keep
-  // the largest order-consistent subset.
-  UsedFallback = true;
-  std::map<std::string, std::vector<size_t>> StaleByCallee, FreshByCallee;
-  for (size_t I = 0; I != N; ++I)
-    for (const std::string &C : Stale[I].Callees)
-      StaleByCallee[C].push_back(I);
-  for (size_t J = 0; J != M; ++J)
-    for (const std::string &C : Fresh[J].Callees)
-      FreshByCallee[C].push_back(J);
-  std::vector<std::pair<uint32_t, uint32_t>> Cand;
-  for (const auto &[Callee, SIdx] : StaleByCallee) {
-    if (Callee.empty() || SIdx.size() != 1)
-      continue;
-    auto It = FreshByCallee.find(Callee);
-    if (It == FreshByCallee.end() || It->second.size() != 1)
-      continue;
-    Cand.push_back({Stale[SIdx[0]].Key, Fresh[It->second[0]].Key});
-  }
-  std::sort(Cand.begin(), Cand.end());
-  Cand.erase(std::unique(Cand.begin(), Cand.end()), Cand.end());
-  return longestIncreasingByFresh(Cand);
+  return Out;
 }
 
 /// A computed stale→fresh key remapping: matched anchor pairs plus the
@@ -193,7 +145,6 @@ struct AlignedRemap {
   std::vector<std::pair<uint32_t, uint32_t>> Pairs;
   unsigned AnchorsTotal = 0;
   unsigned AnchorsMatched = 0;
-  bool LCSFallback = false;
 
   /// Maps \p StaleKey; returns false when the key has no trustworthy
   /// fresh counterpart (its count is dropped). Matched anchors map
@@ -229,16 +180,14 @@ struct AlignedRemap {
 };
 
 AlignedRemap computeRemap(const FunctionProfile &AnchorSource,
-                          const Function &F, ProfileKind Kind,
-                          const MatcherConfig &Cfg) {
+                          const Function &F, ProfileKind Kind) {
   AlignedRemap R;
   R.Kind = Kind;
   R.Fresh = extractFreshAnchors(F, Kind);
   std::vector<CallAnchor> Stale = extractStaleCallAnchors(AnchorSource);
   for (const CallAnchor &A : Stale)
     R.StaleCallKeys.insert(A.Key);
-  R.Pairs = alignCallAnchors(Stale, R.Fresh.Calls, Cfg.MaxLCSProduct,
-                             R.LCSFallback);
+  R.Pairs = alignCallAnchors(Stale, R.Fresh.Calls);
   R.AnchorsTotal = static_cast<unsigned>(Stale.size());
   R.AnchorsMatched = static_cast<unsigned>(R.Pairs.size());
   if (Kind == ProfileKind::ProbeBased && R.Fresh.BlockIds.count(1) &&
@@ -247,17 +196,15 @@ AlignedRemap computeRemap(const FunctionProfile &AnchorSource,
   return R;
 }
 
-MatchResult matchStaleProfileImpl(const FunctionProfile &P, const Function &F,
-                                  const Module &M, ProfileKind Kind,
-                                  const MatcherConfig &Cfg, unsigned Depth);
-
 /// Rewrites \p P through \p R into \p Out, recursing into inlinee
 /// profiles against their callee's fresh IR, accumulating \p S (which
-/// must already carry R's anchor counts when the caller wants them).
+/// must already carry R's anchor counts when the caller wants them). The
+/// recursion is as deep as P's inlinee nesting, which the profile readers
+/// bound at MaxInlineeNesting.
 void rewriteThroughRemap(const FunctionProfile &P, const AlignedRemap &R,
                          const Function &F, const Module &M, ProfileKind Kind,
-                         const MatcherConfig &Cfg, unsigned Depth,
-                         FunctionProfile &Out, MatchStats &S) {
+                         const MatcherConfig &Cfg, FunctionProfile &Out,
+                         MatchStats &S) {
   Out.Name = P.Name.empty() ? F.getName() : P.Name;
   Out.Guid = P.Guid ? P.Guid : F.getGuid();
   Out.Checksum = Kind == ProfileKind::ProbeBased ? F.ProbeCFGChecksum
@@ -287,7 +234,7 @@ void rewriteThroughRemap(const FunctionProfile &P, const AlignedRemap &R,
     for (const auto &[Callee, Sub] : Map) {
       const uint64_t SubTotal = Sub.totalBodySamples();
       const Function *CalleeF = M.getFunction(Callee);
-      if (!SiteOk || !CalleeF || Depth >= Cfg.MaxInlineeDepth) {
+      if (!SiteOk || !CalleeF) {
         S.SamplesTotal += SubTotal; // Lost with the vanished call site.
         continue;
       }
@@ -307,11 +254,9 @@ void rewriteThroughRemap(const FunctionProfile &P, const AlignedRemap &R,
         S.SamplesRecovered += SubTotal;
         continue;
       }
-      MatchResult Rec =
-          matchStaleProfileImpl(Sub, *CalleeF, M, Kind, Cfg, Depth + 1);
+      MatchResult Rec = matchStaleProfile(Sub, *CalleeF, M, Kind, Cfg);
       S.AnchorsTotal += Rec.Stats.AnchorsTotal;
       S.AnchorsMatched += Rec.Stats.AnchorsMatched;
-      S.LCSFallback += Rec.Stats.LCSFallback;
       S.SamplesTotal += Rec.Stats.SamplesTotal;
       if (!Rec.Stats.Accepted)
         continue; // Dropped inlinee: the loader falls back to the
@@ -333,19 +278,6 @@ void finalizeStats(MatchStats &S, const MatcherConfig &Cfg) {
                  ? static_cast<double>(S.AnchorsMatched) / S.AnchorsTotal
                  : 1.0);
   S.Accepted = S.Confidence >= Cfg.MinConfidence;
-}
-
-MatchResult matchStaleProfileImpl(const FunctionProfile &P, const Function &F,
-                                  const Module &M, ProfileKind Kind,
-                                  const MatcherConfig &Cfg, unsigned Depth) {
-  MatchResult R;
-  AlignedRemap Remap = computeRemap(P, F, Kind, Cfg);
-  R.Stats.AnchorsTotal = Remap.AnchorsTotal;
-  R.Stats.AnchorsMatched = Remap.AnchorsMatched;
-  R.Stats.LCSFallback = Remap.LCSFallback;
-  rewriteThroughRemap(P, Remap, F, M, Kind, Cfg, Depth, R.Recovered, R.Stats);
-  finalizeStats(R.Stats, Cfg);
-  return R;
 }
 
 size_t countProfiledNodes(const ContextTrieNode &N) {
@@ -404,7 +336,7 @@ void copyTrieNode(const ContextTrieNode &Src, ContextTrieNode &Dst,
   if (NodeStale && St->Accepted) {
     MatchStats Ignored; // Per-function stats were taken from the merged view.
     rewriteThroughRemap(Src.Profile, St->Remap, *St->F, M,
-                        ProfileKind::ProbeBased, Cfg, 0, Dst.Profile, Ignored);
+                        ProfileKind::ProbeBased, Cfg, Dst.Profile, Ignored);
     ++Summary.ContextsRemapped;
   } else {
     Dst.Profile = Src.Profile;
@@ -441,7 +373,13 @@ void copyTrieNode(const ContextTrieNode &Src, ContextTrieNode &Dst,
 MatchResult matchStaleProfile(const FunctionProfile &P, const Function &F,
                               const Module &M, ProfileKind Kind,
                               const MatcherConfig &Cfg) {
-  return matchStaleProfileImpl(P, F, M, Kind, Cfg, 0);
+  MatchResult R;
+  AlignedRemap Remap = computeRemap(P, F, Kind);
+  R.Stats.AnchorsTotal = Remap.AnchorsTotal;
+  R.Stats.AnchorsMatched = Remap.AnchorsMatched;
+  rewriteThroughRemap(P, Remap, F, M, Kind, Cfg, R.Recovered, R.Stats);
+  finalizeStats(R.Stats, Cfg);
+  return R;
 }
 
 bool lineProfileLooksStale(const FunctionProfile &P, const Function &F) {
@@ -478,13 +416,12 @@ matchContextProfile(const ContextProfile &CS, const Module &M,
 
   // Pass 2: one alignment per function, confidence from the merged view.
   for (auto &[Name, St] : Fns) {
-    St.Remap = computeRemap(St.Merged, *St.F, ProfileKind::ProbeBased, Cfg);
+    St.Remap = computeRemap(St.Merged, *St.F, ProfileKind::ProbeBased);
     St.Stats.AnchorsTotal = St.Remap.AnchorsTotal;
     St.Stats.AnchorsMatched = St.Remap.AnchorsMatched;
-    St.Stats.LCSFallback = St.Remap.LCSFallback;
     FunctionProfile Trial;
     rewriteThroughRemap(St.Merged, St.Remap, *St.F, M,
-                        ProfileKind::ProbeBased, Cfg, 0, Trial, St.Stats);
+                        ProfileKind::ProbeBased, Cfg, Trial, St.Stats);
     finalizeStats(St.Stats, Cfg);
     St.Accepted = St.Stats.Accepted;
     Summary.PerFunction.push_back({Name, St.Stats});

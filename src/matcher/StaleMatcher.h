@@ -19,10 +19,9 @@
 ///     most edits. The stale side reads them from the profile's
 ///     call-target and inlinee records; the fresh side walks the
 ///     probe-decorated (or line-annotated) IR.
-///  2. Align the two call-anchor sequences with an LCS matcher whose
-///     equality test is callee-name intersection (falls back to
-///     unique-anchor matching filtered by a longest increasing
-///     subsequence when the DP would be too large).
+///  2. Align the two call-anchor sequences with an LCS dynamic program
+///     whose equality test is callee-name intersection. It is exact at
+///     every size: there is no cutoff and no fallback matcher.
 ///  3. Derive a stale→fresh key remapping: matched anchors map exactly;
 ///     every other key shifts by the delta of the nearest preceding
 ///     matched anchor, guarded so it neither crosses the next anchor nor
@@ -31,7 +30,8 @@
 ///  4. Rewrite body counts, call targets and nested inlinee profiles
 ///     through the remapping, recursing into inlinees against their
 ///     callee's fresh IR, and stamp the recovered profile with the fresh
-///     checksum.
+///     checksum. The recursion is as deep as the profile's inlinee
+///     nesting, which the profile readers bound at MaxInlineeNesting.
 ///
 /// Per-function MatchStats report how much was recovered; a confidence
 /// threshold decides whether the recovered profile is applied or the
@@ -58,13 +58,6 @@ struct MatcherConfig {
   /// recovered profile is applied; below it the stale profile is dropped
   /// exactly as without the matcher.
   double MinConfidence = 0.5;
-  /// Recursion cap for nested inlinee profiles.
-  unsigned MaxInlineeDepth = 8;
-  /// |stale anchors| * |fresh anchors| above which the LCS DP is skipped
-  /// in favor of unique-anchor matching (guards quadratic blowup on
-  /// machine-generated monster functions). Counted in
-  /// MatchStats::LCSFallback.
-  size_t MaxLCSProduct = size_t(1) << 22;
 };
 
 /// Per-function (or per-context) record of one matching attempt.
@@ -73,9 +66,6 @@ struct MatchStats {
   unsigned AnchorsTotal = 0;
   /// Anchors the LCS aligned to a fresh key.
   unsigned AnchorsMatched = 0;
-  /// Alignments (this function's and recursed inlinees') that exceeded
-  /// MatcherConfig::MaxLCSProduct and used unique-anchor matching.
-  unsigned LCSFallback = 0;
   /// Body samples in the stale profile (including recursed inlinees).
   uint64_t SamplesTotal = 0;
   /// Body samples carried over to fresh keys.

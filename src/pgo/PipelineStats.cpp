@@ -12,7 +12,6 @@ LoaderStats &accumulate(LoaderStats &S, const LoaderStats &O) {
   S.StaleMatched += O.StaleMatched;
   S.StaleAnchorsMatched += O.StaleAnchorsMatched;
   S.StaleCountsRecovered += O.StaleCountsRecovered;
-  S.StaleLCSFallbacks += O.StaleLCSFallbacks;
   S.StaleMatches.insert(S.StaleMatches.end(), O.StaleMatches.begin(),
                         O.StaleMatches.end());
   S.InlinedCallsites += O.InlinedCallsites;
@@ -110,7 +109,6 @@ std::string PipelineStats::toJSON() const {
   LoaderO.field("stale_matched", Loader.StaleMatched);
   LoaderO.field("stale_anchors", Loader.StaleAnchorsMatched);
   LoaderO.field("stale_counts_recovered", Loader.StaleCountsRecovered);
-  LoaderO.field("stale_lcs_fallbacks", Loader.StaleLCSFallbacks);
   LoaderO.field("hot_threshold", Loader.HotThresholdUsed);
   LoaderO.field("store_materialized", Loader.StoreFunctionsMaterialized);
   LoaderO.field("store_skipped", Loader.StoreFunctionsSkipped);

@@ -64,6 +64,13 @@ struct ProfileKey {
   }
 };
 
+/// Deepest inlinee nesting a profile reader accepts: a top-level profile
+/// is at depth 0 and each nested inlinee one deeper. The text and store
+/// readers reject anything deeper with a parse error, which bounds every
+/// recursion over a loaded profile (the stale matcher's among them).
+/// Generated profiles nest only as deep as the inliner did, far below.
+constexpr unsigned MaxInlineeNesting = 64;
+
 /// Whether profile records are keyed by debug-info line offsets or by
 /// pseudo-probe ids. This is the axis the paper's "profile correlation"
 /// comparison (Fig. 2) runs along.

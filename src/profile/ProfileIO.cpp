@@ -132,11 +132,10 @@ bool parseKey(const std::string &S, ProfileKey &K) {
          parseUInt(B + Dot + 1, B + S.size(), K.Disc);
 }
 
-/// Parses body lines at indentation > \p HeaderIndent into \p P.
-bool parseBody(LineReader &Reader, FunctionProfile &P, size_t HeaderIndent);
-
+/// Parses one body line into \p P, which sits at inlinee nesting depth
+/// \p Depth; an inlinee record recurses one level deeper.
 bool parseBodyLine(LineReader &Reader, const std::string &Line,
-                   FunctionProfile &P) {
+                   FunctionProfile &P, unsigned Depth) {
   std::string S = Line.substr(indentOf(Line));
   if (S.rfind("!CFGChecksum: ", 0) == 0) {
     // The serializer emits at most one (nonzero) checksum line per
@@ -200,6 +199,8 @@ bool parseBodyLine(LineReader &Reader, const std::string &Line,
       return false;
     if (P.inlineeAt(K, Callee))
       return false; // Duplicate inlinee record.
+    if (Depth >= MaxInlineeNesting)
+      return false; // Nested deeper than any reader accepts.
     FunctionProfile &Inlinee = P.getOrCreateInlinee(K, Callee);
     Inlinee.HeadSamples = Head;
     // Body lines until the matching "}".
@@ -212,7 +213,7 @@ bool parseBodyLine(LineReader &Reader, const std::string &Line,
         // the recomputed body sum, or the inlinee body was truncated or
         // tampered with.
         return Inlinee.TotalSamples == Total;
-      if (!parseBodyLine(Reader, BodyLine, Inlinee))
+      if (!parseBodyLine(Reader, BodyLine, Inlinee, Depth + 1))
         return false;
     }
     return false; // Missing closing brace.
@@ -227,6 +228,8 @@ bool parseBodyLine(LineReader &Reader, const std::string &Line,
   return true;
 }
 
+/// Parses body lines at indentation > \p HeaderIndent into the top-level
+/// profile \p P.
 bool parseBody(LineReader &Reader, FunctionProfile &P, size_t HeaderIndent) {
   std::string Line;
   while (Reader.next(Line)) {
@@ -236,7 +239,7 @@ bool parseBody(LineReader &Reader, FunctionProfile &P, size_t HeaderIndent) {
       Reader.pushBack(Line);
       return true;
     }
-    if (!parseBodyLine(Reader, Line, P))
+    if (!parseBodyLine(Reader, Line, P, 0))
       return false;
   }
   return true;

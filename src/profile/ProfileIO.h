@@ -39,10 +39,12 @@ namespace csspgo {
 std::string serializeFlatProfile(const FlatProfile &Profile);
 std::string serializeContextProfile(const ContextProfile &Profile);
 
-/// Parses a flat profile; returns false on malformed input.
+/// Parses a flat profile; returns false on malformed input, inlinee
+/// nesting deeper than MaxInlineeNesting included.
 bool parseFlatProfile(const std::string &Text, FlatProfile &Out);
 
-/// Parses a context-sensitive profile; returns false on malformed input.
+/// Parses a context-sensitive profile; returns false on malformed input,
+/// inlinee nesting deeper than MaxInlineeNesting included.
 bool parseContextProfile(const std::string &Text, ContextProfile &Out);
 
 /// Serialized size in bytes (the scalability metric).

@@ -16,10 +16,6 @@ namespace csspgo {
 
 namespace {
 
-/// Inlinee nesting beyond this is rejected at decode time (the generators
-/// produce depth <= the inline depth limit, far below this).
-constexpr unsigned MaxRecordDepth = 64;
-
 void collectRefs(const FunctionProfile &P, std::set<std::string> &S) {
   for (const auto &[K, Targets] : P.Calls)
     for (const auto &[Callee, N] : Targets)
@@ -113,7 +109,7 @@ struct NameMapper {
 /// run on the slices without re-sorting.
 bool decodeRecordView(ByteReader &R, ProfileArena &A, NameMapper &NM,
                       unsigned Depth, uint32_t &RecOut, std::string &Err) {
-  if (Depth > MaxRecordDepth) {
+  if (Depth > MaxInlineeNesting) {
     Err = "inlinee nesting exceeds depth limit";
     return false;
   }
@@ -590,8 +586,7 @@ bool ProfileStore::decodeSections(std::string &Err) {
         return false;
       }
       // Zero-copy: every entry stays a view into the container bytes —
-      // open() allocates nothing per name. GUIDs are derived, not stored;
-      // ensureGuids() hashes them on first use. Pre-sized index writes,
+      // open() allocates nothing per name. Pre-sized index writes,
       // not push_back + substr: the bounds checks inside substr and the
       // grow branch in push_back defeat the compiler here and cost ~7x on
       // this loop, which open() pays on every store.
@@ -772,11 +767,6 @@ std::string_view ProfileStore::functionName(size_t I) const {
   return Names[Index[I].NameIdx];
 }
 
-uint64_t ProfileStore::functionGuid(size_t I) const {
-  ensureGuids();
-  return NameGuids[Index[I].NameIdx];
-}
-
 std::pair<uint64_t, uint64_t> ProfileStore::functionTile(size_t I) const {
   const SectionRef &P = Sections[static_cast<uint32_t>(
       isCS() ? StoreSection::CSPayload : StoreSection::FlatPayload)];
@@ -790,32 +780,13 @@ uint64_t ProfileStore::totalSamples() const {
   return Total;
 }
 
-void ProfileStore::ensureGuids() const {
-  if (NameGuids.size() == Names.size())
-    return;
-  NameGuids.reserve(Names.size());
-  for (std::string_view N : Names)
-    NameGuids.push_back(computeFunctionGuid(N));
-}
-
-void ProfileStore::ensureLookups() const {
-  if (LookupsBuilt)
-    return;
-  ensureGuids();
-  for (uint32_t I = 0; I != Index.size(); ++I) {
-    // Non-compact stores never need the name map — findFunction binary
-    // searches the name-sorted index instead. Compact/resolved names are
-    // not in table order, so they get the map.
-    if (compactNames())
-      NameToFunc[Names[Index[I].NameIdx]] = I;
-    GuidToFunc.emplace(NameGuids[Index[I].NameIdx], I);
-  }
-  LookupsBuilt = true;
-}
-
 int ProfileStore::findFunction(const std::string &Name) const {
   if (compactNames()) {
-    ensureLookups();
+    // Compact/resolved names are not in table order, so they get a map,
+    // built on first use to keep open() off the O(N log N) path.
+    if (NameToFunc.empty())
+      for (uint32_t I = 0; I != Index.size(); ++I)
+        NameToFunc[Names[Index[I].NameIdx]] = I;
     auto It = NameToFunc.find(Name);
     return It == NameToFunc.end() ? -1 : static_cast<int>(It->second);
   }
@@ -830,12 +801,6 @@ int ProfileStore::findFunction(const std::string &Name) const {
   if (It == Index.end() || Names[It->NameIdx] != Name)
     return -1;
   return static_cast<int>(It - Index.begin());
-}
-
-int ProfileStore::findFunctionByGuid(uint64_t Guid) const {
-  ensureLookups();
-  auto It = GuidToFunc.find(Guid);
-  return It == GuidToFunc.end() ? -1 : static_cast<int>(It->second);
 }
 
 void ProfileStore::resolveNames(const Module &M) {
@@ -853,8 +818,6 @@ void ProfileStore::resolveNames(const Module &M) {
     }
   }
   NameToFunc.clear();
-  GuidToFunc.clear();
-  LookupsBuilt = false;
 }
 
 Expected<FlatProfileView> ProfileStore::loadFlatView() const {

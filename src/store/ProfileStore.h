@@ -122,7 +122,6 @@ public:
   /// Number of top-level functions (flat) or leaf functions (CS).
   size_t numFunctions() const { return Index.size(); }
   std::string_view functionName(size_t I) const;
-  uint64_t functionGuid(size_t I) const;
   uint64_t functionTotalSamples(size_t I) const { return Index[I].Total; }
   /// Absolute (offset, size) of function \p I's payload tile within the
   /// container — the directly-addressable slice the zero-copy readers
@@ -134,7 +133,6 @@ public:
   /// Index of the function named \p Name, or -1. Name lookup works on
   /// compact stores only after resolveNames().
   int findFunction(const std::string &Name) const;
-  int findFunctionByGuid(uint64_t Guid) const;
 
   /// Resolves compact-name (GUID) string-table entries against the
   /// functions of \p M; entries with no match keep a stable
@@ -164,8 +162,8 @@ private:
     uint64_t Total = 0;
     uint64_t Head = 0;
     /// Persisted top-level Guid/Checksum (ProbeMeta section, flat stores
-    /// only; distinct from the name-derived lookup GUID so a profile with
-    /// Guid 0 round-trips byte-identically).
+    /// only; distinct from a compact string table's name GUIDs so a
+    /// profile with Guid 0 round-trips byte-identically).
     uint64_t MetaGuid = 0;
     uint64_t MetaChecksum = 0;
   };
@@ -182,13 +180,6 @@ private:
   }
   std::string_view section(StoreSection S) const;
   bool decodeSections(std::string &Err);
-  /// Guid lookup map (and, for compact stores, the name map — non-compact
-  /// name lookup binary searches the sorted index instead) built on first
-  /// findFunction* use so open() stays off the O(N log N) map-build path.
-  void ensureLookups() const;
-  /// Name GUIDs are hashed on first use for the same reason (compact
-  /// stores persist them, so there they are filled at open()).
-  void ensureGuids() const;
 
   std::string Owned;
   std::string_view Borrowed;
@@ -200,12 +191,12 @@ private:
   /// stay valid as entries are added and across store moves).
   std::vector<std::string_view> Names;
   std::deque<std::string> NameStorage;
-  mutable std::vector<uint64_t> NameGuids;
+  /// Persisted name GUIDs of a compact string table (empty otherwise).
+  std::vector<uint64_t> NameGuids;
   std::vector<EpochInfo> Epochs;
   std::vector<IndexEntry> Index;
-  mutable bool LookupsBuilt = false;
+  /// Compact stores' name -> index map, built by the first findFunction.
   mutable std::map<std::string_view, uint32_t> NameToFunc;
-  mutable std::map<uint64_t, uint32_t> GuidToFunc;
   /// (count value, multiplicity), descending — the hotThreshold input.
   std::vector<std::pair<uint64_t, uint64_t>> Distribution;
 };

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace csspgo {
 
@@ -130,9 +131,11 @@ WorkloadConfig workloadPreset(const std::string &Name, double RequestScale) {
   } else {
     assert(false && "unknown workload preset");
   }
-  C.Requests = static_cast<unsigned>(C.Requests * RequestScale);
-  if (C.Requests == 0)
-    C.Requests = 1;
+  // Clamped in double before the cast: a product past the unsigned range
+  // (or a NaN scale) must not reach the undefined conversion.
+  const double Scaled = std::min(C.Requests * RequestScale,
+                                 double(std::numeric_limits<unsigned>::max()));
+  C.Requests = Scaled >= 1 ? static_cast<unsigned>(Scaled) : 1;
   return C;
 }
 

@@ -27,7 +27,8 @@ namespace csspgo {
 /// Returns the preset named \p Name ("AdRanker", "AdRetriever",
 /// "AdFinder", "HHVM", "HaaS", "ClangProxy", plus the archetype presets
 /// "RpcFanout", "InterpLoop", "ColdBoot"). \p RequestScale multiplies
-/// the request count (benchmarks use larger scales than unit tests).
+/// the request count (benchmarks use larger scales than unit tests); the
+/// product is clamped to [1, UINT_MAX].
 WorkloadConfig workloadPreset(const std::string &Name,
                               double RequestScale = 1.0);
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -425,8 +426,9 @@ TEST(CLIFlags, FindSubcommandAndMinOperands) {
 }
 
 //===----------------------------------------------------------------------===//
-// The dispatcher: spellings the tool does not have, unknown workloads and
-// scales that are not a finite number > 0 exit 2 with the usage.
+// The dispatcher: spellings the tool does not have, unknown workloads,
+// scales that are not a finite number > 0 and scales whose request count
+// does not fit an unsigned exit 2 with the usage, before any run starts.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -453,13 +455,48 @@ TEST(CLIDispatch, UnknownSubcommandsAndRunFlagsExitWithUsage) {
                            "run AdRanker csspgo 0.05 --mode trace",
                            "run AdRanker csspgo 0.05 --postlink",
                            "run Bogus csspgo 0.05", "run AdRanker csspgo -1",
-                           "run AdRanker csspgo abc", "ir Bogus"}) {
+                           "run AdRanker csspgo abc", "ir Bogus",
+                           "run AdRanker csspgo 2e6", "ir AdRanker 1e300"}) {
     std::string Output;
     EXPECT_EQ(runTool(Args, Output), 2) << Args;
     EXPECT_NE(Output.find("usage:\n  csspgo_exp run"), std::string::npos)
         << Args << ":\n"
         << Output;
   }
+}
+
+// `convert` takes a text profile nested exactly MaxInlineeNesting (64)
+// levels deep and refuses a deeper one with a message, however deep:
+// 200,000 levels used to overflow the stack.
+TEST(CLIConvert, NestingPastTheBoundFailsCleanly) {
+  const std::filesystem::path Dir =
+      std::filesystem::temp_directory_path() /
+      ("csspgo_cli_nesting_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(Dir);
+  for (unsigned Levels : {64u, 65u, 200000u}) {
+    // Empty inlinees, every line indented by one space, so the text grows
+    // only linearly with the depth.
+    std::string Text = "!kind: line\nmain:0:0\n";
+    for (unsigned I = 0; I != Levels; ++I)
+      Text += " 1: > f:0:0 {\n";
+    for (unsigned I = 0; I != Levels; ++I)
+      Text += " }\n";
+    const std::filesystem::path In = Dir / "deep.txt";
+    std::ofstream(In) << Text;
+    std::string Output;
+    int Exit = runTool("convert " + In.string() + " " +
+                           (Dir / "deep.bin").string(),
+                       Output);
+    if (Levels == 64) {
+      EXPECT_EQ(Exit, 0) << Output;
+      continue;
+    }
+    EXPECT_EQ(Exit, 1) << Levels;
+    EXPECT_NE(Output.find("is not a valid profile"), std::string::npos)
+        << Levels << ":\n"
+        << Output;
+  }
+  std::filesystem::remove_all(Dir);
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,7 @@
 #include "pgo/PGODriver.h"
 #include "probe/ProbeInserter.h"
 #include "quality/BlockOverlap.h"
+#include "support/Random.h"
 #include "workload/Workloads.h"
 
 #include "TestHelpers.h"
@@ -340,67 +341,149 @@ TEST(Matcher, LineDriftRecoveryImprovesOverlap) {
       << "anchor matching must beat mis-correlated line application";
 }
 
-// Above MatcherConfig::MaxLCSProduct the alignment switches from the LCS
-// DP to unique-callee anchors. The switch is counted, and its output is
-// the unique-anchor one: a callee called twice on the stale side aligns
-// under the LCS but is no anchor of the fallback.
-TEST(Matcher, LCSCutoffIsCounted) {
-  Module M("lcs");
+namespace {
+
+/// Leaf functions a, b and c, plus an empty "main" for the caller to fill.
+Function *mainOverLeaves(Module &M) {
   for (const char *Leaf : {"a", "b", "c"}) {
     Builder B(M.createFunction(Leaf, 0));
     B.setInsertBlock(M.getFunction(Leaf)->createBlock("entry"));
     B.emitRet(Operand::imm(1));
   }
-  Function *Main = M.createFunction("main", 0);
+  return M.createFunction("main", 0);
+}
+
+/// The matcher's anchor equality: an indirect site ("") matches anything,
+/// otherwise the callee sets must intersect. Not transitive: {a, b}
+/// matches {a} and {b}, which do not match each other.
+bool anchorSetsMatch(const std::set<std::string> &A,
+                     const std::set<std::string> &B) {
+  if (A.count("") || B.count(""))
+    return true;
+  for (const std::string &C : A)
+    if (B.count(C))
+      return true;
+  return false;
+}
+
+/// LCS length by exhaustion: the largest subset of \p Stale that embeds,
+/// in order, into \p Fresh. Earliest-match embedding of a fixed subset is
+/// optimal, so trying every subset is exact.
+unsigned bruteForceLCS(const std::vector<std::set<std::string>> &Stale,
+                       const std::vector<std::set<std::string>> &Fresh) {
+  unsigned Best = 0;
+  for (uint32_t Mask = 0; Mask != (1u << Stale.size()); ++Mask) {
+    size_t J = 0;
+    bool Embeds = true;
+    for (size_t I = 0; I != Stale.size() && Embeds; ++I) {
+      if (!((Mask >> I) & 1))
+        continue;
+      while (J != Fresh.size() && !anchorSetsMatch(Stale[I], Fresh[J]))
+        ++J;
+      Embeds = J != Fresh.size();
+      ++J;
+    }
+    if (Embeds)
+      Best = std::max(Best, unsigned(__builtin_popcount(Mask)));
+  }
+  return Best;
+}
+
+} // namespace
+
+// The alignment is one LCS at every size. Above the old 2^22 anchor-
+// product cutoff (which switched to unique-callee anchors) a repeated
+// callee still aligns: unique-anchor matching would pair only a and c.
+TEST(Matcher, LCSIsExactAboveOldCutoff) {
+  constexpr unsigned FreshBs = 20;
+  constexpr uint64_t M = FreshBs + 2;
+  constexpr uint64_t N = 200000;
+  static_assert(N * M > (uint64_t(1) << 22));
+
+  Module Mod("lcs");
+  Function *Main = mainOverLeaves(Mod);
   {
     Builder B(Main);
     B.setInsertBlock(Main->createBlock("entry"));
-    for (const char *Leaf : {"a", "b", "c"})
-      B.emitCall(Leaf, {});
+    B.emitCall("a", {});
+    for (unsigned I = 0; I != FreshBs; ++I)
+      B.emitCall("b", {});
+    B.emitCall("c", {});
     B.emitRet(Operand::imm(0));
   }
-  M.EntryFunction = "main";
-  insertProbes(M, AnchorKind::PseudoProbe);
+  Mod.EntryFunction = "main";
+  insertProbes(Mod, AnchorKind::PseudoProbe);
 
-  std::map<std::string, uint32_t> FreshKey;
-  for (const auto &I : Main->getEntry()->Insts)
-    if (I.isCall())
-      FreshKey[I.Callee] = I.ProbeId;
-  ASSERT_EQ(FreshKey.size(), 3u);
-
-  // Stale call anchors a, b, b, c at keys 10..13 (one extra call to b).
+  // Stale call anchors a, b x (N - 2), c at keys 10, 11, ...
   FunctionProfile Stale;
   Stale.Name = "main";
   Stale.Guid = Main->getGuid();
   Stale.Checksum = Main->ProbeCFGChecksum ^ 1;
-  uint32_t Key = 10;
-  for (const char *Callee : {"a", "b", "b", "c"}) {
-    Stale.addBody({Key, 0}, 5);
-    Stale.addCall({Key, 0}, Callee, 5);
-    ++Key;
+  for (uint32_t I = 0; I != N; ++I)
+    Stale.addCall({10 + I, 0}, I == 0 ? "a" : I + 1 == N ? "c" : "b", 1);
+
+  MatchResult R =
+      matchStaleProfile(Stale, *Main, Mod, ProfileKind::ProbeBased);
+  EXPECT_EQ(R.Stats.AnchorsTotal, N);
+  EXPECT_EQ(R.Stats.AnchorsMatched, M);
+  // Every fresh call site carries exactly its own callee's one count.
+  unsigned Sites = 0;
+  for (const auto &I : Main->getEntry()->Insts) {
+    if (!I.isCall())
+      continue;
+    ++Sites;
+    auto It = R.Recovered.Calls.find({I.ProbeId, 0});
+    ASSERT_NE(It, R.Recovered.Calls.end()) << I.Callee;
+    EXPECT_EQ(It->second, (std::map<std::string, uint64_t>{{I.Callee, 1}}));
   }
+  EXPECT_EQ(Sites, M);
+  EXPECT_EQ(R.Recovered.Calls.size(), M);
+}
 
-  MatchResult LCS = matchStaleProfile(Stale, *Main, M, ProfileKind::ProbeBased);
-  EXPECT_EQ(LCS.Stats.LCSFallback, 0u);
-  EXPECT_EQ(LCS.Stats.AnchorsTotal, 4u);
-  EXPECT_EQ(LCS.Stats.AnchorsMatched, 3u);
+// Random small anchor sequences, wildcards and multi-callee sets on both
+// sides: AnchorsMatched is exactly the LCS length. Line mode, so a fresh
+// anchor with several callees is several calls on one line.
+TEST(Matcher, AnchorsMatchedEqualsBruteForceLCS) {
+  Rng R(0x1C5);
+  // One or two callees of a, b, c; now and then the indirect wildcard.
+  auto RandomSet = [&R] {
+    std::set<std::string> S;
+    for (uint64_t K = 1 + R.nextBelow(2); K-- > 0;)
+      S.insert(R.nextBool(0.15) ? std::string()
+                                : std::string(1, char('a' + R.nextBelow(3))));
+    return S;
+  };
+  for (int Case = 0; Case != 400; ++Case) {
+    std::vector<std::set<std::string>> Stale(R.nextBelow(8)),
+        Fresh(R.nextBelow(8));
+    for (auto &S : Stale)
+      S = RandomSet();
+    for (auto &S : Fresh)
+      S = RandomSet();
 
-  MatcherConfig Small;
-  Small.MaxLCSProduct = 4 * 3 - 1;
-  MatchResult Cut =
-      matchStaleProfile(Stale, *Main, M, ProfileKind::ProbeBased, Small);
-  EXPECT_EQ(Cut.Stats.LCSFallback, 1u);
-  EXPECT_EQ(Cut.Stats.AnchorsTotal, 4u);
-  EXPECT_EQ(Cut.Stats.AnchorsMatched, 2u) << "pairs (10, a) and (13, c)";
-  for (const char *Callee : {"a", "c"}) {
-    auto It = Cut.Recovered.Calls.find({FreshKey[Callee], 0});
-    ASSERT_NE(It, Cut.Recovered.Calls.end()) << Callee;
-    EXPECT_EQ(It->second.count(Callee), 1u) << Callee;
+    Module Mod("prop");
+    Function *Main = mainOverLeaves(Mod);
+    Builder B(Main);
+    B.setInsertBlock(Main->createBlock("entry"));
+    for (uint32_t Line = 0; Line != Fresh.size(); ++Line)
+      for (const std::string &Callee : Fresh[Line]) {
+        B.setLine(1 + Line);
+        if (Callee.empty())
+          B.emitCallIndirect(Operand::imm(0), {});
+        else
+          B.emitCall(Callee, {});
+      }
+    B.emitRet(Operand::imm(0));
+
+    FunctionProfile P;
+    P.Name = "main";
+    for (uint32_t I = 0; I != Stale.size(); ++I)
+      for (const std::string &Callee : Stale[I])
+        P.addCall({1 + I, 0}, Callee, 1);
+
+    MatchResult MR = matchStaleProfile(P, *Main, Mod, ProfileKind::LineBased);
+    EXPECT_EQ(MR.Stats.AnchorsTotal, Stale.size()) << "case " << Case;
+    EXPECT_EQ(MR.Stats.AnchorsMatched, bruteForceLCS(Stale, Fresh))
+        << "case " << Case;
   }
-
-  // At exactly the cutoff the DP still runs.
-  Small.MaxLCSProduct = 4 * 3;
-  EXPECT_EQ(matchStaleProfile(Stale, *Main, M, ProfileKind::ProbeBased, Small)
-                .Stats.LCSFallback,
-            0u);
 }

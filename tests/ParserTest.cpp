@@ -1,6 +1,6 @@
 //===- tests/ParserTest.cpp - IR parser round-trip tests --------*- C++ -*-===//
 
-#include "ir/Parser.h"
+#include "Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "probe/ProbeInserter.h"

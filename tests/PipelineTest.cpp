@@ -265,7 +265,6 @@ TEST(PipelineStats, JSONIsStableAndCarriesEveryGroup) {
   PipelineStats S;
   S.ProfGen.Samples = 7;
   S.Loader.FunctionsAnnotated = 3;
-  S.Loader.StaleLCSFallbacks = 2;
   std::string J = S.toJSON();
   EXPECT_EQ(J, S.toJSON());
   for (const char *Key : {"\"profgen\":", "\"reduce\":", "\"ingest\":",
@@ -274,7 +273,6 @@ TEST(PipelineStats, JSONIsStableAndCarriesEveryGroup) {
     EXPECT_NE(J.find(Key), std::string::npos) << Key;
   EXPECT_NE(J.find("\"samples\":7"), std::string::npos);
   EXPECT_NE(J.find("\"annotated\":3"), std::string::npos);
-  EXPECT_NE(J.find("\"stale_lcs_fallbacks\":2"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -23,6 +23,7 @@
 #include "profile/ProfileSummary.h"
 #include "sim/Executor.h"
 #include "store/ProfileStore.h"
+#include "support/Hashing.h"
 #include "verify/ProfileVerifier.h"
 #include "workload/ProgramGenerator.h"
 
@@ -245,7 +246,64 @@ TEST(Store, FunctionLookupByNameAndGuid) {
   EXPECT_EQ(S.functionName(Foo), "foo");
   EXPECT_EQ(S.functionTotalSamples(Foo), 40u);
   EXPECT_EQ(S.findFunction("ghost"), -1);
-  EXPECT_EQ(S.findFunctionByGuid(S.functionGuid(Foo)), Foo);
+
+  // A compact store names functions by GUID until resolved.
+  StoreWriteOptions Compact;
+  Compact.CompactNames = true;
+  ProfileStore C = openOrDie(writeStore(P, {}, Compact));
+  int ByGuid =
+      C.findFunction("guid." + std::to_string(computeFunctionGuid("foo")));
+  ASSERT_GE(ByGuid, 0);
+  EXPECT_EQ(C.functionTotalSamples(ByGuid), 40u);
+}
+
+//===----------------------------------------------------------------------===//
+// Inlinee nesting: the text and store readers share MaxInlineeNesting.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// "main" over a chain of \p Depth nested inlinees, one sample per level.
+FlatProfile nestedProfile(unsigned Depth) {
+  FlatProfile P;
+  FunctionProfile *Cur = &P.getOrCreate("main");
+  for (unsigned D = 0; D != Depth; ++D) {
+    Cur->addBody({1, 0}, 1);
+    Cur = &Cur->getOrCreateInlinee({2, 0}, "f" + std::to_string(D + 1));
+  }
+  Cur->addBody({1, 0}, 1);
+  return P;
+}
+
+} // namespace
+
+TEST(Store, InlineeNestingBoundIsSharedByBothReaders) {
+  // At the bound, text -> store -> text is the identity.
+  std::string Text = serializeFlatProfile(nestedProfile(MaxInlineeNesting));
+  FlatProfile Parsed;
+  ASSERT_TRUE(parseFlatProfile(Text, Parsed));
+  ProfileStore S = openOrDie(writeStore(Parsed, {}));
+  Expected<FlatProfileView> View = S.loadFlatView();
+  ASSERT_TRUE(View) << View.status().message();
+  EXPECT_EQ(serializeFlatProfile(flatProfileOf(*View)), Text);
+
+  // One level deeper, the text readers (flat and context) and the store
+  // reader all refuse.
+  FlatProfile Deep = nestedProfile(MaxInlineeNesting + 1);
+  FlatProfile FlatBack;
+  EXPECT_FALSE(parseFlatProfile(serializeFlatProfile(Deep), FlatBack));
+  ContextProfile CS;
+  ContextTrieNode &N = CS.getOrCreateNode({{"main", 0}});
+  N.HasProfile = true;
+  N.Profile = Deep.Functions.at("main");
+  ContextProfile CSBack;
+  EXPECT_FALSE(parseContextProfile(serializeContextProfile(CS), CSBack));
+  Expected<ProfileStore> DeepStore = ProfileStore::open(writeStore(Deep, {}));
+  ASSERT_TRUE(DeepStore) << DeepStore.status().message();
+  Expected<FlatProfileView> DeepView = DeepStore->loadFlatView();
+  ASSERT_FALSE(DeepView);
+  EXPECT_EQ(DeepView.status().message(),
+            "inlinee nesting exceeds depth limit");
 }
 
 TEST(Store, HotThresholdMatchesProfileSummary) {

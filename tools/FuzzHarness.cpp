@@ -20,6 +20,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <set>
 #include <string>
 #include <tuple>
@@ -31,6 +32,10 @@ namespace {
 /// Golden-ratio stride: consecutive iteration seeds are decorrelated, and
 /// iteration 0 of `fuzz 1 <seed>` replays exactly the reported seed.
 constexpr uint64_t SeedStride = 0x9E3779B97F4A7C15ull;
+
+/// Stage 14 seeds its own generator with Seed ^ NestingSalt, so adding it
+/// left every earlier stage's random stream unchanged.
+constexpr uint64_t NestingSalt = 0x6E657374696E67ull;
 
 WorkloadConfig randomWorkload(Rng &R) {
   WorkloadConfig W;
@@ -673,6 +678,58 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
       Err = "mid-level CFG analysis diverges from the oracle: " + D;
       return false;
     }
+
+  // --- 14. Inlinee nesting at the readers' bound -----------------------
+  // One generated function's body and call targets, wrapped in K inlinee
+  // levels with K in 60..70: the text reader accepts exactly when
+  // K <= MaxInlineeNesting, the store reader agrees, and an accepted
+  // profile round trips text -> store -> text byte-identically.
+  {
+    Rng NR(Seed ^ NestingSalt);
+    const unsigned K = 60 + static_cast<unsigned>(NR.nextBelow(11));
+    FunctionProfile Leaf;
+    if (!AFRes.Flat.Functions.empty()) {
+      Leaf = std::next(AFRes.Flat.Functions.begin(),
+                       NR.nextBelow(AFRes.Flat.Functions.size()))
+                 ->second;
+      Leaf.Inlinees.clear(); // The chain alone sets the depth.
+    }
+    FlatProfile Deep;
+    Deep.Kind = AFRes.Flat.Kind;
+    FunctionProfile *Cur = &Deep.getOrCreate("fuzz_nest");
+    for (unsigned D = 1; D <= K; ++D)
+      Cur = &Cur->getOrCreateInlinee({D, 0}, "nest" + std::to_string(D));
+    *Cur = std::move(Leaf);
+
+    const std::string Text = serializeFlatProfile(Deep);
+    const bool WithinBound = K <= MaxInlineeNesting;
+    FlatProfile Back;
+    if (parseFlatProfile(Text, Back) != WithinBound) {
+      Err = "text reader " +
+            std::string(WithinBound ? "rejected" : "accepted") +
+            " inlinee nesting " + std::to_string(K) + " deep";
+      return false;
+    }
+    Expected<ProfileStore> S =
+        ProfileStore::open(writeStore(WithinBound ? Back : Deep, {}));
+    if (!S) {
+      Err = "store of a nested profile does not open: " +
+            S.status().message();
+      return false;
+    }
+    Expected<FlatProfileView> V = S->loadFlatView();
+    if (bool(V) != WithinBound) {
+      Err = "store reader " +
+            std::string(WithinBound ? "rejected" : "accepted") +
+            " inlinee nesting " + std::to_string(K) + " deep";
+      return false;
+    }
+    if (V && serializeFlatProfile(flatProfileOf(*V)) != Text) {
+      Err = "text -> store -> text is lossy at inlinee nesting " +
+            std::to_string(K);
+      return false;
+    }
+  }
 
   return true;
 }

@@ -35,7 +35,11 @@
 ///    instances;
 ///  - the dominator tree and loop finder agree with the oracle's
 ///    set-based dominators and loops on random CFGs, and tail merge and
-///    code motion print the oracle's IR there.
+///    code motion print the oracle's IR there;
+///  - a generated profile wrapped in 60..70 inlinee levels is accepted by
+///    the text and store readers exactly when it nests at most
+///    MaxInlineeNesting deep, and an accepted one round trips
+///    text -> store -> text byte-identically.
 ///
 /// Iteration seeds are derived as Base + I * golden-ratio so a reported
 /// failure reproduces in isolation with `csspgo_exp fuzz 1 <seed>`.

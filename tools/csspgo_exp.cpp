@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -69,8 +70,9 @@ std::vector<std::string> workloadNames() {
 }
 
 /// Fills \p Config from the <workload> [scale] operands (\p Scale null:
-/// 1.0). An unknown workload or a scale that is not a finite number > 0
-/// is reported and returns false; the caller exits with usage().
+/// 1.0). An unknown workload, a scale that is not a finite number > 0, or
+/// one whose request count does not fit an unsigned is reported and
+/// returns false; the caller exits with usage().
 bool makeConfig(const std::string &Workload, const char *Scale,
                 ExperimentConfig &Config) {
   std::vector<std::string> Names = workloadNames();
@@ -85,6 +87,15 @@ bool makeConfig(const std::string &Workload, const char *Scale,
     if (End == Scale || *End || !std::isfinite(S) || S <= 0) {
       std::fprintf(stderr, "bad scale '%s': want a finite number > 0\n",
                    Scale);
+      return false;
+    }
+    const double Requests = workloadPreset(Workload).Requests * S;
+    if (Requests > std::numeric_limits<unsigned>::max()) {
+      std::fprintf(stderr,
+                   "bad scale '%s': %s would run %.3g requests, more than "
+                   "%u\n",
+                   Scale, Workload.c_str(), Requests,
+                   std::numeric_limits<unsigned>::max());
       return false;
     }
   }
