@@ -117,10 +117,11 @@ int main(int argc, char **argv) {
               "%u hardware threads\n\n",
               Samples.size(), Seed.size(), ThreadPool::defaultConcurrency());
 
+  Symbolizer Sym(*Bin);
   auto Start = std::chrono::steady_clock::now();
   CSProfileGenStats SerialStats;
   ContextProfile Serial = generateCSProfileSharded(
-      *Bin, Probes, Samples, /*InferMissingFrames=*/true, /*Parallelism=*/1,
+      Sym, Probes, Samples, /*InferMissingFrames=*/true, /*Parallelism=*/1,
       &SerialStats);
   double SerialSec = secondsSince(Start);
   std::string SerialDump = serializeContextProfile(Serial);
@@ -138,7 +139,7 @@ int main(int argc, char **argv) {
     CSProfileGenStats Stats;
     MergeStats Reduce;
     ContextProfile Sharded = generateCSProfileSharded(
-        *Bin, Probes, Samples, /*InferMissingFrames=*/true, K, &Stats,
+        Sym, Probes, Samples, /*InferMissingFrames=*/true, K, &Stats,
         &Reduce);
     double Sec = secondsSince(Start);
     bool Identical = serializeContextProfile(Sharded) == SerialDump &&

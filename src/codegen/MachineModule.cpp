@@ -8,10 +8,7 @@
 namespace csspgo {
 
 uint32_t Binary::funcIndexOf(size_t Idx) const {
-  for (uint32_t F = 0; F != Funcs.size(); ++F)
-    if (Funcs[F].containsIdx(Idx))
-      return F;
-  return ~0u;
+  return Idx < FuncOfIdx.size() ? FuncOfIdx[Idx] : ~0u;
 }
 
 void Binary::buildAddrIndex() {
@@ -20,6 +17,17 @@ void Binary::buildAddrIndex() {
     SortedAddrs[I] = Code[I].Addr;
   assert(std::is_sorted(SortedAddrs.begin(), SortedAddrs.end()) &&
          "layout order must be address order");
+  // Filled from the last function to the first, so where ranges overlap
+  // (only in a malformed binary) the lowest function index wins, as a
+  // front-to-back scan would find it.
+  FuncOfIdx.assign(Code.size(), ~0u);
+  for (uint32_t F = static_cast<uint32_t>(Funcs.size()); F-- > 0;) {
+    const MachineFunction &MF = Funcs[F];
+    for (auto [B, E] : {std::pair(MF.HotBegin, MF.HotEnd),
+                        std::pair(MF.ColdBegin, MF.ColdEnd)})
+      for (size_t I = B; I < std::min(E, Code.size()); ++I)
+        FuncOfIdx[I] = F;
+  }
 }
 
 size_t Binary::indexOfAddr(uint64_t Addr) const {

@@ -131,7 +131,7 @@ public:
   static constexpr uint64_t BaseAddr = 0x400000;
 
   /// Returns the function index containing global instruction \p Idx,
-  /// or ~0u.
+  /// or ~0u. O(1): buildAddrIndex records the owner of every instruction.
   uint32_t funcIndexOf(size_t Idx) const;
 
   /// Returns the global instruction index at byte address \p Addr (must be
@@ -160,12 +160,13 @@ public:
   };
   std::vector<SymFrame> symbolize(size_t Idx) const;
 
-  /// Rebuilds the address -> index lookup table; the linker calls this
-  /// after assigning addresses.
+  /// Rebuilds the address -> index and index -> function lookup tables;
+  /// the linker calls this after assigning addresses.
   void buildAddrIndex();
 
 private:
   std::vector<uint64_t> SortedAddrs; ///< Parallel to Code (layout order).
+  std::vector<uint32_t> FuncOfIdx;   ///< Parallel to Code; ~0u = no owner.
 };
 
 } // namespace csspgo

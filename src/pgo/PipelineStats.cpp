@@ -38,20 +38,8 @@ VerifyReport &accumulate(VerifyReport &R, const VerifyReport &O) {
   return R;
 }
 
-CSProfileGenStats &accumulate(CSProfileGenStats &S,
-                              const CSProfileGenStats &O) {
-  S.Samples += O.Samples;
-  S.UnsyncedSamples += O.UnsyncedSamples;
-  S.RangesProcessed += O.RangesProcessed;
-  S.TailCallStats.Attempts += O.TailCallStats.Attempts;
-  S.TailCallStats.Recovered += O.TailCallStats.Recovered;
-  S.TailCallStats.AmbiguousPaths += O.TailCallStats.AmbiguousPaths;
-  S.TailCallStats.NoPath += O.TailCallStats.NoPath;
-  return S;
-}
-
 PipelineStats &PipelineStats::operator+=(const PipelineStats &O) {
-  accumulate(ProfGen, O.ProfGen);
+  ProfGen += O.ProfGen;
   Reduce += O.Reduce;
   Ingest += O.Ingest;
   accumulate(Loader, O.Loader);

@@ -36,10 +36,6 @@ namespace csspgo {
 /// nonzero/nonempty value.
 LoaderStats &accumulate(LoaderStats &S, const LoaderStats &O);
 
-/// Accumulates generation stats (all counters sum).
-CSProfileGenStats &accumulate(CSProfileGenStats &S,
-                              const CSProfileGenStats &O);
-
 /// Accumulates \p O into \p R (checked/violation counts sum; detail
 /// records concatenate up to the usual cap).
 VerifyReport &accumulate(VerifyReport &R, const VerifyReport &O);

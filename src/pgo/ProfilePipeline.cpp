@@ -33,7 +33,7 @@ ProfilePipeline::generate(const Binary &Bin, const ProbeTable *Probes,
 
   ProfileGenerator Gen(Bin, Probes, GenOpts);
   ProfGenResult R = Gen.generate(Samples);
-  accumulate(Stats.ProfGen, R.Stats);
+  Stats.ProfGen += R.Stats;
   Stats.Reduce += R.Reduce;
   Stats.ShardsUsed = std::max(Stats.ShardsUsed, R.ShardsUsed);
 
@@ -91,7 +91,7 @@ Expected<ProfileBundle> ProfilePipeline::generate(const Binary &Bin,
 
   ProfileGenerator Gen(Bin, nullptr, GenOpts);
   ProfGenResult R = Gen.generate(Dump, Run);
-  accumulate(Stats.ProfGen, R.Stats);
+  Stats.ProfGen += R.Stats;
 
   ProfileBundle Bundle;
   Bundle.Has = true;

@@ -4,8 +4,6 @@
 
 #include "support/Hashing.h"
 
-#include <map>
-
 namespace csspgo {
 
 namespace {
@@ -13,12 +11,12 @@ namespace {
 /// Navigates (creating as needed) the nested profile for the frame stack
 /// of an instruction: frames[0] owns the top-level profile, deeper frames
 /// are inlinees keyed by the call location in their parent.
-FunctionProfile &profileForFrames(FlatProfile &Out,
-                                  const std::vector<Symbolizer::Frame> &Frames) {
-  FunctionProfile *P = &Out.getOrCreate(Frames.front().Func);
+FunctionProfile &profileForFrames(FlatProfile &Out, const Symbolizer &Sym,
+                                  const std::vector<Binary::SymFrame> &Frames) {
+  FunctionProfile *P = &Out.getOrCreate(Sym.nameOfGuid(Frames.front().Guid));
   for (size_t I = 0; I + 1 < Frames.size(); ++I) {
     ProfileKey Site(Frames[I].Loc.Line, Frames[I].Loc.Discriminator);
-    P = &P->getOrCreateInlinee(Site, Frames[I + 1].Func);
+    P = &P->getOrCreateInlinee(Site, Sym.nameOfGuid(Frames[I + 1].Guid));
   }
   return *P;
 }
@@ -34,59 +32,32 @@ FlatProfile generateAutoFDOProfile(const Binary &Bin,
 
   // Phase 1: per-address execution counts from LBR ranges, plus taken
   // branch counts.
-  std::map<size_t, uint64_t> AddrCount;
-  std::map<std::pair<size_t, size_t>, uint64_t> BranchCount;
-  for (const PerfSample &Sample : Samples) {
-    for (size_t I = 0; I + 1 < Sample.LBR.size(); ++I) {
-      const LBREntry &B1 = Sample.LBR[I];
-      const LBREntry &B2 = Sample.LBR[I + 1];
-      size_t Begin = Bin.indexOfAddr(B1.Dst);
-      size_t End = Bin.indexOfAddr(B2.Src);
-      if (Begin == SIZE_MAX || End == SIZE_MAX || Begin > End ||
-          Sym.funcIndexOf(Begin) != Sym.funcIndexOf(End)) {
-        if (Stats)
-          ++Stats->BrokenRanges;
-        continue;
-      }
-      if (Stats)
-        ++Stats->RangesProcessed;
-      for (size_t Idx = Begin; Idx <= End; ++Idx)
-        ++AddrCount[Idx];
-    }
-    for (const LBREntry &E : Sample.LBR) {
-      size_t Src = Bin.indexOfAddr(E.Src);
-      size_t Dst = Bin.indexOfAddr(E.Dst);
-      if (Src != SIZE_MAX && Dst != SIZE_MAX)
-        ++BranchCount[{Src, Dst}];
-    }
+  LBRCounts C = countLBR(Sym, Samples, 0, Samples.size());
+  if (Stats) {
+    Stats->RangesProcessed += C.Ranges;
+    Stats->BrokenRanges += C.BrokenRanges;
   }
 
   // Phase 2: per-location counts via the MAX heuristic.
-  for (const auto &[Idx, Count] : AddrCount) {
-    auto Frames = Sym.framesAt(Idx);
-    if (Frames.empty() || Frames.front().Func.empty())
+  for (size_t Idx = 0; Idx != C.Insts.size(); ++Idx) {
+    if (C.Insts[Idx] == 0)
       continue;
-    FunctionProfile &P = profileForFrames(Out, Frames);
-    const Symbolizer::Frame &Leaf = Frames.back();
-    P.maxBody({Leaf.Loc.Line, Leaf.Loc.Discriminator}, Count);
+    std::vector<Binary::SymFrame> Frames = Bin.symbolize(Idx);
+    if (Sym.nameOfGuid(Frames.front().Guid).empty())
+      continue;
+    const DebugLoc &Leaf = Frames.back().Loc;
+    profileForFrames(Out, Sym, Frames)
+        .maxBody({Leaf.Line, Leaf.Discriminator}, C.Insts[Idx]);
   }
 
   // Phase 3: call targets and head samples from call branches.
-  for (const auto &[Edge, Count] : BranchCount) {
-    auto [Src, Dst] = Edge;
-    BranchKind Kind = Sym.classify(Src);
-    if (Kind != BranchKind::Call && Kind != BranchKind::TailCallJump)
-      continue;
-    uint32_t CalleeIdx = Sym.funcIndexOf(Dst);
-    if (CalleeIdx == ~0u || Bin.Funcs[CalleeIdx].EntryIdx != Dst)
-      continue;
-    auto Frames = Sym.framesAt(Src);
-    if (Frames.empty())
-      continue;
-    FunctionProfile &P = profileForFrames(Out, Frames);
-    const Symbolizer::Frame &Leaf = Frames.back();
-    P.addCall({Leaf.Loc.Line, Leaf.Loc.Discriminator},
-              Bin.Funcs[CalleeIdx].Name, Count);
+  for (const auto &[Edge, Count] : C.Calls) {
+    auto [Src, CalleeIdx] = Edge;
+    std::vector<Binary::SymFrame> Frames = Bin.symbolize(Src);
+    const DebugLoc &Leaf = Frames.back().Loc;
+    profileForFrames(Out, Sym, Frames)
+        .addCall({Leaf.Line, Leaf.Discriminator}, Bin.Funcs[CalleeIdx].Name,
+                 Count);
     Out.getOrCreate(Bin.Funcs[CalleeIdx].Name).HeadSamples += Count;
   }
 

@@ -42,13 +42,10 @@ FuncSizeTable extractFuncSizes(const Binary &Bin) {
   std::set<SampleContext> Seen;
 
   for (size_t Idx = 0; Idx != Bin.Code.size(); ++Idx) {
-    auto Frames = Sym.framesAt(Idx);
-    if (Frames.empty())
-      continue;
     SampleContext Ctx;
-    for (const auto &F : Frames)
-      Ctx.push_back({F.Func, F.CallProbeId});
-    Ctx.back().Site = 0;
+    for (InternedFrame F : Sym.inlineFramesAt(Idx))
+      Ctx.push_back({Sym.name(F.Func), F.Site});
+    Ctx.push_back({Sym.name(Sym.originAt(Idx)), 0});
     Acc[Ctx] += Bin.Code[Idx].Size;
     // Register all prefixes (PopLeafFrames loop of Algorithm 3).
     SampleContext Prefix = Ctx;

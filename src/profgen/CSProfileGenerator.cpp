@@ -4,28 +4,11 @@
 
 #include "profgen/ProfileGenerator.h"
 
+#include <functional>
 #include <map>
+#include <tuple>
 
 namespace csspgo {
-
-namespace {
-
-/// Builds the full sample context for a probe: the unwound caller context,
-/// plus the probe's own inline frames, ending at the probe's origin
-/// function.
-SampleContext probeContext(const Symbolizer &Sym, const ProbeRecord &P,
-                           const SampleContext &CallerCtx) {
-  const Binary &Bin = Sym.binary();
-  SampleContext Ctx = CallerCtx;
-  const MachineFunction &MF = Bin.Funcs[P.FuncIdx];
-  if (P.InlineId && P.InlineId < MF.InlineTable.size())
-    for (const InlineFrame &F : MF.InlineTable[P.InlineId])
-      Ctx.push_back({Sym.nameOfGuid(F.FuncGuid), F.CallProbeId});
-  Ctx.push_back({Sym.nameOfGuid(P.Guid), 0});
-  return Ctx;
-}
-
-} // namespace
 
 ContextProfile generateCSProfileChunk(const Symbolizer &Sym,
                                       const ProbeTable &Probes,
@@ -33,108 +16,98 @@ ContextProfile generateCSProfileChunk(const Symbolizer &Sym,
                                       size_t Begin, size_t End,
                                       MissingFrameInferrer *Inferrer,
                                       CSProfileGenStats *Stats) {
-  const Binary &Bin = Sym.binary();
-  ContextUnwinder Unwinder(Sym, Inferrer);
+  ContextPool Pool;
+  ContextUnwinder Unwinder(Sym, Pool, Inferrer);
 
+  // Phase 1: count (context, range) and (context, call branch) pairs.
+  // Keyed (context node, context site, A, B): a range [A, B], or a call
+  // from instruction A to function B.
+  std::map<std::tuple<uint32_t, uint32_t, size_t, size_t>, uint64_t> Ranges,
+      Calls;
+  for (size_t SampleIdx = Begin; SampleIdx != End; ++SampleIdx) {
+    const UnwoundSample &U = Unwinder.unwind(Samples[SampleIdx]);
+    for (const RangeWithContext &R : U.Ranges)
+      ++Ranges[{R.Ctx.Node, R.Ctx.Site, R.BeginIdx, R.EndIdx}];
+    for (const BranchWithContext &B : U.Branches)
+      if (uint32_t Callee = Sym.calleeOf(B.SrcIdx, B.DstIdx); Callee != ~0u)
+        ++Calls[{B.Ctx.Node, B.Ctx.Site, B.SrcIdx, Callee}];
+  }
+
+  if (Stats)
+    *Stats = Unwinder.stats();
+
+  // Phase 2: expand each unique pair once, adding its count. Counts are
+  // pure sums, so the order pairs are visited in cannot show.
   ContextProfile Out;
   Out.Kind = ProfileKind::ProbeBased;
-
-  // Accumulation keyed by full context.
-  std::map<SampleContext, std::map<uint32_t, uint64_t>> BodyAcc;
-  std::map<SampleContext,
-           std::map<uint32_t, std::map<std::string, uint64_t>>>
-      CallAcc;
-  std::map<SampleContext, uint64_t> HeadAcc;
-
-  for (size_t SampleIdx = Begin; SampleIdx != End; ++SampleIdx) {
-    const PerfSample &Sample = Samples[SampleIdx];
-    UnwoundSample U = Unwinder.unwind(Sample);
-    for (const RangeWithContext &R : U.Ranges) {
-      if (Stats)
-        ++Stats->RangesProcessed;
-      for (size_t Idx = R.BeginIdx; Idx <= R.EndIdx; ++Idx)
-        for (const ProbeRecord *P : Sym.probesAt(Idx))
-          // Copies of a duplicated probe at different addresses land on
-          // the same (context, id) key and are summed here — the
-          // one-to-one mapping property.
-          BodyAcc[probeContext(Sym, *P, R.CallerContext)][P->ProbeId] += 1;
+  // The trie node of each pool node, created (and named) on first use:
+  // climb to the nearest ancestor in the trie, then create downwards.
+  std::vector<ContextTrieNode *> Trie{&Out.Root};
+  std::vector<uint32_t> Missing;
+  auto NodeOf = [&](uint32_t Id) -> ContextTrieNode & {
+    Trie.resize(Pool.size(), nullptr);
+    for (uint32_t Up = Id; !Trie[Up]; Up = Pool[Up].Parent)
+      Missing.push_back(Up);
+    for (; !Missing.empty(); Missing.pop_back()) {
+      const ContextPool::Node &P = Pool[Missing.back()];
+      Trie[Missing.back()] =
+          &Trie[P.Parent]->getOrCreateChild(P.Site, Sym.name(P.Func));
     }
-    for (const BranchWithContext &B : U.Branches) {
-      BranchKind Kind = Sym.classify(B.SrcIdx);
-      if (Kind != BranchKind::Call && Kind != BranchKind::TailCallJump)
-        continue;
-      uint32_t CalleeIdx = Sym.funcIndexOf(B.DstIdx);
-      if (CalleeIdx == ~0u || Bin.Funcs[CalleeIdx].EntryIdx != B.DstIdx)
-        continue;
-      const std::string &CalleeName = Bin.Funcs[CalleeIdx].Name;
-      auto Frames = Sym.framesAt(B.SrcIdx);
-      if (Frames.empty())
-        continue;
-      SampleContext Ctx = B.CallerContext;
-      for (const auto &F : Frames)
-        Ctx.push_back({F.Func, F.CallProbeId});
-      uint32_t Site = Ctx.back().Site; // The call's own probe id.
-      Ctx.back().Site = 0;
-      CallAcc[Ctx][Site][CalleeName] += 1;
-      // Callee head samples under the callee's context.
-      SampleContext CalleeCtx = Ctx;
-      CalleeCtx.back().Site = Site;
-      CalleeCtx.push_back({CalleeName, 0});
-      HeadAcc[CalleeCtx] += 1;
-    }
-  }
-
-  if (Stats) {
-    Stats->Samples = Unwinder.stats().Samples;
-    Stats->UnsyncedSamples = Unwinder.stats().Unsynced;
-    if (Inferrer)
-      Stats->TailCallStats = Inferrer->stats();
-  }
-
-  // Materialize the trie.
-  auto SetMeta = [&Probes](ContextTrieNode &N) {
-    N.HasProfile = true;
-    if (const ProbeDescriptor *D = Probes.findByName(N.FuncName)) {
-      N.Profile.Guid = D->Guid;
-      N.Profile.Checksum = D->CFGChecksum;
-    }
+    return *Trie[Id];
   };
-  for (const auto &[Ctx, Bodies] : BodyAcc) {
-    ContextTrieNode &N = Out.getOrCreateNode(Ctx);
-    SetMeta(N);
-    for (const auto &[Id, Count] : Bodies)
-      N.Profile.addBody({Id, 0}, Count);
+  auto ProfileOf = [&](uint32_t Id) -> FunctionProfile & {
+    ContextTrieNode &N = NodeOf(Id);
+    if (!N.HasProfile) {
+      N.HasProfile = true;
+      if (const ProbeDescriptor *D = Probes.findByName(N.FuncName)) {
+        N.Profile.Guid = D->Guid;
+        N.Profile.Checksum = D->CFGChecksum;
+      }
+    }
+    return N.Profile;
+  };
+  for (const auto &[K, N] : Ranges) {
+    auto [Node, Site, RBegin, REnd] = K;
+    for (size_t Idx = RBegin; Idx <= REnd; ++Idx)
+      for (const Symbolizer::BlockProbe &P : Sym.blockProbesAt(Idx)) {
+        // The unwound caller context, the probe's own inline frames, and
+        // the probe's function. Copies of a duplicated probe at different
+        // addresses land on the same (context, id) key and are summed —
+        // the one-to-one mapping property.
+        CallerContext C{Node, Site};
+        for (InternedFrame F : Sym.frames(P.Inline))
+          C = Pool.extend(C, F);
+        ProfileOf(Pool.child(C.Node, C.Site, P.Origin))
+            .addBody({P.ProbeId, 0}, N);
+      }
   }
-  for (const auto &[Ctx, Sites] : CallAcc) {
-    ContextTrieNode &N = Out.getOrCreateNode(Ctx);
-    SetMeta(N);
-    for (const auto &[Site, Targets] : Sites)
-      for (const auto &[Callee, Count] : Targets)
-        N.Profile.addCall({Site, 0}, Callee, Count);
-  }
-  for (const auto &[Ctx, Count] : HeadAcc) {
-    ContextTrieNode &N = Out.getOrCreateNode(Ctx);
-    SetMeta(N);
-    N.Profile.HeadSamples += Count;
+  for (const auto &[K, N] : Calls) {
+    auto [Node, CtxSite, Src, CalleeIdx] = K;
+    CallerContext C{Node, CtxSite};
+    for (InternedFrame F : Sym.inlineFramesAt(Src))
+      C = Pool.extend(C, F);
+    uint32_t Caller = Pool.child(C.Node, C.Site, Sym.originAt(Src));
+    uint32_t Site = Sym.callProbeAt(Src);
+    uint32_t Callee = Sym.funcNameId(static_cast<uint32_t>(CalleeIdx));
+    ProfileOf(Caller).addCall({Site, 0}, Sym.name(Callee), N);
+    // Callee head samples under the callee's context.
+    ProfileOf(Pool.child(Caller, Site, Callee)).HeadSamples += N;
   }
   return Out;
 }
 
 namespace {
 
-/// Navigates nested probe-keyed profiles along inline frames.
+/// Navigates nested probe-keyed profiles along inline frames: \p Top is
+/// the outermost function's name id, \p Leaf the probe's function's.
 FunctionProfile &profileForProbeFrames(FlatProfile &Out,
                                        const Symbolizer &Sym,
-                                       const std::vector<InlineFrame> &Frames,
-                                       uint64_t LeafGuid,
-                                       const std::string &TopFunc) {
-  FunctionProfile *P = &Out.getOrCreate(
-      Frames.empty() ? Sym.nameOfGuid(LeafGuid) : TopFunc);
+                                       std::span<const InternedFrame> Frames,
+                                       uint32_t Leaf, uint32_t Top) {
+  FunctionProfile *P = &Out.getOrCreate(Sym.name(Frames.empty() ? Leaf : Top));
   for (size_t I = 0; I != Frames.size(); ++I) {
-    const std::string &ChildName = I + 1 < Frames.size()
-                                       ? Sym.nameOfGuid(Frames[I + 1].FuncGuid)
-                                       : Sym.nameOfGuid(LeafGuid);
-    P = &P->getOrCreateInlinee({Frames[I].CallProbeId, 0}, ChildName);
+    uint32_t Child = I + 1 < Frames.size() ? Frames[I + 1].Func : Leaf;
+    P = &P->getOrCreateInlinee({Frames[I].Site, 0}, Sym.name(Child));
   }
   return *P;
 }
@@ -150,61 +123,33 @@ FlatProfile generateProbeOnlyProfileChunk(const Symbolizer &Sym,
   FlatProfile Out;
   Out.Kind = ProfileKind::ProbeBased;
 
-  // Per-address counts from LBR ranges (no unwinding needed).
-  std::map<size_t, uint64_t> AddrCount;
-  std::map<std::pair<size_t, size_t>, uint64_t> BranchCount;
-  for (size_t SampleIdx = Begin; SampleIdx != End; ++SampleIdx) {
-    const PerfSample &Sample = Samples[SampleIdx];
-    if (Stats)
-      ++Stats->Samples;
-    for (size_t I = 0; I + 1 < Sample.LBR.size(); ++I) {
-      size_t RBegin = Bin.indexOfAddr(Sample.LBR[I].Dst);
-      size_t REnd = Bin.indexOfAddr(Sample.LBR[I + 1].Src);
-      if (RBegin == SIZE_MAX || REnd == SIZE_MAX || RBegin > REnd ||
-          Sym.funcIndexOf(RBegin) != Sym.funcIndexOf(REnd))
-        continue;
-      if (Stats)
-        ++Stats->RangesProcessed;
-      for (size_t Idx = RBegin; Idx <= REnd; ++Idx)
-        ++AddrCount[Idx];
-    }
-    for (const LBREntry &E : Sample.LBR) {
-      size_t Src = Bin.indexOfAddr(E.Src);
-      size_t Dst = Bin.indexOfAddr(E.Dst);
-      if (Src != SIZE_MAX && Dst != SIZE_MAX)
-        ++BranchCount[{Src, Dst}];
-    }
+  LBRCounts C = countLBR(Sym, Samples, Begin, End);
+  if (Stats) {
+    Stats->Samples += End - Begin;
+    Stats->RangesProcessed += C.Ranges;
+    Stats->BrokenRanges += C.BrokenRanges;
   }
 
   // Probe counts: SUM across addresses (one-to-one mapping).
-  for (const auto &[Idx, Count] : AddrCount) {
-    uint32_t FIdx = Sym.funcIndexOf(Idx);
-    if (FIdx == ~0u)
+  for (size_t Idx = 0; Idx != C.Insts.size(); ++Idx) {
+    uint32_t FIdx = Bin.funcIndexOf(Idx);
+    if (C.Insts[Idx] == 0 || FIdx == ~0u)
       continue;
-    for (const ProbeRecord *P : Sym.probesAt(Idx)) {
-      const auto &Frames = Bin.Funcs[FIdx].InlineTable[P->InlineId];
-      FunctionProfile &Prof = profileForProbeFrames(
-          Out, Sym, Frames, P->Guid, Bin.Funcs[FIdx].Name);
-      Prof.addBody({P->ProbeId, 0}, Count);
-    }
+    for (const Symbolizer::BlockProbe &P : Sym.blockProbesAt(Idx))
+      profileForProbeFrames(Out, Sym, Sym.frames(P.Inline), P.Origin,
+                            Sym.funcNameId(FIdx))
+          .addBody({P.ProbeId, 0}, C.Insts[Idx]);
   }
 
   // Call targets and head samples.
-  for (const auto &[Edge, Count] : BranchCount) {
-    auto [Src, Dst] = Edge;
-    BranchKind Kind = Sym.classify(Src);
-    if (Kind != BranchKind::Call && Kind != BranchKind::TailCallJump)
-      continue;
-    uint32_t CalleeIdx = Sym.funcIndexOf(Dst);
-    if (CalleeIdx == ~0u || Bin.Funcs[CalleeIdx].EntryIdx != Dst)
-      continue;
-    uint32_t FIdx = Sym.funcIndexOf(Src);
+  for (const auto &[Edge, Count] : C.Calls) {
+    auto [Src, CalleeIdx] = Edge;
+    uint32_t FIdx = Bin.funcIndexOf(Src);
     if (FIdx == ~0u)
       continue;
-    const MInst &I = Bin.Code[Src];
-    const auto &Frames = Bin.Funcs[FIdx].InlineTable[I.InlineId];
-    FunctionProfile &Prof = profileForProbeFrames(
-        Out, Sym, Frames, I.OriginGuid, Bin.Funcs[FIdx].Name);
+    FunctionProfile &Prof =
+        profileForProbeFrames(Out, Sym, Sym.inlineFramesAt(Src),
+                              Sym.originAt(Src), Sym.funcNameId(FIdx));
     Prof.addCall({Sym.callProbeAt(Src), 0}, Bin.Funcs[CalleeIdx].Name, Count);
     Out.getOrCreate(Bin.Funcs[CalleeIdx].Name).HeadSamples += Count;
   }

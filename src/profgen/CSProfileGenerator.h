@@ -13,6 +13,10 @@
 /// probed functions' CFG checksums are persisted into the profile for
 /// stale-profile detection.
 ///
+/// CS generation counts (context, range) and (context, call) pairs on
+/// interned contexts first, then expands each unique pair's probes once
+/// (DESIGN.md, "Parallel profile generation").
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSSPGO_PROFGEN_CSPROFILEGENERATOR_H
@@ -24,13 +28,6 @@
 #include "sim/Sampler.h"
 
 namespace csspgo {
-
-struct CSProfileGenStats {
-  uint64_t Samples = 0;
-  uint64_t UnsyncedSamples = 0;
-  uint64_t RangesProcessed = 0;
-  MissingFrameInferrer::Stats TailCallStats;
-};
 
 /// Chunk-level CS generation, the unit of work of the sharded pipeline
 /// (ShardedProfGen): unwinds Samples[Begin, End) and materializes a

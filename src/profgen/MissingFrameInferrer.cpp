@@ -4,9 +4,9 @@
 
 namespace csspgo {
 
-void MissingFrameInferrer::addTailCallEdge(const std::string &FromFunc,
+void MissingFrameInferrer::addTailCallEdge(uint32_t FromFunc,
                                            uint32_t SiteProbe,
-                                           const std::string &ToFunc) {
+                                           uint32_t ToFunc) {
   Edges[FromFunc].insert({SiteProbe, ToFunc});
 }
 
@@ -15,11 +15,10 @@ void MissingFrameInferrer::addEdgesFrom(const MissingFrameInferrer &Other) {
     Edges[From].insert(Targets.begin(), Targets.end());
 }
 
-unsigned MissingFrameInferrer::countPaths(const std::string &From,
-                                          const std::string &To,
-                                          std::set<std::string> &Visiting,
-                                          std::vector<RecoveredFrame> &Path,
-                                          unsigned Limit) {
+unsigned MissingFrameInferrer::countPaths(uint32_t From, uint32_t To,
+                                          std::set<uint32_t> &Visiting,
+                                          std::vector<InternedFrame> &Path,
+                                          unsigned Limit) const {
   if (From == To)
     return 1;
   if (!Visiting.insert(From).second)
@@ -28,9 +27,10 @@ unsigned MissingFrameInferrer::countPaths(const std::string &From,
   unsigned Found = 0;
   if (It != Edges.end()) {
     for (const auto &[Site, Next] : It->second) {
-      std::vector<RecoveredFrame> Sub;
-      std::set<std::string> SubVisiting = Visiting;
-      unsigned N = countPaths(Next, To, SubVisiting, Sub, Limit - Found);
+      // Every call leaves Visiting as it found it, so the search below
+      // sees exactly the functions on the current path.
+      std::vector<InternedFrame> Sub;
+      unsigned N = countPaths(Next, To, Visiting, Sub, Limit - Found);
       if (N > 0 && Found == 0) {
         // Record the first found path.
         Path.push_back({From, Site});
@@ -45,24 +45,33 @@ unsigned MissingFrameInferrer::countPaths(const std::string &From,
   return Found;
 }
 
-bool MissingFrameInferrer::inferMissingFrames(
-    const std::string &From, const std::string &To,
-    std::vector<RecoveredFrame> &Out) {
-  ++S.Attempts;
-  std::vector<RecoveredFrame> Path;
-  std::set<std::string> Visiting;
-  unsigned N = countPaths(From, To, Visiting, Path, 2);
-  if (N == 0) {
-    ++S.NoPath;
-    return false;
+const MissingFrameInferrer::Result &MissingFrameInferrer::infer(uint32_t From,
+                                                              uint32_t To) {
+  auto [It, New] = Memo.try_emplace({From, To});
+  Result &R = It->second;
+  if (New) {
+    std::set<uint32_t> Visiting;
+    unsigned N = countPaths(From, To, Visiting, R.Path, 2);
+    R.O = N == 0 ? Outcome::NoPath
+                 : N > 1 ? Outcome::Ambiguous : Outcome::Recovered;
   }
-  if (N > 1) {
-    ++S.AmbiguousPaths;
-    return false;
-  }
-  ++S.Recovered;
-  Out.insert(Out.end(), Path.begin(), Path.end());
-  return true;
+  return R;
+}
+
+void MissingFrameInferrer::Stats::record(Outcome O) {
+  ++Attempts;
+  ++(O == Outcome::Recovered   ? Recovered
+     : O == Outcome::Ambiguous ? AmbiguousPaths
+                               : NoPath);
+}
+
+MissingFrameInferrer::Stats &
+MissingFrameInferrer::Stats::operator+=(const Stats &O) {
+  Attempts += O.Attempts;
+  Recovered += O.Recovered;
+  AmbiguousPaths += O.AmbiguousPaths;
+  NoPath += O.NoPath;
+  return *this;
 }
 
 } // namespace csspgo

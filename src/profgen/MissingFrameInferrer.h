@@ -14,6 +14,9 @@
 /// paper reports more than two-thirds of missing tail-call frames being
 /// recoverable in practice.
 ///
+/// Functions are Symbolizer name ids. Ids follow name order, so the search
+/// visits edges, and picks its path, exactly as it would over names.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSSPGO_PROFGEN_MISSINGFRAMEINFERRER_H
@@ -23,7 +26,6 @@
 
 #include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 namespace csspgo {
@@ -33,8 +35,8 @@ public:
   /// Records a tail-call edge observed in an LBR sample: a tail-call jump
   /// in \p FromFunc (with call-site probe \p SiteProbe) landing in
   /// \p ToFunc.
-  void addTailCallEdge(const std::string &FromFunc, uint32_t SiteProbe,
-                       const std::string &ToFunc);
+  void addTailCallEdge(uint32_t FromFunc, uint32_t SiteProbe,
+                       uint32_t ToFunc);
 
   /// Unions \p Other's edge graph into this one. Edges are a set, so the
   /// union is order-independent — the sharded pipeline collects edges per
@@ -42,37 +44,38 @@ public:
   /// serial scan of the full sample set.
   void addEdgesFrom(const MissingFrameInferrer &Other);
 
-  /// One recovered frame: the function whose frame was elided plus the
-  /// call-site probe of the tail call it made.
-  struct RecoveredFrame {
-    std::string Func;
-    uint32_t SiteProbe = 0;
+  enum class Outcome : uint8_t { Recovered, Ambiguous, NoPath };
+  struct Result {
+    Outcome O = Outcome::NoPath;
+    std::vector<InternedFrame> Path;
   };
 
-  /// Tries to connect \p From to \p To through tail calls. On success
-  /// appends the intermediate functions (including \p From itself with its
-  /// outgoing site, excluding \p To) to \p Out and returns true. Fails when
-  /// no path or more than one path exists.
-  bool inferMissingFrames(const std::string &From, const std::string &To,
-                          std::vector<RecoveredFrame> &Out);
+  /// Tries to connect \p From to \p To through tail calls. On Recovered,
+  /// Path holds the intermediate functions (including \p From itself with
+  /// its outgoing site, excluding \p To). Fails when no path or more than
+  /// one path exists. Results are memoized per (From, To), so a copy of
+  /// the inferrer must not be shared between threads.
+  const Result &infer(uint32_t From, uint32_t To);
 
   struct Stats {
     uint64_t Attempts = 0;
     uint64_t Recovered = 0;
     uint64_t AmbiguousPaths = 0;
     uint64_t NoPath = 0;
+
+    void record(Outcome O);
+    Stats &operator+=(const Stats &O);
+    bool operator==(const Stats &) const = default;
   };
-  const Stats &stats() const { return S; }
 
 private:
-  /// Counts the distinct paths From->To (up to 2) and records one.
-  unsigned countPaths(const std::string &From, const std::string &To,
-                      std::set<std::string> &Visiting,
-                      std::vector<RecoveredFrame> &Path, unsigned Limit);
+  /// Counts the distinct paths From->To (up to Limit) and records one.
+  unsigned countPaths(uint32_t From, uint32_t To, std::set<uint32_t> &Visiting,
+                      std::vector<InternedFrame> &Path, unsigned Limit) const;
 
   /// From -> set of (site, to).
-  std::map<std::string, std::set<std::pair<uint32_t, std::string>>> Edges;
-  Stats S;
+  std::map<uint32_t, std::set<std::pair<uint32_t, uint32_t>>> Edges;
+  std::map<std::pair<uint32_t, uint32_t>, Result> Memo;
 };
 
 } // namespace csspgo

@@ -48,7 +48,7 @@ ProfileGenerator::generate(const std::vector<PerfSample> &Samples) const {
         planShards(Samples.size(),
                    resolveParallelism(Opts.Parallelism, Samples.size()))
             .size());
-    R.CS = generateCSProfileSharded(Bin, *Probes, Samples,
+    R.CS = generateCSProfileSharded(Symbolizer(Bin), *Probes, Samples,
                                     Opts.InferMissingFrames, Opts.Parallelism,
                                     &R.Stats, &R.Reduce);
     R.IsCS = true;
@@ -59,9 +59,9 @@ ProfileGenerator::generate(const std::vector<PerfSample> &Samples) const {
         planShards(Samples.size(),
                    resolveParallelism(Opts.Parallelism, Samples.size()))
             .size());
-    R.Flat = generateProbeOnlyProfileSharded(Bin, *Probes, Samples,
-                                             Opts.Parallelism, &R.Stats,
-                                             &R.Reduce);
+    R.Flat = generateProbeOnlyProfileSharded(Symbolizer(Bin), *Probes,
+                                             Samples, Opts.Parallelism,
+                                             &R.Stats, &R.Reduce);
     break;
   }
   case ProfGenKind::AutoFDO: {

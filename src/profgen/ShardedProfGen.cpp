@@ -34,157 +34,108 @@ unsigned resolveParallelism(unsigned Requested, size_t SampleCount) {
 
 namespace {
 
-void accumulateStats(CSProfileGenStats &Total, const CSProfileGenStats &S) {
-  Total.Samples += S.Samples;
-  Total.UnsyncedSamples += S.UnsyncedSamples;
-  Total.RangesProcessed += S.RangesProcessed;
-  Total.TailCallStats.Attempts += S.TailCallStats.Attempts;
-  Total.TailCallStats.Recovered += S.TailCallStats.Recovered;
-  Total.TailCallStats.AmbiguousPaths += S.TailCallStats.AmbiguousPaths;
-  Total.TailCallStats.NoPath += S.TailCallStats.NoPath;
+/// The shards of \p Count samples; one empty shard when there are none.
+std::vector<ShardRange> planFor(size_t Count, unsigned Parallelism) {
+  std::vector<ShardRange> Plan =
+      planShards(Count, resolveParallelism(Parallelism, Count));
+  if (Plan.empty())
+    Plan.push_back({0, 0});
+  return Plan;
 }
 
-/// Builds the tail-call edge graph of the full sample set, collecting
-/// per-shard edge sets on \p Pool and unioning them (order-independent).
-MissingFrameInferrer
-collectEdgesSharded(const Symbolizer &Sym,
-                    const std::vector<PerfSample> &Samples,
-                    const std::vector<ShardRange> &Plan, ThreadPool &Pool) {
-  MissingFrameInferrer Edges;
-  if (Plan.size() <= 1) {
-    collectTailCallEdges(Sym, Samples, Edges);
-    return Edges;
+/// Generates each shard's part with Chunk(I, Stats), a worker per shard,
+/// and reduces the parts on the flat plane: they convert to arena views
+/// (ViewOf) in parallel, and Merge k-way merges the sorted slices in one
+/// pass and rebuilds the result once. Bit-identical — counts, stats,
+/// saturation — to folding the parts sequentially (the merge contract in
+/// ProfileArena.h), but without K-1 full destination rewalks. One shard
+/// runs inline and is returned as is, with zero MergeStats.
+template <typename ProfileT, typename ChunkFn, typename ViewFn,
+          typename MergeFn>
+ProfileT reduceShards(size_t Shards, ChunkFn Chunk, ViewFn ViewOf,
+                      MergeFn Merge, CSProfileGenStats *Stats,
+                      MergeStats *Reduce) {
+  std::vector<ProfileT> Parts(Shards);
+  std::vector<CSProfileGenStats> PartStats(Shards);
+  forEachIndex(Shards, Shards,
+               [&](size_t I) { Parts[I] = Chunk(I, &PartStats[I]); });
+  for (size_t I = 1; I != Shards; ++I)
+    PartStats.front() += PartStats[I];
+  if (Stats)
+    *Stats = PartStats.front();
+  MergeStats MS;
+  if (Shards > 1) {
+    using ViewT = decltype(ViewOf(Parts[0]));
+    std::vector<ViewT> Views(Shards);
+    forEachIndex(Shards, Shards,
+                 [&](size_t I) { Views[I] = ViewOf(Parts[I]); });
+    std::vector<const ViewT *> Ptrs;
+    for (const ViewT &V : Views)
+      Ptrs.push_back(&V);
+    Parts.front() = Merge(Ptrs, MS);
   }
-  std::vector<MissingFrameInferrer> Partial(Plan.size());
-  Pool.parallelFor(Plan.size(), [&](size_t I) {
-    collectTailCallEdges(Sym, Samples, Plan[I].Begin, Plan[I].End,
-                         Partial[I]);
-  });
-  for (const MissingFrameInferrer &P : Partial)
-    Edges.addEdgesFrom(P);
-  return Edges;
+  if (Reduce)
+    *Reduce = MS;
+  return std::move(Parts.front());
 }
 
 } // namespace
 
-ContextProfile generateCSProfileSharded(const Binary &Bin,
+ContextProfile generateCSProfileSharded(const Symbolizer &Sym,
                                         const ProbeTable &Probes,
                                         const std::vector<PerfSample> &Samples,
                                         bool InferMissingFrames,
                                         unsigned Parallelism,
                                         CSProfileGenStats *Stats,
                                         MergeStats *Reduce) {
-  Symbolizer Sym(Bin);
-  unsigned K = resolveParallelism(Parallelism, Samples.size());
-  std::vector<ShardRange> Plan = planShards(Samples.size(), K);
+  std::vector<ShardRange> Plan = planFor(Samples.size(), Parallelism);
+  const size_t K = Plan.size();
 
-  if (Plan.size() <= 1) {
-    // Serial fast path: no pool, no reduction.
-    MissingFrameInferrer Edges;
-    if (InferMissingFrames)
-      collectTailCallEdges(Sym, Samples, Edges);
-    if (Reduce)
-      *Reduce = MergeStats{};
-    CSProfileGenStats Local;
-    ContextProfile Out = generateCSProfileChunk(
-        Sym, Probes, Samples, 0, Samples.size(),
-        InferMissingFrames ? &Edges : nullptr, Stats ? &Local : nullptr);
-    if (Stats)
-      *Stats = Local;
-    return Out;
+  // The shared inference graph, from ALL samples (see the determinism
+  // note in the header): per-shard edge sets, unioned. Each shard then
+  // gets its own copy, where inference memoizes its searches.
+  std::vector<MissingFrameInferrer> Inferrers(InferMissingFrames ? K : 0);
+  if (InferMissingFrames) {
+    forEachIndex(K, K, [&](size_t I) {
+      collectTailCallEdges(Sym, Samples, Plan[I].Begin, Plan[I].End,
+                           Inferrers[I]);
+    });
+    for (size_t I = 1; I != K; ++I)
+      Inferrers.front().addEdgesFrom(Inferrers[I]);
+    Inferrers.assign(K, Inferrers.front());
   }
 
-  ThreadPool Pool(K);
-
-  // Phase 1: the shared inference graph, from ALL samples (see the
-  // determinism note in the header).
-  MissingFrameInferrer Edges;
-  if (InferMissingFrames)
-    Edges = collectEdgesSharded(Sym, Samples, Plan, Pool);
-
-  // Phase 2: per-shard unwinding + trie construction. Each shard gets its
-  // own copy of the edge graph (inference bumps the inferrer's stats).
-  std::vector<ContextProfile> Parts(Plan.size());
-  std::vector<CSProfileGenStats> PartStats(Plan.size());
-  std::vector<MissingFrameInferrer> Inferrers(Plan.size(), Edges);
-  Pool.parallelFor(Plan.size(), [&](size_t I) {
-    Parts[I] = generateCSProfileChunk(
-        Sym, Probes, Samples, Plan[I].Begin, Plan[I].End,
-        InferMissingFrames ? &Inferrers[I] : nullptr, &PartStats[I]);
-  });
-
-  // Phase 3: reduction on the flat plane. The part tries convert to
-  // arena views in parallel (each worker flattens its own shard), the
-  // sorted context slices k-way merge in one pass, and the result trie is
-  // rebuilt once. Bit-identical — counts, stats, saturation — to folding
-  // the parts sequentially (the merge contract in ProfileArena.h), but
-  // without K-1 full destination-trie rewalks.
-  std::vector<ContextProfileView> Views(Parts.size());
-  Pool.parallelFor(Parts.size(),
-                   [&](size_t I) { Views[I] = contextViewOf(Parts[I]); });
-  std::vector<const ContextProfileView *> Ptrs;
-  Ptrs.reserve(Views.size());
-  for (const ContextProfileView &V : Views)
-    Ptrs.push_back(&V);
-  MergeStats MS;
-  ContextProfile Out = contextProfileOf(mergeContextViews(Ptrs, MS));
-  CSProfileGenStats Total = PartStats.front();
-  for (size_t I = 1; I != PartStats.size(); ++I)
-    accumulateStats(Total, PartStats[I]);
-  if (Stats)
-    *Stats = Total;
-  if (Reduce)
-    *Reduce = MS;
-  return Out;
+  return reduceShards<ContextProfile>(
+      K,
+      [&](size_t I, CSProfileGenStats *S) {
+        return generateCSProfileChunk(
+            Sym, Probes, Samples, Plan[I].Begin, Plan[I].End,
+            InferMissingFrames ? &Inferrers[I] : nullptr, S);
+      },
+      contextViewOf,
+      [](const auto &Views, MergeStats &MS) {
+        return contextProfileOf(mergeContextViews(Views, MS));
+      },
+      Stats, Reduce);
 }
 
 FlatProfile
-generateProbeOnlyProfileSharded(const Binary &Bin, const ProbeTable &Probes,
+generateProbeOnlyProfileSharded(const Symbolizer &Sym, const ProbeTable &Probes,
                                 const std::vector<PerfSample> &Samples,
                                 unsigned Parallelism, CSProfileGenStats *Stats,
                                 MergeStats *Reduce) {
-  Symbolizer Sym(Bin);
-  unsigned K = resolveParallelism(Parallelism, Samples.size());
-  std::vector<ShardRange> Plan = planShards(Samples.size(), K);
-
-  if (Plan.size() <= 1) {
-    if (Reduce)
-      *Reduce = MergeStats{};
-    CSProfileGenStats Local;
-    FlatProfile Out = generateProbeOnlyProfileChunk(
-        Sym, Probes, Samples, 0, Samples.size(), Stats ? &Local : nullptr);
-    if (Stats)
-      *Stats = Local;
-    return Out;
-  }
-
-  ThreadPool Pool(K);
-  std::vector<FlatProfile> Parts(Plan.size());
-  std::vector<CSProfileGenStats> PartStats(Plan.size());
-  Pool.parallelFor(Plan.size(), [&](size_t I) {
-    Parts[I] = generateProbeOnlyProfileChunk(
-        Sym, Probes, Samples, Plan[I].Begin, Plan[I].End, &PartStats[I]);
-  });
-
-  // Flat-plane reduction, as in generateCSProfileSharded: parallel
-  // view conversion, one k-way merge of sorted slices, one rebuild.
-  std::vector<FlatProfileView> Views(Parts.size());
-  Pool.parallelFor(Parts.size(),
-                   [&](size_t I) { Views[I] = flatViewOf(Parts[I]); });
-  std::vector<const FlatProfileView *> Ptrs;
-  Ptrs.reserve(Views.size());
-  for (const FlatProfileView &V : Views)
-    Ptrs.push_back(&V);
-  MergeStats MS;
-  FlatProfile Out = flatProfileOf(mergeFlatViews(Ptrs, MS));
-  CSProfileGenStats Total = PartStats.front();
-  for (size_t I = 1; I != PartStats.size(); ++I)
-    accumulateStats(Total, PartStats[I]);
-  if (Stats)
-    *Stats = Total;
-  if (Reduce)
-    *Reduce = MS;
-  return Out;
+  std::vector<ShardRange> Plan = planFor(Samples.size(), Parallelism);
+  return reduceShards<FlatProfile>(
+      Plan.size(),
+      [&](size_t I, CSProfileGenStats *S) {
+        return generateProbeOnlyProfileChunk(Sym, Probes, Samples,
+                                             Plan[I].Begin, Plan[I].End, S);
+      },
+      flatViewOf,
+      [](const auto &Views, MergeStats &MS) {
+        return flatProfileOf(mergeFlatViews(Views, MS));
+      },
+      Stats, Reduce);
 }
 
 } // namespace csspgo

@@ -51,7 +51,7 @@ unsigned resolveParallelism(unsigned Requested, size_t SampleCount);
 /// (\p Parallelism 1) for any \p Parallelism. \p InferMissingFrames
 /// enables the missing-frame inferrer. \p Reduce, when given, receives the
 /// accumulated MergeStats of the reduction (zeros when a single shard ran).
-ContextProfile generateCSProfileSharded(const Binary &Bin,
+ContextProfile generateCSProfileSharded(const Symbolizer &Sym,
                                         const ProbeTable &Probes,
                                         const std::vector<PerfSample> &Samples,
                                         bool InferMissingFrames,
@@ -62,7 +62,7 @@ ContextProfile generateCSProfileSharded(const Binary &Bin,
 /// Sharded probe-only profile generation; bit-identical to the serial run
 /// for any \p Parallelism.
 FlatProfile
-generateProbeOnlyProfileSharded(const Binary &Bin, const ProbeTable &Probes,
+generateProbeOnlyProfileSharded(const Symbolizer &Sym, const ProbeTable &Probes,
                                 const std::vector<PerfSample> &Samples,
                                 unsigned Parallelism,
                                 CSProfileGenStats *Stats = nullptr,

@@ -3,6 +3,7 @@
 #include "service/ProfileService.h"
 
 #include "probe/ProbeInserter.h"
+#include "profgen/ShardedProfGen.h"
 #include "sim/Executor.h"
 #include "store/ProfileStore.h"
 #include "support/BoundedQueue.h"
@@ -25,7 +26,9 @@ namespace {
 
 /// What one worker produced for one (host, epoch) assignment.
 struct HostProfile {
-  ContextProfile CS;
+  /// The host's profile as an arena view, the form the fold merges; the
+  /// trie is freed before the epoch waits for its fold.
+  ContextProfileView CS;
   CSProfileGenStats Stats;
   uint64_t Samples = 0;
 };
@@ -40,6 +43,8 @@ struct ProfileService::Release {
   std::shared_ptr<const Module> Source; ///< Pristine IR of this release.
   std::unique_ptr<Binary> Bin;          ///< Probe-anchored profiling build.
   ProbeTable Probes;
+  /// Built once per release, not once per host task.
+  std::unique_ptr<const Symbolizer> Sym;
 };
 
 /// Everything in flight for one epoch: per-host result slots (indexed by
@@ -86,6 +91,7 @@ buildRelease(const Module &Source, unsigned Index) {
   BuildResult B = buildWithPGO(Source, BC, nullptr);
   R->Bin = std::move(B.Bin);
   R->Probes = B.ProbeDescs;
+  R->Sym = std::make_unique<const Symbolizer>(*R->Bin);
   return R;
 }
 
@@ -133,15 +139,13 @@ HostProfile profileHost(const ProfileService::Release &R,
   EC.Sampler.Seed = T.SamplerSeed;
   RunResult Run = execute(*R.Bin, "main", Mem, EC);
 
-  ProfGenOptions GO;
-  GO.Kind = ProfGenKind::CS;
-  GO.Parallelism = 1;           // Sharding here is across hosts, not samples.
-  GO.Verify = VerifyLevel::Off; // The fold is the verification gate.
-  ProfileGenerator Gen(*R.Bin, &R.Probes, GO);
-  ProfGenResult PR = Gen.generate(Run.Samples);
-  Out.CS = std::move(PR.CS);
-  Out.Stats = PR.Stats;
-  Out.Samples = Out.CS.totalSamples();
+  // One shard: sharding here is across hosts, not samples. No verify:
+  // the fold is the verification gate.
+  ContextProfile CS = generateCSProfileSharded(
+      *R.Sym, R.Probes, Run.Samples, /*InferMissingFrames=*/true,
+      /*Parallelism=*/1, &Out.Stats);
+  Out.CS = contextViewOf(CS);
+  Out.Samples = CS.totalSamples();
   return Out;
 }
 
@@ -280,20 +284,16 @@ Status ProfileService::foldEpoch(unsigned E, EpochBatch &Batch) {
     // out by host index, so a straight scan is exactly that order) — on
     // the flat plane: one k-way merge of the host views into an empty
     // destination, bit-identical to folding each host trie in turn.
-    std::vector<ContextProfileView> HostViews;
+    std::vector<const ContextProfileView *> HostPtrs;
     uint64_t EpochSamples = 0;
     for (unsigned H = 0; H != C.Fleet.Hosts; ++H) {
       if (Fleet.serviceOfHost(H) != S || !Batch.Results[H])
         continue;
       HostProfile &HP = *Batch.Results[H];
-      accumulate(PS.ProfGen, HP.Stats);
+      PS.ProfGen += HP.Stats;
       EpochSamples += HP.Samples;
-      HostViews.push_back(contextViewOf(HP.CS));
+      HostPtrs.push_back(&HP.CS);
     }
-    std::vector<const ContextProfileView *> HostPtrs;
-    HostPtrs.reserve(HostViews.size());
-    for (const ContextProfileView &V : HostViews)
-      HostPtrs.push_back(&V);
     MergeStats ReduceStats;
     ContextProfile Epoch = contextProfileOf(
         mergeContextViews(HostPtrs, ReduceStats, /*IntoEmptyDst=*/true));

@@ -165,6 +165,26 @@ TEST(Codegen, IndexOfAddrRoundTrip) {
   EXPECT_EQ(Bin->indexOfAddr(1), SIZE_MAX);
 }
 
+TEST(Codegen, FuncIndexOfMatchesRangeScan) {
+  auto M = makeCallerModule(5);
+  M->getFunction("leaf")->Blocks[2]->IsColdSection = true;
+  auto Bin = compileToBinary(*M);
+  size_t Owned = 0;
+  for (size_t I = 0; I != Bin->Code.size() + 3; ++I) {
+    uint32_t Want = ~0u;
+    for (uint32_t F = 0; F != Bin->Funcs.size() && Want == ~0u; ++F)
+      if (Bin->Funcs[F].containsIdx(I))
+        Want = F;
+    EXPECT_EQ(Bin->funcIndexOf(I), Want) << "instruction " << I;
+    Owned += Want != ~0u;
+  }
+  // The split cold part of leaf resolves to leaf too.
+  const MachineFunction &Leaf = Bin->Funcs[Bin->funcIndexByName("leaf")];
+  ASSERT_GT(Leaf.ColdEnd, Leaf.ColdBegin);
+  EXPECT_EQ(Bin->funcIndexOf(Leaf.ColdBegin), Bin->funcIndexByName("leaf"));
+  EXPECT_GT(Owned, 0u);
+}
+
 TEST(Codegen, DebugInfoSizeNonTrivial) {
   auto M = makeCallerModule(5);
   auto Bin = compileToBinary(*M);

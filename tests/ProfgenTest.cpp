@@ -14,12 +14,16 @@
 #include "profgen/Symbolizer.h"
 #include "profile/ProfileIO.h"
 #include "opt/Inliner.h"
+#include "pgo/BuildPipeline.h"
 #include "sim/InstrRuntime.h"
 #include "support/Hashing.h"
+#include "workload/Workloads.h"
 
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 using namespace csspgo;
 using namespace csspgo::testing;
@@ -264,45 +268,136 @@ TEST(InstrProfile, ExactCountsFromCounters) {
   EXPECT_EQ(Shared->HeadSamples, 200u);
 }
 
+// Functions are name ids; these follow name order: a < b < c < d < z.
+enum : uint32_t { FnA = 1, FnB, FnC, FnD, FnZ };
+using Outcome = MissingFrameInferrer::Outcome;
+
 TEST(MissingFrames, UniquePathRecovered) {
   MissingFrameInferrer Inf;
-  Inf.addTailCallEdge("a", 3, "b");
-  Inf.addTailCallEdge("b", 4, "c");
-  std::vector<MissingFrameInferrer::RecoveredFrame> Out;
-  EXPECT_TRUE(Inf.inferMissingFrames("a", "c", Out));
-  ASSERT_EQ(Out.size(), 2u);
-  EXPECT_EQ(Out[0].Func, "a");
-  EXPECT_EQ(Out[0].SiteProbe, 3u);
-  EXPECT_EQ(Out[1].Func, "b");
-  EXPECT_EQ(Out[1].SiteProbe, 4u);
-  EXPECT_EQ(Inf.stats().Recovered, 1u);
+  Inf.addTailCallEdge(FnA, 3, FnB);
+  Inf.addTailCallEdge(FnB, 4, FnC);
+  const MissingFrameInferrer::Result &R = Inf.infer(FnA, FnC);
+  EXPECT_EQ(R.O, Outcome::Recovered);
+  ASSERT_EQ(R.Path.size(), 2u);
+  EXPECT_EQ(R.Path[0].Func, FnA);
+  EXPECT_EQ(R.Path[0].Site, 3u);
+  EXPECT_EQ(R.Path[1].Func, FnB);
+  EXPECT_EQ(R.Path[1].Site, 4u);
 }
 
 TEST(MissingFrames, AmbiguousPathFails) {
   MissingFrameInferrer Inf;
-  Inf.addTailCallEdge("a", 1, "b");
-  Inf.addTailCallEdge("b", 2, "d");
-  Inf.addTailCallEdge("a", 3, "c");
-  Inf.addTailCallEdge("c", 4, "d");
-  std::vector<MissingFrameInferrer::RecoveredFrame> Out;
-  EXPECT_FALSE(Inf.inferMissingFrames("a", "d", Out));
-  EXPECT_EQ(Inf.stats().AmbiguousPaths, 1u);
+  Inf.addTailCallEdge(FnA, 1, FnB);
+  Inf.addTailCallEdge(FnB, 2, FnD);
+  Inf.addTailCallEdge(FnA, 3, FnC);
+  Inf.addTailCallEdge(FnC, 4, FnD);
+  EXPECT_EQ(Inf.infer(FnA, FnD).O, Outcome::Ambiguous);
+  // The memoized answer is the same.
+  EXPECT_EQ(Inf.infer(FnA, FnD).O, Outcome::Ambiguous);
 }
 
 TEST(MissingFrames, NoPathFails) {
   MissingFrameInferrer Inf;
-  Inf.addTailCallEdge("a", 1, "b");
-  std::vector<MissingFrameInferrer::RecoveredFrame> Out;
-  EXPECT_FALSE(Inf.inferMissingFrames("a", "z", Out));
-  EXPECT_EQ(Inf.stats().NoPath, 1u);
+  Inf.addTailCallEdge(FnA, 1, FnB);
+  EXPECT_EQ(Inf.infer(FnA, FnZ).O, Outcome::NoPath);
 }
 
 TEST(MissingFrames, CyclesDoNotHang) {
   MissingFrameInferrer Inf;
-  Inf.addTailCallEdge("a", 1, "b");
-  Inf.addTailCallEdge("b", 2, "a");
-  std::vector<MissingFrameInferrer::RecoveredFrame> Out;
-  EXPECT_TRUE(Inf.inferMissingFrames("a", "b", Out));
+  Inf.addTailCallEdge(FnA, 1, FnB);
+  Inf.addTailCallEdge(FnB, 2, FnA);
+  EXPECT_EQ(Inf.infer(FnA, FnB).O, Outcome::Recovered);
+}
+
+TEST(MissingFrames, StatsCountEachOutcome) {
+  MissingFrameInferrer::Stats St;
+  St.record(Outcome::Recovered);
+  St.record(Outcome::Ambiguous);
+  St.record(Outcome::NoPath);
+  St.record(Outcome::NoPath);
+  EXPECT_EQ(St.Attempts, 4u);
+  EXPECT_EQ(St.Recovered, 1u);
+  EXPECT_EQ(St.AmbiguousPaths, 1u);
+  EXPECT_EQ(St.NoPath, 2u);
+  St += St;
+  EXPECT_EQ(St.Attempts, 8u);
+  EXPECT_EQ(St.NoPath, 4u);
+}
+
+// A sample whose stack lost svcA's frame: main's call to svcA is the only
+// caller, yet the leaf runs in shared (as if svcA had tail-called it).
+// Two LBR branches in shared ask for the same caller context; the second
+// reuses the first's expansion and must still count its inference.
+TEST(MissingFrames, UnwinderCountsEachOutcomePerBranch) {
+  auto M = makeContextModule(1);
+  insertProbes(*M, AnchorKind::PseudoProbe);
+  auto Bin = compileToBinary(*M);
+  Symbolizer Sym(*Bin);
+  auto IdOf = [&](const char *Name) {
+    return Sym.funcNameId(Bin->funcIndexByName(Name));
+  };
+  const uint32_t Main = IdOf("main"), SvcA = IdOf("svcA"),
+                 SvcB = IdOf("svcB"), Shared = IdOf("shared");
+  const MachineFunction &MainFn = Bin->Funcs[Bin->funcIndexByName("main")];
+  size_t CallA = MainFn.HotBegin;
+  while (Bin->Code[CallA].Op != Opcode::Call ||
+         Bin->Code[CallA].CalleeIdx != Bin->funcIndexByName("svcA"))
+    ASSERT_LT(++CallA, MainFn.HotEnd);
+  const size_t H = Bin->Funcs[Bin->funcIndexByName("shared")].HotBegin;
+  for (size_t Idx : {H, H + 2}) {
+    BranchKind K = Sym.classify(Idx);
+    ASSERT_TRUE(K != BranchKind::Call && K != BranchKind::Return &&
+                K != BranchKind::TailCallJump);
+  }
+  PerfSample S;
+  S.LBR = {{Bin->Code[H].Addr, Bin->Code[H + 1].Addr},
+           {Bin->Code[H + 2].Addr, Bin->Code[H + 3].Addr}};
+  S.Stack = {Bin->Code[H + 3].Addr, Bin->Code[CallA + 1].Addr};
+
+  struct Case {
+    const char *Name;
+    std::vector<std::array<uint32_t, 3>> Edges;
+    MissingFrameInferrer::Stats Want;
+  };
+  const Case Cases[] = {
+      {"recovered", {{SvcA, 7, Shared}}, {2, 2, 0, 0}},
+      {"ambiguous",
+       {{SvcA, 1, SvcB}, {SvcB, 2, Shared}, {SvcA, 3, Main}, {Main, 4, Shared}},
+       {2, 0, 2, 0}},
+      {"no path", {{SvcA, 1, SvcB}}, {2, 0, 0, 2}},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    MissingFrameInferrer Inf;
+    for (auto [From, Site, To] : C.Edges)
+      Inf.addTailCallEdge(From, Site, To);
+    ContextPool Pool;
+    ContextUnwinder U(Sym, Pool, &Inf);
+    // Twice: the second sample re-expands (the stack is rebuilt per
+    // sample) and hits the inferrer's memo.
+    for (int Round = 1; Round <= 2; ++Round) {
+      const UnwoundSample &Out = U.unwind(S);
+      ASSERT_TRUE(Out.Synced);
+      ASSERT_EQ(Out.Branches.size(), 2u);
+      ASSERT_EQ(Out.Ranges.size(), 1u);
+      // The range's caller context: main -> svcA@7 when recovered, else
+      // truncated to main.
+      CallerContext Ctx = Out.Ranges[0].Ctx;
+      bool Recovered = C.Want.Recovered != 0;
+      EXPECT_EQ(Pool[Ctx.Node].Func, Recovered ? SvcA : Main);
+      EXPECT_EQ(Ctx.Site, Recovered ? 7u : Sym.callProbeAt(CallA));
+      MissingFrameInferrer::Stats Want;
+      for (int I = 0; I != Round; ++I)
+        Want += C.Want;
+      EXPECT_EQ(U.stats().TailCallStats, Want) << "round " << Round;
+    }
+  }
+
+  // Without an inferrer nothing is attempted.
+  ContextPool Pool;
+  ContextUnwinder U(Sym, Pool, nullptr);
+  U.unwind(S);
+  EXPECT_EQ(U.stats().TailCallStats, MissingFrameInferrer::Stats{});
 }
 
 TEST(SizeExtractor, MeasuresFunctionSizes) {
@@ -391,8 +486,8 @@ TEST(ShardedProfGen, CSBitIdenticalToSerialForAnyShardCount) {
     CSProfileGenStats Stats;
     MergeStats Reduce;
     ContextProfile Sharded = generateCSProfileSharded(
-        *P.Bin, P.Probes, P.Samples, /*InferMissingFrames=*/true, K,
-        &Stats, &Reduce);
+        Symbolizer(*P.Bin), P.Probes, P.Samples, /*InferMissingFrames=*/true,
+        K, &Stats, &Reduce);
     EXPECT_EQ(serializeContextProfile(Sharded), SerialDump)
         << "shard count " << K;
     EXPECT_EQ(Stats.Samples, SerialStats.Samples) << K;
@@ -415,8 +510,8 @@ TEST(ShardedProfGen, CSIdenticalUnderSkidAndInference) {
   for (unsigned K : {2u, 5u}) {
     CSProfileGenStats Stats;
     ContextProfile Sharded = generateCSProfileSharded(
-        *P.Bin, P.Probes, P.Samples, /*InferMissingFrames=*/true, K,
-        &Stats);
+        Symbolizer(*P.Bin), P.Probes, P.Samples, /*InferMissingFrames=*/true,
+        K, &Stats);
     EXPECT_EQ(serializeContextProfile(Sharded), SerialDump) << K;
     EXPECT_EQ(Stats.UnsyncedSamples, SerialStats.UnsyncedSamples) << K;
     EXPECT_EQ(Stats.TailCallStats.Attempts, SerialStats.TailCallStats.Attempts)
@@ -438,7 +533,7 @@ TEST(ShardedProfGen, ProbeOnlyBitIdenticalToSerial) {
     CSProfileGenStats Stats;
     MergeStats Reduce;
     FlatProfile Sharded = generateProbeOnlyProfileSharded(
-        *P.Bin, P.Probes, P.Samples, K, &Stats, &Reduce);
+        Symbolizer(*P.Bin), P.Probes, P.Samples, K, &Stats, &Reduce);
     EXPECT_EQ(serializeFlatProfile(Sharded), SerialDump) << K;
     EXPECT_EQ(Stats.Samples, SerialStats.Samples) << K;
     EXPECT_EQ(Stats.RangesProcessed, SerialStats.RangesProcessed) << K;
@@ -504,7 +599,7 @@ TEST(ProfileGeneratorFacade, DispatchesEveryKind) {
   EXPECT_EQ(RP.Flat.Kind, ProfileKind::ProbeBased);
   EXPECT_EQ(serializeFlatProfile(RP.Flat),
             serializeFlatProfile(generateProbeOnlyProfileSharded(
-                *P.Bin, P.Probes, P.Samples, /*Parallelism=*/1)));
+                Symbolizer(*P.Bin), P.Probes, P.Samples, /*Parallelism=*/1)));
 
   ProfGenOptions Auto;
   Auto.Kind = ProfGenKind::AutoFDO;
@@ -529,4 +624,190 @@ TEST(ProfileGeneratorFacade, DispatchesEveryKind) {
   EXPECT_FALSE(RI.IsCS);
   ASSERT_NE(RI.Flat.find("shared"), nullptr);
   EXPECT_EQ(RI.Flat.find("shared")->bodyAt({1, 0}), 200u);
+}
+
+//===----------------------------------------------------------------------===//
+// The interned two-phase generators against the string-keyed oracle.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+class ProfgenOracle : public ::testing::TestWithParam<std::string> {};
+
+std::string statsDiff(const CSProfileGenStats &A, const CSProfileGenStats &B) {
+  std::string D;
+  auto Field = [&D](const char *Name, uint64_t X, uint64_t Y) {
+    if (X != Y)
+      D += std::string(" ") + Name + " " + std::to_string(X) + " vs " +
+           std::to_string(Y);
+  };
+  Field("Samples", A.Samples, B.Samples);
+  Field("UnsyncedSamples", A.UnsyncedSamples, B.UnsyncedSamples);
+  Field("RangesProcessed", A.RangesProcessed, B.RangesProcessed);
+  Field("DroppedSamples", A.DroppedSamples, B.DroppedSamples);
+  Field("BrokenRanges", A.BrokenRanges, B.BrokenRanges);
+  Field("Attempts", A.TailCallStats.Attempts, B.TailCallStats.Attempts);
+  Field("Recovered", A.TailCallStats.Recovered, B.TailCallStats.Recovered);
+  Field("AmbiguousPaths", A.TailCallStats.AmbiguousPaths,
+        B.TailCallStats.AmbiguousPaths);
+  Field("NoPath", A.TailCallStats.NoPath, B.TailCallStats.NoPath);
+  EXPECT_EQ(D.empty(), A == B);
+  return D;
+}
+
+} // namespace
+
+TEST_P(ProfgenOracle, MatchesStringKeyedGenerators) {
+  auto Source = generateProgram(workloadPreset(GetParam(), 0.2));
+  BuildConfig BC;
+  BC.Variant = PGOVariant::CSSPGOFull;
+  BuildResult Build = buildWithPGO(*Source, BC, nullptr);
+  Symbolizer Sym(*Build.Bin);
+  MissingFrameInferrer::Stats Inferred;
+  for (bool Precise : {true, false}) {
+    ExecConfig EC;
+    EC.Sampler.Enabled = true;
+    EC.Sampler.PeriodCycles = 401;
+    EC.Sampler.Precise = Precise;
+    std::vector<int64_t> Mem =
+        generateInput(workloadPreset(GetParam(), 0.2), 1);
+    RunResult R = execute(*Build.Bin, "main", Mem, EC);
+    ASSERT_TRUE(R.Completed);
+    ASSERT_GT(R.Samples.size(), 50u);
+    for (bool Infer : {true, false}) {
+      SCOPED_TRACE(std::string(Precise ? "precise" : "skid") +
+                   (Infer ? ", inference" : ", no inference"));
+      CSProfileGenStats RefStats;
+      std::string Ref = serializeContextProfile(
+          referenceCSProfile(*Build.Bin, Build.ProbeDescs, R.Samples, 0,
+                             R.Samples.size(), Infer, &RefStats));
+      Inferred += RefStats.TailCallStats;
+      for (unsigned K : {1u, 2u, 3u, 7u}) {
+        CSProfileGenStats Stats;
+        ContextProfile CS = generateCSProfileSharded(
+            Sym, Build.ProbeDescs, R.Samples, Infer, K, &Stats);
+        EXPECT_TRUE(serializeContextProfile(CS) == Ref) << "K=" << K;
+        EXPECT_EQ(statsDiff(Stats, RefStats), "") << "K=" << K;
+      }
+    }
+    CSProfileGenStats RefStats;
+    std::string Ref = serializeFlatProfile(referenceProbeOnlyProfile(
+        *Build.Bin, Build.ProbeDescs, R.Samples, &RefStats));
+    for (unsigned K : {1u, 2u, 3u, 7u}) {
+      CSProfileGenStats Stats;
+      FlatProfile PO = generateProbeOnlyProfileSharded(
+          Sym, Build.ProbeDescs, R.Samples, K, &Stats);
+      EXPECT_TRUE(serializeFlatProfile(PO) == Ref) << "probe-only K=" << K;
+      EXPECT_EQ(statsDiff(Stats, RefStats), "") << "probe-only K=" << K;
+    }
+  }
+  // Where a preset's samples reach missing-frame inference, the
+  // TailCallStats comparisons above must compare nonzero counts.
+  const std::string &Preset = GetParam();
+  if (Preset != "InterpLoop" && Preset != "ColdBoot")
+    EXPECT_GT(Inferred.Attempts, 0u);
+  if (Preset != "InterpLoop" && Preset != "ColdBoot" && Preset != "RpcFanout")
+    EXPECT_GT(Inferred.Recovered, 0u);
+  std::printf("[ profgen  ] %s: %llu inference attempts, %llu recovered\n",
+              GetParam().c_str(),
+              static_cast<unsigned long long>(Inferred.Attempts),
+              static_cast<unsigned long long>(Inferred.Recovered));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, ProfgenOracle,
+    ::testing::Values("AdRanker", "AdRetriever", "AdFinder", "HHVM", "HaaS",
+                      "ClangProxy", "RpcFanout", "InterpLoop", "ColdBoot"),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      return Info.param;
+    });
+
+TEST(Profgen, HostileSamplesAreSkippedAndCounted) {
+  auto P = profileContextModule(300);
+  const Binary &Bin = *P.Bin;
+  Symbolizer Sym(Bin);
+  const uint64_t Outside = Binary::BaseAddr - 16;
+  const uint64_t PastEnd = Bin.nextInstrAddr(Bin.Code.size() - 1) + 64;
+  // A sample with a call stack to corrupt.
+  const PerfSample *Base = nullptr;
+  for (const PerfSample &S : P.Samples)
+    if (S.Stack.size() >= 2 && S.LBR.size() >= 4) {
+      Base = &S;
+      break;
+    }
+  ASSERT_NE(Base, nullptr);
+  // An instruction that does not follow a call: a bad return address.
+  size_t NotAfterCall = 1;
+  while (Bin.Code[NotAfterCall - 1].Op == Opcode::Call)
+    ++NotAfterCall;
+
+  std::vector<PerfSample> Dropped;
+  auto Drop = [&](auto Mutate) {
+    PerfSample S = *Base;
+    Mutate(S);
+    Dropped.push_back(S);
+  };
+  Drop([](PerfSample &S) { S.LBR.clear(); });
+  Drop([](PerfSample &S) { S.Stack.clear(); });
+  Drop([&](PerfSample &S) { S.Stack[1] = Bin.Code[0].Addr; });
+  Drop([&](PerfSample &S) { S.Stack[1] = Bin.Code[NotAfterCall].Addr; });
+  Drop([&](PerfSample &S) { S.Stack[1] = Outside; });
+  Drop([&](PerfSample &S) { S.Stack[0] = PastEnd; });
+  Drop([&](PerfSample &S) { S.LBR.back().Dst = Outside; });
+
+  // Dropped samples are counted and change nothing else.
+  std::vector<PerfSample> Mixed = P.Samples;
+  Mixed.insert(Mixed.begin() + Mixed.size() / 2, Dropped.begin(),
+               Dropped.end());
+  for (unsigned K : {1u, 3u}) {
+    CSProfileGenStats Clean, Hostile;
+    std::string Want = serializeContextProfile(generateCSProfileSharded(
+        Sym, P.Probes, P.Samples, true, K, &Clean));
+    EXPECT_EQ(serializeContextProfile(generateCSProfileSharded(
+                  Sym, P.Probes, Mixed, true, K, &Hostile)),
+              Want);
+    EXPECT_EQ(Hostile.Samples, Clean.Samples + Dropped.size());
+    EXPECT_EQ(Hostile.DroppedSamples, Clean.DroppedSamples + Dropped.size());
+    EXPECT_EQ(Hostile.RangesProcessed, Clean.RangesProcessed);
+  }
+
+  // LBR entries outside the text: the entry and the ranges it bounds are
+  // skipped and counted, in both generators.
+  std::vector<PerfSample> Broken(4, *Base);
+  Broken[0].LBR[3].Src = Outside;
+  Broken[1].LBR[1].Dst = PastEnd;
+  Broken[2].LBR[2].Src = PastEnd;
+  Broken[3].LBR[0].Dst = Outside;
+  for (const PerfSample &S : Broken) {
+    CSProfileGenStats Clean, Hostile;
+    generateCSProfileSharded(Sym, P.Probes, {*Base}, true, 1, &Clean);
+    generateCSProfileSharded(Sym, P.Probes, {S}, true, 1, &Hostile);
+    EXPECT_EQ(Hostile.DroppedSamples, 0u);
+    EXPECT_GT(Hostile.BrokenRanges, Clean.BrokenRanges);
+    EXPECT_LT(Hostile.RangesProcessed, Clean.RangesProcessed);
+    generateProbeOnlyProfileSharded(Sym, P.Probes, {*Base}, 1, &Clean);
+    generateProbeOnlyProfileSharded(Sym, P.Probes, {S}, 1, &Hostile);
+    EXPECT_GT(Hostile.BrokenRanges, Clean.BrokenRanges);
+    EXPECT_LT(Hostile.RangesProcessed, Clean.RangesProcessed);
+  }
+}
+
+TEST(Profgen, InlineIdPastTheTableReadsNoFrames) {
+  // The context module inlines nothing, so ids past every function's
+  // inline table must read as "not inlined": the profiles do not move.
+  auto P = profileContextModule(300);
+  Binary Bad = *P.Bin;
+  for (MInst &I : Bad.Code)
+    I.InlineId = 1000;
+  for (ProbeRecord &R : Bad.Probes)
+    R.InlineId = 1000;
+  Symbolizer Sym(Bad);
+  for (size_t Idx = 0; Idx != Bad.Code.size(); ++Idx)
+    EXPECT_TRUE(Sym.inlineFramesAt(Idx).empty());
+  EXPECT_EQ(serializeContextProfile(generateCSProfileSharded(
+                Sym, P.Probes, P.Samples, true, 2)),
+            serializeContextProfile(generateCS(P)));
+  EXPECT_EQ(serializeFlatProfile(generateProbeOnlyProfileSharded(
+                Sym, P.Probes, P.Samples, 2)),
+            serializeFlatProfile(generateProbeOnly(P, P.Samples)));
 }

@@ -215,19 +215,20 @@ TEST_P(UnwinderRanges, RangesStayWithinOneFunction) {
   ASSERT_TRUE(R.Completed);
 
   Symbolizer Sym(*Bin);
-  ContextUnwinder Unwinder(Sym, nullptr);
+  ContextPool Pool;
+  ContextUnwinder Unwinder(Sym, Pool, nullptr);
   size_t Ranges = 0;
   for (const PerfSample &S : R.Samples) {
-    UnwoundSample U = Unwinder.unwind(S);
+    const UnwoundSample &U = Unwinder.unwind(S);
     for (const RangeWithContext &Range : U.Ranges) {
       ++Ranges;
       ASSERT_LE(Range.BeginIdx, Range.EndIdx);
-      EXPECT_EQ(Sym.funcIndexOf(Range.BeginIdx),
-                Sym.funcIndexOf(Range.EndIdx))
+      EXPECT_EQ(Bin->funcIndexOf(Range.BeginIdx),
+                Bin->funcIndexOf(Range.EndIdx))
           << "linear range crosses a function boundary";
       // Caller frames must name real functions.
-      for (const ContextFrame &F : Range.CallerContext)
-        EXPECT_FALSE(F.Func.empty());
+      for (uint32_t N = Range.Ctx.Node; N != 0; N = Pool[N].Parent)
+        EXPECT_FALSE(Sym.name(Pool[N].Func).empty());
     }
   }
   EXPECT_GT(Ranges, 100u);

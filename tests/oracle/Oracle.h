@@ -27,7 +27,12 @@
 ///  * for the mid-level CFG analyses, set-of-sets dominators, the loop
 ///    finder over them, pair-scan tail merge and code motion on std::map
 ///    predecessors, which ir/CFG.h's dominator tree and the passes in
-///    opt/ must reproduce to the byte.
+///    opt/ must reproduce to the byte;
+///  * for profile generation, the string-keyed CS generator that expands
+///    every branch's caller context and every probe hit's context anew,
+///    and the probe-only generator on std::maps, which the interned
+///    two-phase generators of profgen/ must reproduce to the byte and
+///    counter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +45,7 @@
 #include "opt/ExtTSPCore.h"
 #include "profile/ContextTrie.h"
 #include "profile/FunctionProfile.h"
+#include "profgen/CSProfileGenerator.h"
 #include "profile/ProfileMerge.h"
 #include "sim/Executor.h"
 #include "support/Random.h"
@@ -216,6 +222,23 @@ std::unique_ptr<Module> randomCFGModule(Rng &R);
 /// and printed IR). Returns an empty string when all agree, else what
 /// differs with the printed function as a repro.
 std::string diffRandomCFG(Rng &R);
+
+/// CS generation over Samples[Begin, End) with the tail-call graph of all
+/// of \p Samples, string-keyed throughout: what generateCSProfileSharded
+/// must equal, profile and stats, for any shard count. \p Bin must be
+/// well-formed.
+ContextProfile referenceCSProfile(const Binary &Bin, const ProbeTable &Probes,
+                                  const std::vector<PerfSample> &Samples,
+                                  size_t Begin, size_t End,
+                                  bool InferMissingFrames,
+                                  CSProfileGenStats *Stats = nullptr);
+
+/// Probe-only generation over all of \p Samples on std::maps: what
+/// generateProbeOnlyProfileSharded must equal.
+FlatProfile referenceProbeOnlyProfile(const Binary &Bin,
+                                      const ProbeTable &Probes,
+                                      const std::vector<PerfSample> &Samples,
+                                      CSProfileGenStats *Stats = nullptr);
 
 } // namespace csspgo
 

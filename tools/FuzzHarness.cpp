@@ -8,6 +8,7 @@
 #include "pgo/BuildPipeline.h"
 #include "postlink/BinaryCFG.h"
 #include "profgen/ProfileGenerator.h"
+#include "profgen/ShardedProfGen.h"
 #include "profile/ProfileIO.h"
 #include "profile/ProfileSummary.h"
 #include "profile/Trimmer.h"
@@ -36,6 +37,9 @@ constexpr uint64_t SeedStride = 0x9E3779B97F4A7C15ull;
 /// Stage 14 seeds its own generator with Seed ^ NestingSalt, so adding it
 /// left every earlier stage's random stream unchanged.
 constexpr uint64_t NestingSalt = 0x6E657374696E67ull;
+
+/// Stage 15 likewise draws from Seed ^ ProfgenSalt.
+constexpr uint64_t ProfgenSalt = 0x70726F6667656Eull;
 
 WorkloadConfig randomWorkload(Rng &R) {
   WorkloadConfig W;
@@ -727,6 +731,52 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
     if (V && serializeFlatProfile(flatProfileOf(*V)) != Text) {
       Err = "text -> store -> text is lossy at inlinee nesting " +
             std::to_string(K);
+      return false;
+    }
+  }
+
+  // --- 15. Interned profgen vs the string-keyed oracle -----------------
+  // The iteration's binary resampled with skid and inference drawn at
+  // random: CS generation at a random shard count and probe-only
+  // generation must print the oracle's profile and count its stats.
+  {
+    Rng PR(Seed ^ ProfgenSalt);
+    ExecConfig SkidExec = Exec;
+    SkidExec.Sampler.Precise = PR.nextBool(0.5);
+    SkidExec.Sampler.Seed = PR.next();
+    const bool Infer = PR.nextBool(0.5);
+    const unsigned K = 1 + static_cast<unsigned>(PR.nextBelow(7));
+    std::vector<int64_t> Mem = generateInput(WC, Seed);
+    RunResult Run = execute(*Build.Bin, "main", Mem, SkidExec);
+    const std::string Setup =
+        std::string(SkidExec.Sampler.Precise ? "precise" : "skid") +
+        (Infer ? ", inference" : ", no inference") + ", -j " +
+        std::to_string(K);
+    CSProfileGenStats Stats, RefStats;
+    Symbolizer Sym(*Build.Bin);
+    ContextProfile CS = generateCSProfileSharded(
+        Sym, Build.ProbeDescs, Run.Samples, Infer, K, &Stats);
+    ContextProfile Ref =
+        referenceCSProfile(*Build.Bin, Build.ProbeDescs, Run.Samples, 0,
+                           Run.Samples.size(), Infer, &RefStats);
+    if (serializeContextProfile(CS) != serializeContextProfile(Ref)) {
+      Err = "CS generation diverges from the string-keyed oracle (" + Setup +
+            ")";
+      return false;
+    }
+    if (!(Stats == RefStats)) {
+      Err = "CS generation stats diverge from the string-keyed oracle (" +
+            Setup + ")";
+      return false;
+    }
+    FlatProfile PO = generateProbeOnlyProfileSharded(
+        Sym, Build.ProbeDescs, Run.Samples, K, &Stats);
+    FlatProfile RefPO = referenceProbeOnlyProfile(
+        *Build.Bin, Build.ProbeDescs, Run.Samples, &RefStats);
+    if (serializeFlatProfile(PO) != serializeFlatProfile(RefPO) ||
+        !(Stats == RefStats)) {
+      Err = "probe-only generation diverges from the map-keyed oracle (" +
+            Setup + ")";
       return false;
     }
   }

@@ -39,7 +39,11 @@
 ///  - a generated profile wrapped in 60..70 inlinee levels is accepted by
 ///    the text and store readers exactly when it nests at most
 ///    MaxInlineeNesting deep, and an accepted one round trips
-///    text -> store -> text byte-identically.
+///    text -> store -> text byte-identically;
+///  - the interned two-phase CS generator (at a random shard count) and
+///    the probe-only generator print the test oracle's string-keyed
+///    profiles and count its stats, on a resampling with skid and
+///    missing-frame inference drawn at random (stage 15).
 ///
 /// Iteration seeds are derived as Base + I * golden-ratio so a reported
 /// failure reproduces in isolation with `csspgo_exp fuzz 1 <seed>`.
