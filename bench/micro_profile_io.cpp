@@ -8,9 +8,9 @@
 //   text-parse:   parseContextProfile over the full text database (what a
 //                 text-profile build job pays, always O(whole database));
 //   binary-eager: the full-store load a tool or conversion pays —
-//                 openBorrowed + loadContextView + contextProfileOf over
+//                 openBorrowed + loadView + contextProfileOf over
 //                 the whole database;
-//   flat-lazy:    openBorrowed + binary-search lookup + ContextViewLoader
+//   flat-lazy:    openBorrowed + binary-search lookup + StoreViewLoader
 //                 over one link unit of a simulated fleet database (the
 //                 workload profile cloned under per-module name suffixes
 //                 into 16 modules) — the zero-copy module-scoped path a
@@ -181,7 +181,7 @@ Row benchWorkload(const std::string &Workload, unsigned Reps,
     ContextProfile FromText;
     if (!parseContextProfile(Text, FromText))
       fail(Workload + ": text profile does not parse");
-    Expected<ContextProfileView> FullView = Store.loadContextView();
+    Expected<ContextProfileView> FullView = Store.loadView();
     if (!FullView)
       fail(Workload +
            ": eager store load failed: " + FullView.status().message());
@@ -189,7 +189,7 @@ Row benchWorkload(const std::string &Workload, unsigned Reps,
     if (serializeContextProfile(FromText) != Eager)
       fail(Workload + ": text and binary loads disagree");
 
-    ContextViewLoader All(Store);
+    StoreViewLoader All(Store);
     for (size_t I = 0; I != Store.numFunctions(); ++I) {
       Status St = All.load(I);
       if (!St.ok())
@@ -198,7 +198,7 @@ Row benchWorkload(const std::string &Workload, unsigned Reps,
     if (serializeContextProfile(contextProfileOf(All.view())) != Eager)
       fail(Workload + ": lazy union and eager load disagree");
 
-    ContextViewLoader UnitFlat(Store);
+    StoreViewLoader UnitFlat(Store);
     for (size_t I : Unit) {
       Status St = UnitFlat.load(I);
       if (!St.ok())
@@ -220,7 +220,7 @@ Row benchWorkload(const std::string &Workload, unsigned Reps,
     Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
     if (!S)
       fail(Workload + ": " + S.status().message());
-    Expected<ContextProfileView> V = S->loadContextView();
+    Expected<ContextProfileView> V = S->loadView();
     if (!V)
       fail(Workload + ": " + V.status().message());
     ContextProfile P = contextProfileOf(*V);
@@ -234,7 +234,7 @@ Row benchWorkload(const std::string &Workload, unsigned Reps,
     Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
     if (!S)
       fail(Workload + ": " + S.status().message());
-    ContextViewLoader L(*S);
+    StoreViewLoader L(*S);
     for (const std::string &N : UnitNames) {
       int I = S->findFunction(N);
       if (I < 0)

@@ -303,8 +303,17 @@ struct FlatInlineDriver {
 
   void processCallsIn(Function &F, std::vector<BasicBlock *> Blocks,
                       const FunctionProfile &P, int Depth) {
-    if (Depth > 8 || !Opts.ReplayInlining)
+    if (!Opts.ReplayInlining)
       return;
+    if (Depth > MaxInlineReplayDepth) {
+      for (const auto &[K, Map] : P.Inlinees)
+        for (const auto &[Callee, Sub] : Map)
+          if (Sub.totalBodySamples()) {
+            ++Stats.ReplayDepthCapped;
+            return;
+          }
+      return;
+    }
     bool Progress = true;
     while (Progress) {
       Progress = false;
@@ -432,8 +441,15 @@ struct CSInlineDriver {
   void processCallsIn(Function &F, std::vector<BasicBlock *> Blocks,
                       const std::vector<const ContextTrieNode *> &Nodes,
                       int Depth) {
-    if (Depth > 8)
+    if (Depth > MaxInlineReplayDepth) {
+      for (const ContextTrieNode *N : Nodes)
+        for (const auto &[Key, C] : N->Children)
+          if (!Consumed.count(&C) && C.subtreeSamples()) {
+            ++Stats.ReplayDepthCapped;
+            return;
+          }
       return;
+    }
     bool Progress = true;
     while (Progress) {
       Progress = false;
@@ -610,40 +626,28 @@ Expected<LoaderStats> loadProfileFromStore(Module &M, ProfileStore &Store,
   Store.resolveNames(M);
   unsigned Mat = 0, Skipped = 0;
   LoaderStats Stats;
-  // Materialization runs on the flat plane: the view loaders cursor the
+  // Materialization runs on the arena plane: the view loader cursors the
   // selected payload tiles into one arena (the per-function seeking that
   // makes module-scoped loading O(module), not O(store)), and the arena
   // is bridged to the map containers only once, at the end, for the
   // annotation pass (ArenaTest holds the bridge down).
-  if (Store.isCS()) {
-    ContextViewLoader L(Store);
-    for (size_t I = 0; I != Store.numFunctions(); ++I) {
-      if (Lazy && !M.getFunction(std::string(Store.functionName(I)))) {
-        ++Skipped;
-        continue;
-      }
-      if (Status S = L.load(I); !S.ok())
-        return S.withContext(Lazy ? "lazy context load" : "eager store load");
-      ++Mat;
+  const char *LazyWhat =
+      Store.isCS() ? "lazy context load" : "lazy function load";
+  StoreViewLoader L(Store);
+  for (size_t I = 0; I != Store.numFunctions(); ++I) {
+    if (Lazy && !M.getFunction(std::string(Store.functionName(I)))) {
+      ++Skipped;
+      continue;
     }
-    ContextProfile Materialized = contextProfileOf(L.view());
-    Stats = loadContextProfile(M, Materialized,
-                               storeScopedOptions(Opts, Lazy, Store));
-  } else {
-    FlatViewLoader L(Store);
-    for (size_t I = 0; I != Store.numFunctions(); ++I) {
-      if (Lazy && !M.getFunction(std::string(Store.functionName(I)))) {
-        ++Skipped;
-        continue;
-      }
-      if (Status S = L.load(I); !S.ok())
-        return S.withContext(Lazy ? "lazy function load" : "eager store load");
-      ++Mat;
-    }
-    FlatProfile Materialized = flatProfileOf(L.view());
-    Stats = loadFlatProfile(M, Materialized, Store.isInstr(),
-                            storeScopedOptions(Opts, Lazy, Store));
+    if (Status S = L.load(I); !S.ok())
+      return S.withContext(Lazy ? LazyWhat : "eager store load");
+    ++Mat;
   }
+  LoaderOptions Scoped = storeScopedOptions(Opts, Lazy, Store);
+  Stats = Store.isCS()
+              ? loadContextProfile(M, contextProfileOf(L.view()), Scoped)
+              : loadFlatProfile(M, flatProfileOf(L.view()), Store.isInstr(),
+                                Scoped);
   Stats.StoreFunctionsMaterialized = Mat;
   Stats.StoreFunctionsSkipped = Skipped;
   return Stats;

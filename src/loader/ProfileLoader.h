@@ -80,6 +80,12 @@ struct StaleMatchRecord {
   MatchStats Stats;
 };
 
+/// Deepest inline replay the loader performs below a function (flat
+/// inlinee profiles and CS context levels alike): replaying at depth
+/// MaxInlineReplayDepth + 1 stops, and LoaderStats::ReplayDepthCapped
+/// counts each stop that leaves sampled levels behind.
+constexpr int MaxInlineReplayDepth = 8;
+
 struct LoaderStats {
   unsigned FunctionsAnnotated = 0;
   /// Checksum-mismatched profiles dropped (matcher off, match rejected,
@@ -98,6 +104,10 @@ struct LoaderStats {
   /// Per-function matching attempts (accepted and rejected).
   std::vector<StaleMatchRecord> StaleMatches;
   unsigned InlinedCallsites = 0;
+  /// Inline replays that MaxInlineReplayDepth stopped while nested
+  /// inlinee profiles (or child contexts) with samples remained, so those
+  /// samples were not replayed inline.
+  unsigned ReplayDepthCapped = 0;
   unsigned PromotedIndirectCalls = 0;
   uint64_t HotThresholdUsed = 0;
   /// Store-backed loads: functions materialized from the binary store, and

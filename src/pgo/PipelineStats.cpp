@@ -15,6 +15,7 @@ LoaderStats &accumulate(LoaderStats &S, const LoaderStats &O) {
   S.StaleMatches.insert(S.StaleMatches.end(), O.StaleMatches.begin(),
                         O.StaleMatches.end());
   S.InlinedCallsites += O.InlinedCallsites;
+  S.ReplayDepthCapped += O.ReplayDepthCapped;
   S.PromotedIndirectCalls += O.PromotedIndirectCalls;
   if (!S.HotThresholdUsed)
     S.HotThresholdUsed = O.HotThresholdUsed;
@@ -92,6 +93,7 @@ std::string PipelineStats::toJSON() const {
   JSONObj LoaderO;
   LoaderO.field("annotated", Loader.FunctionsAnnotated);
   LoaderO.field("inlined", Loader.InlinedCallsites);
+  LoaderO.field("replay_depth_capped", Loader.ReplayDepthCapped);
   LoaderO.field("icp", Loader.PromotedIndirectCalls);
   LoaderO.field("stale_dropped", Loader.StaleDropped);
   LoaderO.field("stale_matched", Loader.StaleMatched);

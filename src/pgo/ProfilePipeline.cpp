@@ -205,17 +205,13 @@ Expected<ProfileBundle> loadStoreBundle(std::string_view StoreBytes) {
   Bundle.Has = true;
   Bundle.IsCS = Store->isCS();
   Bundle.IsInstr = Store->isInstr();
-  if (Bundle.IsCS) {
-    Expected<ContextProfileView> CS = Store->loadContextView();
-    if (!CS)
-      return CS.takeError();
-    Bundle.CS = contextProfileOf(*CS);
-  } else {
-    Expected<FlatProfileView> Flat = Store->loadFlatView();
-    if (!Flat)
-      return Flat.takeError();
-    Bundle.Flat = flatProfileOf(*Flat);
-  }
+  Expected<ContextProfileView> V = Store->loadView();
+  if (!V)
+    return V.takeError();
+  if (Bundle.IsCS)
+    Bundle.CS = contextProfileOf(*V);
+  else
+    Bundle.Flat = flatProfileOf(*V);
   return Bundle;
 }
 

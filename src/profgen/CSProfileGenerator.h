@@ -45,8 +45,8 @@ ContextProfile generateCSProfileChunk(const Symbolizer &Sym,
                                       CSProfileGenStats *Stats = nullptr);
 
 /// Chunk-level probe-only generation over Samples[Begin, End); shards
-/// reduce with mergeFlatViews (pure sums, so any partition reduces to the
-/// serial result).
+/// reduce with mergeContextViews on flat views (pure sums, so any
+/// partition reduces to the serial result).
 FlatProfile generateProbeOnlyProfileChunk(const Symbolizer &Sym,
                                           const ProbeTable &Probes,
                                           const std::vector<PerfSample> &Samples,

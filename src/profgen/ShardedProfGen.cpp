@@ -44,17 +44,18 @@ std::vector<ShardRange> planFor(size_t Count, unsigned Parallelism) {
 }
 
 /// Generates each shard's part with Chunk(I, Stats), a worker per shard,
-/// and reduces the parts on the flat plane: they convert to arena views
-/// (ViewOf) in parallel, and Merge k-way merges the sorted slices in one
-/// pass and rebuilds the result once. Bit-identical — counts, stats,
-/// saturation — to folding the parts sequentially (the merge contract in
-/// ProfileArena.h), but without K-1 full destination rewalks. One shard
-/// runs inline and is returned as is, with zero MergeStats.
-template <typename ProfileT, typename ChunkFn, typename ViewFn,
-          typename MergeFn>
-ProfileT reduceShards(size_t Shards, ChunkFn Chunk, ViewFn ViewOf,
-                      MergeFn Merge, CSProfileGenStats *Stats,
-                      MergeStats *Reduce) {
+/// and reduces the parts on the arena plane: they convert to views
+/// (ViewOf) in parallel, mergeContextViews k-way merges the sorted slices
+/// in one pass, and ProfileOf rebuilds the result once. Bit-identical —
+/// counts, stats, saturation — to folding the parts sequentially (the
+/// merge contract in ProfileArena.h), but without K-1 full destination
+/// rewalks. One shard runs inline and is returned as is, with zero
+/// MergeStats.
+template <typename ProfileT, typename ChunkFn>
+ProfileT reduceShards(size_t Shards, ChunkFn Chunk,
+                      ContextProfileView (*ViewOf)(const ProfileT &),
+                      ProfileT (*ProfileOf)(const ContextProfileView &),
+                      CSProfileGenStats *Stats, MergeStats *Reduce) {
   std::vector<ProfileT> Parts(Shards);
   std::vector<CSProfileGenStats> PartStats(Shards);
   forEachIndex(Shards, Shards,
@@ -65,14 +66,13 @@ ProfileT reduceShards(size_t Shards, ChunkFn Chunk, ViewFn ViewOf,
     *Stats = PartStats.front();
   MergeStats MS;
   if (Shards > 1) {
-    using ViewT = decltype(ViewOf(Parts[0]));
-    std::vector<ViewT> Views(Shards);
+    std::vector<ContextProfileView> Views(Shards);
     forEachIndex(Shards, Shards,
                  [&](size_t I) { Views[I] = ViewOf(Parts[I]); });
-    std::vector<const ViewT *> Ptrs;
-    for (const ViewT &V : Views)
+    std::vector<const ContextProfileView *> Ptrs;
+    for (const ContextProfileView &V : Views)
       Ptrs.push_back(&V);
-    Parts.front() = Merge(Ptrs, MS);
+    Parts.front() = ProfileOf(mergeContextViews(Ptrs, MS));
   }
   if (Reduce)
     *Reduce = MS;
@@ -112,11 +112,7 @@ ContextProfile generateCSProfileSharded(const Symbolizer &Sym,
             Sym, Probes, Samples, Plan[I].Begin, Plan[I].End,
             InferMissingFrames ? &Inferrers[I] : nullptr, S);
       },
-      contextViewOf,
-      [](const auto &Views, MergeStats &MS) {
-        return contextProfileOf(mergeContextViews(Views, MS));
-      },
-      Stats, Reduce);
+      contextViewOf, contextProfileOf, Stats, Reduce);
 }
 
 FlatProfile
@@ -131,11 +127,7 @@ generateProbeOnlyProfileSharded(const Symbolizer &Sym, const ProbeTable &Probes,
         return generateProbeOnlyProfileChunk(Sym, Probes, Samples,
                                              Plan[I].Begin, Plan[I].End, S);
       },
-      flatViewOf,
-      [](const auto &Views, MergeStats &MS) {
-        return flatProfileOf(mergeFlatViews(Views, MS));
-      },
-      Stats, Reduce);
+      flatViewOf, flatProfileOf, Stats, Reduce);
 }
 
 } // namespace csspgo

@@ -10,8 +10,8 @@
 /// profile-generation throughput the operational bottleneck at datacenter
 /// scale. This layer partitions the sample vector into K contiguous
 /// shards, runs virtual unwinding + context-trie construction per shard on
-/// a ThreadPool, and reduces the per-shard profiles with the k-way view
-/// merges mergeContextViews / mergeFlatViews (profile/ProfileArena.h).
+/// a ThreadPool, and reduces the per-shard profiles (flat or CS) with the
+/// one k-way view merge, mergeContextViews (profile/ProfileArena.h).
 ///
 /// Determinism guarantee: the sharded result is bit-identical (same
 /// contexts, same counts, same serialized dump) to the serial path for any

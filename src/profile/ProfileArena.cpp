@@ -1,4 +1,4 @@
-//===- profile/ProfileArena.cpp - Flat SoA profile views ------------------===//
+//===- profile/ProfileArena.cpp - Arena profile views ---------------------===//
 
 #include "profile/ProfileArena.h"
 
@@ -111,19 +111,27 @@ size_t ProfileArena::byteSize() const {
 // Bridges to/from the map containers
 //===----------------------------------------------------------------------===//
 
-FlatProfileView flatViewOf(const FlatProfile &P) {
-  FlatProfileView V;
+ContextProfileView flatViewOf(const FlatProfile &P) {
+  ContextProfileView V;
   V.Kind = P.Kind;
-  for (const auto &[Name, FP] : P.Functions)
-    V.Functions.push_back(V.Arena.appendProfile(FP));
+  V.IsCS = false;
+  for (const auto &[Name, FP] : P.Functions) {
+    ContextRecord C;
+    C.Rec = V.Arena.appendProfile(FP);
+    C.FramesBegin = static_cast<uint32_t>(V.Arena.Frames.size());
+    V.Arena.Frames.push_back({V.Arena.Records[C.Rec].Name, 0});
+    C.FramesEnd = C.FramesBegin + 1;
+    V.Contexts.push_back(C);
+  }
   return V;
 }
 
-FlatProfile flatProfileOf(const FlatProfileView &V) {
+FlatProfile flatProfileOf(const ContextProfileView &V) {
+  assert(!V.IsCS && "a context-sensitive view converts via contextProfileOf");
   FlatProfile P;
   P.Kind = V.Kind;
-  for (uint32_t Rec : V.Functions) {
-    FunctionProfile FP = V.Arena.materialize(Rec);
+  for (const ContextRecord &C : V.Contexts) {
+    FunctionProfile FP = V.Arena.materialize(C.Rec);
     std::string Name = FP.Name;
     P.Functions.emplace_hint(P.Functions.end(), std::move(Name),
                              std::move(FP));
@@ -157,7 +165,6 @@ ContextProfile contextProfileOf(const ContextProfileView &V) {
   // not part of the path key).
   std::vector<ContextTrieNode *> Stack;
   std::vector<FrameSlot> Prev;
-  SampleContext Ctx;
   for (const ContextRecord &C : V.Contexts) {
     uint32_t Len = C.FramesEnd - C.FramesBegin;
     const FrameSlot *Frames = V.Arena.Frames.data() + C.FramesBegin;
@@ -184,7 +191,6 @@ ContextProfile contextProfileOf(const ContextProfileView &V) {
     N->ShouldBeInlined = C.ShouldBeInlined;
     N->Profile = V.Arena.materialize(C.Rec);
   }
-  (void)Ctx;
   return P;
 }
 
@@ -196,6 +202,12 @@ namespace {
 
 const char *kindName(ProfileKind K) {
   return K == ProfileKind::LineBased ? "line-based" : "probe-based";
+}
+
+[[noreturn]] void fatalViewShapeMismatch() {
+  std::fprintf(stderr, "csspgo: cannot merge flat and context-sensitive "
+                       "profiles; a flat entry is not a calling context\n");
+  std::abort();
 }
 
 [[noreturn]] void fatalViewKindMismatch(const char *What, ProfileKind Dst,
@@ -456,9 +468,9 @@ uint32_t mergeRecords(ProfileArena &Out, NameId Name, uint64_t SeedGuid,
 /// Builds an order-preserving name remap for each part into \p Out's
 /// interner: output ids are assigned over the sorted union of all part
 /// names, so id comparisons order exactly as name comparisons.
-template <typename ViewT>
 std::vector<std::vector<NameId>>
-buildRemaps(NameInterner &Out, const std::vector<const ViewT *> &Parts) {
+buildRemaps(NameInterner &Out,
+            const std::vector<const ContextProfileView *> &Parts) {
   // Fleet fast path: shards of the same binary carry identical name
   // tables (the same trie shape interns in the same first-reference
   // order), so one sorted remap serves every part. The equality scan
@@ -481,7 +493,7 @@ buildRemaps(NameInterner &Out, const std::vector<const ViewT *> &Parts) {
 
   std::vector<std::string_view> All;
   size_t Total = 0;
-  for (const ViewT *P : Parts)
+  for (const ContextProfileView *P : Parts)
     Total += P->Arena.Names.size();
   All.reserve(Identical && !Parts.empty() ? Parts[0]->Arena.Names.size()
                                           : Total);
@@ -501,7 +513,7 @@ buildRemaps(NameInterner &Out, const std::vector<const ViewT *> &Parts) {
     Remaps.assign(Parts.size(), Map);
     return Remaps;
   }
-  for (const ViewT *P : Parts) {
+  for (const ContextProfileView *P : Parts) {
     std::vector<NameId> Map(P->Arena.Names.size());
     for (size_t I = 0; I != Map.size(); ++I)
       Map[I] = Out.intern(P->Arena.Names.name(static_cast<NameId>(I)));
@@ -510,10 +522,9 @@ buildRemaps(NameInterner &Out, const std::vector<const ViewT *> &Parts) {
   return Remaps;
 }
 
-/// Per-source merge-event statistics shared by the flat and context
-/// merges: the sequential fold counts one event per (part, entry) pair
-/// for every merge *source* (the base entry existed already and
-/// contributes none).
+/// Per-source merge-event statistics: the sequential fold counts one
+/// event per (part, entry) pair for every merge *source* (the base entry
+/// existed already and contributes none).
 void countMergeEvents(MergeStats &Stats, bool HadBase,
                       const std::vector<RecSource> &Srcs) {
   for (size_t I = 0; I != Srcs.size(); ++I) {
@@ -526,76 +537,6 @@ void countMergeEvents(MergeStats &Stats, bool HadBase,
         saturatingAdd(S.A->totalBodySamples(S.Rec), S.rec().HeadSamples);
   }
 }
-
-} // namespace
-
-FlatProfileView
-mergeFlatViews(const std::vector<const FlatProfileView *> &Parts,
-               MergeStats &Stats, bool IntoEmptyDst) {
-  FlatProfileView Out;
-  if (Parts.empty())
-    return Out;
-  Out.Kind = Parts[0]->Kind;
-  for (const FlatProfileView *P : Parts)
-    if (P->Kind != Out.Kind)
-      fatalViewKindMismatch("flat", Out.Kind, P->Kind);
-  auto Remaps = buildRemaps(Out.Arena.Names, Parts);
-
-  size_t K = Parts.size();
-  std::vector<size_t> Cur(K);
-  auto nameAt = [&](size_t P) {
-    return Remaps[P][Parts[P]->Arena.Records[Parts[P]->Functions[Cur[P]]].Name];
-  };
-  // Single scan per output function: minimum and its ties tracked
-  // together (see mergeContextViews).
-  std::vector<size_t> Ties;
-  Ties.reserve(K);
-  while (true) {
-    bool Any = false;
-    NameId Min = 0;
-    Ties.clear();
-    for (size_t P = 0; P != K; ++P) {
-      if (Cur[P] == Parts[P]->Functions.size())
-        continue;
-      NameId N = nameAt(P);
-      if (!Any || N < Min) {
-        Min = N;
-        Any = true;
-        Ties.clear();
-        Ties.push_back(P);
-      } else if (N == Min) {
-        Ties.push_back(P);
-      }
-    }
-    if (!Any)
-      break;
-    RecSource Base;
-    bool HasBase = false;
-    std::vector<RecSource> Srcs;
-    for (size_t P : Ties) {
-      RecSource S{&Parts[P]->Arena, &Remaps[P], Parts[P]->Functions[Cur[P]]};
-      if (P == 0 && !IntoEmptyDst) {
-        Base = S;
-        HasBase = true;
-      } else {
-        Srcs.push_back(S);
-      }
-      ++Cur[P];
-      assert((Cur[P] == Parts[P]->Functions.size() || nameAt(P) > Min) &&
-             "view functions must be name-sorted");
-    }
-    countMergeEvents(Stats, HasBase, Srcs);
-    uint32_t Rec =
-        Srcs.empty()
-            ? copyRecord(Out.Arena, *Base.A, Base.Rec, *Base.Remap)
-            : mergeRecords(Out.Arena, Min, /*SeedGuid=*/0,
-                           HasBase ? &Base : nullptr, Srcs, Stats.SaturatedCounts);
-    Out.Functions.push_back(Rec);
-  }
-  return Out;
-}
-
-namespace {
 
 /// Compares two contexts by their trie path-key sequences — (site to
 /// this frame, function) pairs, prefix-first — which is exactly the
@@ -631,9 +572,13 @@ mergeContextViews(const std::vector<const ContextProfileView *> &Parts,
   if (Parts.empty())
     return Out;
   Out.Kind = Parts[0]->Kind;
-  for (const ContextProfileView *P : Parts)
+  Out.IsCS = Parts[0]->IsCS;
+  for (const ContextProfileView *P : Parts) {
+    if (P->IsCS != Out.IsCS)
+      fatalViewShapeMismatch();
     if (P->Kind != Out.Kind)
-      fatalViewKindMismatch("context", Out.Kind, P->Kind);
+      fatalViewKindMismatch(Out.IsCS ? "context" : "flat", Out.Kind, P->Kind);
+  }
   auto Remaps = buildRemaps(Out.Arena.Names, Parts);
 
   size_t K = Parts.size();
@@ -710,11 +655,15 @@ mergeContextViews(const std::vector<const ContextProfileView *> &Parts,
     if (Srcs.empty()) {
       Rec = copyRecord(Out.Arena, *Base.A, Base.Rec, *Base.Remap);
     } else {
-      // A context absent from the running Dst is created through
-      // getOrCreateChild, which seeds Name = leaf and Guid =
-      // computeFunctionGuid(leaf); an existing node keeps its own.
+      // An entry absent from the running Dst is created the way the map
+      // containers create it: Name = leaf, and Guid =
+      // computeFunctionGuid(leaf) for a trie node (getOrCreateChild) but 0
+      // for a flat function (FlatProfile::getOrCreate). An existing entry
+      // keeps its own.
       NameId Name = HasBase ? Base.remap(Base.rec().Name) : LeafName;
-      uint64_t Seed = computeFunctionGuid(Out.Arena.Names.name(LeafName));
+      uint64_t Seed = HasBase || !Out.IsCS
+                          ? 0
+                          : computeFunctionGuid(Out.Arena.Names.name(LeafName));
       Rec = mergeRecords(Out.Arena, Name, Seed, HasBase ? &Base : nullptr,
                          Srcs, Stats.SaturatedCounts);
     }
@@ -787,19 +736,11 @@ private:
 
 } // namespace
 
-void scaleFlatView(FlatProfileView &V, uint64_t Num, uint64_t Den,
-                   bool ExactCounts) {
+void scaleContextView(ContextProfileView &V, uint64_t Num, uint64_t Den,
+                      bool ExactCounts) {
   if (!Den || Num == Den)
     return;
   ViewScaler S(V.Arena, Num, Den, ExactCounts);
-  for (uint32_t Rec : V.Functions)
-    S.scaleRecord(Rec);
-}
-
-void scaleContextView(ContextProfileView &V, uint64_t Num, uint64_t Den) {
-  if (!Den || Num == Den)
-    return;
-  ViewScaler S(V.Arena, Num, Den, /*ExactCounts=*/false);
   for (const ContextRecord &C : V.Contexts)
     S.scaleRecord(C.Rec);
 }

@@ -1,21 +1,27 @@
-//===- profile/ProfileArena.h - Flat SoA profile views ----------*- C++ -*-===//
+//===- profile/ProfileArena.h - Arena profile views -------------*- C++ -*-===//
 //
 // Part of the CSSPGO reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Flat, arena-backed struct-of-arrays representation of sample profiles
-/// — the profile data plane. The map-based containers (FunctionProfile /
-/// ContextProfile) are the canonical *semantic* model and what the
-/// compiler passes consume, but their pointer-chasing layout would
-/// dominate the data plane: every body slot a red-black tree node, every
-/// callee name a heap string, every merge a rebuild of those trees. So
-/// the store decodes, and sharded profgen, the fleet service and epoch
+/// Arena-backed struct-of-arrays representation of sample profiles — the
+/// profile data plane. The map-based containers (FunctionProfile /
+/// FlatProfile / ContextProfile) are the canonical *semantic* model and
+/// what the compiler passes consume, but their pointer-chasing layout
+/// would dominate the data plane: every body slot a red-black tree node,
+/// every callee name a heap string, every merge a rebuild of those trees.
+/// So the store decodes, and sharded profgen, the fleet service and epoch
 /// ingestion merge and scale, only on views; maps are built from a view
-/// once, at the consumer, through flatProfileOf / contextProfileOf. The
-/// arena keeps the same information as four append-only pools of POD
-/// slots plus an interned name table:
+/// once, at the consumer, through flatProfileOf / contextProfileOf.
+///
+/// There is one view type, ContextProfileView. As in LLVM's
+/// SampleProfileMap, where every FunctionSamples is keyed by a
+/// SampleContext, a context-insensitive profile is the special case in
+/// which every context is one base frame: flatViewOf emits one context
+/// {name, site 0} per function, so one merge, one scaler and one store
+/// loader serve both shapes. The arena keeps the information as four
+/// append-only pools of POD slots plus an interned name table:
 ///
 ///   Body      [ (key, count) ... ]          sorted by ProfileKey
 ///   Calls     [ (key, callee, count) ... ]  sorted by (key, callee name)
@@ -23,15 +29,15 @@
 ///   Frames    [ (func, site) ... ]          context frames, outermost first
 ///
 /// A FuncRecord is five scalars plus half-open ranges into the pools; a
-/// profile database is a list of record (or context) handles over one
-/// shared arena. All slices are kept in the canonical order the std::map
-/// containers iterate in, which the producers provide for free (map
-/// iteration, trie DFS, and the binary store's record encoding are all
-/// already sorted), so merging K profiles is a k-way merge of sorted
-/// slices and conversion back to the map containers is a monotone build.
+/// profile database is a list of context handles over one shared arena.
+/// All slices are kept in the canonical order the std::map containers
+/// iterate in, which the producers provide for free (map iteration, trie
+/// DFS, and the binary store's record encoding are all already sorted),
+/// so merging K profiles is a k-way merge of sorted slices and conversion
+/// back to the map containers is a monotone build.
 ///
 /// The conversions are exact: view -> map -> view and map -> view -> map
-/// are identities. The merges and the scaler are specified below in map
+/// are identities. The merge and the scaler are specified below in map
 /// terms; the test oracle (tests/oracle) implements those specifications
 /// independently on the map containers, and ArenaTest and the
 /// differential fuzzer hold the views to it bit for bit.
@@ -151,14 +157,6 @@ public:
   size_t byteSize() const;
 };
 
-/// Flat (context-insensitive) profile database as a view: top-level
-/// record indices in function-name order over one arena.
-struct FlatProfileView {
-  ProfileKind Kind = ProfileKind::LineBased;
-  ProfileArena Arena;
-  std::vector<uint32_t> Functions;
-};
-
 /// One calling context: a frame slice plus the record holding its
 /// samples, in ContextProfile trie-DFS order within the view.
 struct ContextRecord {
@@ -167,59 +165,64 @@ struct ContextRecord {
   bool ShouldBeInlined = false;
 };
 
-/// Context-sensitive profile database as a view: contexts in trie-DFS
-/// order (prefix-first, children by (site, callee) — exactly the order
-/// ContextProfile::forEachNode visits) over one arena.
+/// A profile database as a view: contexts in trie-DFS order (prefix-first,
+/// children by (site, callee) — exactly the order
+/// ContextProfile::forEachNode visits) over one arena. A flat profile is
+/// the special case where every context is one base frame {name, site 0}
+/// naming the function's record, so its contexts are in function-name
+/// order.
 struct ContextProfileView {
   ProfileKind Kind = ProfileKind::ProbeBased;
+  /// The shape the view holds: context-sensitive (a ContextProfile) or
+  /// flat (a FlatProfile). It decides only the Guid a merge seeds a new
+  /// entry with and the map container the view converts back to.
+  bool IsCS = true;
   ProfileArena Arena;
   std::vector<ContextRecord> Contexts;
 };
 
-/// FlatProfile -> view. Slices come out canonically sorted because the
-/// source maps iterate sorted.
-FlatProfileView flatViewOf(const FlatProfile &P);
+/// FlatProfile -> view of one-frame contexts, one per function. Slices
+/// come out canonically sorted because the source maps iterate sorted.
+ContextProfileView flatViewOf(const FlatProfile &P);
 
-/// View -> FlatProfile. Exact inverse of flatViewOf; on merged or
+/// Flat view -> FlatProfile. Exact inverse of flatViewOf; on merged or
 /// store-loaded views it produces exactly what the map-based pipeline
 /// would have produced.
-FlatProfile flatProfileOf(const FlatProfileView &V);
+FlatProfile flatProfileOf(const ContextProfileView &V);
 
 /// ContextProfile -> view (profile-bearing nodes only, trie-DFS order).
 ContextProfileView contextViewOf(const ContextProfile &P);
 
-/// View -> ContextProfile. Rebuilds the trie; intermediate no-profile
+/// CS view -> ContextProfile. Rebuilds the trie; intermediate no-profile
 /// nodes are reseeded exactly as ContextTrieNode::getOrCreateChild does.
 ContextProfile contextProfileOf(const ContextProfileView &V);
 
-/// K-way merge of flat views over sorted slices: the parts fold in order
-/// into one database, as if by
+/// K-way merge of views over sorted slices: the parts fold in order into
+/// one database, context by context, as if by
 ///
 ///   Dst = copy(*Parts[0]);
 ///   for (i = 1 .. K-1) Stats += mergeInto(Dst, *Parts[i]);
 ///
-/// where mergeInto counts each source function as added or merged, sums
+/// where mergeInto counts each source context as added or merged, sums
 /// its counts into MergeStats::CountsSummed, carries nonzero Guid /
 /// Checksum over (recursively through inlinees) and accumulates every
 /// slot — body, head, call targets, nested inlinees — with saturation at
-/// UINT64_MAX (counted in MergeStats::SaturatedCounts). With
-/// \p IntoEmptyDst the first part is a merge *source* too (Dst starts
-/// empty, as in ingestEpoch's first epoch):
+/// UINT64_MAX (counted in MergeStats::SaturatedCounts); ShouldBeInlined
+/// OR-folds. With \p IntoEmptyDst the first part is a merge *source* too
+/// (Dst starts empty, as in ingestEpoch's first epoch):
 ///
 ///   Dst = {}; for (i = 0 .. K-1) Stats += mergeInto(Dst, *Parts[i]);
 ///
-/// All parts must share one kind: merging line-based with probe-based
-/// counts is a fatal usage error. Input slices must be canonically
-/// ordered — true of every in-tree producer, and of every view the store
-/// loaders return (they reject out-of-order input); debug builds assert
-/// it.
-FlatProfileView mergeFlatViews(const std::vector<const FlatProfileView *> &Parts,
-                               MergeStats &Stats, bool IntoEmptyDst = false);
-
-/// K-way merge of context views; same contract as mergeFlatViews, folding
-/// context by context. A context new to Dst is created the way
-/// ContextTrieNode::getOrCreateChild creates it (Name = leaf, Guid =
-/// computeFunctionGuid(leaf)), and ShouldBeInlined OR-folds.
+/// An entry new to Dst is seeded with Name = leaf and, as the map
+/// containers seed it, Guid = computeFunctionGuid(leaf) in a CS view
+/// (ContextTrieNode::getOrCreateChild) and Guid = 0 in a flat one
+/// (FlatProfile::getOrCreate).
+///
+/// All parts must share one kind and one shape: summing line-based with
+/// probe-based counts, or flat with context-sensitive ones, is a fatal
+/// usage error. Input contexts must be in canonical order — true of every
+/// in-tree producer, and of every view the store loaders return (they
+/// reject out-of-order input); debug builds assert it.
 ContextProfileView
 mergeContextViews(const std::vector<const ContextProfileView *> &Parts,
                   MergeStats &Stats, bool IntoEmptyDst = false);
@@ -246,13 +249,12 @@ mergeContextViews(const std::vector<const ContextProfileView *> &Parts,
 ///    accumulators (the equality does not apply to them), and the head is
 ///    clamped to the recomputed total so HEAD <= TOTAL keeps holding.
 ///
-/// Slots are visited in canonical order (functions or contexts in view
-/// order; per record: body, head, call targets, then inlinees depth
-/// first), which fixes every slot's value. Num == Den is a no-op; Num = 0
-/// zeroes every count.
-void scaleFlatView(FlatProfileView &V, uint64_t Num, uint64_t Den,
-                   bool ExactCounts = false);
-void scaleContextView(ContextProfileView &V, uint64_t Num, uint64_t Den);
+/// Slots are visited in canonical order (contexts in view order; per
+/// record: body, head, call targets, then inlinees depth first), which
+/// fixes every slot's value. Num == Den is a no-op; Num = 0 zeroes every
+/// count.
+void scaleContextView(ContextProfileView &V, uint64_t Num, uint64_t Den,
+                      bool ExactCounts = false);
 
 } // namespace csspgo
 

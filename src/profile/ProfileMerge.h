@@ -6,11 +6,11 @@
 ///
 /// \file
 /// Observability record of profile merges. The production workflow
-/// aggregates samples from many hosts before feeding PGO; the merges that
-/// do it (mergeFlatViews / mergeContextViews in ProfileArena.h) serve as
-/// the reduction step of sharded profile generation, fleet ingestion and
-/// the store's epoch fold, and each reports MergeStats so the reduction
-/// is observable.
+/// aggregates samples from many hosts before feeding PGO; the one view
+/// merge that does it (mergeContextViews in ProfileArena.h, over flat and
+/// context-sensitive views alike) serves as the reduction step of sharded
+/// profile generation, fleet ingestion and the store's epoch fold, and
+/// reports MergeStats so the reduction is observable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,8 @@ namespace csspgo {
 /// Observability record of one merge (or a whole shard reduction when
 /// accumulated with +=).
 struct MergeStats {
-  /// Contexts (trie nodes) or flat function entries newly created in Dst.
+  /// Contexts newly created in Dst (a flat function entry is a one-frame
+  /// context).
   uint64_t ContextsAdded = 0;
   /// Contexts / function entries that already existed and were summed.
   uint64_t ContextsMerged = 0;

@@ -820,28 +820,22 @@ void ProfileStore::resolveNames(const Module &M) {
   NameToFunc.clear();
 }
 
-Expected<FlatProfileView> ProfileStore::loadFlatView() const {
-  FlatViewLoader L(*this);
-  for (size_t I = 0; I != Index.size(); ++I)
-    if (Status S = L.load(I); !S.ok())
-      return S;
-  return L.take();
-}
-
-Expected<ContextProfileView> ProfileStore::loadContextView() const {
-  ContextViewLoader L(*this);
+Expected<ContextProfileView> ProfileStore::loadView() const {
+  StoreViewLoader L(*this);
   for (size_t I = 0; I != Index.size(); ++I)
     if (Status S = L.load(I); !S.ok())
       return S;
   ContextProfileView V = L.take();
   // Context blocks are grouped per leaf function (the lazy-load unit), so
   // the concatenation is DFS-ordered only within each block. Restore the
-  // global trie-DFS order the view contract requires.
+  // global trie-DFS order the view contract requires. A flat view's
+  // one-frame contexts already follow the (name-sorted) index.
   const ProfileArena &A = V.Arena;
-  std::sort(V.Contexts.begin(), V.Contexts.end(),
-            [&A](const ContextRecord &X, const ContextRecord &Y) {
-              return compareContextFrames(A, X, Y) < 0;
-            });
+  if (V.IsCS)
+    std::sort(V.Contexts.begin(), V.Contexts.end(),
+              [&A](const ContextRecord &X, const ContextRecord &Y) {
+                return compareContextFrames(A, X, Y) < 0;
+              });
   return V;
 }
 
@@ -853,90 +847,74 @@ uint64_t ProfileStore::hotThreshold(double Cutoff) const {
   return summaryThreshold(std::move(Counts), Cutoff);
 }
 
-FlatViewLoader::FlatViewLoader(const ProfileStore &S) : S(S) {
+StoreViewLoader::StoreViewLoader(const ProfileStore &S) : S(S) {
   V.Kind = S.kind();
+  V.IsCS = S.isCS();
   NameMap.assign(S.Names.size(), InvalidNameId);
 }
 
-Status FlatViewLoader::load(size_t I) {
-  if (S.isCS())
-    return Status::error("store holds a context-sensitive profile; use "
-                         "ContextViewLoader");
+Status StoreViewLoader::load(size_t I) {
   const ProfileStore::IndexEntry &E = S.Index[I];
-  ByteReader R(S.section(StoreSection::FlatPayload).substr(E.Offset, E.Size));
   NameMapper NM{S.Names, V.Arena.Names, NameMap};
-  uint32_t Rec;
-  std::string Err;
-  if (!decodeRecordView(R, V.Arena, NM, 0, Rec, Err))
-    return Status::error(Err);
-  if (!R.done())
-    return Status::error("record shorter than its index slice");
-  FuncRecord &FR = V.Arena.Records[Rec];
-  if (FR.TotalSamples != E.Total || FR.HeadSamples != E.Head)
-    return Status::error("record totals disagree with the function index");
-  FR.Name = NM(E.NameIdx);
-  FR.Guid = E.MetaGuid;
-  FR.Checksum = E.MetaChecksum;
-  V.Functions.push_back(Rec);
-  return {};
-}
-
-ContextViewLoader::ContextViewLoader(const ProfileStore &S) : S(S) {
-  V.Kind = S.kind();
-  NameMap.assign(S.Names.size(), InvalidNameId);
-}
-
-Status ContextViewLoader::load(size_t I) {
-  if (!S.isCS())
-    return Status::error("store holds a flat profile; use FlatViewLoader");
-  const ProfileStore::IndexEntry &E = S.Index[I];
-  ByteReader R(S.section(StoreSection::CSPayload).substr(E.Offset, E.Size));
-  NameMapper NM{S.Names, V.Arena.Names, NameMap};
-  uint64_t NContexts;
-  if (!R.uleb(NContexts))
+  ByteReader R(
+      S.section(V.IsCS ? StoreSection::CSPayload : StoreSection::FlatPayload)
+          .substr(E.Offset, E.Size));
+  // A flat tile is one record: one context of one base frame, the
+  // function, whose Guid/Checksum live in the index. A CS tile is a block
+  // of contexts, each with its frames and a node header.
+  uint64_t NContexts = 1;
+  if (V.IsCS && !R.uleb(NContexts))
     return Status::error("malformed context block");
   // The block's contexts must be strictly ascending in trie-DFS order —
   // what the writer emits, and what rules out a repeated context, which
-  // the view merges would otherwise meet as an out-of-order input. Each
+  // the view merge would otherwise meet as an out-of-order input. Each
   // context's path keys [(0, F0), (S0, F1), ...] compare as a vector:
   // compareContextFrames's order, decided on store string indices, which
   // ascend with names (the writer emits a sorted-unique table) even where
   // a compact store's "guid.<n>" placeholders do not.
   std::vector<std::pair<uint64_t, uint64_t>> Prev, Cur;
   for (uint64_t C = 0; C != NContexts; ++C) {
-    uint64_t NFrames;
-    if (!R.uleb(NFrames) || NFrames == 0 || NFrames > R.remaining())
-      return Status::error("malformed context frame count");
     ContextRecord CR;
     CR.FramesBegin = static_cast<uint32_t>(V.Arena.Frames.size());
-    Cur.clear();
-    uint64_t InSite = 0;
-    for (uint64_t F = 0; F != NFrames; ++F) {
-      uint64_t NameIdx, Site;
-      if (!R.uleb(NameIdx) || !R.uleb(Site) || NameIdx >= NM.Map.size() ||
-          Site > UINT32_MAX)
-        return Status::error("malformed context frame");
-      V.Arena.Frames.push_back({NM(NameIdx), static_cast<uint32_t>(Site)});
-      Cur.push_back({InSite, NameIdx});
-      InSite = Site;
+    uint8_t NodeFlags = 0;
+    uint64_t Guid = E.MetaGuid, Checksum = E.MetaChecksum;
+    if (!V.IsCS) {
+      V.Arena.Frames.push_back({NM(E.NameIdx), 0});
+    } else {
+      uint64_t NFrames;
+      if (!R.uleb(NFrames) || NFrames == 0 || NFrames > R.remaining())
+        return Status::error("malformed context frame count");
+      Cur.clear();
+      uint64_t InSite = 0;
+      for (uint64_t F = 0; F != NFrames; ++F) {
+        uint64_t NameIdx, Site;
+        if (!R.uleb(NameIdx) || !R.uleb(Site) || NameIdx >= NM.Map.size() ||
+            Site > UINT32_MAX)
+          return Status::error("malformed context frame");
+        V.Arena.Frames.push_back({NM(NameIdx), static_cast<uint32_t>(Site)});
+        Cur.push_back({InSite, NameIdx});
+        InSite = Site;
+      }
+      if (C && !(Prev < Cur))
+        return Status::error("contexts not in ascending trie order");
+      std::swap(Prev, Cur);
+      FrameSlot Leaf = V.Arena.Frames.back();
+      if (Leaf.Site != 0 || Leaf.Func != NM(E.NameIdx))
+        return Status::error("context leaf disagrees with its index entry");
+      if (!R.u8(NodeFlags) || NodeFlags > 1 || !R.uleb(Guid) ||
+          !R.uleb(Checksum))
+        return Status::error("malformed context node header");
     }
-    if (C && !(Prev < Cur))
-      return Status::error("contexts not in ascending trie order");
-    std::swap(Prev, Cur);
     CR.FramesEnd = static_cast<uint32_t>(V.Arena.Frames.size());
-    FrameSlot Leaf = V.Arena.Frames.back();
-    if (Leaf.Site != 0 || Leaf.Func != NM(E.NameIdx))
-      return Status::error("context leaf disagrees with its index entry");
-    uint8_t NodeFlags;
-    uint64_t Guid, Checksum;
-    if (!R.u8(NodeFlags) || NodeFlags > 1 || !R.uleb(Guid) ||
-        !R.uleb(Checksum))
-      return Status::error("malformed context node header");
     std::string Err;
     if (!decodeRecordView(R, V.Arena, NM, 0, CR.Rec, Err))
       return Status::error(Err);
     FuncRecord &FR = V.Arena.Records[CR.Rec];
-    FR.Name = Leaf.Func;
+    if (!V.IsCS && !R.done())
+      return Status::error("record shorter than its index slice");
+    if (!V.IsCS && (FR.TotalSamples != E.Total || FR.HeadSamples != E.Head))
+      return Status::error("record totals disagree with the function index");
+    FR.Name = V.Arena.Frames.back().Func;
     FR.Guid = Guid;
     FR.Checksum = Checksum;
     CR.ShouldBeInlined = NodeFlags & 1;
@@ -949,150 +927,108 @@ Status ContextViewLoader::load(size_t I) {
 
 namespace {
 
-/// Shared ingest plumbing: opens the prior store (if any) over the
-/// caller's bytes without copying them (the bytes outlive every use of
-/// the store — they are only replaced after the last read).
-bool openPrior(const std::string &Bytes, ProfileStore &Prior, bool &Exists,
-               IngestResult &R) {
-  Exists = !Bytes.empty();
-  if (!Exists)
-    return true;
-  Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
-  if (!S) {
-    R.Error = "cannot open existing store: " + S.status().message();
-    return false;
+/// The one epoch fold, over the fresh epoch's view (flat or CS) and its
+/// total samples (as FlatProfile / ContextProfile::totalSamples count
+/// them, for the epoch record).
+IngestResult ingestView(std::string &Bytes, const ContextProfileView &FreshV,
+                        uint64_t FreshTotal, const IngestOptions &Opts) {
+  IngestResult R;
+  if (Opts.DecayPermille > 1000) {
+    R.Error = "decay must be in [0, 1000] permille";
+    return R;
   }
-  Prior = S.take();
-  if (Prior.compactNames()) {
-    R.Error = "cannot ingest into a compact-name store (names are not "
-              "recoverable without a module)";
-    return false;
+  // The prior store (if any) opens over the caller's bytes without a
+  // copy: they are only replaced after the last read.
+  ProfileStore Prior;
+  bool Exists = !Bytes.empty();
+  if (Exists) {
+    Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
+    if (!S) {
+      R.Error = "cannot open existing store: " + S.status().message();
+      return R;
+    }
+    Prior = S.take();
+    if (Prior.compactNames()) {
+      R.Error = "cannot ingest into a compact-name store (names are not "
+                "recoverable without a module)";
+      return R;
+    }
+    if (Prior.isCS() != FreshV.IsCS) {
+      R.Error = FreshV.IsCS ? "store holds a flat profile; context-sensitive "
+                              "epoch rejected"
+                            : "store holds a context-sensitive profile; flat "
+                              "epoch rejected";
+      return R;
+    }
   }
-  return true;
+
+  // Exact counts are a flat-store property (Instr profiles are flat).
+  bool Instr = !FreshV.IsCS && (Exists ? Prior.isInstr() : Opts.ExactCounts);
+  ContextProfileView AggV;
+  // Decay 0 = replace: history is fully decayed away, so the prior
+  // aggregate is never materialized at all.
+  if (Exists && Opts.DecayPermille != 0) {
+    Expected<ContextProfileView> V = Prior.loadView();
+    if (!V) {
+      R.Error = "cannot materialize existing store: " + V.status().message();
+      return R;
+    }
+    AggV = V.take();
+    scaleContextView(AggV, Opts.DecayPermille, 1000, Instr);
+  }
+  if (!AggV.Contexts.empty() && AggV.Kind != FreshV.Kind) {
+    R.Error = "epoch profile kind disagrees with the store";
+    return R;
+  }
+  // An empty aggregate folds exactly like the map path's empty
+  // destination: the fresh epoch is the sole merge *source*
+  // (IntoEmptyDst), so kind adoption and MergeStats come out identical.
+  ContextProfileView Merged =
+      AggV.Contexts.empty()
+          ? mergeContextViews({&FreshV}, R.Merge, /*IntoEmptyDst=*/true)
+          : mergeContextViews({&AggV, &FreshV}, R.Merge);
+  std::vector<EpochInfo> Epochs = Prior.epochs();
+  Epochs.push_back({Opts.Timestamp, FreshTotal, Opts.DecayPermille});
+
+  VerifierOptions VO;
+  VO.Level = Opts.Verify;
+  VO.ExactCounts = Instr;
+  VO.CheckHeadEdges = !Instr;
+  bool Verify = Opts.Verify != VerifyLevel::Off;
+  std::string Out;
+  if (FreshV.IsCS) {
+    ContextProfile Agg = contextProfileOf(Merged);
+    if (Verify)
+      R.Verify = verifyContextProfile(Agg, VO);
+    if (R.Verify.ok())
+      Out = writeStore(Agg, Epochs, Opts.Write);
+  } else {
+    FlatProfile Agg = flatProfileOf(Merged);
+    if (Verify)
+      R.Verify = verifyFlatProfile(Agg, VO);
+    if (R.Verify.ok())
+      Out = writeStore(Agg, Epochs, Opts.Write, Instr);
+  }
+  if (!R.Verify.ok()) {
+    R.Error = "post-ingest verification failed: " + R.Verify.str();
+    return R;
+  }
+  Bytes = std::move(Out);
+  R.Ok = true;
+  R.EpochsNow = Epochs.size();
+  return R;
 }
 
 } // namespace
 
 IngestResult ingestEpoch(std::string &Bytes, const FlatProfile &Fresh,
                          const IngestOptions &Opts) {
-  IngestResult R;
-  if (Opts.DecayPermille > 1000) {
-    R.Error = "decay must be in [0, 1000] permille";
-    return R;
-  }
-  ProfileStore Prior;
-  bool Exists;
-  if (!openPrior(Bytes, Prior, Exists, R))
-    return R;
-
-  bool Instr = Exists ? Prior.isInstr() : Opts.ExactCounts;
-  FlatProfileView AggV;
-  if (Exists) {
-    if (Prior.isCS()) {
-      R.Error = "store holds a context-sensitive profile; flat epoch "
-                "rejected";
-      return R;
-    }
-    // Decay 0 = replace: history is fully decayed away, so the prior
-    // aggregate is never materialized at all.
-    if (Opts.DecayPermille != 0) {
-      Expected<FlatProfileView> V = Prior.loadFlatView();
-      if (!V) {
-        R.Error = "cannot materialize existing store: " + V.status().message();
-        return R;
-      }
-      AggV = V.take();
-      scaleFlatView(AggV, Opts.DecayPermille, 1000, Instr);
-    }
-  }
-  if (!AggV.Functions.empty() && AggV.Kind != Fresh.Kind) {
-    R.Error = "epoch profile kind disagrees with the store";
-    return R;
-  }
-  FlatProfileView FreshV = flatViewOf(Fresh);
-  // An empty aggregate folds exactly like the map path's empty
-  // FlatProfile destination: the fresh epoch is the sole merge *source*
-  // (IntoEmptyDst), so kind adoption and MergeStats come out identical.
-  FlatProfileView Merged =
-      AggV.Functions.empty()
-          ? mergeFlatViews({&FreshV}, R.Merge, /*IntoEmptyDst=*/true)
-          : mergeFlatViews({&AggV, &FreshV}, R.Merge);
-  FlatProfile Agg = flatProfileOf(Merged);
-  std::vector<EpochInfo> Epochs = Prior.epochs();
-  Epochs.push_back({Opts.Timestamp, Fresh.totalSamples(), Opts.DecayPermille});
-
-  if (Opts.Verify != VerifyLevel::Off) {
-    VerifierOptions VO;
-    VO.Level = Opts.Verify;
-    VO.ExactCounts = Instr;
-    VO.CheckHeadEdges = !Instr;
-    R.Verify = verifyFlatProfile(Agg, VO);
-    if (!R.Verify.ok()) {
-      R.Error = "post-ingest verification failed: " + R.Verify.str();
-      return R;
-    }
-  }
-  Bytes = writeStore(Agg, Epochs, Opts.Write, Instr);
-  R.Ok = true;
-  R.EpochsNow = Epochs.size();
-  return R;
+  return ingestView(Bytes, flatViewOf(Fresh), Fresh.totalSamples(), Opts);
 }
 
 IngestResult ingestEpoch(std::string &Bytes, const ContextProfile &Fresh,
                          const IngestOptions &Opts) {
-  IngestResult R;
-  if (Opts.DecayPermille > 1000) {
-    R.Error = "decay must be in [0, 1000] permille";
-    return R;
-  }
-  ProfileStore Prior;
-  bool Exists;
-  if (!openPrior(Bytes, Prior, Exists, R))
-    return R;
-
-  ContextProfileView AggV;
-  if (Exists) {
-    if (!Prior.isCS()) {
-      R.Error = "store holds a flat profile; context-sensitive epoch "
-                "rejected";
-      return R;
-    }
-    if (Opts.DecayPermille != 0) {
-      Expected<ContextProfileView> V = Prior.loadContextView();
-      if (!V) {
-        R.Error = "cannot materialize existing store: " + V.status().message();
-        return R;
-      }
-      AggV = V.take();
-      scaleContextView(AggV, Opts.DecayPermille, 1000);
-    }
-  }
-  if (!AggV.Contexts.empty() && AggV.Kind != Fresh.Kind) {
-    R.Error = "epoch profile kind disagrees with the store";
-    return R;
-  }
-  ContextProfileView FreshV = contextViewOf(Fresh);
-  ContextProfileView Merged =
-      AggV.Contexts.empty()
-          ? mergeContextViews({&FreshV}, R.Merge, /*IntoEmptyDst=*/true)
-          : mergeContextViews({&AggV, &FreshV}, R.Merge);
-  ContextProfile Agg = contextProfileOf(Merged);
-  std::vector<EpochInfo> Epochs = Prior.epochs();
-  Epochs.push_back({Opts.Timestamp, Fresh.totalSamples(), Opts.DecayPermille});
-
-  if (Opts.Verify != VerifyLevel::Off) {
-    VerifierOptions VO;
-    VO.Level = Opts.Verify;
-    R.Verify = verifyContextProfile(Agg, VO);
-    if (!R.Verify.ok()) {
-      R.Error = "post-ingest verification failed: " + R.Verify.str();
-      return R;
-    }
-  }
-  Bytes = writeStore(Agg, Epochs, Opts.Write);
-  R.Ok = true;
-  R.EpochsNow = Epochs.size();
-  return R;
+  return ingestView(Bytes, contextViewOf(Fresh), Fresh.totalSamples(), Opts);
 }
 
 } // namespace csspgo

@@ -17,16 +17,18 @@
 /// in-memory profile (including Guid/Checksum, which the text format
 /// drops), and writing the loaded profile again is byte-identical. Decay
 /// scaling preserves the verifier's head/call-edge conservation by
-/// construction (see scaleFlatView), so an ingested store always passes
+/// construction (see scaleContextView), so an ingested store always passes
 /// strict `csspgo_verify`.
 ///
-/// There is one read plane: `open`/`openBorrowed` validate the container,
-/// and FlatViewLoader / ContextViewLoader (or the eager loadFlatView /
-/// loadContextView) cursor the indexed payload tiles straight into a
-/// ProfileArena — no byte copy of the container under a borrowed open, no
-/// map nodes, no per-record string allocation. Callers that need the map
-/// containers (the loader's annotation pass, the tools) build them once
-/// from the view with flatProfileOf / contextProfileOf.
+/// Flat and context-sensitive stores keep their own payload formats, but
+/// there is one read plane: `open`/`openBorrowed` validate the container,
+/// and StoreViewLoader (or the eager loadView) cursors the indexed payload
+/// tiles straight into one ContextProfileView — a flat store's functions
+/// as one-frame contexts — with no byte copy of the container under a
+/// borrowed open, no map nodes and no per-record string allocation.
+/// Callers that need the map containers (the loader's annotation pass,
+/// the tools) build them once from the view with flatProfileOf /
+/// contextProfileOf, as the view's IsCS says.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -140,11 +142,11 @@ public:
   void resolveNames(const Module &M);
 
   /// Eager full materialization (tools, ingest, conversion): decodes
-  /// every function into an arena view. The flat view's functions keep the index (= name) order;
-  /// the context view's contexts are sorted into global trie-DFS order,
-  /// so both satisfy the canonical-order contract of the view merges.
-  Expected<FlatProfileView> loadFlatView() const;
-  Expected<ContextProfileView> loadContextView() const;
+  /// every function into an arena view. A flat view's one-frame contexts
+  /// keep the index (= name) order; a CS view's contexts are sorted into
+  /// global trie-DFS order, so both satisfy the canonical-order contract
+  /// of the view merge.
+  Expected<ContextProfileView> loadView() const;
 
   /// Hot threshold from the persisted count distribution — identical to
   /// hotThreshold() over the eagerly loaded profile, which is what makes
@@ -152,8 +154,7 @@ public:
   uint64_t hotThreshold(double Cutoff) const;
 
 private:
-  friend class FlatViewLoader;
-  friend class ContextViewLoader;
+  friend class StoreViewLoader;
 
   struct IndexEntry {
     uint32_t NameIdx = 0;
@@ -201,41 +202,25 @@ private:
   std::vector<std::pair<uint64_t, uint64_t>> Distribution;
 };
 
-/// Streams store functions into a FlatProfileView: the zero-copy flat
-/// read plane. Each load() is a varint cursor over the function's payload
-/// tile appending POD slots — no maps, no string churn, and names intern
-/// into the view's arena on first reference, so a module-scoped load
-/// never touches the rest of the string table. The store (and, for a
-/// borrowed store, its buffer) must outlive the loader.
-class FlatViewLoader {
+/// Streams store functions into a ContextProfileView: the zero-copy read
+/// plane. Each load() is a varint cursor over the function's payload tile
+/// appending POD slots — no maps, no string churn, and names intern into
+/// the view's arena on first reference, so a module-scoped load never
+/// touches the rest of the string table. On a flat store load(I) appends
+/// function I as one context of one base frame; on a CS store it appends
+/// every context whose leaf is function I, in the tile's (trie-DFS within
+/// leaf) order — use ProfileStore::loadView for a globally DFS-ordered
+/// view — and rejects a block whose contexts are not strictly ascending
+/// in that order. The store (and, for a borrowed store, its buffer) must
+/// outlive the loader.
+class StoreViewLoader {
 public:
-  explicit FlatViewLoader(const ProfileStore &S);
+  explicit StoreViewLoader(const ProfileStore &S);
 
-  /// Appends function \p I's record to the view. The record was
+  /// Appends function \p I's record(s) to the view. The records were
   /// hash-validated at open(), so a failure here means a malformed or
   /// non-canonical record (writer/reader disagreement or a hostile store
   /// with a recomputed hash) — reported, never a crash.
-  Status load(size_t I);
-
-  FlatProfileView &view() { return V; }
-  FlatProfileView take() { return std::move(V); }
-
-private:
-  const ProfileStore &S;
-  FlatProfileView V;
-  /// Store string index -> view name id, interned on first reference so a
-  /// module-scoped load pays O(names referenced), not O(string table).
-  std::vector<NameId> NameMap;
-};
-
-/// CS counterpart of FlatViewLoader: load(I) appends every context whose
-/// leaf is function I, in the tile's (trie-DFS within leaf) order. Use
-/// ProfileStore::loadContextView for a globally DFS-ordered view. A block
-/// whose contexts are not strictly ascending in that order is rejected.
-class ContextViewLoader {
-public:
-  explicit ContextViewLoader(const ProfileStore &S);
-
   Status load(size_t I);
 
   ContextProfileView &view() { return V; }
@@ -244,6 +229,8 @@ public:
 private:
   const ProfileStore &S;
   ContextProfileView V;
+  /// Store string index -> view name id, interned on first reference so a
+  /// module-scoped load pays O(names referenced), not O(string table).
   std::vector<NameId> NameMap;
 };
 
@@ -277,11 +264,11 @@ struct IngestResult {
 /// rewrites \p Bytes — which is left untouched unless the result is Ok.
 /// An empty \p Bytes creates a new single-epoch store.
 ///
-/// The fold runs on the flat data plane end-to-end — borrowed-buffer open,
-/// arena decode, view decay-scale, k-way view merge — and bridges to the
-/// map containers once, for the (mandatory) Full verification and the
-/// writer. A store that opens but decodes to non-canonical views fails
-/// the fold with an error, never an abort.
+/// Both overloads run one fold on the arena data plane end-to-end —
+/// borrowed-buffer open, arena decode, view decay-scale, k-way view merge
+/// — and bridge to the map containers once, for the (mandatory) Full
+/// verification and the writer. A store that opens but decodes to
+/// non-canonical views fails the fold with an error, never an abort.
 IngestResult ingestEpoch(std::string &Bytes, const FlatProfile &Fresh,
                          const IngestOptions &Opts = {});
 IngestResult ingestEpoch(std::string &Bytes, const ContextProfile &Fresh,

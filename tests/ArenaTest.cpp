@@ -1,25 +1,27 @@
-//===- tests/ArenaTest.cpp - flat arena data-plane tests --------*- C++ -*-===//
+//===- tests/ArenaTest.cpp - arena data-plane tests -------------*- C++ -*-===//
 //
 // Property suite for the arena-backed profile data plane (ProfileArena.h
-// and the store's zero-copy read path). The flat representation is only
+// and the store's zero-copy read path). The arena representation is only
 // allowed to exist because it is *exactly* the map representation with a
-// different memory layout, so every test here is an equivalence:
+// different memory layout, so every test here is an equivalence, on flat
+// views (one-frame contexts) and context-sensitive views alike:
 //
 //   * view round trips are identities (map -> view -> map, including
 //     Guid/Checksum metadata the text format drops);
-//   * the k-way slice merges reproduce the test oracle's sequential map
-//     merges bit for bit — values, MergeStats, and UINT64_MAX saturation
-//     behavior — through both buildRemaps paths (identical fleet-shard
-//     name tables and fully disjoint ones) and both IntoEmptyDst modes;
-//   * the view decay scaler matches the oracle's map scaler slot for
+//   * the one k-way slice merge reproduces the test oracle's sequential
+//     map merges bit for bit — values, MergeStats, and UINT64_MAX
+//     saturation behavior — through both buildRemaps paths (identical
+//     fleet-shard name tables and fully disjoint ones) and both
+//     IntoEmptyDst modes;
+//   * the one view decay scaler matches the oracle's map scalers slot for
 //     slot;
 //   * the borrowed-buffer store open rejects structurally corrupt
 //     metadata even when the content hash has been recomputed to match
 //     (the fixed-width section validation, not just the hash, holds the
-//     line), the view loaders decode a written store back to exactly the
-//     profile that was written, and stores whose names or contexts are
-//     out of canonical order fail with an error — never reaching the
-//     view merges' order assertions.
+//     line), the store view loader decodes a written store back to
+//     exactly the profile that was written, and stores whose names or
+//     contexts are out of canonical order fail with an error — never
+//     reaching the view merge's order assertions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +30,7 @@
 #include "profile/ProfileIO.h"
 #include "store/ProfileStore.h"
 #include "store/StoreFormat.h"
+#include "support/Hashing.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -247,12 +250,12 @@ TEST(Arena, FlatMergeMatchesMapMerge) {
       Parts.push_back(randomFlat(Seed * 16 + P * 2, Suffix));
       Parts.back().Kind = Kind;
     }
-    std::vector<FlatProfileView> Views;
+    std::vector<ContextProfileView> Views;
     Views.reserve(Parts.size());
     for (const FlatProfile &P : Parts)
       Views.push_back(flatViewOf(P));
-    std::vector<const FlatProfileView *> Ptrs;
-    for (const FlatProfileView &V : Views)
+    std::vector<const ContextProfileView *> Ptrs;
+    for (const ContextProfileView &V : Views)
       Ptrs.push_back(&V);
 
     for (bool IntoEmpty : {false, true}) {
@@ -268,7 +271,7 @@ TEST(Arena, FlatMergeMatchesMapMerge) {
         MapStats += mergeFlatProfiles(MapDst, Parts[P]);
 
       MergeStats FlatStats;
-      FlatProfileView Merged = mergeFlatViews(Ptrs, FlatStats, IntoEmpty);
+      ContextProfileView Merged = mergeContextViews(Ptrs, FlatStats, IntoEmpty);
       std::string Where = "seed " + std::to_string(Seed) +
                           (IntoEmpty ? " empty-dst" : " seeded-dst");
       expectEqualFlat(MapDst, flatProfileOf(Merged), Where);
@@ -355,11 +358,11 @@ TEST(Arena, DisjointNameTablesMatchMapMerge) {
       It = It->first.find(".only") == std::string::npos ? P.Functions.erase(It)
                                                         : std::next(It);
   }
-  std::vector<FlatProfileView> Views;
+  std::vector<ContextProfileView> Views;
   for (const FlatProfile &P : Parts)
     Views.push_back(flatViewOf(P));
-  std::vector<const FlatProfileView *> Ptrs;
-  for (const FlatProfileView &V : Views)
+  std::vector<const ContextProfileView *> Ptrs;
+  for (const ContextProfileView &V : Views)
     Ptrs.push_back(&V);
 
   FlatProfile MapDst;
@@ -369,7 +372,7 @@ TEST(Arena, DisjointNameTablesMatchMapMerge) {
     MapStats += mergeFlatProfiles(MapDst, P);
 
   MergeStats FlatStats;
-  FlatProfileView Merged = mergeFlatViews(Ptrs, FlatStats, true);
+  ContextProfileView Merged = mergeContextViews(Ptrs, FlatStats, true);
   expectEqualFlat(MapDst, flatProfileOf(Merged), "disjoint merge");
   expectEqualStats(MapStats, FlatStats, "disjoint merge");
 }
@@ -407,11 +410,62 @@ TEST(Arena, CallTargetSaturationMatchesMapMerge) {
   EXPECT_EQ(Merged->Calls.at({2, 0}).at("callee"), Max);
   EXPECT_GT(MapStats.SaturatedCounts, 0u);
 
-  FlatProfileView VA = flatViewOf(A), VB = flatViewOf(B);
+  ContextProfileView VA = flatViewOf(A), VB = flatViewOf(B);
   MergeStats FlatStats;
-  FlatProfileView MergedV = mergeFlatViews({&VA, &VB}, FlatStats, false);
+  ContextProfileView MergedV = mergeContextViews({&VA, &VB}, FlatStats, false);
   expectEqualFlat(MapDst, flatProfileOf(MergedV), "saturating merge");
   expectEqualStats(MapStats, FlatStats, "saturating merge");
+}
+
+// The one place a view's shape changes what the merge computes: an entry
+// new to the destination is seeded as the map container would seed it.
+// A flat function (FlatProfile::getOrCreate) starts with Guid 0, so with
+// Guid 0 in every source it stays 0; a CS context
+// (ContextTrieNode::getOrCreateChild) starts with computeFunctionGuid of
+// its leaf.
+TEST(Arena, MergeSeedsNewEntryGuidByShape) {
+  FlatProfile A, B;
+  A.Kind = B.Kind = ProfileKind::ProbeBased;
+  A.getOrCreate("f").addBody({1, 0}, 5);
+  B.getOrCreate("f").addBody({1, 0}, 7);
+  B.getOrCreate("g").addBody({2, 0}, 3);
+  ContextProfileView VA = flatViewOf(A), VB = flatViewOf(B);
+  ASSERT_FALSE(VA.IsCS);
+  MergeStats FlatStats;
+  ContextProfileView FlatMerged =
+      mergeContextViews({&VA, &VB}, FlatStats, /*IntoEmptyDst=*/true);
+  EXPECT_FALSE(FlatMerged.IsCS);
+  FlatProfile Flat = flatProfileOf(FlatMerged);
+  EXPECT_EQ(Flat.Functions.at("f").Guid, 0u);
+  EXPECT_EQ(Flat.Functions.at("g").Guid, 0u);
+  EXPECT_EQ(Flat.Functions.at("f").bodyAt({1, 0}), 12u);
+  FlatProfile MapDst;
+  MergeStats MapStats = mergeFlatProfiles(MapDst, A);
+  MapStats += mergeFlatProfiles(MapDst, B);
+  expectEqualFlat(MapDst, Flat, "flat guid seed");
+  expectEqualStats(MapStats, FlatStats, "flat guid seed");
+
+  ContextProfile CA, CB;
+  CA.Kind = CB.Kind = ProfileKind::ProbeBased;
+  for (ContextProfile *C : {&CA, &CB}) {
+    ContextTrieNode &N = C->getOrCreateNode({{"main", 1}, {"f", 0}});
+    N.HasProfile = true;
+    N.Profile.Guid = 0;
+    N.Profile.addBody({1, 0}, 4);
+  }
+  ContextProfileView CVA = contextViewOf(CA), CVB = contextViewOf(CB);
+  ASSERT_TRUE(CVA.IsCS);
+  MergeStats CSStats;
+  ContextProfile CS = contextProfileOf(
+      mergeContextViews({&CVA, &CVB}, CSStats, /*IntoEmptyDst=*/true));
+  const ContextTrieNode *N = CS.findNode({{"main", 1}, {"f", 0}});
+  ASSERT_NE(N, nullptr);
+  EXPECT_EQ(N->Profile.Guid, computeFunctionGuid("f"));
+  ContextProfile CSMap;
+  MergeStats CSMapStats = mergeContextProfiles(CSMap, CA);
+  CSMapStats += mergeContextProfiles(CSMap, CB);
+  expectEqualContext(CSMap, CS, "CS guid seed");
+  expectEqualStats(CSMapStats, CSStats, "CS guid seed");
 }
 
 //===----------------------------------------------------------------------===//
@@ -427,8 +481,8 @@ TEST(Arena, ScaleFlatMatchesMapScale) {
         FlatProfile P = randomFlat(Seed + 70);
         FlatProfile MapScaled = P;
         scaleFlatProfile(MapScaled, Num, Den, Exact);
-        FlatProfileView V = flatViewOf(P);
-        scaleFlatView(V, Num, Den, Exact);
+        ContextProfileView V = flatViewOf(P);
+        scaleContextView(V, Num, Den, Exact);
         expectEqualFlat(MapScaled, flatProfileOf(V),
                         "seed " + std::to_string(Seed) + " " +
                             std::to_string(Num) + "/" + std::to_string(Den) +
@@ -569,14 +623,14 @@ TEST(ArenaStore, FlatViewLoaderUnionEqualsEagerLoad) {
   Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
   ASSERT_TRUE(bool(S)) << S.status().message();
 
-  FlatViewLoader Loader(*S);
+  StoreViewLoader Loader(*S);
   for (size_t I = 0; I != S->numFunctions(); ++I) {
     Status St = Loader.load(I);
     ASSERT_TRUE(St.ok()) << St.message();
   }
   expectEqualFlat(P, flatProfileOf(Loader.view()), "lazy union");
 
-  Expected<FlatProfileView> EagerView = S->loadFlatView();
+  Expected<ContextProfileView> EagerView = S->loadView();
   ASSERT_TRUE(bool(EagerView)) << EagerView.status().message();
   expectEqualFlat(P, flatProfileOf(*EagerView), "eager view");
 }
@@ -587,7 +641,7 @@ TEST(ArenaStore, ContextViewLoaderUnionEqualsEagerLoad) {
   Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
   ASSERT_TRUE(bool(S)) << S.status().message();
 
-  ContextViewLoader Loader(*S);
+  StoreViewLoader Loader(*S);
   for (size_t I = 0; I != S->numFunctions(); ++I) {
     Status St = Loader.load(I);
     ASSERT_TRUE(St.ok()) << St.message();
@@ -596,7 +650,7 @@ TEST(ArenaStore, ContextViewLoaderUnionEqualsEagerLoad) {
   // rebuilt trie is keyed, so the materialized profiles must agree.
   expectEqualContext(P, contextProfileOf(Loader.view()), "lazy union");
 
-  Expected<ContextProfileView> EagerView = S->loadContextView();
+  Expected<ContextProfileView> EagerView = S->loadView();
   ASSERT_TRUE(bool(EagerView)) << EagerView.status().message();
   expectEqualContext(P, contextProfileOf(*EagerView), "eager view");
 }
@@ -659,7 +713,7 @@ TEST(ArenaStore, RepeatedContextInALeafBlockIsRejected) {
 
   Expected<ProfileStore> B = ProfileStore::openBorrowed(Bad);
   ASSERT_TRUE(bool(B)) << B.status().message();
-  Expected<ContextProfileView> V = B->loadContextView();
+  Expected<ContextProfileView> V = B->loadView();
   ASSERT_FALSE(bool(V));
   EXPECT_NE(V.status().message().find("ascending"), std::string::npos)
       << V.status().message();

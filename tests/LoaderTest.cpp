@@ -1,6 +1,7 @@
 //===- tests/LoaderTest.cpp - profile loader tests --------------*- C++ -*-===//
 
 #include "loader/Correlators.h"
+#include "ir/Printer.h"
 #include "loader/ProfileLoader.h"
 #include "probe/ProbeInserter.h"
 
@@ -296,4 +297,122 @@ TEST(CSLoader, StaleContextRecoveredRestoresInlining) {
   for (auto &BB : M->getFunction("main")->Blocks)
     Found450 |= BB->HasCount && BB->Count == 450;
   EXPECT_TRUE(Found450);
+}
+
+//===----------------------------------------------------------------------===//
+// The inline-replay depth limit: a profile nested deeper than
+// MaxInlineReplayDepth + 1 levels replays up to the limit, counts the stop
+// in LoaderStats::ReplayDepthCapped, and annotates the inlined body exactly
+// as the same profile without its unreachable levels does.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// f0 -> f1 -> ... -> fN, one block each: fK(x) = f(K+1)(x) + 1 and
+/// fN(x) = x + 1. Pseudo probes inserted.
+std::unique_ptr<Module> makeCallChain(int N) {
+  auto M = std::make_unique<Module>("chain");
+  for (int K = 0; K <= N; ++K) {
+    Function *F = M->createFunction("f" + std::to_string(K), 1);
+    Builder B(F);
+    B.setInsertBlock(F->createBlock("entry"));
+    RegId V = K == N ? B.emitMov(Operand::reg(0))
+                     : B.emitCall("f" + std::to_string(K + 1),
+                                  {Operand::reg(0)});
+    RegId R = B.emitBinary(Opcode::Add, Operand::reg(V), Operand::imm(1));
+    B.emitRet(Operand::reg(R));
+  }
+  M->EntryFunction = "f0";
+  insertProbes(*M, AnchorKind::PseudoProbe);
+  return M;
+}
+
+uint32_t callProbeOf(const Function &F) {
+  for (auto &BB : F.Blocks)
+    for (auto &I : BB->Insts)
+      if (I.isCall())
+        return I.ProbeId;
+  return 0;
+}
+
+/// Flat profile of f0 with the chain nested \p Levels inlinees deep:
+/// level K is fK's profile at f(K-1)'s call probe.
+FlatProfile chainFlatProfile(const Module &M, int Levels) {
+  FlatProfile Prof;
+  Prof.Kind = ProfileKind::ProbeBased;
+  FunctionProfile *P = &Prof.getOrCreate("f0");
+  P->HeadSamples = 100;
+  for (int K = 0;; ++K) {
+    const Function &F = *M.getFunction("f" + std::to_string(K));
+    P->Checksum = F.ProbeCFGChecksum;
+    P->addBody({1, 0}, 100 + K);
+    if (K == Levels)
+      return Prof;
+    P = &P->getOrCreateInlinee({callProbeOf(F), 0},
+                               "f" + std::to_string(K + 1));
+    P->HeadSamples = 100;
+  }
+}
+
+/// The same chain as marked CS contexts [f0 @ c, f1 @ c, ..., fK].
+ContextProfile chainContextProfile(const Module &M, int Levels) {
+  ContextProfile CS;
+  SampleContext Ctx;
+  for (int K = 0; K <= Levels; ++K) {
+    const Function &F = *M.getFunction("f" + std::to_string(K));
+    if (!Ctx.empty())
+      Ctx.back().Site =
+          callProbeOf(*M.getFunction("f" + std::to_string(K - 1)));
+    Ctx.push_back({F.getName(), 0});
+    ContextTrieNode &N = CS.getOrCreateNode(Ctx);
+    N.HasProfile = true;
+    N.ShouldBeInlined = K != 0;
+    N.Profile.Checksum = F.ProbeCFGChecksum;
+    N.Profile.HeadSamples = 100;
+    N.Profile.addBody({1, 0}, 100 + K);
+  }
+  return CS;
+}
+
+LoaderOptions chainOptions() {
+  LoaderOptions Opts;
+  Opts.InlineHotContexts = false; // Only nesting / marks drive inlining.
+  Opts.HotCallsiteThreshold = 1;  // Independent of the profile's depth.
+  Opts.Verify = VerifyLevel::Off;
+  return Opts;
+}
+
+} // namespace
+
+TEST(Loader, ReplayDepthCapIsCountedAndAnnotatesTheSame) {
+  constexpr int Deep = 10, Reachable = MaxInlineReplayDepth + 1;
+  static_assert(Deep > Reachable, "the profile must outnest the limit");
+  auto Full = makeCallChain(Deep), Cut = makeCallChain(Deep);
+  LoaderStats FullStats = loadFlatProfile(
+      *Full, chainFlatProfile(*Full, Deep), false, chainOptions());
+  LoaderStats CutStats = loadFlatProfile(
+      *Cut, chainFlatProfile(*Cut, Reachable), false, chainOptions());
+  EXPECT_EQ(FullStats.InlinedCallsites, unsigned(Reachable));
+  EXPECT_EQ(FullStats.ReplayDepthCapped, 1u);
+  EXPECT_EQ(CutStats.InlinedCallsites, unsigned(Reachable));
+  EXPECT_EQ(CutStats.ReplayDepthCapped, 0u);
+  EXPECT_EQ(printModule(*Full), printModule(*Cut));
+}
+
+TEST(CSLoader, ReplayDepthCapIsCountedAndAnnotatesTheSame) {
+  constexpr int Deep = 10, Reachable = MaxInlineReplayDepth + 1;
+  auto Full = makeCallChain(Deep), Cut = makeCallChain(Deep);
+  LoaderStats FullStats = loadContextProfile(
+      *Full, chainContextProfile(*Full, Deep), chainOptions());
+  LoaderStats CutStats = loadContextProfile(
+      *Cut, chainContextProfile(*Cut, Reachable), chainOptions());
+  EXPECT_EQ(FullStats.InlinedCallsites, unsigned(Reachable));
+  EXPECT_EQ(FullStats.ReplayDepthCapped, 1u);
+  EXPECT_EQ(CutStats.InlinedCallsites, unsigned(Reachable));
+  EXPECT_EQ(CutStats.ReplayDepthCapped, 0u);
+  EXPECT_EQ(printFunction(*Full->getFunction("f0")),
+            printFunction(*Cut->getFunction("f0")));
+  // Unlike a nested flat inlinee, the context the limit left unconsumed
+  // still annotates its function out of line.
+  EXPECT_EQ(Full->getFunction("f10")->Blocks[0]->Count, 100u + Deep);
 }

@@ -284,14 +284,14 @@ TEST(StatusMigration, OwnedAndBorrowedOpensAgree) {
   std::string Bytes = writeStore(sampledFlat(), {});
   Expected<ProfileStore> S = ProfileStore::open(std::string(Bytes));
   ASSERT_TRUE(bool(S)) << S.status().message();
-  Expected<FlatProfileView> Back = S->loadFlatView();
+  Expected<ContextProfileView> Back = S->loadView();
   ASSERT_TRUE(bool(Back)) << Back.status().message();
   EXPECT_EQ(serializeFlatProfile(flatProfileOf(*Back)),
             serializeFlatProfile(sampledFlat()));
 
   Expected<ProfileStore> B = ProfileStore::openBorrowed(Bytes);
   ASSERT_TRUE(bool(B)) << B.status().message();
-  Expected<FlatProfileView> BorrowedBack = B->loadFlatView();
+  Expected<ContextProfileView> BorrowedBack = B->loadView();
   ASSERT_TRUE(bool(BorrowedBack)) << BorrowedBack.status().message();
   EXPECT_EQ(serializeFlatProfile(flatProfileOf(*BorrowedBack)),
             serializeFlatProfile(sampledFlat()));

@@ -349,10 +349,10 @@ TEST(MergeDeathTest, KindMismatchIsFatal) {
   B.getOrCreate("f").addBody({1, 0}, 1);
   EXPECT_DEATH(mergeFlatProfiles(A, B), "different kinds");
 
-  // The view merges that ship hold the same line.
-  FlatProfileView VA = flatViewOf(A), VB = flatViewOf(B);
+  // The view merge that ships holds the same line.
+  ContextProfileView VA = flatViewOf(A), VB = flatViewOf(B);
   MergeStats Stats;
-  EXPECT_DEATH(mergeFlatViews({&VA, &VB}, Stats), "different kinds");
+  EXPECT_DEATH(mergeContextViews({&VA, &VB}, Stats), "different kinds");
   ContextProfile CA, CB;
   CA.Kind = ProfileKind::LineBased;
   CB.Kind = ProfileKind::ProbeBased;
@@ -363,6 +363,25 @@ TEST(MergeDeathTest, KindMismatchIsFatal) {
   }
   ContextProfileView CVA = contextViewOf(CA), CVB = contextViewOf(CB);
   EXPECT_DEATH(mergeContextViews({&CVA, &CVB}, Stats), "different kinds");
+}
+
+TEST(MergeDeathTest, FlatWithContextIsFatal) {
+  // One kind, two shapes: a flat function entry is not a calling context,
+  // so the one view merge refuses to sum them, in either part order.
+  FlatProfile Flat;
+  Flat.Kind = ProfileKind::ProbeBased;
+  Flat.getOrCreate("f").addBody({1, 0}, 1);
+  ContextProfile CS;
+  CS.Kind = ProfileKind::ProbeBased;
+  ContextTrieNode &N = CS.getOrCreateNode({{"f", 0}});
+  N.HasProfile = true;
+  N.Profile.addBody({1, 0}, 1);
+  ContextProfileView FV = flatViewOf(Flat), CV = contextViewOf(CS);
+  MergeStats Stats;
+  EXPECT_DEATH(mergeContextViews({&FV, &CV}, Stats),
+               "flat and context-sensitive");
+  EXPECT_DEATH(mergeContextViews({&CV, &FV}, Stats, /*IntoEmptyDst=*/true),
+               "flat and context-sensitive");
 }
 
 TEST(Merge, PropagatesInlineeMetadata) {

@@ -116,13 +116,13 @@ ProfileStore openOrDie(const std::string &Bytes) {
 }
 
 FlatProfile loadFlatOrDie(const ProfileStore &S) {
-  Expected<FlatProfileView> V = S.loadFlatView();
+  Expected<ContextProfileView> V = S.loadView();
   EXPECT_TRUE(bool(V)) << V.status().message();
   return V ? flatProfileOf(*V) : FlatProfile();
 }
 
 ContextProfile loadContextOrDie(const ProfileStore &S) {
-  Expected<ContextProfileView> V = S.loadContextView();
+  Expected<ContextProfileView> V = S.loadView();
   EXPECT_TRUE(bool(V)) << V.status().message();
   return V ? contextProfileOf(*V) : ContextProfile();
 }
@@ -217,7 +217,7 @@ TEST(Store, LazyUnionEqualsEagerLoad) {
   FlatProfile P = lineFlat();
   ProfileStore S = openOrDie(writeStore(P, {}));
 
-  FlatViewLoader Union(S);
+  StoreViewLoader Union(S);
   for (size_t I = 0; I != S.numFunctions(); ++I) {
     Status St = Union.load(I);
     ASSERT_TRUE(St.ok()) << St.message();
@@ -229,7 +229,7 @@ TEST(Store, LazyUnionEqualsEagerLoad) {
   // totals the index advertised.
   int MainIdx = S.findFunction("main");
   ASSERT_GE(MainIdx, 0);
-  FlatViewLoader OneLoader(S);
+  StoreViewLoader OneLoader(S);
   Status St = OneLoader.load(MainIdx);
   ASSERT_TRUE(St.ok()) << St.message();
   FlatProfile One = flatProfileOf(OneLoader.view());
@@ -283,7 +283,7 @@ TEST(Store, InlineeNestingBoundIsSharedByBothReaders) {
   FlatProfile Parsed;
   ASSERT_TRUE(parseFlatProfile(Text, Parsed));
   ProfileStore S = openOrDie(writeStore(Parsed, {}));
-  Expected<FlatProfileView> View = S.loadFlatView();
+  Expected<ContextProfileView> View = S.loadView();
   ASSERT_TRUE(View) << View.status().message();
   EXPECT_EQ(serializeFlatProfile(flatProfileOf(*View)), Text);
 
@@ -300,7 +300,7 @@ TEST(Store, InlineeNestingBoundIsSharedByBothReaders) {
   EXPECT_FALSE(parseContextProfile(serializeContextProfile(CS), CSBack));
   Expected<ProfileStore> DeepStore = ProfileStore::open(writeStore(Deep, {}));
   ASSERT_TRUE(DeepStore) << DeepStore.status().message();
-  Expected<FlatProfileView> DeepView = DeepStore->loadFlatView();
+  Expected<ContextProfileView> DeepView = DeepStore->loadView();
   ASSERT_FALSE(DeepView);
   EXPECT_EQ(DeepView.status().message(),
             "inlinee nesting exceeds depth limit");
@@ -348,7 +348,7 @@ TEST(Store, CompactNamesShrinkTheTableAndResolve) {
   S.resolveNames(M);
   int Idx = S.findFunction(Names[3]);
   ASSERT_GE(Idx, 0);
-  FlatViewLoader L(S);
+  StoreViewLoader L(S);
   Status St = L.load(Idx);
   ASSERT_TRUE(St.ok()) << St.message();
   FlatProfile Back = flatProfileOf(L.view());

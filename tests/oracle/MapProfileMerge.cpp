@@ -35,7 +35,7 @@ const char *kindName(ProfileKind K) {
 /// the edge-conserved quantities (heads and call targets of sampled
 /// profiles), which round through per-function-name cumulative
 /// accumulators so both sides of every head/call edge telescope to the
-/// same scaled sum (see the scaleFlatView contract). Profiles must be
+/// same scaled sum (see the scaleContextView contract). Profiles must be
 /// scaled in a deterministic traversal for reproducible slot values; the
 /// std::map orders used here match the serializers'.
 class ProfileScaler {

@@ -13,9 +13,9 @@
 ///    independent of the production machine model in sim/MachineCore.h,
 ///    plus the one run comparison the checks report through;
 ///  * for the profile data plane, the sequential map-container merges and
-///    decay scaler that specify mergeFlatViews / mergeContextViews /
-///    scaleFlatView / scaleContextView (profile/ProfileArena.h), written
-///    without the arena;
+///    decay scaler that specify the view merge mergeContextViews and the
+///    view scaler scaleContextView (profile/ProfileArena.h) on flat and
+///    context-sensitive inputs alike, written without the arena;
 ///  * for profile inference, the N-pass cycle-canceling min-cost
 ///    circulation solver and its inference network, which the
 ///    parent-graph solver of inference/MinCostFlow.h must match in
@@ -78,16 +78,18 @@ std::string diffRuns(const RunResult &A, const RunResult &B);
 RunResult replayedRun(const RunResult &Live, const TraceReplayResult &Replay);
 
 /// Accumulates \p Src into \p Dst (counts are summed) — the mergeInto
-/// step of the mergeFlatViews contract. An empty \p Dst adopts \p Src's
-/// kind; otherwise a kind mismatch (line-based vs probe-based) is fatal.
+/// step of the mergeContextViews contract on flat views. An empty \p Dst
+/// adopts \p Src's kind; otherwise a kind mismatch (line-based vs
+/// probe-based) is fatal.
 MergeStats mergeFlatProfiles(FlatProfile &Dst, const FlatProfile &Src);
 
 /// Accumulates \p Src into \p Dst context by context — the step of the
-/// mergeContextViews contract. Same kind rules as mergeFlatProfiles.
+/// mergeContextViews contract on CS views. Same kind rules as
+/// mergeFlatProfiles.
 MergeStats mergeContextProfiles(ContextProfile &Dst,
                                 const ContextProfile &Src);
 
-/// Scales every count in \p Profile by Num/Den under the scaleFlatView
+/// Scales every count in \p Profile by Num/Den under the scaleContextView
 /// contract (round half up, telescoping head/call-edge accumulators,
 /// \p ExactCounts head clamp).
 void scaleFlatProfile(FlatProfile &Profile, uint64_t Num, uint64_t Den,

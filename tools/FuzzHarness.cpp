@@ -354,12 +354,12 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
             CSStore.status().message();
       return false;
     }
-    Expected<ContextProfileView> CV = CSStore->loadContextView();
+    Expected<ContextProfileView> CV = CSStore->loadView();
     if (!CV || serializeContextProfile(contextProfileOf(*CV)) != CSText) {
       Err = "CS store round trip is not lossless";
       return false;
     }
-    ContextViewLoader Unit(*CSStore);
+    StoreViewLoader Unit(*CSStore);
     for (size_t I = 0; I != CSStore->numFunctions(); ++I) {
       Status St = Unit.load(I);
       if (!St.ok()) {
@@ -387,12 +387,12 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
               " store does not open: " + S.status().message();
         return false;
       }
-      Expected<FlatProfileView> Eager = S->loadFlatView();
+      Expected<ContextProfileView> Eager = S->loadView();
       if (!Eager || serializeFlatProfile(flatProfileOf(*Eager)) != Text) {
         Err = std::string(What) + " store round trip is not lossless";
         return false;
       }
-      FlatViewLoader Lazy(*S);
+      StoreViewLoader Lazy(*S);
       for (size_t I = 0; I != S->numFunctions(); ++I) {
         Status St = Lazy.load(I);
         if (!St.ok()) {
@@ -419,10 +419,10 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
     FlatProfile MapAcc;
     MergeStats MapStats = mergeFlatProfiles(MapAcc, PORes.Flat);
     MapStats += mergeFlatProfiles(MapAcc, PORes.Flat);
-    FlatProfileView Part = flatViewOf(PORes.Flat);
+    ContextProfileView Part = flatViewOf(PORes.Flat);
     MergeStats ViewStats;
     FlatProfile ViewAcc = flatProfileOf(
-        mergeFlatViews({&Part, &Part}, ViewStats, /*IntoEmptyDst=*/true));
+        mergeContextViews({&Part, &Part}, ViewStats, /*IntoEmptyDst=*/true));
     if (serializeFlatProfile(ViewAcc) != serializeFlatProfile(MapAcc)) {
       Err = "flat view merge diverges from the map merge";
       return false;
@@ -721,7 +721,7 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
             S.status().message();
       return false;
     }
-    Expected<FlatProfileView> V = S->loadFlatView();
+    Expected<ContextProfileView> V = S->loadView();
     if (bool(V) != WithinBound) {
       Err = "store reader " +
             std::string(WithinBound ? "rejected" : "accepted") +
