@@ -187,14 +187,13 @@ void continuousIngestTable(unsigned Jobs) {
     std::string Bytes;
     IngestOptions IO;
     IO.Timestamp = 100;
-    IngestResult R1 = OutV1.Profile.IsCS
-                          ? ingestEpoch(Bytes, OutV1.Profile.CS, IO)
-                          : ingestEpoch(Bytes, OutV1.Profile.Flat, IO);
+    auto ViewOf = [](const ProfileBundle &B) {
+      return B.IsCS ? contextViewOf(B.CS) : flatViewOf(B.Flat);
+    };
+    IngestResult R1 = ingestEpoch(Bytes, ViewOf(OutV1.Profile), IO);
     IO.Timestamp = 200;
     IO.DecayPermille = 500;
-    IngestResult R2 = OutV2.Profile.IsCS
-                          ? ingestEpoch(Bytes, OutV2.Profile.CS, IO)
-                          : ingestEpoch(Bytes, OutV2.Profile.Flat, IO);
+    IngestResult R2 = ingestEpoch(Bytes, ViewOf(OutV2.Profile), IO);
     if (!R1.Ok || !R2.Ok) {
       std::fprintf(stderr, "continuous ingest failed: %s\n",
                    (R1.Ok ? R2.Error : R1.Error).c_str());

@@ -177,18 +177,26 @@ Status ProfilePipeline::ingest(std::string &StoreBytes,
                                uint64_t Timestamp) {
   if (!Profile.Has)
     return Status::error("ingest: empty profile bundle");
+  return ingest(StoreBytes,
+                Profile.IsCS ? contextViewOf(Profile.CS)
+                             : flatViewOf(Profile.Flat),
+                Timestamp, Profile.IsInstr);
+}
+
+Status ProfilePipeline::ingest(std::string &StoreBytes,
+                               const ContextProfileView &Fresh,
+                               uint64_t Timestamp, bool ExactCounts) {
   IngestOptions IO;
   IO.DecayPermille = Opts.DecayPermille;
   IO.Timestamp = Timestamp;
-  IO.ExactCounts = Profile.IsInstr;
+  IO.ExactCounts = ExactCounts;
   IO.Write.CompactNames = Opts.CompactNames;
   // Every fold is verifier-gated regardless of the generation-time level:
   // the store is long-lived shared state, and a bad fold poisons every
   // build downstream.
   IO.Verify = VerifyLevel::Full;
 
-  IngestResult R = Profile.IsCS ? ingestEpoch(StoreBytes, Profile.CS, IO)
-                                : ingestEpoch(StoreBytes, Profile.Flat, IO);
+  IngestResult R = ingestEpoch(StoreBytes, Fresh, IO);
   accumulate(Stats.Verify, R.Verify);
   if (!R.Ok)
     return Status::error("ingest: " + R.Error);

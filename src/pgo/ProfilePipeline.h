@@ -34,6 +34,7 @@
 #include "pgo/PipelineStats.h"
 #include "postlink/PostLinkOptimizer.h"
 #include "profgen/ProfileGenerator.h"
+#include "profile/ProfileArena.h"
 #include "support/Status.h"
 #include "trace/TraceDecoder.h"
 
@@ -141,9 +142,13 @@ public:
   /// from the outside) is an error Status, never an abort.
   Expected<LoaderStats> apply(Module &M, const ProfileBundle &Profile);
 
-  /// Folds \p Profile into the store held in \p StoreBytes under the
-  /// configured decay, verifier-gated; \p StoreBytes is untouched on
-  /// error. Empty \p StoreBytes creates a single-epoch store.
+  /// Folds the epoch view \p Fresh into the store held in \p StoreBytes
+  /// under the configured decay, verifier-gated; \p StoreBytes is
+  /// untouched on error. Empty \p StoreBytes creates a single-epoch store,
+  /// with exact-count (Instr) semantics when \p ExactCounts is set.
+  Status ingest(std::string &StoreBytes, const ContextProfileView &Fresh,
+                uint64_t Timestamp, bool ExactCounts = false);
+  /// The same fold for a bundle, converted to its view once.
   Status ingest(std::string &StoreBytes, const ProfileBundle &Profile,
                 uint64_t Timestamp);
 

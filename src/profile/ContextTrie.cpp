@@ -86,7 +86,7 @@ ContextTrieNode::getOrCreateChild(uint32_t Site, const std::string &Callee) {
 uint64_t ContextTrieNode::subtreeSamples() const {
   uint64_t Total = HasProfile ? Profile.TotalSamples : 0;
   for (const auto &[Key, Child] : Children)
-    Total += Child.subtreeSamples();
+    Total = saturatingAdd(Total, Child.subtreeSamples());
   return Total;
 }
 

@@ -64,7 +64,8 @@ public:
                                   const std::string &Callee) const;
   ContextTrieNode &getOrCreateChild(uint32_t Site, const std::string &Callee);
 
-  /// Sum of TotalSamples in this subtree.
+  /// Sum of TotalSamples in this subtree (saturating at UINT64_MAX, as
+  /// FlatProfile::totalSamples does).
   uint64_t subtreeSamples() const;
 };
 
@@ -96,7 +97,7 @@ public:
   /// Number of nodes holding a profile.
   size_t numProfiles() const;
 
-  /// Total samples across all contexts.
+  /// Total samples across all contexts (saturating).
   uint64_t totalSamples() const;
 
   /// Flattens to a context-insensitive profile: every context of a function

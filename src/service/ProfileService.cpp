@@ -295,8 +295,8 @@ Status ProfileService::foldEpoch(unsigned E, EpochBatch &Batch) {
       HostPtrs.push_back(&HP.CS);
     }
     MergeStats ReduceStats;
-    ContextProfile Epoch = contextProfileOf(
-        mergeContextViews(HostPtrs, ReduceStats, /*IntoEmptyDst=*/true));
+    ContextProfileView Epoch =
+        mergeContextViews(HostPtrs, ReduceStats, /*IntoEmptyDst=*/true);
     PS.Reduce += ReduceStats;
 
     if (!EpochSamples) {
@@ -305,12 +305,8 @@ Status ProfileService::foldEpoch(unsigned E, EpochBatch &Batch) {
       continue;
     }
 
-    ProfileBundle Bundle;
-    Bundle.Has = true;
-    Bundle.IsCS = true;
-    Bundle.CS = std::move(Epoch);
     uint64_t Ts = Fleet.timestamp(E);
-    if (Status S2 = Svc.Pipeline.ingest(Svc.StoreBytes, Bundle, Ts); !S2) {
+    if (Status S2 = Svc.Pipeline.ingest(Svc.StoreBytes, Epoch, Ts); !S2) {
       // The gate held: the aggregate store is untouched and the service
       // keeps running. Dropped epochs are the dashboard's alarm signal.
       ++Svc.EpochsDropped;

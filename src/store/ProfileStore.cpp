@@ -250,6 +250,11 @@ int compareContextFrames(const ProfileArena &A, const ContextRecord &X,
   return 0;
 }
 
+Status notOneFrameBlock() {
+  return Status::error("flat store block is not one one-frame context with "
+                       "flags 0");
+}
+
 /// Non-compact layout: u32 count, count u32 cumulative end offsets, then
 /// the concatenated name blob — every name is random-accessible, so
 /// open() builds its views with plain word loads instead of a varint
@@ -368,76 +373,42 @@ const char *sectionName(StoreSection S) {
     return "epoch-table";
   case StoreSection::FuncIndex:
     return "func-index";
-  case StoreSection::FlatPayload:
-    return "flat-payload";
   case StoreSection::CSPayload:
     return "cs-payload";
-  case StoreSection::ProbeMeta:
-    return "probe-meta";
   case StoreSection::Summary:
     return "summary";
   }
-  return "<unknown>";
+  return nullptr; // Unknown (or retired) section id.
 }
 
-} // namespace
+/// One context of a payload block: its frames (outermost first), node
+/// flag and samples.
+struct BlockNode {
+  SampleContext Ctx;
+  bool ShouldBeInlined = false;
+  const FunctionProfile *Profile = nullptr;
+};
 
-std::string writeStore(const FlatProfile &Profile,
-                       const std::vector<EpochInfo> &Epochs,
-                       const StoreWriteOptions &Opts, bool IsInstr) {
+/// Contexts grouped per leaf function (the unit of lazy loading), in
+/// trie-DFS order within each group.
+using LeafBlocks = std::map<std::string, std::vector<BlockNode>>;
+
+/// The one store writer, behind both writeStore overloads: every function
+/// is one payload block of its contexts, each a frame list, a node header
+/// {flags, Guid, Checksum} and the record. A flat profile's block holds
+/// one one-frame context with flags 0. The index entry's total and head
+/// are the saturating sums over the block.
+std::string writeBlocks(const LeafBlocks &ByLeaf, uint8_t Flags,
+                        const std::vector<EpochInfo> &Epochs,
+                        const StoreWriteOptions &Opts,
+                        std::vector<uint64_t> HotCounts) {
   std::set<std::string> Strs;
-  for (const auto &[Name, P] : Profile.Functions) {
-    Strs.insert(Name);
-    collectRefs(P, Strs);
-  }
-  StringIndex SI(std::move(Strs));
-
-  ByteWriter Payload;
-  ByteWriter ProbeMeta;
-  std::vector<IndexEntryW> Entries;
-  // Probe metadata is fixed 16-byte {guid, checksum} pairs parallel to the
-  // index — no count prefix; the section size must be 16x the index size.
-  for (const auto &[Name, P] : Profile.Functions) {
-    uint64_t Off = Payload.size();
-    encodeRecord(Payload, P, SI);
-    Entries.push_back({SI.index(Name), Off, Payload.size() - Off,
-                       P.TotalSamples, P.HeadSamples});
-    ProbeMeta.u64(P.Guid);
-    ProbeMeta.u64(P.Checksum);
-  }
-
-  uint8_t Flags = 0;
-  if (Profile.Kind == ProfileKind::ProbeBased)
-    Flags |= SF_ProbeBased;
-  if (Opts.CompactNames)
-    Flags |= SF_CompactNames;
-  if (IsInstr)
-    Flags |= SF_ExactCounts;
-  return assembleStore(
-      Flags,
-      {{StoreSection::StringTable, encodeStringTable(SI.all(), Opts.CompactNames)},
-       {StoreSection::EpochTable, encodeEpochTable(Epochs)},
-       {StoreSection::FuncIndex, encodeFuncIndex(Entries)},
-       {StoreSection::FlatPayload, Payload.take()},
-       {StoreSection::ProbeMeta, ProbeMeta.take()},
-       {StoreSection::Summary, encodeSummary(hotCountDistribution(Profile))}});
-}
-
-std::string writeStore(const ContextProfile &Profile,
-                       const std::vector<EpochInfo> &Epochs,
-                       const StoreWriteOptions &Opts) {
-  // Contexts grouped per leaf function (the unit of lazy loading); the
-  // in-group order is the trie DFS order, which a reload reproduces.
-  std::map<std::string,
-           std::vector<std::pair<SampleContext, const ContextTrieNode *>>>
-      ByLeaf;
-  std::set<std::string> Strs;
-  Profile.forEachNode([&](const SampleContext &Ctx, const ContextTrieNode &N) {
-    ByLeaf[Ctx.back().Func].push_back({Ctx, &N});
-    for (const ContextFrame &F : Ctx)
-      Strs.insert(F.Func);
-    collectRefs(N.Profile, Strs);
-  });
+  for (const auto &[Leaf, Nodes] : ByLeaf)
+    for (const BlockNode &N : Nodes) {
+      for (const ContextFrame &F : N.Ctx)
+        Strs.insert(F.Func);
+      collectRefs(*N.Profile, Strs);
+    }
   StringIndex SI(std::move(Strs));
 
   ByteWriter Payload;
@@ -446,26 +417,23 @@ std::string writeStore(const ContextProfile &Profile,
     uint64_t Off = Payload.size();
     uint64_t Total = 0, Head = 0;
     Payload.uleb(Nodes.size());
-    for (const auto &[Ctx, N] : Nodes) {
-      Payload.uleb(Ctx.size());
-      for (const ContextFrame &F : Ctx) {
+    for (const BlockNode &N : Nodes) {
+      Payload.uleb(N.Ctx.size());
+      for (const ContextFrame &F : N.Ctx) {
         Payload.uleb(SI.index(F.Func));
         Payload.uleb(F.Site);
       }
-      Payload.u8(N->ShouldBeInlined ? 1 : 0);
-      Payload.uleb(N->Profile.Guid);
-      Payload.uleb(N->Profile.Checksum);
-      encodeRecord(Payload, N->Profile, SI);
-      Total = saturatingAdd(Total, N->Profile.TotalSamples);
-      Head = saturatingAdd(Head, N->Profile.HeadSamples);
+      Payload.u8(N.ShouldBeInlined ? 1 : 0);
+      Payload.uleb(N.Profile->Guid);
+      Payload.uleb(N.Profile->Checksum);
+      encodeRecord(Payload, *N.Profile, SI);
+      Total = saturatingAdd(Total, N.Profile->TotalSamples);
+      Head = saturatingAdd(Head, N.Profile->HeadSamples);
     }
     Entries.push_back(
         {SI.index(Leaf), Off, Payload.size() - Off, Total, Head});
   }
 
-  uint8_t Flags = SF_ContextSensitive;
-  if (Profile.Kind == ProfileKind::ProbeBased)
-    Flags |= SF_ProbeBased;
   if (Opts.CompactNames)
     Flags |= SF_CompactNames;
   return assembleStore(
@@ -474,7 +442,35 @@ std::string writeStore(const ContextProfile &Profile,
        {StoreSection::EpochTable, encodeEpochTable(Epochs)},
        {StoreSection::FuncIndex, encodeFuncIndex(Entries)},
        {StoreSection::CSPayload, Payload.take()},
-       {StoreSection::Summary, encodeSummary(hotCountDistribution(Profile))}});
+       {StoreSection::Summary, encodeSummary(std::move(HotCounts))}});
+}
+
+uint8_t kindFlags(ProfileKind Kind) {
+  return Kind == ProfileKind::ProbeBased ? SF_ProbeBased : 0;
+}
+
+} // namespace
+
+std::string writeStore(const FlatProfile &Profile,
+                       const std::vector<EpochInfo> &Epochs,
+                       const StoreWriteOptions &Opts, bool IsInstr) {
+  LeafBlocks ByLeaf;
+  for (const auto &[Name, P] : Profile.Functions)
+    ByLeaf[Name].push_back({{{Name, 0}}, false, &P});
+  return writeBlocks(ByLeaf,
+                     kindFlags(Profile.Kind) | (IsInstr ? SF_ExactCounts : 0),
+                     Epochs, Opts, hotCountDistribution(Profile));
+}
+
+std::string writeStore(const ContextProfile &Profile,
+                       const std::vector<EpochInfo> &Epochs,
+                       const StoreWriteOptions &Opts) {
+  LeafBlocks ByLeaf;
+  Profile.forEachNode([&](const SampleContext &Ctx, const ContextTrieNode &N) {
+    ByLeaf[Ctx.back().Func].push_back({Ctx, N.ShouldBeInlined, &N.Profile});
+  });
+  return writeBlocks(ByLeaf, kindFlags(Profile.Kind) | SF_ContextSensitive,
+                     Epochs, Opts, hotCountDistribution(Profile));
 }
 
 std::string_view ProfileStore::section(StoreSection S) const {
@@ -535,7 +531,7 @@ bool ProfileStore::decodeSections(std::string &Err) {
       Err = "section bounds outside store";
       return false;
     }
-    if (Id == 0 || Id >= 8)
+    if (!sectionName(static_cast<StoreSection>(Id)))
       continue; // Unknown section: skip (forward compatibility).
     if (Sections[Id].Present) {
       Err = "duplicate section";
@@ -554,9 +550,7 @@ bool ProfileStore::decodeSections(std::string &Err) {
   if (!Required(StoreSection::StringTable) ||
       !Required(StoreSection::EpochTable) ||
       !Required(StoreSection::FuncIndex) || !Required(StoreSection::Summary) ||
-      !Required(isCS() ? StoreSection::CSPayload : StoreSection::FlatPayload))
-    return false;
-  if (!isCS() && !Required(StoreSection::ProbeMeta))
+      !Required(StoreSection::CSPayload))
     return false;
 
   // String table: u32 count, then either u64 GUIDs (compact) or u32
@@ -643,9 +637,7 @@ bool ProfileStore::decodeSections(std::string &Err) {
 
   // Function index: entries must tile the payload section exactly.
   uint64_t PayloadSize =
-      Sections[static_cast<uint32_t>(isCS() ? StoreSection::CSPayload
-                                            : StoreSection::FlatPayload)]
-          .Size;
+      Sections[static_cast<uint32_t>(StoreSection::CSPayload)].Size;
   {
     std::string_view Sec = section(StoreSection::FuncIndex);
     constexpr size_t EntryBytes = 36; // u32 name + 4 x u64
@@ -681,20 +673,6 @@ bool ProfileStore::decodeSections(std::string &Err) {
     if (Expected != PayloadSize) {
       Err = "payload bytes not covered by the index";
       return false;
-    }
-  }
-
-  // Probe metadata (flat stores): fixed 16-byte {guid, checksum} pairs,
-  // parallel to the function index.
-  if (!isCS()) {
-    std::string_view Sec = section(StoreSection::ProbeMeta);
-    if (Sec.size() != 16ull * Index.size()) {
-      Err = "probe metadata does not match the function index";
-      return false;
-    }
-    for (size_t I = 0; I != Index.size(); ++I) {
-      Index[I].MetaGuid = loadStoreWord(Sec.data() + 16 * I);
-      Index[I].MetaChecksum = loadStoreWord(Sec.data() + 16 * I + 8);
     }
   }
 
@@ -768,9 +746,9 @@ std::string_view ProfileStore::functionName(size_t I) const {
 }
 
 std::pair<uint64_t, uint64_t> ProfileStore::functionTile(size_t I) const {
-  const SectionRef &P = Sections[static_cast<uint32_t>(
-      isCS() ? StoreSection::CSPayload : StoreSection::FlatPayload)];
-  return {P.Offset + Index[I].Offset, Index[I].Size};
+  uint64_t Payload = Sections[static_cast<uint32_t>(StoreSection::CSPayload)]
+                         .Offset;
+  return {Payload + Index[I].Offset, Index[I].Size};
 }
 
 uint64_t ProfileStore::totalSamples() const {
@@ -856,15 +834,15 @@ StoreViewLoader::StoreViewLoader(const ProfileStore &S) : S(S) {
 Status StoreViewLoader::load(size_t I) {
   const ProfileStore::IndexEntry &E = S.Index[I];
   NameMapper NM{S.Names, V.Arena.Names, NameMap};
-  ByteReader R(
-      S.section(V.IsCS ? StoreSection::CSPayload : StoreSection::FlatPayload)
-          .substr(E.Offset, E.Size));
-  // A flat tile is one record: one context of one base frame, the
-  // function, whose Guid/Checksum live in the index. A CS tile is a block
-  // of contexts, each with its frames and a node header.
-  uint64_t NContexts = 1;
-  if (V.IsCS && !R.uleb(NContexts))
+  ByteReader R(S.section(StoreSection::CSPayload).substr(E.Offset, E.Size));
+  // A tile is a block of contexts, each with its frames and a node header.
+  // The one shape rule: a flat store's block is one context of one frame
+  // with flags 0 — the function, as flatViewOf emits it.
+  uint64_t NContexts;
+  if (!R.uleb(NContexts))
     return Status::error("malformed context block");
+  if (!V.IsCS && NContexts != 1)
+    return notOneFrameBlock();
   // The block's contexts must be strictly ascending in trie-DFS order —
   // what the writer emits, and what rules out a repeated context, which
   // the view merge would otherwise meet as an out-of-order input. Each
@@ -873,65 +851,59 @@ Status StoreViewLoader::load(size_t I) {
   // ascend with names (the writer emits a sorted-unique table) even where
   // a compact store's "guid.<n>" placeholders do not.
   std::vector<std::pair<uint64_t, uint64_t>> Prev, Cur;
+  uint64_t Total = 0, Head = 0;
   for (uint64_t C = 0; C != NContexts; ++C) {
     ContextRecord CR;
     CR.FramesBegin = static_cast<uint32_t>(V.Arena.Frames.size());
-    uint8_t NodeFlags = 0;
-    uint64_t Guid = E.MetaGuid, Checksum = E.MetaChecksum;
-    if (!V.IsCS) {
-      V.Arena.Frames.push_back({NM(E.NameIdx), 0});
-    } else {
-      uint64_t NFrames;
-      if (!R.uleb(NFrames) || NFrames == 0 || NFrames > R.remaining())
-        return Status::error("malformed context frame count");
-      Cur.clear();
-      uint64_t InSite = 0;
-      for (uint64_t F = 0; F != NFrames; ++F) {
-        uint64_t NameIdx, Site;
-        if (!R.uleb(NameIdx) || !R.uleb(Site) || NameIdx >= NM.Map.size() ||
-            Site > UINT32_MAX)
-          return Status::error("malformed context frame");
-        V.Arena.Frames.push_back({NM(NameIdx), static_cast<uint32_t>(Site)});
-        Cur.push_back({InSite, NameIdx});
-        InSite = Site;
-      }
-      if (C && !(Prev < Cur))
-        return Status::error("contexts not in ascending trie order");
-      std::swap(Prev, Cur);
-      FrameSlot Leaf = V.Arena.Frames.back();
-      if (Leaf.Site != 0 || Leaf.Func != NM(E.NameIdx))
-        return Status::error("context leaf disagrees with its index entry");
-      if (!R.u8(NodeFlags) || NodeFlags > 1 || !R.uleb(Guid) ||
-          !R.uleb(Checksum))
-        return Status::error("malformed context node header");
+    uint64_t NFrames;
+    if (!R.uleb(NFrames) || NFrames == 0 || NFrames > R.remaining())
+      return Status::error("malformed context frame count");
+    Cur.clear();
+    uint64_t InSite = 0;
+    for (uint64_t F = 0; F != NFrames; ++F) {
+      uint64_t NameIdx, Site;
+      if (!R.uleb(NameIdx) || !R.uleb(Site) || NameIdx >= NM.Map.size() ||
+          Site > UINT32_MAX)
+        return Status::error("malformed context frame");
+      V.Arena.Frames.push_back({NM(NameIdx), static_cast<uint32_t>(Site)});
+      Cur.push_back({InSite, NameIdx});
+      InSite = Site;
     }
+    if (C && !(Prev < Cur))
+      return Status::error("contexts not in ascending trie order");
+    std::swap(Prev, Cur);
+    FrameSlot Leaf = V.Arena.Frames.back();
+    if (Leaf.Site != 0 || Leaf.Func != NM(E.NameIdx))
+      return Status::error("context leaf disagrees with its index entry");
+    uint8_t NodeFlags;
+    uint64_t Guid, Checksum;
+    if (!R.u8(NodeFlags) || NodeFlags > 1 || !R.uleb(Guid) ||
+        !R.uleb(Checksum))
+      return Status::error("malformed context node header");
+    if (!V.IsCS && (NFrames != 1 || NodeFlags != 0))
+      return notOneFrameBlock();
     CR.FramesEnd = static_cast<uint32_t>(V.Arena.Frames.size());
     std::string Err;
     if (!decodeRecordView(R, V.Arena, NM, 0, CR.Rec, Err))
       return Status::error(Err);
     FuncRecord &FR = V.Arena.Records[CR.Rec];
-    if (!V.IsCS && !R.done())
-      return Status::error("record shorter than its index slice");
-    if (!V.IsCS && (FR.TotalSamples != E.Total || FR.HeadSamples != E.Head))
-      return Status::error("record totals disagree with the function index");
-    FR.Name = V.Arena.Frames.back().Func;
+    FR.Name = Leaf.Func;
     FR.Guid = Guid;
     FR.Checksum = Checksum;
+    Total = saturatingAdd(Total, FR.TotalSamples);
+    Head = saturatingAdd(Head, FR.HeadSamples);
     CR.ShouldBeInlined = NodeFlags & 1;
     V.Contexts.push_back(CR);
   }
   if (!R.done())
     return Status::error("context block shorter than its index slice");
+  if (Total != E.Total || Head != E.Head)
+    return Status::error("block totals disagree with the function index");
   return {};
 }
 
-namespace {
-
-/// The one epoch fold, over the fresh epoch's view (flat or CS) and its
-/// total samples (as FlatProfile / ContextProfile::totalSamples count
-/// them, for the epoch record).
-IngestResult ingestView(std::string &Bytes, const ContextProfileView &FreshV,
-                        uint64_t FreshTotal, const IngestOptions &Opts) {
+IngestResult ingestEpoch(std::string &Bytes, const ContextProfileView &FreshV,
+                         const IngestOptions &Opts) {
   IngestResult R;
   if (Opts.DecayPermille > 1000) {
     R.Error = "decay must be in [0, 1000] permille";
@@ -960,6 +932,12 @@ IngestResult ingestView(std::string &Bytes, const ContextProfileView &FreshV,
                               "epoch rejected";
       return R;
     }
+    // Any decay: a replacing fold must not flip the kind of a store whose
+    // history it keeps.
+    if (Prior.numFunctions() != 0 && Prior.kind() != FreshV.Kind) {
+      R.Error = "epoch profile kind disagrees with the store";
+      return R;
+    }
   }
 
   // Exact counts are a flat-store property (Instr profiles are flat).
@@ -976,10 +954,6 @@ IngestResult ingestView(std::string &Bytes, const ContextProfileView &FreshV,
     AggV = V.take();
     scaleContextView(AggV, Opts.DecayPermille, 1000, Instr);
   }
-  if (!AggV.Contexts.empty() && AggV.Kind != FreshV.Kind) {
-    R.Error = "epoch profile kind disagrees with the store";
-    return R;
-  }
   // An empty aggregate folds exactly like the map path's empty
   // destination: the fresh epoch is the sole merge *source*
   // (IntoEmptyDst), so kind adoption and MergeStats come out identical.
@@ -987,6 +961,10 @@ IngestResult ingestView(std::string &Bytes, const ContextProfileView &FreshV,
       AggV.Contexts.empty()
           ? mergeContextViews({&FreshV}, R.Merge, /*IntoEmptyDst=*/true)
           : mergeContextViews({&AggV, &FreshV}, R.Merge);
+  uint64_t FreshTotal = 0;
+  for (const ContextRecord &C : FreshV.Contexts)
+    FreshTotal =
+        saturatingAdd(FreshTotal, FreshV.Arena.Records[C.Rec].TotalSamples);
   std::vector<EpochInfo> Epochs = Prior.epochs();
   Epochs.push_back({Opts.Timestamp, FreshTotal, Opts.DecayPermille});
 
@@ -1017,18 +995,6 @@ IngestResult ingestView(std::string &Bytes, const ContextProfileView &FreshV,
   R.Ok = true;
   R.EpochsNow = Epochs.size();
   return R;
-}
-
-} // namespace
-
-IngestResult ingestEpoch(std::string &Bytes, const FlatProfile &Fresh,
-                         const IngestOptions &Opts) {
-  return ingestView(Bytes, flatViewOf(Fresh), Fresh.totalSamples(), Opts);
-}
-
-IngestResult ingestEpoch(std::string &Bytes, const ContextProfile &Fresh,
-                         const IngestOptions &Opts) {
-  return ingestView(Bytes, contextViewOf(Fresh), Fresh.totalSamples(), Opts);
 }
 
 } // namespace csspgo

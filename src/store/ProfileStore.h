@@ -20,12 +20,16 @@
 /// construction (see scaleContextView), so an ingested store always passes
 /// strict `csspgo_verify`.
 ///
-/// Flat and context-sensitive stores keep their own payload formats, but
-/// there is one read plane: `open`/`openBorrowed` validate the container,
-/// and StoreViewLoader (or the eager loadView) cursors the indexed payload
-/// tiles straight into one ContextProfileView — a flat store's functions
-/// as one-frame contexts — with no byte copy of the container under a
-/// borrowed open, no map nodes and no per-record string allocation.
+/// Flat and context-sensitive stores share one payload format, as they
+/// share one view: every function is a block of contexts, and a flat
+/// store's block holds one one-frame context (the function) with node
+/// flags 0. One writer emits it, and one read plane decodes it:
+/// `open`/`openBorrowed` validate the container, and StoreViewLoader (or
+/// the eager loadView) cursors the indexed payload tiles straight into
+/// one ContextProfileView with no byte copy of the container under a
+/// borrowed open, no map nodes and no per-record string allocation. The
+/// context-sensitive flag decides only which map container the view
+/// converts to and which hot-count distribution the summary holds.
 /// Callers that need the map containers (the loader's annotation pass,
 /// the tools) build them once from the view with flatProfileOf /
 /// contextProfileOf, as the view's IsCS says.
@@ -162,11 +166,6 @@ private:
     uint64_t Size = 0;
     uint64_t Total = 0;
     uint64_t Head = 0;
-    /// Persisted top-level Guid/Checksum (ProbeMeta section, flat stores
-    /// only; distinct from a compact string table's name GUIDs so a
-    /// profile with Guid 0 round-trips byte-identically).
-    uint64_t MetaGuid = 0;
-    uint64_t MetaChecksum = 0;
   };
   struct SectionRef {
     uint64_t Offset = 0;
@@ -206,13 +205,13 @@ private:
 /// plane. Each load() is a varint cursor over the function's payload tile
 /// appending POD slots — no maps, no string churn, and names intern into
 /// the view's arena on first reference, so a module-scoped load never
-/// touches the rest of the string table. On a flat store load(I) appends
-/// function I as one context of one base frame; on a CS store it appends
-/// every context whose leaf is function I, in the tile's (trie-DFS within
-/// leaf) order — use ProfileStore::loadView for a globally DFS-ordered
-/// view — and rejects a block whose contexts are not strictly ascending
-/// in that order. The store (and, for a borrowed store, its buffer) must
-/// outlive the loader.
+/// touches the rest of the string table. load(I) appends every context
+/// whose leaf is function I, in the tile's (trie-DFS within leaf) order —
+/// use ProfileStore::loadView for a globally DFS-ordered view — and
+/// rejects a block whose contexts are not strictly ascending in that
+/// order, whose context totals do not sum to the index entry's, or, on a
+/// flat store, that is not one one-frame context with flags 0. The store
+/// (and, for a borrowed store, its buffer) must outlive the loader.
 class StoreViewLoader {
 public:
   explicit StoreViewLoader(const ProfileStore &S);
@@ -258,20 +257,23 @@ struct IngestResult {
   size_t EpochsNow = 0;
 };
 
-/// Folds \p Fresh into the store held in \p Bytes: decay-scales the prior
-/// aggregate by DecayPermille/1000, merges the fresh epoch on top under the
-/// usual saturation semantics, appends the epoch record, verifies, and
-/// rewrites \p Bytes — which is left untouched unless the result is Ok.
-/// An empty \p Bytes creates a new single-epoch store.
+/// Folds the epoch view \p Fresh (flat or CS, as its IsCS says) into the
+/// store held in \p Bytes: decay-scales the prior aggregate by
+/// DecayPermille/1000, merges the fresh epoch on top under the usual
+/// saturation semantics, appends the epoch record (its total is the
+/// saturating sum of the view's context totals), verifies, and rewrites
+/// \p Bytes — which is left untouched unless the result is Ok. An empty
+/// \p Bytes creates a new single-epoch store. A prior store that holds
+/// any function fixes the kind (probe- or line-based) at every decay,
+/// replacement included.
 ///
-/// Both overloads run one fold on the arena data plane end-to-end —
-/// borrowed-buffer open, arena decode, view decay-scale, k-way view merge
-/// — and bridge to the map containers once, for the (mandatory) Full
-/// verification and the writer. A store that opens but decodes to
-/// non-canonical views fails the fold with an error, never an abort.
-IngestResult ingestEpoch(std::string &Bytes, const FlatProfile &Fresh,
-                         const IngestOptions &Opts = {});
-IngestResult ingestEpoch(std::string &Bytes, const ContextProfile &Fresh,
+/// The fold runs on the arena data plane end-to-end — borrowed-buffer
+/// open, arena decode, view decay-scale, k-way view merge — and bridges
+/// to the map containers once, for the (mandatory) Full verification and
+/// the writer. A store that opens but decodes to non-canonical views
+/// fails the fold with an error, never an abort. Callers holding map
+/// containers convert with flatViewOf / contextViewOf.
+IngestResult ingestEpoch(std::string &Bytes, const ContextProfileView &Fresh,
                          const IngestOptions &Opts = {});
 
 } // namespace csspgo

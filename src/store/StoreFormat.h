@@ -21,13 +21,16 @@
 ///   section table (24 bytes per entry, fixed little-endian):
 ///     { u32 section id, u32 reserved(0), u64 absolute offset, u64 size }
 ///   section payloads. The metadata sections that open() must walk in
-///   full (string table, function index, probe metadata) are fixed-width
-///   so they decode with plain word loads; the per-function payload
-///   records stay ULEB128-encoded (they are only decoded on demand, and
-///   varints keep them small).
+///   full (string table, function index) are fixed-width so they decode
+///   with plain word loads; the per-function payload blocks stay
+///   ULEB128-encoded (they are only decoded on demand, and varints keep
+///   them small).
 ///
-/// Unknown section ids are skipped (forward compatibility); the sections a
-/// store of the declared shape requires must all be present.
+/// Flat and context-sensitive stores hold the same five sections and one
+/// payload format: each function is a block of contexts in the cs-payload
+/// section, and a flat store's block is one one-frame context with node
+/// flags 0. Unknown section ids are skipped (forward compatibility); every
+/// store requires all five.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +49,12 @@ inline constexpr char StoreMagic[4] = {'C', 'S', 'P', 'F'};
 /// four independent lanes (hashStoreBytes below), so the hash value — and
 /// therefore the container — changed again. The layout is otherwise
 /// unchanged; older stores are rejected (nothing persists stores across
-/// versions — they are build artifacts, not archives).
+/// versions — they are build artifacts, not archives). Flat stores later
+/// moved from the retired flat-payload (id 4) and probe-meta (id 6)
+/// sections into cs-payload blocks of one-frame contexts without a
+/// version bump, so that context-sensitive stores keep their exact bytes:
+/// a flat store written before that move fails open() with "missing
+/// required section: cs-payload".
 inline constexpr uint16_t StoreVersion = 3;
 inline constexpr size_t StoreHeaderSize = 20;
 inline constexpr size_t StoreSectionEntrySize = 24;
@@ -118,7 +126,7 @@ inline uint64_t hashStoreBytes(std::string_view Data) {
 /// Header flag bits. Open rejects any bit outside StoreKnownFlags so a
 /// corrupted flag byte (or a future format) never decodes as garbage.
 enum StoreFlagBits : uint8_t {
-  SF_ContextSensitive = 1u << 0, ///< CS trie payload (else flat payload).
+  SF_ContextSensitive = 1u << 0, ///< CS trie (else one-frame contexts).
   SF_ProbeBased = 1u << 1,       ///< ProfileKind::ProbeBased records.
   SF_CompactNames = 1u << 2,     ///< String table holds GUIDs, not names.
   SF_ExactCounts = 1u << 3,      ///< Instrumentation (counter) profile.
@@ -130,10 +138,10 @@ enum class StoreSection : uint32_t {
   StringTable = 1, ///< Deduplicated names (or GUIDs when compact).
   EpochTable = 2,  ///< Ingestion history: {timestamp, total, decay}.
   FuncIndex = 3,   ///< Per-function {name, offset, size, total, head}.
-  FlatPayload = 4, ///< Flat-profile function records.
-  CSPayload = 5,   ///< Context-trie blocks grouped by leaf function.
-  ProbeMeta = 6,   ///< Top-level {guid, checksum} parallel to FuncIndex.
+  CSPayload = 5,   ///< Context blocks grouped by leaf function.
   Summary = 7,     ///< Hot-threshold count distribution (value, count).
+  // Ids 4 and 6 are retired (the old flat payload and its probe metadata)
+  // and are skipped like any unknown id.
 };
 
 /// Append-only little-endian byte sink for the store writer.

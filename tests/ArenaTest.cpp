@@ -673,9 +673,21 @@ FlatProfile twoFunctionFlat() {
   return P;
 }
 
+/// main@1 -> f and main@2 -> f: two contexts of equal encoded length
+/// that share leaf f, so they form one two-context block.
+ContextProfile twoCallersOfF() {
+  ContextProfile P;
+  P.Kind = ProfileKind::ProbeBased;
+  for (uint32_t Site : {1u, 2u}) {
+    ContextTrieNode &N = P.getOrCreateNode({{"main", Site}, {"f", 0}});
+    N.HasProfile = true;
+    N.Profile.addBody({1, 0}, 5);
+  }
+  return P;
+}
+
 /// Folds \p Fresh into \p Bad at half decay and expects a clean failure.
-template <typename ProfileT>
-void expectIngestRejects(std::string Bad, const ProfileT &Fresh) {
+void expectIngestRejects(std::string Bad, const ContextProfileView &Fresh) {
   const std::string Before = Bad;
   IngestOptions IO;
   IO.DecayPermille = 500;
@@ -685,18 +697,25 @@ void expectIngestRejects(std::string Bad, const ProfileT &Fresh) {
   EXPECT_EQ(Bad, Before);
 }
 
+/// Expects \p Bad to open but fail the eager load with \p Needle in the
+/// message, and an ingest of \p Fresh over it to fail cleanly.
+void expectLoadAndIngestReject(const std::string &Bad,
+                               const std::string &Needle,
+                               const ContextProfileView &Fresh) {
+  Expected<ProfileStore> S = ProfileStore::openBorrowed(Bad);
+  ASSERT_TRUE(bool(S)) << S.status().message();
+  Expected<ContextProfileView> V = S->loadView();
+  ASSERT_FALSE(bool(V));
+  EXPECT_NE(V.status().message().find(Needle), std::string::npos)
+      << V.status().message();
+  expectIngestRejects(Bad, Fresh);
+}
+
 } // namespace
 
 TEST(ArenaStore, RepeatedContextInALeafBlockIsRejected) {
-  // main@1 -> f and main@2 -> f share leaf f and encode to equal lengths;
-  // copying the first over the second repeats a context in f's block.
-  ContextProfile P;
-  P.Kind = ProfileKind::ProbeBased;
-  for (uint32_t Site : {1u, 2u}) {
-    ContextTrieNode &N = P.getOrCreateNode({{"main", Site}, {"f", 0}});
-    N.HasProfile = true;
-    N.Profile.addBody({1, 0}, 5);
-  }
+  // Copying main@1 -> f over main@2 -> f repeats a context in f's block.
+  ContextProfile P = twoCallersOfF();
   std::string Bytes = writeStore(P, {{1, 10, 1000}});
   Expected<ProfileStore> S = ProfileStore::open(Bytes);
   ASSERT_TRUE(bool(S)) << S.status().message();
@@ -710,14 +729,7 @@ TEST(ArenaStore, RepeatedContextInALeafBlockIsRejected) {
   ASSERT_NE(Bad.compare(Off + 1, Len, Bad, Off + 1 + Len, Len), 0);
   Bad.replace(Off + 1 + Len, Len, Bytes, Off + 1, Len);
   rehash(Bad);
-
-  Expected<ProfileStore> B = ProfileStore::openBorrowed(Bad);
-  ASSERT_TRUE(bool(B)) << B.status().message();
-  Expected<ContextProfileView> V = B->loadView();
-  ASSERT_FALSE(bool(V));
-  EXPECT_NE(V.status().message().find("ascending"), std::string::npos)
-      << V.status().message();
-  expectIngestRejects(Bad, P);
+  expectLoadAndIngestReject(Bad, "ascending", contextViewOf(P));
 }
 
 TEST(ArenaStore, DuplicateIndexNameIsRejected) {
@@ -734,7 +746,7 @@ TEST(ArenaStore, DuplicateIndexNameIsRejected) {
   ASSERT_FALSE(bool(S));
   EXPECT_NE(S.status().message().find("index"), std::string::npos)
       << S.status().message();
-  expectIngestRejects(Bad, P);
+  expectIngestRejects(Bad, flatViewOf(P));
 }
 
 TEST(ArenaStore, UnsortedStringTableIsRejected) {
@@ -753,5 +765,113 @@ TEST(ArenaStore, UnsortedStringTableIsRejected) {
   ASSERT_FALSE(bool(S));
   EXPECT_NE(S.status().message().find("string table"), std::string::npos)
       << S.status().message();
-  expectIngestRejects(Bad, P);
+  expectIngestRejects(Bad, flatViewOf(P));
+}
+
+//===----------------------------------------------------------------------===//
+// One payload format. A flat store's block is one one-frame context with
+// node flags 0; clearing the context-sensitive header flag of a CS store
+// (and recomputing the hash) makes a flat store of whatever blocks the CS
+// store held, so each shape violation is a well-formed block the flat
+// reader must still refuse.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p Bytes with the context-sensitive flag cleared and the hash redone.
+std::string asFlatStore(std::string Bytes) {
+  Bytes[6] = static_cast<char>(Bytes[6] & ~SF_ContextSensitive);
+  rehash(Bytes);
+  return Bytes;
+}
+
+/// Probe-based CS profile whose contexts are all one frame.
+ContextProfile oneFrameContexts() {
+  ContextProfile P;
+  P.Kind = ProfileKind::ProbeBased;
+  for (const char *F : {"aa", "bb"}) {
+    ContextTrieNode &N = P.getOrCreateNode({{F, 0}});
+    N.HasProfile = true;
+    N.Profile.addBody({1, 0}, 10);
+  }
+  return P;
+}
+
+} // namespace
+
+TEST(ArenaStore, OneFrameContextBlocksReadAsAFlatStore) {
+  // The control for the tests below: blocks that keep the flat shape
+  // read as the flat profile of the same functions.
+  ContextProfile P = oneFrameContexts();
+  std::string Bytes = asFlatStore(writeStore(P, {{1, 20, 1000}}));
+  Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
+  ASSERT_TRUE(bool(S)) << S.status().message();
+  EXPECT_FALSE(S->isCS());
+  Expected<ContextProfileView> V = S->loadView();
+  ASSERT_TRUE(bool(V)) << V.status().message();
+  EXPECT_EQ(serializeFlatProfile(flatProfileOf(*V)),
+            serializeFlatProfile(P.flatten()));
+}
+
+TEST(ArenaStore, FlatBlockWithTwoContextsIsRejected) {
+  ContextProfile P = twoCallersOfF();
+  std::string Bad = asFlatStore(writeStore(P, {{1, 10, 1000}}));
+  expectLoadAndIngestReject(Bad, "one one-frame context",
+                            flatViewOf(P.flatten()));
+}
+
+TEST(ArenaStore, FlatBlockWithATwoFrameContextIsRejected) {
+  ContextProfile P;
+  P.Kind = ProfileKind::ProbeBased;
+  ContextTrieNode &N = P.getOrCreateNode({{"main", 1}, {"f", 0}});
+  N.HasProfile = true;
+  N.Profile.addBody({1, 0}, 5);
+  std::string Bad = asFlatStore(writeStore(P, {{1, 5, 1000}}));
+  expectLoadAndIngestReject(Bad, "one one-frame context",
+                            flatViewOf(P.flatten()));
+}
+
+TEST(ArenaStore, FlatBlockWithANodeFlagIsRejected) {
+  ContextProfile P = oneFrameContexts();
+  P.findNode({{"bb", 0}})->ShouldBeInlined = true;
+  std::string Bad = asFlatStore(writeStore(P, {{1, 20, 1000}}));
+  expectLoadAndIngestReject(Bad, "one one-frame context",
+                            flatViewOf(P.flatten()));
+}
+
+TEST(ArenaStore, CSBlockTotalDisagreeingWithTheIndexIsRejected) {
+  ContextProfile P = twoCallersOfF();
+  std::string Bytes = writeStore(P, {{1, 10, 1000}});
+  auto [Off, Size] = sectionSpan(Bytes, "func-index");
+  ASSERT_EQ(Size, 36u); // One leaf, f.
+  // Entry layout: u32 name, u64 offset, u64 size, u64 total, u64 head.
+  ASSERT_EQ(loadStoreWord(Bytes.data() + Off + 20), 10u);
+  std::string Bad = Bytes;
+  Bad[Off + 20] = 11;
+  rehash(Bad);
+  expectLoadAndIngestReject(Bad, "totals disagree", contextViewOf(P));
+}
+
+TEST(ArenaStore, FlatPayloadUnderTheRetiredSectionIdIsRejected) {
+  // The flat payload's old section id (4) is retired: a store that holds
+  // its blocks there has no cs-payload section and fails open().
+  FlatProfile P = twoFunctionFlat();
+  std::string Bytes = writeStore(P, {{1, 30, 1000}});
+  uint32_t NumSections = loadStoreWord32(Bytes.data() + 16);
+  std::string Bad = Bytes;
+  bool Moved = false;
+  for (uint32_t I = 0; I != NumSections; ++I) {
+    size_t Entry = StoreHeaderSize + I * StoreSectionEntrySize;
+    if (loadStoreWord32(Bytes.data() + Entry) ==
+        static_cast<uint32_t>(StoreSection::CSPayload)) {
+      putU32(Bad, Entry, 4);
+      Moved = true;
+    }
+  }
+  ASSERT_TRUE(Moved);
+  rehash(Bad);
+  Expected<ProfileStore> S = ProfileStore::openBorrowed(Bad);
+  ASSERT_FALSE(bool(S));
+  EXPECT_EQ(S.status().message(), "missing required section: cs-payload");
+  expectIngestRejects(Bad, flatViewOf(P));
 }

@@ -107,6 +107,22 @@ TEST(ContextTrie, CreateAndFind) {
   EXPECT_EQ(CP.totalSamples(), 5u);
 }
 
+TEST(ContextTrie, TotalSamplesSaturates) {
+  // Two contexts whose totals sum past UINT64_MAX: the trie total clamps,
+  // as FlatProfile::totalSamples and the store's totals do, instead of
+  // wrapping to a small number.
+  ContextProfile CP;
+  for (uint32_t Site : {1u, 2u}) {
+    ContextTrieNode &N = CP.getOrCreateNode({{"main", Site}, {"f", 0}});
+    N.HasProfile = true;
+    N.Profile.TotalSamples = UINT64_MAX / 2 + 10;
+  }
+  EXPECT_EQ(CP.totalSamples(), UINT64_MAX);
+  const ContextTrieNode *Main = CP.findNode({{"main", 0}});
+  ASSERT_NE(Main, nullptr);
+  EXPECT_EQ(Main->subtreeSamples(), UINT64_MAX);
+}
+
 TEST(ContextTrie, ForEachNodeReportsFullContext) {
   ContextProfile CP;
   SampleContext C1 = {{"main", 1}, {"a", 0}};

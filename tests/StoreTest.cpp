@@ -390,10 +390,10 @@ TEST(StoreIngest, DecayOneEqualsPlainMerge) {
   std::string Bytes;
   IngestOptions IO;
   IO.Timestamp = 100;
-  IngestResult R1 = ingestEpoch(Bytes, Epoch, IO);
+  IngestResult R1 = ingestEpoch(Bytes, flatViewOf(Epoch), IO);
   ASSERT_TRUE(R1.Ok) << R1.Error;
   IO.Timestamp = 200;
-  IngestResult R2 = ingestEpoch(Bytes, Epoch, IO);
+  IngestResult R2 = ingestEpoch(Bytes, flatViewOf(Epoch), IO);
   ASSERT_TRUE(R2.Ok) << R2.Error;
   EXPECT_EQ(R2.EpochsNow, 2u);
 
@@ -409,14 +409,14 @@ TEST(StoreIngest, DecayZeroReplacesTheAggregate) {
   std::string Bytes;
   IngestOptions IO;
   IO.Timestamp = 1;
-  ASSERT_TRUE(ingestEpoch(Bytes, sampledFlat(), IO).Ok);
+  ASSERT_TRUE(ingestEpoch(Bytes, flatViewOf(sampledFlat()), IO).Ok);
 
   FlatProfile Second;
   Second.Kind = ProfileKind::ProbeBased;
   Second.getOrCreate("fresh_only").addBody({1, 0}, 9);
   IO.Timestamp = 2;
   IO.DecayPermille = 0;
-  IngestResult R = ingestEpoch(Bytes, Second, IO);
+  IngestResult R = ingestEpoch(Bytes, flatViewOf(Second), IO);
   ASSERT_TRUE(R.Ok) << R.Error;
 
   ProfileStore S = openOrDie(Bytes);
@@ -438,7 +438,7 @@ TEST(StoreIngest, HalfDecayPassesStrictVerification) {
   IO.DecayPermille = 500;
   for (uint64_t T = 1; T <= 4; ++T) {
     IO.Timestamp = T;
-    IngestResult R = ingestEpoch(Bytes, sampledFlat(), IO);
+    IngestResult R = ingestEpoch(Bytes, flatViewOf(sampledFlat()), IO);
     ASSERT_TRUE(R.Ok) << "epoch " << T << ": " << R.Error;
     EXPECT_TRUE(R.Verify.ok()) << R.Verify.str();
   }
@@ -463,10 +463,10 @@ TEST(StoreIngest, CSIngestKeepsTrieVerified) {
   IngestOptions IO;
   IO.DecayPermille = 500;
   IO.Timestamp = 10;
-  IngestResult R1 = ingestEpoch(Bytes, Res.CS, IO);
+  IngestResult R1 = ingestEpoch(Bytes, contextViewOf(Res.CS), IO);
   ASSERT_TRUE(R1.Ok) << R1.Error;
   IO.Timestamp = 20;
-  IngestResult R2 = ingestEpoch(Bytes, Res.CS, IO);
+  IngestResult R2 = ingestEpoch(Bytes, contextViewOf(Res.CS), IO);
   ASSERT_TRUE(R2.Ok) << R2.Error;
   EXPECT_TRUE(R2.Verify.ok()) << R2.Verify.str();
 
@@ -488,8 +488,8 @@ TEST(StoreIngest, CountsSaturateInsteadOfWrapping) {
   F.addBody({1, 0}, UINT64_MAX - 5);
 
   std::string Bytes;
-  ASSERT_TRUE(ingestEpoch(Bytes, Huge).Ok);
-  IngestResult R = ingestEpoch(Bytes, Huge);
+  ASSERT_TRUE(ingestEpoch(Bytes, flatViewOf(Huge)).Ok);
+  IngestResult R = ingestEpoch(Bytes, flatViewOf(Huge));
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_GT(R.Merge.SaturatedCounts, 0u);
 
@@ -505,7 +505,7 @@ TEST(StoreIngest, EpochMetadataPersists) {
   for (uint64_t T : {11u, 22u, 33u}) {
     IO.Timestamp = T;
     IO.DecayPermille = T == 33 ? 750 : 1000;
-    ASSERT_TRUE(ingestEpoch(Bytes, sampledFlat(), IO).Ok);
+    ASSERT_TRUE(ingestEpoch(Bytes, flatViewOf(sampledFlat()), IO).Ok);
   }
   ProfileStore S = openOrDie(Bytes);
   ASSERT_EQ(S.epochs().size(), 3u);
@@ -517,21 +517,48 @@ TEST(StoreIngest, EpochMetadataPersists) {
 
 TEST(StoreIngest, MismatchedEpochsFailCleanly) {
   std::string Bytes;
-  ASSERT_TRUE(ingestEpoch(Bytes, sampledFlat()).Ok); // probe-based
+  ASSERT_TRUE(ingestEpoch(Bytes, flatViewOf(sampledFlat())).Ok); // probe-based
   std::string Before = Bytes;
 
   FlatProfile Line = lineFlat();
-  IngestResult Kind = ingestEpoch(Bytes, Line);
+  IngestResult Kind = ingestEpoch(Bytes, flatViewOf(Line));
   EXPECT_FALSE(Kind.Ok);
   EXPECT_FALSE(Kind.Error.empty());
   EXPECT_EQ(Bytes, Before); // Failed ingests never touch the store.
 
   GeneratedSetup G;
   ProfGenResult CS = G.generate(ProfGenKind::CS);
-  IngestResult Shape = ingestEpoch(Bytes, CS.CS);
+  IngestResult Shape = ingestEpoch(Bytes, contextViewOf(CS.CS));
   EXPECT_FALSE(Shape.Ok);
   EXPECT_FALSE(Shape.Error.empty());
   EXPECT_EQ(Bytes, Before);
+}
+
+TEST(StoreIngest, DecayZeroStillRejectsAKindMismatch) {
+  // A replacing fold never materializes the prior aggregate, but the
+  // store's kind still binds it: otherwise a line-based epoch would flip
+  // a probe-based store's kind while keeping its epoch history.
+  std::string Bytes;
+  IngestOptions IO;
+  IO.Timestamp = 1;
+  ASSERT_TRUE(ingestEpoch(Bytes, flatViewOf(sampledFlat()), IO).Ok);
+  const std::string Before = Bytes;
+
+  IO.Timestamp = 2;
+  IO.DecayPermille = 0;
+  IngestResult R = ingestEpoch(Bytes, flatViewOf(lineFlat()), IO);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("kind"), std::string::npos) << R.Error;
+  EXPECT_EQ(Bytes, Before);
+
+  // A store that holds no function has no kind to keep.
+  std::string Empty;
+  FlatProfile None;
+  None.Kind = ProfileKind::ProbeBased;
+  ASSERT_TRUE(ingestEpoch(Empty, flatViewOf(None), IO).Ok);
+  IngestResult Adopt = ingestEpoch(Empty, flatViewOf(lineFlat()), IO);
+  ASSERT_TRUE(Adopt.Ok) << Adopt.Error;
+  EXPECT_EQ(openOrDie(Empty).kind(), ProfileKind::LineBased);
 }
 
 //===----------------------------------------------------------------------===//
