@@ -4,18 +4,6 @@
 
 namespace csspgo {
 
-std::vector<BasicBlock *> BasicBlock::successors() const {
-  std::vector<BasicBlock *> Succs;
-  if (!hasTerminator())
-    return Succs;
-  const Instruction &T = terminator();
-  if (T.Succ0)
-    Succs.push_back(T.Succ0);
-  if (T.Op == Opcode::CondBr && T.Succ1)
-    Succs.push_back(T.Succ1);
-  return Succs;
-}
-
 unsigned BasicBlock::numSuccessors() const {
   if (!hasTerminator())
     return 0;

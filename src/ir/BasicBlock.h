@@ -11,6 +11,14 @@
 /// is responsible for maintaining (the "profile maintenance" component of
 /// Fig. 1 in the paper).
 ///
+/// Block numbers: Function::createBlock gives each block a number, unique
+/// within its function and smaller than Function::getMaxBlockNumber(), so
+/// an analysis can index a vector by it instead of hashing the pointer.
+/// A block keeps its number for its lifetime; erasing a block leaves a
+/// gap, and the numbers of later blocks keep growing. Numbers follow
+/// creation, not layout: only renumberBlocks and Module::clone number the
+/// blocks 0..n-1 in layout order.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSSPGO_IR_BASICBLOCK_H
@@ -23,16 +31,42 @@
 
 namespace csspgo {
 
+class BasicBlock;
 class Function;
+
+/// A block's successors held inline: a terminator has at most two, so
+/// asking for them never allocates.
+class SuccessorList {
+public:
+  void push_back(BasicBlock *B) {
+    assert(N < 2 && "a terminator has at most two successors");
+    Succs[N++] = B;
+  }
+  unsigned size() const { return N; }
+  bool empty() const { return N == 0; }
+  BasicBlock *operator[](unsigned I) const {
+    assert(I < N && "successor index out of range");
+    return Succs[I];
+  }
+  BasicBlock *const *begin() const { return Succs; }
+  BasicBlock *const *end() const { return Succs + N; }
+
+private:
+  BasicBlock *Succs[2] = {nullptr, nullptr};
+  unsigned N = 0;
+};
 
 class BasicBlock {
 public:
-  BasicBlock(Function *Parent, std::string Label)
-      : Parent(Parent), Label(std::move(Label)) {}
+  BasicBlock(Function *Parent, std::string Label, unsigned Number)
+      : Parent(Parent), Label(std::move(Label)), Number(Number) {}
 
   Function *getParent() const { return Parent; }
   const std::string &getLabel() const { return Label; }
   void setLabel(std::string L) { Label = std::move(L); }
+
+  /// The block's number within its function (see the file comment).
+  unsigned getNumber() const { return Number; }
 
   std::vector<Instruction> Insts;
 
@@ -52,10 +86,21 @@ public:
   }
 
   /// Returns the successor blocks in terminator order (taken target first
-  /// for CondBr).
-  std::vector<BasicBlock *> successors() const;
+  /// for CondBr), one entry per edge.
+  SuccessorList successors() const {
+    SuccessorList Succs;
+    if (!hasTerminator())
+      return Succs;
+    const Instruction &T = Insts.back();
+    if (T.Succ0)
+      Succs.push_back(T.Succ0);
+    if (T.Op == Opcode::CondBr && T.Succ1)
+      Succs.push_back(T.Succ1);
+    return Succs;
+  }
 
-  /// Returns the number of successors without materializing a vector.
+  /// Returns the number of successors the terminator's opcode has (what
+  /// successors().size() is on well-formed IR).
   unsigned numSuccessors() const;
 
   /// Replaces every successor edge to \p From with \p To.
@@ -94,8 +139,10 @@ public:
   bool IsColdSection = false;
 
 private:
+  friend class Function; // renumberBlocks.
   Function *Parent;
   std::string Label;
+  unsigned Number;
 };
 
 } // namespace csspgo

@@ -10,6 +10,20 @@
 /// dominator tree, natural-loop detection (back edges to a block that
 /// dominates the source) and unreachable-block removal.
 ///
+/// Every analysis here keys blocks by their number (BasicBlock::getNumber)
+/// in vectors sized Function::getMaxBlockNumber(), never by pointer in a
+/// hash container, and keeps that scratch in the call or the analysis
+/// object, so analyses of different functions can run on different
+/// threads. They assume that every block passed to them belongs to the
+/// function they were built on, and that a block created after the
+/// analysis has a number at or above the size it recorded (true of
+/// createBlock): such a block reads as unreachable to a DominatorTree and
+/// as unknown to a PredecessorMap until addBlock registers it.
+/// renumberBlocks invalidates every live analysis of the function. The
+/// orders they return come from the layout and the successor order, never
+/// from numbers (Loop::Blocks, a set, is the one list kept by number), so
+/// the same CFG under other numbers gives the same results.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSSPGO_IR_CFG_H
@@ -17,8 +31,6 @@
 
 #include "ir/Function.h"
 
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 namespace csspgo {
@@ -34,7 +46,7 @@ public:
   explicit PredecessorMap(Function &F);
 
   /// Predecessors of \p B in layout order (empty for a block the map does
-  /// not know).
+  /// not know). The reference lasts until the next addBlock.
   const std::vector<BasicBlock *> &operator[](const BasicBlock *B) const;
 
   /// Removes \p B's edges from its successors' lists. Call before editing
@@ -49,11 +61,14 @@ public:
   void eraseBlock(const BasicBlock *B);
 
 private:
+  static constexpr unsigned Unknown = ~0u;
   struct Entry {
-    unsigned Order = 0; ///< Increases along the layout.
+    unsigned Order = Unknown; ///< Increases along the layout.
     std::vector<BasicBlock *> Preds;
   };
-  std::unordered_map<const BasicBlock *, Entry> Map;
+  /// The entry of a block the map knows, or nullptr.
+  Entry *find(const BasicBlock *B);
+  std::vector<Entry> Entries; ///< By block number.
   unsigned NextOrder = 0;
 };
 
@@ -68,23 +83,37 @@ class DominatorTree {
 public:
   explicit DominatorTree(Function &F);
 
-  bool isReachable(const BasicBlock *B) const { return Number.count(B); }
+  bool isReachable(const BasicBlock *B) const {
+    return rpoNumber(B) != Unreachable;
+  }
 
   /// True if \p A dominates \p B (every reachable block dominates itself).
   /// False when either block is unreachable.
   bool dominates(const BasicBlock *A, const BasicBlock *B) const;
 
 private:
-  std::unordered_map<const BasicBlock *, unsigned> Number; ///< RPO index.
+  static constexpr unsigned Unreachable = ~0u;
+  unsigned rpoNumber(const BasicBlock *B) const {
+    unsigned N = B->getNumber();
+    return N < RPONumber.size() ? RPONumber[N] : Unreachable;
+  }
+  /// RPO index by block number; Unreachable for blocks off the tree.
+  std::vector<unsigned> RPONumber;
   std::vector<unsigned> IDom; ///< By RPO index; IDom[0] = 0 (the entry).
 };
 
 /// A natural loop: header plus body blocks (header included).
 struct Loop {
   BasicBlock *Header = nullptr;
-  std::set<BasicBlock *> Blocks;
+  /// The body, header included, in ascending block number. A block
+  /// created after findLoops has the largest number yet, so appending it
+  /// keeps the order.
+  std::vector<BasicBlock *> Blocks;
   /// Latch blocks: sources of back edges into the header.
   std::vector<BasicBlock *> Latches;
+
+  /// True if \p B is in the body (a binary search by block number).
+  bool contains(const BasicBlock *B) const;
 };
 
 /// Finds natural loops (merging loops that share a header). Loops come in

@@ -14,8 +14,8 @@ Function::Function(Module *Parent, std::string Name, unsigned NumParams)
       NumRegs(NumParams) {}
 
 BasicBlock *Function::createBlock(const std::string &LabelHint) {
-  std::string Label = LabelHint + "." + std::to_string(NextBlockId++);
-  Blocks.push_back(std::make_unique<BasicBlock>(this, Label));
+  std::string Label = LabelHint + "." + std::to_string(NextBlockId);
+  Blocks.push_back(std::make_unique<BasicBlock>(this, Label, NextBlockId++));
   return Blocks.back().get();
 }
 
@@ -46,8 +46,10 @@ size_t Function::codeInstructionCount() const {
 
 void Function::renumberBlocks() {
   unsigned Id = 0;
-  for (auto &BB : Blocks)
-    BB->setLabel(Name + ".bb" + std::to_string(Id++));
+  for (auto &BB : Blocks) {
+    BB->setLabel(Name + ".bb" + std::to_string(Id));
+    BB->Number = Id++;
+  }
   NextBlockId = Id;
 }
 

@@ -10,6 +10,11 @@
 /// virtual-register frame, and PGO-related attributes (GUID, CFG checksum,
 /// probe state, entry count).
 ///
+/// The function numbers its blocks (BasicBlock::getNumber): createBlock
+/// hands out the next number, the same counter that suffixes new labels,
+/// so numbers stay below getMaxBlockNumber() and are not reused until
+/// renumberBlocks restarts them at 0 in layout order.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSSPGO_IR_FUNCTION_H
@@ -48,7 +53,8 @@ public:
       NumRegs = N;
   }
 
-  /// Creates a new block appended to the layout order.
+  /// Creates a new block appended to the layout order, numbered
+  /// getMaxBlockNumber() (which then grows by one).
   BasicBlock *createBlock(const std::string &LabelHint);
 
   /// Removes \p BB from the function. The block must have no predecessors.
@@ -95,8 +101,13 @@ public:
   uint64_t EntryCount = 0;
   /// @}
 
-  /// Re-labels blocks to "<name>.bbN" making labels unique and stable.
+  /// Re-labels blocks to "<name>.bbN" making labels unique and stable, and
+  /// renumbers them to N, their layout position.
   void renumberBlocks();
+
+  /// One more than the largest block number handed out: the size of a
+  /// vector indexed by block number.
+  unsigned getMaxBlockNumber() const { return NextBlockId; }
 
   /// Returns the position of \p BB in layout order, or ~0u.
   unsigned blockIndex(const BasicBlock *BB) const;

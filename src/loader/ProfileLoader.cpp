@@ -153,8 +153,7 @@ private:
 };
 
 void annotate(const std::vector<BasicBlock *> &Blocks,
-              const FunctionProfile &P, uint64_t OriginGuid,
-              ProfileKind Kind, bool Anchored) {
+              const FunctionProfile &P, uint64_t OriginGuid, bool Anchored) {
   if (Anchored)
     annotateBlocksByAnchors(Blocks, P, OriginGuid);
   else
@@ -343,7 +342,7 @@ struct FlatInlineDriver {
             continue;
           ++Stats.InlinedCallsites;
           std::vector<BasicBlock *> Cloned = mappedBlocks(Body);
-          annotate(Cloned, *InlineeProf, Callee->getGuid(), Kind, Anchored);
+          annotate(Cloned, *InlineeProf, Callee->getGuid(), Anchored);
           processCallsIn(F, Cloned, *InlineeProf, Depth + 1);
           Progress = true;
           break;
@@ -393,7 +392,7 @@ LoaderStats loadFlatProfile(Module &M, const FlatProfile &Profile,
       P = Resolver.resolve(*P, *F);
     if (!P)
       continue;
-    annotate(allBlocks(*F), *P, F->getGuid(), Profile.Kind, Anchored);
+    annotate(allBlocks(*F), *P, F->getGuid(), Anchored);
     F->HasEntryCount = true;
     F->EntryCount = std::max(P->HeadSamples, F->getEntry()->Count);
     ++Stats.FunctionsAnnotated;

@@ -83,7 +83,7 @@ unsigned runCodeMotion(Function &F, const OptOptions &Opts) {
     // source. If there are several, synthesize a preheader block.
     std::vector<BasicBlock *> Outside;
     for (BasicBlock *P : Preds[H])
-      if (!L.Blocks.count(P))
+      if (!L.contains(P))
         Outside.push_back(P);
     if (Outside.empty())
       continue; // Unreachable loop.
@@ -110,9 +110,10 @@ unsigned runCodeMotion(Function &F, const OptOptions &Opts) {
     Preds.attachSuccessors(Pre);
     // The preheader sits on the way into H, so it belongs to every other
     // loop that holds H: an enclosing loop must see the hoisted writes.
+    // Pre is the newest block, so appending keeps Blocks in number order.
     for (Loop &Other : Loops)
-      if (&Other != &L && Other.Blocks.count(H))
-        Other.Blocks.insert(Pre);
+      if (&Other != &L && Other.contains(H))
+        Other.Blocks.push_back(Pre);
 
     // Profile maintenance: the preheader runs once per loop entry = sum of
     // entering edge counts; approximate with header count minus latch

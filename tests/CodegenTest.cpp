@@ -59,8 +59,9 @@ TEST(Codegen, BranchTargetsResolved) {
       ASSERT_GE(I.Target, 0);
       ASSERT_LT(static_cast<size_t>(I.Target), Bin->Code.size());
     }
-    if (I.Op == Opcode::Call)
+    if (I.Op == Opcode::Call) {
       ASSERT_LT(I.CalleeIdx, Bin->Funcs.size());
+    }
   }
 }
 

@@ -682,6 +682,300 @@ TEST(CFG, PredecessorMapStaysCurrent) {
   }
 }
 
+namespace {
+
+Instruction brTo(BasicBlock *To) {
+  Instruction I;
+  I.Op = Opcode::Br;
+  I.Succ0 = To;
+  return I;
+}
+
+Instruction condBrTo(BasicBlock *T, BasicBlock *F) {
+  Instruction I;
+  I.Op = Opcode::CondBr;
+  I.A = Operand::reg(0);
+  I.Succ0 = T;
+  I.Succ1 = F;
+  return I;
+}
+
+Instruction ret() {
+  Instruction I;
+  I.Op = Opcode::Ret;
+  I.A = Operand::imm(0);
+  return I;
+}
+
+/// Layout positions of \p Blocks in \p F.
+std::vector<unsigned> positionsOf(const Function &F,
+                                  const std::vector<BasicBlock *> &Blocks) {
+  std::vector<unsigned> Out;
+  for (const BasicBlock *B : Blocks)
+    Out.push_back(F.blockIndex(B));
+  return Out;
+}
+
+/// A random CFG after tail merge and SimplifyCFG have created and erased
+/// blocks, so its block numbers have gaps and run past its size.
+std::unique_ptr<Module> gappedRandomModule(Rng &R) {
+  std::unique_ptr<Module> M = randomCFGModule(R);
+  Function &F = *M->Functions.front();
+  runTailMerge(F, OptOptions());
+  runSimplifyCFG(F, OptOptions());
+  return M;
+}
+
+} // namespace
+
+TEST(CFG, CondBrWithEqualTargetsListsItsPredecessorTwice) {
+  Module M("m");
+  Function *F = M.createFunction("main", 0);
+  F->ensureRegs(1);
+  BasicBlock *E = F->createBlock("entry");
+  BasicBlock *T = F->createBlock("t");
+  E->Insts = {condBrTo(T, T)};
+  T->Insts = {ret()};
+  ASSERT_EQ(E->successors().size(), 2u);
+  EXPECT_EQ(E->successors()[0], T);
+  EXPECT_EQ(E->successors()[1], T);
+
+  PredecessorMap Preds(*F);
+  const std::vector<BasicBlock *> Twice{E, E};
+  EXPECT_EQ(Preds[T], Twice);
+  Preds.detachSuccessors(E);
+  EXPECT_TRUE(Preds[T].empty());
+  Preds.attachSuccessors(E);
+  EXPECT_EQ(Preds[T], Twice);
+  EXPECT_EQ(diffCFGAnalyses(*F), "");
+}
+
+TEST(CFG, UnreachableCycleAndSelfLoop) {
+  // entry -> H; H -> B | X; B -> H (a loop); X -> X | R (a self-loop);
+  // U1 <-> U2 is a cycle no path from the entry reaches, and U2 also
+  // branches into the loop body.
+  Module M("m");
+  Function *F = M.createFunction("main", 0);
+  F->ensureRegs(1);
+  BasicBlock *E = F->createBlock("entry"), *H = F->createBlock("h"),
+             *B = F->createBlock("b"), *X = F->createBlock("x"),
+             *R = F->createBlock("r"), *U1 = F->createBlock("u1"),
+             *U2 = F->createBlock("u2");
+  E->Insts = {brTo(H)};
+  H->Insts = {condBrTo(B, X)};
+  B->Insts = {brTo(H)};
+  X->Insts = {condBrTo(X, R)};
+  R->Insts = {ret()};
+  U1->Insts = {brTo(U2)};
+  U2->Insts = {condBrTo(U1, B)};
+  ASSERT_EQ(diffCFGAnalyses(*F), "");
+
+  const std::vector<BasicBlock *> RPO{E, H, X, R, B};
+  EXPECT_EQ(reversePostOrder(*F), RPO);
+  DominatorTree DT(*F);
+  EXPECT_FALSE(DT.isReachable(U1));
+  EXPECT_FALSE(DT.isReachable(U2));
+  EXPECT_TRUE(DT.dominates(H, B));
+  EXPECT_FALSE(DT.dominates(B, X));
+  EXPECT_FALSE(DT.dominates(U1, U2));
+
+  // The loop body takes the unreachable blocks that reach its latch.
+  std::vector<Loop> Loops = findLoops(*F);
+  ASSERT_EQ(Loops.size(), 2u);
+  EXPECT_EQ(Loops[0].Header, H);
+  EXPECT_EQ(Loops[0].Blocks, (std::vector<BasicBlock *>{H, B, U1, U2}));
+  EXPECT_EQ(Loops[0].Latches, std::vector<BasicBlock *>{B});
+  EXPECT_TRUE(Loops[0].contains(U2));
+  EXPECT_FALSE(Loops[0].contains(X));
+  EXPECT_EQ(Loops[1].Header, X);
+  EXPECT_EQ(Loops[1].Blocks, std::vector<BasicBlock *>{X});
+  EXPECT_EQ(Loops[1].Latches, std::vector<BasicBlock *>{X});
+
+  PredecessorMap Preds(*F);
+  EXPECT_EQ(Preds[B], (std::vector<BasicBlock *>{H, U2}));
+  EXPECT_TRUE(removeUnreachableBlocks(*F, &Preds));
+  EXPECT_EQ(F->size(), 5u);
+  EXPECT_EQ(Preds[B], std::vector<BasicBlock *>{H});
+  EXPECT_EQ(Preds[X], (std::vector<BasicBlock *>{H, X}));
+  EXPECT_FALSE(removeUnreachableBlocks(*F, &Preds));
+  EXPECT_EQ(diffCFGAnalyses(*F), "");
+}
+
+TEST(CFG, ErasedBlockLeavesAGapAndANewBlockTakesTheNextNumber) {
+  Module M("m");
+  Function *F = M.createFunction("main", 0);
+  F->ensureRegs(1);
+  BasicBlock *E = F->createBlock("entry"), *A = F->createBlock("a"),
+             *X = F->createBlock("x");
+  E->Insts = {brTo(A)};
+  A->Insts = {brTo(X)};
+  X->Insts = {ret()};
+  E->Insts = {brTo(X)};
+  F->eraseBlock(A);
+  EXPECT_EQ(F->getMaxBlockNumber(), 3u);
+  EXPECT_EQ(X->getNumber(), 2u);
+  DominatorTree Before(*F);
+  PredecessorMap Preds(*F);
+
+  BasicBlock *N = F->createBlock("n");
+  EXPECT_EQ(N->getNumber(), 3u);
+  EXPECT_EQ(N->getLabel(), "n.3");
+  EXPECT_EQ(F->getMaxBlockNumber(), 4u);
+  // Analyses built before N know nothing of it.
+  EXPECT_FALSE(Before.isReachable(N));
+  EXPECT_TRUE(Preds[N].empty());
+
+  Preds.addBlock(N);
+  Preds.detachSuccessors(E);
+  E->Insts = {condBrTo(N, X)};
+  Preds.attachSuccessors(E);
+  N->Insts = {brTo(X)};
+  Preds.attachSuccessors(N);
+  EXPECT_EQ(Preds[X], (std::vector<BasicBlock *>{E, N}));
+  EXPECT_EQ(Preds[N], std::vector<BasicBlock *>{E});
+  EXPECT_TRUE(DominatorTree(*F).dominates(E, N));
+  EXPECT_EQ(diffCFGAnalyses(*F), "");
+}
+
+TEST(CFG, RenumberBlocksKeepsEveryResult) {
+  Rng R(0x5E7);
+  unsigned Gapped = 0;
+  for (int Iter = 0; Iter != 200; ++Iter) {
+    std::unique_ptr<Module> M = gappedRandomModule(R);
+    Function &F = *M->Functions.front();
+    Gapped += F.getMaxBlockNumber() > F.size();
+    std::vector<BasicBlock *> RPO = reversePostOrder(F);
+    std::vector<Loop> Loops = findLoops(F);
+    F.renumberBlocks();
+    ASSERT_EQ(F.getMaxBlockNumber(), F.size());
+    for (unsigned I = 0; I != F.size(); ++I)
+      ASSERT_EQ(F.Blocks[I]->getNumber(), I);
+    EXPECT_EQ(reversePostOrder(F), RPO) << "iteration " << Iter;
+    std::vector<Loop> After = findLoops(F);
+    ASSERT_EQ(After.size(), Loops.size());
+    for (size_t L = 0; L != Loops.size(); ++L) {
+      EXPECT_EQ(After[L].Header, Loops[L].Header);
+      EXPECT_EQ(After[L].Latches, Loops[L].Latches);
+      EXPECT_EQ(After[L].Blocks.size(), Loops[L].Blocks.size());
+      for (BasicBlock *B : Loops[L].Blocks)
+        EXPECT_TRUE(After[L].contains(B));
+    }
+    ASSERT_EQ(diffCFGAnalyses(F), "") << "iteration " << Iter;
+  }
+  EXPECT_GT(Gapped, 0u);
+}
+
+TEST(CFG, ModuleCloneNumbersBlocksInLayoutOrder) {
+  Rng R(0xC10E);
+  for (int Iter = 0; Iter != 200; ++Iter) {
+    std::unique_ptr<Module> M = gappedRandomModule(R);
+    std::unique_ptr<Module> C = M->clone();
+    Function &F = *M->Functions.front(), &G = *C->Functions.front();
+    ASSERT_EQ(G.getMaxBlockNumber(), G.size());
+    for (unsigned I = 0; I != G.size(); ++I)
+      ASSERT_EQ(G.Blocks[I]->getNumber(), I);
+    ASSERT_EQ(diffCFGAnalyses(G), "") << "iteration " << Iter;
+    // The clone's analyses match the original's by layout position.
+    EXPECT_EQ(positionsOf(G, reversePostOrder(G)),
+              positionsOf(F, reversePostOrder(F)));
+    EXPECT_EQ(diffLoops(G, findLoops(G), F, referenceFindLoops(F)), "")
+        << "iteration " << Iter;
+    PredecessorMap PG(G), PF(F);
+    for (unsigned I = 0; I != F.size(); ++I)
+      EXPECT_EQ(positionsOf(G, PG[G.Blocks[I].get()]),
+                positionsOf(F, PF[F.Blocks[I].get()]));
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Oracle property: on every function of every workload preset, plain and
+// probed, every ir/CFG.h analysis matches its reference after the inliner
+// and after each pass of each mid-level round, as runMidLevelPipeline
+// drives them.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+class CFGOracle : public ::testing::TestWithParam<std::string> {};
+
+} // namespace
+
+TEST_P(CFGOracle, AnalysesMatchReferenceAfterEveryMidLevelPass) {
+  ExperimentConfig C;
+  C.Workload = workloadPreset(GetParam(), 0.1);
+  std::unique_ptr<Module> Source = generateProgram(C.Workload);
+  const OptOptions &Opts = C.Opt;
+  unsigned Checks = 0;
+  size_t MaxBlocks = 0;
+  for (PGOVariant V : {PGOVariant::None, PGOVariant::CSSPGOProbeOnly}) {
+    SCOPED_TRACE(variantName(V));
+    // Probes (for the probe-only variant) and the inliner, with every
+    // mid-level and late pass left to this test.
+    BuildConfig BC;
+    BC.Variant = V;
+    BC.Opt = C.Opt;
+    for (bool *Pass :
+         {&BC.Opt.EnableConstantFold, &BC.Opt.EnableSimplifyCFG,
+          &BC.Opt.EnableJumpThreading, &BC.Opt.EnableIfConvert,
+          &BC.Opt.EnableLoopUnroll, &BC.Opt.EnableCodeMotion,
+          &BC.Opt.EnableTailMerge, &BC.Opt.EnableDCE, &BC.Opt.EnableLayout,
+          &BC.Opt.EnableFunctionSplit})
+      *Pass = false;
+    BC.Inline = C.Inline;
+    BuildResult Build = buildWithPGO(*Source, BC, nullptr);
+    auto Whole = Build.IR->clone();
+    runMidLevelPipeline(*Whole, Opts);
+
+    for (auto &FPtr : Build.IR->Functions) {
+      Function &F = *FPtr;
+      bool Same = true;
+      auto Check = [&](const char *After) {
+        ++Checks;
+        MaxBlocks = std::max(MaxBlocks, F.size());
+        std::string D = diffCFGAnalyses(F);
+        EXPECT_EQ(D, "") << F.getName() << " after " << After;
+        Same = D.empty();
+      };
+      Check("the inliner");
+      for (int Round = 0; Round != 3 && Same; ++Round) {
+        unsigned Changed = 0;
+        auto Run = [&](bool Enabled, const char *Name,
+                       unsigned (*Pass)(Function &, const OptOptions &)) {
+          if (!Enabled || !Same)
+            return;
+          Changed += Pass(F, Opts);
+          Check(Name);
+        };
+        Run(Opts.EnableConstantFold, "constant folding", runConstantFold);
+        Run(Opts.EnableSimplifyCFG, "SimplifyCFG", runSimplifyCFG);
+        Run(Opts.EnableJumpThreading, "jump threading", runJumpThreading);
+        Run(Opts.EnableIfConvert, "if-conversion", runIfConvert);
+        Run(Round == 0 && Opts.EnableLoopUnroll, "loop unroll", runLoopUnroll);
+        Run(Opts.EnableCodeMotion, "code motion", runCodeMotion);
+        Run(Opts.EnableTailMerge, "tail merge", runTailMerge);
+        Run(Opts.EnableDCE, "DCE", runDCE);
+        Run(Opts.EnableSimplifyCFG, "SimplifyCFG", runSimplifyCFG);
+        if (!Changed)
+          break;
+      }
+    }
+    EXPECT_EQ(printModule(*Build.IR), printModule(*Whole))
+        << "this test's pass loop no longer matches runMidLevelPipeline";
+  }
+  std::printf("[ cfg      ] %s: %u function states checked, largest %zu "
+              "blocks\n",
+              GetParam().c_str(), Checks, MaxBlocks);
+  EXPECT_GT(Checks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, CFGOracle,
+    ::testing::Values("AdRanker", "AdRetriever", "AdFinder", "HHVM", "HaaS",
+                      "ClangProxy", "RpcFanout", "InterpLoop", "ColdBoot"),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      return Info.param;
+    });
+
 //===----------------------------------------------------------------------===//
 // Oracle property: on every function of every workload preset, through the
 // mid-level pipeline as runMidLevelPipeline drives it, tail merge and code

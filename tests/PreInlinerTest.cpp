@@ -77,8 +77,9 @@ TEST(PreInliner, MarksHotContextsOnly) {
   EXPECT_TRUE(HotSvc->ShouldBeInlined);
   // The cold svcB context was merged into svcB's base, not marked.
   const ContextTrieNode *ColdSvc = CS.findNode({{"main", 3u}, {"svcB", 0u}});
-  if (ColdSvc)
+  if (ColdSvc) {
     EXPECT_FALSE(ColdSvc->ShouldBeInlined);
+  }
   const ContextTrieNode *Base = CS.findBase("svcB");
   ASSERT_NE(Base, nullptr);
   EXPECT_TRUE(Base->HasProfile);

@@ -52,8 +52,9 @@ TEST(Probe, ProbeIdsUniqueWithinFunction) {
         uint32_t Id = 0;
         if (I.isProbe() || (I.isCall() && I.ProbeId))
           Id = I.ProbeId;
-        if (Id)
+        if (Id) {
           EXPECT_TRUE(Ids.insert(Id).second) << "duplicate probe id " << Id;
+        }
       }
   }
 }
@@ -95,8 +96,9 @@ TEST(Probe, StripRemovesEverything) {
   EXPECT_FALSE(M->getFunction("leaf")->HasProbes);
   for (auto &BB : M->getFunction("main")->Blocks)
     for (auto &I : BB->Insts)
-      if (I.isCall())
+      if (I.isCall()) {
         EXPECT_EQ(I.ProbeId, 0u);
+      }
 }
 
 TEST(Probe, TableFromModule) {

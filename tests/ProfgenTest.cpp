@@ -704,10 +704,12 @@ TEST_P(ProfgenOracle, MatchesStringKeyedGenerators) {
   // Where a preset's samples reach missing-frame inference, the
   // TailCallStats comparisons above must compare nonzero counts.
   const std::string &Preset = GetParam();
-  if (Preset != "InterpLoop" && Preset != "ColdBoot")
+  if (Preset != "InterpLoop" && Preset != "ColdBoot") {
     EXPECT_GT(Inferred.Attempts, 0u);
-  if (Preset != "InterpLoop" && Preset != "ColdBoot" && Preset != "RpcFanout")
+  }
+  if (Preset != "InterpLoop" && Preset != "ColdBoot" && Preset != "RpcFanout") {
     EXPECT_GT(Inferred.Recovered, 0u);
+  }
   std::printf("[ profgen  ] %s: %llu inference attempts, %llu recovered\n",
               GetParam().c_str(),
               static_cast<unsigned long long>(Inferred.Attempts),

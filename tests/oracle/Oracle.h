@@ -24,10 +24,11 @@
 ///    pair on every merge, which the incremental solver of
 ///    opt/ExtTSPCore.h must match, and the greedy fallthrough chaining
 ///    that large functions used to get, which it must beat;
-///  * for the mid-level CFG analyses, set-of-sets dominators, the loop
-///    finder over them, pair-scan tail merge and code motion on std::map
-///    predecessors, which ir/CFG.h's dominator tree and the passes in
-///    opt/ must reproduce to the byte;
+///  * for the mid-level CFG analyses, reverse post order and reachability
+///    on pointer sets, std::map predecessors, set-of-sets dominators, the
+///    loop finder over them, pair-scan tail merge and code motion, which
+///    ir/CFG.h's number-indexed analyses and the passes in opt/ must
+///    reproduce to the byte;
 ///  * for profile generation, the string-keyed CS generator that expands
 ///    every branch's caller context and every probe hit's context anew,
 ///    and the probe-only generator on std::maps, which the interned
@@ -183,13 +184,31 @@ LayoutMatch matchExtTSPReference(const exttsp::Instance &In,
 /// message with the instance.
 std::string diffRandomExtTSP(Rng &R);
 
+/// Predecessors rebuilt into a std::map: every block has an entry, one
+/// element per edge, each list in layout order.
+std::map<BasicBlock *, std::vector<BasicBlock *>>
+referencePredecessors(Function &F);
+
+/// Reverse post order by a recursive walk on a std::set of visited blocks.
+std::vector<BasicBlock *> referenceReversePostOrder(Function &F);
+
+/// removeUnreachableBlocks on a std::unordered_set of reached blocks.
+bool referenceRemoveUnreachableBlocks(Function &F);
+
 /// Dominator sets by iterative dataflow: Dom[B] holds every block that
 /// dominates B, B included; unreachable blocks have no entry.
 std::map<BasicBlock *, std::set<BasicBlock *>> referenceDominators(Function &F);
 
+/// A natural loop as referenceFindLoops reports it, its body a std::set.
+struct ReferenceLoop {
+  BasicBlock *Header = nullptr;
+  std::set<BasicBlock *> Blocks;
+  std::vector<BasicBlock *> Latches;
+};
+
 /// findLoops over referenceDominators: the same loops, in the same order,
 /// with the same blocks and latch order.
-std::vector<Loop> referenceFindLoops(Function &F);
+std::vector<ReferenceLoop> referenceFindLoops(Function &F);
 
 /// runTailMerge comparing every block pair (I < J) in index order,
 /// rebuilding predecessors and restarting the scan after each merge.
@@ -202,14 +221,25 @@ unsigned referenceTailMerge(Function &F);
 unsigned referenceCodeMotion(Function &F, const OptOptions &Opts,
                              bool KeepOuterWrites);
 
-/// Compares two loop lists by layout position of headers, blocks and
-/// latches. Returns an empty string when equal, else what differs first.
+/// Compares findLoops' loops of \p FA with reference loops of \p FB by
+/// layout position of headers, blocks and latches. Returns an empty
+/// string when equal, else what differs first.
 std::string diffLoops(const Function &FA, const std::vector<Loop> &A,
-                      const Function &FB, const std::vector<Loop> &B);
+                      const Function &FB,
+                      const std::vector<ReferenceLoop> &B);
 
-/// A module holding only a copy of \p F (labels, counts and edge weights
-/// included; block ids for new labels restart).
+/// A module holding only a copy of \p F: labels, counts, edge weights and
+/// block numbers included, so a block created in the copy gets the label
+/// and number it would get in \p F.
 std::unique_ptr<Module> cloneFunctionAlone(const Function &F);
+
+/// Checks every analysis of ir/CFG.h on \p F against its reference:
+/// reversePostOrder, DominatorTree (reachability and every dominance
+/// pair), findLoops and PredecessorMap on \p F, and removeUnreachableBlocks
+/// (result, surviving blocks, and a PredecessorMap it keeps current) on a
+/// copy. Leaves \p F as it was. Returns an empty string when all agree,
+/// else what differs first.
+std::string diffCFGAnalyses(Function &F);
 
 /// Draws a module with one function, "main", of 1 to 24 blocks from \p R:
 /// mostly fallthrough edges plus random ones, so loops nest, share
@@ -218,11 +248,10 @@ std::unique_ptr<Module> cloneFunctionAlone(const Function &F);
 /// and copied blocks give tail merge whole and partial candidates.
 std::unique_ptr<Module> randomCFGModule(Rng &R);
 
-/// Draws randomCFGModule(R) and checks DominatorTree and findLoops
-/// against referenceDominators and referenceFindLoops, and runTailMerge
-/// and runCodeMotion against their references on clones (change counts
-/// and printed IR). Returns an empty string when all agree, else what
-/// differs with the printed function as a repro.
+/// Draws randomCFGModule(R) and checks it with diffCFGAnalyses, and
+/// runTailMerge and runCodeMotion against their references on clones
+/// (change counts and printed IR). Returns an empty string when all
+/// agree, else what differs with the printed function as a repro.
 std::string diffRandomCFG(Rng &R);
 
 /// CS generation over Samples[Begin, End) with the tail-call graph of all

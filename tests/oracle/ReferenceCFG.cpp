@@ -2,12 +2,14 @@
 //
 // The mid-level CFG analyses and candidate searches as the optimizer
 // shipped them before the index-based dominator tree, hashed tail-merge
-// candidates and in-place predecessor lists: predecessors rebuilt into a
-// std::map after every change, dominators as one std::set per block
-// iterated to a fixpoint, tail merge comparing every block pair and
-// restarting the scan after each merge, and code motion over those loops.
-// Kept as written (code motion with the nested-loop preheader fix as an
-// option) so opt/ has an independent second implementation to match.
+// candidates, in-place predecessor lists and block numbers: predecessors
+// rebuilt into a std::map after every change, reverse post order and
+// reachability on pointer sets, dominators as one std::set per block
+// iterated to a fixpoint, loops with std::set bodies, tail merge comparing
+// every block pair and restarting the scan after each merge, and code
+// motion over those loops. Kept as written (code motion with the
+// nested-loop preheader fix as an option) so ir/ and opt/ have an
+// independent second implementation to match.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,11 +21,12 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace csspgo {
 
-static std::map<BasicBlock *, std::vector<BasicBlock *>>
-mapPredecessors(Function &F) {
+std::map<BasicBlock *, std::vector<BasicBlock *>>
+referencePredecessors(Function &F) {
   std::map<BasicBlock *, std::vector<BasicBlock *>> Preds;
   for (auto &BB : F.Blocks)
     Preds[BB.get()]; // Ensure every block has an entry.
@@ -33,10 +36,51 @@ mapPredecessors(Function &F) {
   return Preds;
 }
 
+static void postOrderVisit(BasicBlock *B, std::set<BasicBlock *> &Seen,
+                           std::vector<BasicBlock *> &Order) {
+  Seen.insert(B);
+  for (BasicBlock *S : B->successors())
+    if (!Seen.count(S))
+      postOrderVisit(S, Seen, Order);
+  Order.push_back(B);
+}
+
+std::vector<BasicBlock *> referenceReversePostOrder(Function &F) {
+  std::vector<BasicBlock *> Order;
+  if (F.Blocks.empty())
+    return Order;
+  std::set<BasicBlock *> Seen;
+  postOrderVisit(F.getEntry(), Seen, Order);
+  std::reverse(Order.begin(), Order.end());
+  return Order;
+}
+
+bool referenceRemoveUnreachableBlocks(Function &F) {
+  if (F.Blocks.empty())
+    return false;
+  std::unordered_set<const BasicBlock *> Reachable{F.getEntry()};
+  std::vector<BasicBlock *> Work{F.getEntry()};
+  while (!Work.empty()) {
+    BasicBlock *B = Work.back();
+    Work.pop_back();
+    for (BasicBlock *S : B->successors())
+      if (Reachable.insert(S).second)
+        Work.push_back(S);
+  }
+  if (Reachable.size() == F.Blocks.size())
+    return false;
+  F.Blocks.erase(std::remove_if(F.Blocks.begin(), F.Blocks.end(),
+                                [&Reachable](const auto &BB) {
+                                  return !Reachable.count(BB.get());
+                                }),
+                 F.Blocks.end());
+  return true;
+}
+
 std::map<BasicBlock *, std::set<BasicBlock *>>
 referenceDominators(Function &F) {
   std::map<BasicBlock *, std::set<BasicBlock *>> Dom;
-  std::vector<BasicBlock *> RPO = reversePostOrder(F);
+  std::vector<BasicBlock *> RPO = referenceReversePostOrder(F);
   if (RPO.empty())
     return Dom;
   std::set<BasicBlock *> All(RPO.begin(), RPO.end());
@@ -44,7 +88,7 @@ referenceDominators(Function &F) {
     Dom[B] = All;
   Dom[F.getEntry()] = {F.getEntry()};
 
-  auto Preds = mapPredecessors(F);
+  auto Preds = referencePredecessors(F);
   bool Changed = true;
   while (Changed) {
     Changed = false;
@@ -77,10 +121,10 @@ referenceDominators(Function &F) {
   return Dom;
 }
 
-std::vector<Loop> referenceFindLoops(Function &F) {
-  std::vector<Loop> Loops;
+std::vector<ReferenceLoop> referenceFindLoops(Function &F) {
+  std::vector<ReferenceLoop> Loops;
   auto Dom = referenceDominators(F);
-  auto Preds = mapPredecessors(F);
+  auto Preds = referencePredecessors(F);
   std::map<BasicBlock *, size_t> HeaderLoop;
 
   for (auto &BBPtr : F.Blocks) {
@@ -102,7 +146,7 @@ std::vector<Loop> referenceFindLoops(Function &F) {
       } else {
         Idx = It->second;
       }
-      Loop &L = Loops[Idx];
+      ReferenceLoop &L = Loops[Idx];
       L.Latches.push_back(B);
       // Collect the loop body: reverse reachability from the latch without
       // passing through the header.
@@ -194,7 +238,7 @@ unsigned referenceTailMerge(Function &F) {
   bool Progress = true;
   while (Progress) {
     Progress = false;
-    auto Preds = mapPredecessors(F);
+    auto Preds = referencePredecessors(F);
     // Whole-block merges first.
     for (size_t I = 0; I != F.Blocks.size() && !Progress; ++I) {
       for (size_t J = I + 1; J != F.Blocks.size() && !Progress; ++J) {
@@ -243,9 +287,9 @@ unsigned referenceCodeMotion(Function &F, const OptOptions &Opts,
                              bool KeepOuterWrites) {
   unsigned Changed = 0;
   auto Loops = referenceFindLoops(F);
-  auto Preds = mapPredecessors(F);
+  auto Preds = referencePredecessors(F);
 
-  for (Loop &L : Loops) {
+  for (ReferenceLoop &L : Loops) {
     BasicBlock *H = L.Header;
     if (H == F.getEntry())
       continue;
@@ -324,7 +368,7 @@ unsigned referenceCodeMotion(Function &F, const OptOptions &Opts,
     Br.InlineStack = Pre->Insts.front().InlineStack;
     Pre->Insts.push_back(std::move(Br));
     if (KeepOuterWrites)
-      for (Loop &Other : Loops)
+      for (ReferenceLoop &Other : Loops)
         if (&Other != &L && Other.Blocks.count(H))
           Other.Blocks.insert(Pre);
 
@@ -346,7 +390,7 @@ unsigned referenceCodeMotion(Function &F, const OptOptions &Opts,
     }
 
     Changed += Hoistable.size();
-    Preds = mapPredecessors(F);
+    Preds = referencePredecessors(F);
   }
   return Changed;
 }
@@ -354,8 +398,8 @@ unsigned referenceCodeMotion(Function &F, const OptOptions &Opts,
 namespace {
 
 /// Layout positions of \p Blocks in \p F, sorted.
-std::vector<unsigned> positions(const Function &F,
-                                const std::set<BasicBlock *> &Blocks) {
+template <typename Range>
+std::vector<unsigned> positions(const Function &F, const Range &Blocks) {
   std::vector<unsigned> Out;
   for (BasicBlock *B : Blocks)
     Out.push_back(F.blockIndex(B));
@@ -373,7 +417,8 @@ std::string describe(const std::vector<unsigned> &V) {
 } // namespace
 
 std::string diffLoops(const Function &FA, const std::vector<Loop> &A,
-                      const Function &FB, const std::vector<Loop> &B) {
+                      const Function &FB,
+                      const std::vector<ReferenceLoop> &B) {
   if (A.size() != B.size())
     return std::to_string(A.size()) + " loops vs " +
            std::to_string(B.size());
@@ -402,16 +447,23 @@ std::unique_ptr<Module> cloneFunctionAlone(const Function &F) {
   auto M = std::make_unique<Module>("clone");
   Function *NF = M->createFunction(F.getName(), F.getNumParams());
   NF->ensureRegs(F.getNumRegs());
+  // One block per number F has handed out, so each copy takes its
+  // original's number; those of erased blocks are dropped again.
+  for (unsigned N = 0; N != F.getMaxBlockNumber(); ++N)
+    NF->createBlock("bb");
+  std::vector<std::unique_ptr<BasicBlock>> ByNumber = std::move(NF->Blocks);
+  NF->Blocks.clear();
   std::unordered_map<const BasicBlock *, BasicBlock *> BlockMap;
   for (const auto &BB : F.Blocks) {
-    BasicBlock *NB = NF->createBlock("bb");
+    std::unique_ptr<BasicBlock> &NB = ByNumber[BB->getNumber()];
     NB->setLabel(BB->getLabel());
     NB->Insts = BB->Insts;
     NB->HasCount = BB->HasCount;
     NB->Count = BB->Count;
     NB->SuccWeights = BB->SuccWeights;
     NB->IsColdSection = BB->IsColdSection;
-    BlockMap[BB.get()] = NB;
+    BlockMap[BB.get()] = NB.get();
+    NF->Blocks.push_back(std::move(NB));
   }
   for (auto &NB : NF->Blocks)
     for (Instruction &I : NB->Insts) {
@@ -421,6 +473,75 @@ std::unique_ptr<Module> cloneFunctionAlone(const Function &F) {
         I.Succ1 = BlockMap.at(I.Succ1);
     }
   return M;
+}
+
+std::string diffCFGAnalyses(Function &F) {
+  auto Pos = [&F](const BasicBlock *B) {
+    return std::to_string(F.blockIndex(B));
+  };
+  auto List = [&F](const std::vector<BasicBlock *> &Blocks) {
+    std::vector<unsigned> Out;
+    for (const BasicBlock *B : Blocks)
+      Out.push_back(F.blockIndex(B));
+    return describe(Out);
+  };
+
+  std::vector<BasicBlock *> RPO = reversePostOrder(F),
+                            RefRPO = referenceReversePostOrder(F);
+  if (RPO != RefRPO)
+    return "reversePostOrder " + List(RPO) + " vs " + List(RefRPO);
+
+  DominatorTree DT(F);
+  auto Dom = referenceDominators(F);
+  for (auto &A : F.Blocks) {
+    if (DT.isReachable(A.get()) != (Dom.count(A.get()) != 0))
+      return "reachability of block " + Pos(A.get()) + " differs";
+    for (auto &B : F.Blocks) {
+      auto It = Dom.find(B.get());
+      bool Ref = It != Dom.end() && It->second.count(A.get());
+      if (DT.dominates(A.get(), B.get()) != Ref)
+        return "whether block " + Pos(A.get()) + " dominates block " +
+               Pos(B.get()) + " differs";
+    }
+  }
+
+  if (std::string D = diffLoops(F, findLoops(F), F, referenceFindLoops(F));
+      !D.empty())
+    return "findLoops: " + D;
+
+  {
+    PredecessorMap Preds(F);
+    auto Ref = referencePredecessors(F);
+    for (auto &B : F.Blocks)
+      if (Preds[B.get()] != Ref[B.get()])
+        return "predecessors of block " + Pos(B.get()) + ": " +
+               List(Preds[B.get()]) + " vs " + List(Ref[B.get()]);
+  }
+
+  auto A = cloneFunctionAlone(F), B = cloneFunctionAlone(F);
+  Function &FA = *A->Functions.front(), &FB = *B->Functions.front();
+  PredecessorMap Kept(FA);
+  bool CA = removeUnreachableBlocks(FA, &Kept);
+  bool CB = referenceRemoveUnreachableBlocks(FB);
+  auto Survivors = [](const Function &G) {
+    std::vector<unsigned> Numbers;
+    for (const auto &BB : G.Blocks)
+      Numbers.push_back(BB->getNumber());
+    return describe(Numbers);
+  };
+  if (CA != CB || Survivors(FA) != Survivors(FB))
+    return "removeUnreachableBlocks " + std::to_string(CA) + " leaves " +
+           Survivors(FA) + " vs " + std::to_string(CB) + " leaving " +
+           Survivors(FB) + " (block numbers)";
+  auto Rebuilt = referencePredecessors(FA);
+  for (auto &BB : FA.Blocks)
+    if (Kept[BB.get()] != Rebuilt[BB.get()])
+      return "the predecessor map removeUnreachableBlocks kept lists " +
+             std::to_string(Kept[BB.get()].size()) +
+             " predecessors of block number " +
+             std::to_string(BB->getNumber()) + ", a rebuild " +
+             std::to_string(Rebuilt[BB.get()].size());
+  return std::string();
 }
 
 std::unique_ptr<Module> randomCFGModule(Rng &R) {
@@ -505,24 +626,8 @@ std::string diffRandomCFG(Rng &R) {
     return What + "; function:\n" + printModule(*M);
   };
 
-  DominatorTree DT(F);
-  auto Dom = referenceDominators(F);
-  for (auto &A : F.Blocks) {
-    if (DT.isReachable(A.get()) != (Dom.count(A.get()) != 0))
-      return Fail("reachability of block " +
-                  std::to_string(F.blockIndex(A.get())) + " differs");
-    for (auto &B : F.Blocks) {
-      auto It = Dom.find(B.get());
-      bool Ref = It != Dom.end() && It->second.count(A.get());
-      if (DT.dominates(A.get(), B.get()) != Ref)
-        return Fail("whether block " + std::to_string(F.blockIndex(A.get())) +
-                    " dominates block " +
-                    std::to_string(F.blockIndex(B.get())) + " differs");
-    }
-  }
-  if (std::string D = diffLoops(F, findLoops(F), F, referenceFindLoops(F));
-      !D.empty())
-    return Fail("findLoops differs from the reference: " + D);
+  if (std::string D = diffCFGAnalyses(F); !D.empty())
+    return Fail(D);
 
   // Each pass on one clone, its reference on another: same change count
   // and the same printed IR, block labels included.

@@ -674,7 +674,8 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
 
   // --- 13. Mid-level CFG analyses: dominator tree, loops, tail merge ---
   // Random CFGs (unreachable blocks, self-loops, irreducible regions,
-  // shared headers, copied blocks): the dominator tree and findLoops must
+  // shared headers, copied blocks): reverse post order, predecessors,
+  // unreachable-block removal, the dominator tree and findLoops must
   // agree with the set-based oracle, and tail merge and code motion must
   // print the oracle's IR. The divergence message carries the function.
   for (int K = 0; K != 8; ++K)
