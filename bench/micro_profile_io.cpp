@@ -141,12 +141,13 @@ Row benchWorkload(const std::string &Workload, unsigned Reps,
   std::string Text = serializeContextProfile(DB);
   R.TextBytes = Text.size();
 
-  std::string Bytes = writeStore(DB, {{0, DB.totalSamples(), 1000}});
+  ContextProfileView DBView = contextViewOf(DB);
+  std::string Bytes = writeStore(DBView, {{0, DB.totalSamples(), 1000}});
   R.BinaryBytes = Bytes.size();
   StoreWriteOptions Compact;
   Compact.CompactNames = true;
-  R.CompactBytes = writeStore(DB, {{0, DB.totalSamples(), 1000}}, Compact)
-                       .size();
+  R.CompactBytes =
+      writeStore(DBView, {{0, DB.totalSamples(), 1000}}, Compact).size();
 
   Expected<ProfileStore> StoreE = ProfileStore::open(Bytes);
   if (!StoreE)

@@ -93,10 +93,11 @@ WorkloadRows runWorkload(const std::string &W) {
   const ContextProfile &CS = Full.Profile.CS;
   size_t TextSize = profileSizeBytes(CS);
   std::vector<EpochInfo> Epochs{{0, CS.totalSamples(), 1000}};
-  size_t BinSize = writeStore(CS, Epochs).size();
+  ContextProfileView CSView = contextViewOf(CS);
+  size_t BinSize = writeStore(CSView, Epochs).size();
   StoreWriteOptions Compact;
   Compact.CompactNames = true;
-  size_t CompactSize = writeStore(CS, Epochs, Compact).size();
+  size_t CompactSize = writeStore(CSView, Epochs, Compact).size();
   Out.Rows[Formats].push_back(
       {W, formatBytes(TextSize), formatBytes(BinSize),
        formatPercent(100.0 * BinSize / TextSize), formatBytes(CompactSize),

@@ -5,7 +5,6 @@
 #include "inference/MinCostFlow.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace csspgo {
 
@@ -23,15 +22,6 @@ constexpr int64_t ExceedPenalty = 2;
 /// Per-unit penalty for routing flow through unmeasured blocks.
 constexpr int64_t UnknownPenalty = 1;
 
-/// Index of every block of \p F in F.Blocks.
-std::unordered_map<const BasicBlock *, size_t> indexBlocks(const Function &F) {
-  std::unordered_map<const BasicBlock *, size_t> Index;
-  Index.reserve(F.Blocks.size());
-  for (size_t I = 0; I != F.Blocks.size(); ++I)
-    Index.emplace(F.Blocks[I].get(), I);
-  return Index;
-}
-
 } // namespace
 
 void inferFunctionProfile(Function &F) {
@@ -42,7 +32,7 @@ void inferFunctionProfile(Function &F) {
     return;
 
   const size_t N = F.Blocks.size();
-  const auto Index = indexBlocks(F);
+  const std::vector<unsigned> Pos = F.blockPositions();
   // A saturated count (UINT64_MAX from the saturating merges) stays the
   // hottest count of the function instead of wrapping to a negative
   // capacity.
@@ -80,7 +70,8 @@ void inferFunctionProfile(Function &F) {
     SuccBegin[I] = SuccEdge.size();
     for (BasicBlock *Succ : F.Blocks[I]->successors())
       SuccEdge.push_back(
-          Solver.addEdge(OutNode(I), InNode(Index.at(Succ)), InfCap, 0));
+          Solver.addEdge(OutNode(I), InNode(Pos[Succ->getNumber()]), InfCap,
+                         0));
   }
 
   // Circulation closure: exits feed back into the entry.
@@ -111,7 +102,7 @@ void inferModuleProfile(Module &M) {
 }
 
 bool isProfileConsistent(const Function &F, uint64_t Tolerance) {
-  const auto Index = indexBlocks(F);
+  const std::vector<unsigned> Pos = F.blockPositions();
   std::vector<uint64_t> InFlow(F.Blocks.size(), 0);
   auto Differs = [Tolerance](uint64_t A, uint64_t B) {
     return (A > B ? A - B : B - A) > Tolerance;
@@ -121,7 +112,7 @@ bool isProfileConsistent(const Function &F, uint64_t Tolerance) {
     uint64_t Out = 0;
     for (unsigned S = 0; S != Succs.size(); ++S) {
       uint64_t W = S < BB->SuccWeights.size() ? BB->SuccWeights[S] : 0;
-      InFlow[Index.at(Succs[S])] += W;
+      InFlow[Pos[Succs[S]->getNumber()]] += W;
       Out += W;
     }
     if (!Succs.empty() && Differs(Out, BB->Count))

@@ -35,15 +35,6 @@ size_t Function::instructionCount() const {
   return N;
 }
 
-size_t Function::codeInstructionCount() const {
-  size_t N = 0;
-  for (const auto &BB : Blocks)
-    for (const Instruction &I : BB->Insts)
-      if (!I.isProbe())
-        ++N;
-  return N;
-}
-
 void Function::renumberBlocks() {
   unsigned Id = 0;
   for (auto &BB : Blocks) {
@@ -58,6 +49,13 @@ unsigned Function::blockIndex(const BasicBlock *BB) const {
     if (Blocks[I].get() == BB)
       return I;
   return ~0u;
+}
+
+std::vector<unsigned> Function::blockPositions() const {
+  std::vector<unsigned> Pos(getMaxBlockNumber(), ~0u);
+  for (unsigned I = 0; I != Blocks.size(); ++I)
+    Pos[Blocks[I]->getNumber()] = I;
+  return Pos;
 }
 
 } // namespace csspgo

@@ -73,10 +73,6 @@ public:
   /// Total number of instructions (including intrinsics).
   size_t instructionCount() const;
 
-  /// Number of instructions that lower to machine code (excludes pseudo
-  /// probes). This is the size the inline-cost heuristics should use.
-  size_t codeInstructionCount() const;
-
   /// \name Attributes
   /// @{
   bool NoInline = false;
@@ -111,6 +107,11 @@ public:
 
   /// Returns the position of \p BB in layout order, or ~0u.
   unsigned blockIndex(const BasicBlock *BB) const;
+
+  /// The layout position of every block, indexed by block number (size
+  /// getMaxBlockNumber()); a number no block holds maps to ~0u. One pass,
+  /// for callers that would otherwise call blockIndex per edge.
+  std::vector<unsigned> blockPositions() const;
 
 private:
   Module *Parent;

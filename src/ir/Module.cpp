@@ -14,7 +14,6 @@ Function *Module::createFunction(const std::string &FName,
   Functions.push_back(std::make_unique<Function>(this, FName, NumParams));
   Function *F = Functions.back().get();
   FunctionMap[FName] = F;
-  GuidMap[F->getGuid()] = F;
   GuidNames[F->getGuid()] = FName;
   return F;
 }
@@ -24,14 +23,8 @@ Function *Module::getFunction(const std::string &FName) const {
   return It == FunctionMap.end() ? nullptr : It->second;
 }
 
-Function *Module::getFunctionByGuid(uint64_t Guid) const {
-  auto It = GuidMap.find(Guid);
-  return It == GuidMap.end() ? nullptr : It->second;
-}
-
 void Module::eraseFunction(Function *F) {
   FunctionMap.erase(F->getName());
-  GuidMap.erase(F->getGuid());
   auto It = std::find_if(
       Functions.begin(), Functions.end(),
       [F](const std::unique_ptr<Function> &P) { return P.get() == F; });

@@ -35,9 +35,6 @@ public:
   /// Looks a function up by name; returns nullptr if absent.
   Function *getFunction(const std::string &FName) const;
 
-  /// Looks a function up by GUID; returns nullptr if absent.
-  Function *getFunctionByGuid(uint64_t Guid) const;
-
   /// Removes \p F. No remaining call sites may reference it.
   void eraseFunction(Function *F);
 
@@ -83,7 +80,6 @@ public:
 private:
   std::string Name;
   std::map<std::string, Function *> FunctionMap;
-  std::map<uint64_t, Function *> GuidMap;
   std::map<uint64_t, std::string> GuidNames;
 };
 

@@ -78,6 +78,18 @@ void recordVerifyReport(LoaderStats &Stats, const VerifyReport &R) {
         R.Details.front().Where + ": " + R.Details.front().Message;
 }
 
+/// Instr counter profiles are exact (head is a body counter, so HEAD <=
+/// TOTAL must hold); sampled profiles instead obey head/call edge
+/// conservation. Probe-table agreement is deliberately not checked here:
+/// the input may be stale on purpose.
+VerifierOptions loaderVerifyOptions(const LoaderOptions &Opts, bool IsInstr) {
+  VerifierOptions VO;
+  VO.Level = Opts.Verify;
+  VO.ExactCounts = IsInstr;
+  VO.CheckHeadEdges = !IsInstr && Opts.VerifyCrossEdges;
+  return VO;
+}
+
 /// The single entry point for stale-profile handling. Every
 /// checksum-mismatch site in the loader routes through resolve(), which
 /// returns the profile to apply: the input itself when it is not stale, a
@@ -359,21 +371,13 @@ struct FlatInlineDriver {
 LoaderStats loadFlatProfile(Module &M, const FlatProfile &Profile,
                             bool IsInstr, const LoaderOptions &Opts) {
   LoaderStats Stats;
-  if (Opts.Verify != VerifyLevel::Off) {
-    VerifierOptions VO;
-    VO.Level = Opts.Verify;
-    // Instr counter profiles are exact (head is a body counter, so
-    // HEAD <= TOTAL must hold); sampled profiles instead obey head/call
-    // edge conservation. Probe-table agreement is deliberately not
-    // checked here: the input may be stale on purpose.
-    VO.ExactCounts = IsInstr;
-    VO.CheckHeadEdges = !IsInstr && Opts.VerifyCrossEdges;
-    recordVerifyReport(Stats, verifyFlatProfile(Profile, VO));
-  }
+  recordVerifyReport(
+      Stats, verifyFlatProfile(Profile, loaderVerifyOptions(Opts, IsInstr)));
   bool Anchored = Profile.Kind == ProfileKind::ProbeBased;
-  uint64_t HotThreshold = Opts.HotCallsiteThreshold
-                              ? Opts.HotCallsiteThreshold
-                              : hotThreshold(Profile, Opts.HotCutoff);
+  uint64_t HotThreshold =
+      Opts.HotCallsiteThreshold
+          ? Opts.HotCallsiteThreshold
+          : hotThreshold(flatViewOf(Profile), Opts.HotCutoff);
   Stats.HotThresholdUsed = HotThreshold;
 
   StaleResolver Resolver(M, Profile.Kind, Opts, Stats);
@@ -517,12 +521,8 @@ struct CSInlineDriver {
 LoaderStats loadContextProfile(Module &M, const ContextProfile &Profile,
                                const LoaderOptions &Opts) {
   LoaderStats Stats;
-  if (Opts.Verify != VerifyLevel::Off) {
-    VerifierOptions VO;
-    VO.Level = Opts.Verify;
-    VO.CheckHeadEdges = Opts.VerifyCrossEdges;
-    recordVerifyReport(Stats, verifyContextProfile(Profile, VO));
-  }
+  recordVerifyReport(
+      Stats, verifyContextProfile(Profile, loaderVerifyOptions(Opts, false)));
   // The resolver is PreMatched: stale contexts are recovered by a
   // whole-trie matcher pre-pass below (one alignment per function across
   // all its contexts); whatever is still stale when the in-loop sites
@@ -544,9 +544,10 @@ LoaderStats loadContextProfile(Module &M, const ContextProfile &Profile,
   }
   const ContextProfile &Prof = Corrected ? *Corrected : Profile;
 
-  uint64_t HotThreshold = Opts.HotCallsiteThreshold
-                              ? Opts.HotCallsiteThreshold
-                              : hotThreshold(Prof, Opts.HotCutoff);
+  uint64_t HotThreshold =
+      Opts.HotCallsiteThreshold
+          ? Opts.HotCallsiteThreshold
+          : hotThreshold(contextViewOf(Prof), Opts.HotCutoff);
   Stats.HotThresholdUsed = HotThreshold;
 
   CSInlineDriver Driver{M, Prof, Opts, HotThreshold, Stats, Resolver, {}};
@@ -643,10 +644,15 @@ Expected<LoaderStats> loadProfileFromStore(Module &M, ProfileStore &Store,
     ++Mat;
   }
   LoaderOptions Scoped = storeScopedOptions(Opts, Lazy, Store);
+  // The view is verified here, once; the map built from it is not.
+  bool IsInstr = !Store.isCS() && Store.isInstr();
+  VerifyReport Verified =
+      verifyProfileView(L.view(), loaderVerifyOptions(Scoped, IsInstr));
+  Scoped.Verify = VerifyLevel::Off;
   Stats = Store.isCS()
               ? loadContextProfile(M, contextProfileOf(L.view()), Scoped)
-              : loadFlatProfile(M, flatProfileOf(L.view()), Store.isInstr(),
-                                Scoped);
+              : loadFlatProfile(M, flatProfileOf(L.view()), IsInstr, Scoped);
+  recordVerifyReport(Stats, Verified);
   Stats.StoreFunctionsMaterialized = Mat;
   Stats.StoreFunctionsSkipped = Skipped;
   return Stats;

@@ -37,6 +37,7 @@ uint64_t blockSize(const BasicBlock &BB) {
 
 exttsp::Instance extTSPInstanceOf(const Function &F) {
   exttsp::Instance In;
+  const std::vector<unsigned> Pos = F.blockPositions();
   for (unsigned I = 0; I != F.Blocks.size(); ++I) {
     BasicBlock *B = F.Blocks[I].get();
     In.Sizes.push_back(blockSize(*B));
@@ -44,7 +45,7 @@ exttsp::Instance extTSPInstanceOf(const Function &F) {
     for (unsigned S = 0; S != Succs.size(); ++S) {
       exttsp::Edge E;
       E.Src = I;
-      E.Dst = F.blockIndex(Succs[S]);
+      E.Dst = Pos[Succs[S]->getNumber()];
       E.Weight = B->HasCount ? static_cast<double>(B->succWeight(S)) : 0.0;
       In.Edges.push_back(E);
     }

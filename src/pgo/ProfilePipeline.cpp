@@ -154,9 +154,9 @@ Expected<LoaderStats> ProfilePipeline::apply(Module &M,
         {0, Profile.IsCS ? Profile.CS.totalSamples()
                          : Profile.Flat.totalSamples(),
          1000}};
-    std::string Bytes =
-        Profile.IsCS ? writeStore(Profile.CS, Epochs)
-                     : writeStore(Profile.Flat, Epochs, {}, Profile.IsInstr);
+    std::string Bytes = writeStore(Profile.IsCS ? contextViewOf(Profile.CS)
+                                                : flatViewOf(Profile.Flat),
+                                   Epochs, {}, Profile.IsInstr);
     Expected<ProfileStore> Store = ProfileStore::open(std::move(Bytes));
     if (!Store)
       return Store.takeError().withContext("binary transport");

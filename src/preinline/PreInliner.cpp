@@ -56,7 +56,7 @@ PreInlinerStats runPreInliner(ContextProfile &Profile,
   PreInlinerStats Stats;
   uint64_t HotThreshold = Opts.HotThreshold;
   if (!HotThreshold)
-    HotThreshold = hotThreshold(Profile, Opts.HotCutoff);
+    HotThreshold = hotThreshold(contextViewOf(Profile), Opts.HotCutoff);
   Stats.HotThresholdUsed = HotThreshold;
 
   ProfiledCallGraph CG = ProfiledCallGraph::fromProfile(Profile);

@@ -167,16 +167,4 @@ uint64_t ContextProfile::totalSamples() const {
   return Root.subtreeSamples();
 }
 
-FlatProfile ContextProfile::flatten() const {
-  FlatProfile Flat;
-  Flat.Kind = Kind;
-  forEachNode([&Flat](const SampleContext &Ctx, const ContextTrieNode &N) {
-    FunctionProfile &P = Flat.getOrCreate(Ctx.back().Func);
-    P.Guid = N.Profile.Guid;
-    P.Checksum = N.Profile.Checksum;
-    P.merge(N.Profile);
-  });
-  return Flat;
-}
-
 } // namespace csspgo

@@ -99,11 +99,6 @@ public:
 
   /// Total samples across all contexts (saturating).
   uint64_t totalSamples() const;
-
-  /// Flattens to a context-insensitive profile: every context of a function
-  /// merges into one FunctionProfile (what AutoFDO would see, modulo
-  /// correlation quality). Used by tests and the trimming ablation.
-  FlatProfile flatten() const;
 };
 
 } // namespace csspgo

@@ -2,8 +2,6 @@
 
 #include "profile/FunctionProfile.h"
 
-#include <algorithm>
-
 namespace csspgo {
 
 void FunctionProfile::addBody(ProfileKey K, uint64_t N) {
@@ -29,16 +27,6 @@ void FunctionProfile::addCall(ProfileKey K, const std::string &Callee,
 uint64_t FunctionProfile::bodyAt(ProfileKey K) const {
   auto It = Body.find(K);
   return It == Body.end() ? 0 : It->second;
-}
-
-uint64_t FunctionProfile::callAt(ProfileKey K) const {
-  auto It = Calls.find(K);
-  if (It == Calls.end())
-    return 0;
-  uint64_t Total = 0;
-  for (const auto &[Callee, N] : It->second)
-    Total += N;
-  return Total;
 }
 
 const FunctionProfile *
@@ -91,13 +79,6 @@ uint64_t FunctionProfile::merge(const FunctionProfile &Other) {
       Saturated += Sub.merge(P);
     }
   return Saturated;
-}
-
-uint64_t FunctionProfile::maxBodyCount() const {
-  uint64_t Max = 0;
-  for (const auto &[K, N] : Body)
-    Max = std::max(Max, N);
-  return Max;
 }
 
 uint64_t FunctionProfile::totalBodySamples() const {

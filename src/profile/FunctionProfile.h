@@ -111,9 +111,6 @@ public:
   /// Returns the body count at \p K, or 0.
   uint64_t bodyAt(ProfileKey K) const;
 
-  /// Returns the total call-target count at call site \p K.
-  uint64_t callAt(ProfileKey K) const;
-
   /// Returns the inlinee profile at (\p K, \p Callee), or nullptr.
   const FunctionProfile *inlineeAt(ProfileKey K,
                                    const std::string &Callee) const;
@@ -129,9 +126,6 @@ public:
   /// so merge pipelines can report clamping (MergeStats::SaturatedCounts)
   /// instead of silently corrupting counts.
   uint64_t merge(const FunctionProfile &Other);
-
-  /// Max body sample count (a hotness proxy).
-  uint64_t maxBodyCount() const;
 
   /// Sum of all body samples including nested inlinees.
   uint64_t totalBodySamples() const;

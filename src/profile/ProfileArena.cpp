@@ -58,34 +58,18 @@ FunctionProfile ProfileArena::materialize(uint32_t Rec) const {
   P.HeadSamples = R.HeadSamples;
   for (uint32_t I = R.BodyBegin; I != R.BodyEnd; ++I)
     P.Body.emplace_hint(P.Body.end(), Body[I].Key, Body[I].Count);
-  {
-    std::map<std::string, uint64_t> *Cur = nullptr;
-    ProfileKey CurK;
-    for (uint32_t I = R.CallsBegin; I != R.CallsEnd; ++I) {
-      const CallSlot &S = Calls[I];
-      if (!Cur || !(S.Key == CurK)) {
-        Cur = &P.Calls.emplace_hint(P.Calls.end(), S.Key,
-                                    std::map<std::string, uint64_t>())
-                   ->second;
-        CurK = S.Key;
-      }
-      Cur->emplace_hint(Cur->end(), Names.name(S.Callee), S.Count);
-    }
+  for (uint32_t I = R.CallsBegin; I != R.CallsEnd;) {
+    auto &Targets = P.Calls.try_emplace(P.Calls.end(), Calls[I].Key)->second;
+    for (uint32_t End = keyRunEnd(Calls, I, R.CallsEnd); I != End; ++I)
+      Targets.emplace_hint(Targets.end(), Names.name(Calls[I].Callee),
+                           Calls[I].Count);
   }
-  {
-    std::map<std::string, FunctionProfile> *Cur = nullptr;
-    ProfileKey CurK;
-    for (uint32_t I = R.InlineesBegin; I != R.InlineesEnd; ++I) {
-      const InlineSlot &S = Inlinees[I];
-      if (!Cur || !(S.Key == CurK)) {
-        Cur = &P.Inlinees
-                   .emplace_hint(P.Inlinees.end(), S.Key,
-                                 std::map<std::string, FunctionProfile>())
-                   ->second;
-        CurK = S.Key;
-      }
-      Cur->emplace_hint(Cur->end(), Names.name(S.Callee), materialize(S.Rec));
-    }
+  for (uint32_t I = R.InlineesBegin; I != R.InlineesEnd;) {
+    auto &Callees =
+        P.Inlinees.try_emplace(P.Inlinees.end(), Inlinees[I].Key)->second;
+    for (uint32_t End = keyRunEnd(Inlinees, I, R.InlineesEnd); I != End; ++I)
+      Callees.emplace_hint(Callees.end(), Names.name(Inlinees[I].Callee),
+                           materialize(Inlinees[I].Rec));
   }
   return P;
 }
@@ -98,13 +82,6 @@ uint64_t ProfileArena::totalBodySamples(uint32_t Rec) const {
   for (uint32_t I = R.InlineesBegin; I != R.InlineesEnd; ++I)
     Total = saturatingAdd(Total, totalBodySamples(Inlinees[I].Rec));
   return Total;
-}
-
-size_t ProfileArena::byteSize() const {
-  return Body.size() * sizeof(BodySlot) + Calls.size() * sizeof(CallSlot) +
-         Inlinees.size() * sizeof(InlineSlot) +
-         Frames.size() * sizeof(FrameSlot) +
-         Records.size() * sizeof(FuncRecord);
 }
 
 //===----------------------------------------------------------------------===//

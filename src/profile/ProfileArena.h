@@ -128,6 +128,16 @@ struct FuncRecord {
   uint32_t InlineesBegin = 0, InlineesEnd = 0;
 };
 
+/// End of the run of slots from \p I (below \p End) that share slot I's
+/// key: one call site's targets, or one inline site's callees.
+template <typename Slot>
+uint32_t keyRunEnd(const std::vector<Slot> &Slots, uint32_t I, uint32_t End) {
+  ProfileKey K = Slots[I].Key;
+  while (++I != End && Slots[I].Key == K)
+    ;
+  return I;
+}
+
 /// Bump-pointer storage for one profile database: slot pools plus the
 /// record table and name interner. Append-only; slices are identified by
 /// (begin, end) index pairs so growing the pools never invalidates them.
@@ -152,9 +162,6 @@ public:
   /// Saturating body-sample total of record \p Rec including nested
   /// inlinees; mirrors FunctionProfile::totalBodySamples.
   uint64_t totalBodySamples(uint32_t Rec) const;
-
-  /// Approximate resident bytes of the pools (observability only).
-  size_t byteSize() const;
 };
 
 /// One calling context: a frame slice plus the record holding its

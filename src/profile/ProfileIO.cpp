@@ -44,10 +44,13 @@ static void writeBody(std::ostringstream &OS, const FunctionProfile &P,
   }
 }
 
-std::string serializeFlatProfile(const FlatProfile &Profile) {
+std::string serializeFlatProfile(const FlatProfile &Profile,
+                                 bool ExactCounts) {
   std::ostringstream OS;
   OS << (Profile.Kind == ProfileKind::ProbeBased ? "!kind: probe\n"
                                                  : "!kind: line\n");
+  if (ExactCounts)
+    OS << "!counts: exact\n";
   for (const auto &[Name, P] : Profile.Functions) {
     OS << Name << ":" << P.TotalSamples << ":" << P.HeadSamples << "\n";
     writeBody(OS, P, 1);
@@ -274,15 +277,21 @@ bool parseKindLine(const std::string &Line, ProfileKind &Kind) {
 
 } // namespace
 
-bool parseFlatProfile(const std::string &Text, FlatProfile &Out) {
+bool parseFlatProfile(const std::string &Text, FlatProfile &Out,
+                      bool *ExactCounts) {
   LineReader Reader(Text);
   std::string Line;
+  bool Exact = false;
   while (Reader.next(Line)) {
     if (Line.empty())
       continue;
     if (Line.rfind("!kind: ", 0) == 0) {
       if (!parseKindLine(Line, Out.Kind))
         return false;
+      continue;
+    }
+    if (Line == "!counts: exact") {
+      Exact = true;
       continue;
     }
     if (indentOf(Line) != 0)
@@ -302,6 +311,8 @@ bool parseFlatProfile(const std::string &Text, FlatProfile &Out) {
     if (P.TotalSamples != Total)
       return false;
   }
+  if (ExactCounts)
+    *ExactCounts = Exact;
   return true;
 }
 

@@ -10,7 +10,8 @@
 /// metric for the profile-size scalability experiment (§III-B: untrimmed
 /// context-sensitive profiles can be ~10x larger).
 ///
-/// Flat format (one function):
+/// Flat format (one function), after a "!kind: probe|line" line and, for
+/// an exact-count (Instr) profile only, a "!counts: exact" line:
 ///   foo:TOTAL:HEAD
 ///    !CFGChecksum: 12345            (probe-based only)
 ///    IDX.DISC: COUNT
@@ -36,12 +37,17 @@
 
 namespace csspgo {
 
-std::string serializeFlatProfile(const FlatProfile &Profile);
+/// \p ExactCounts marks an Instr (counter) profile with "!counts: exact";
+/// any other profile's text has no such line.
+std::string serializeFlatProfile(const FlatProfile &Profile,
+                                 bool ExactCounts = false);
 std::string serializeContextProfile(const ContextProfile &Profile);
 
 /// Parses a flat profile; returns false on malformed input, inlinee
-/// nesting deeper than MaxInlineeNesting included.
-bool parseFlatProfile(const std::string &Text, FlatProfile &Out);
+/// nesting deeper than MaxInlineeNesting included. \p ExactCounts, if
+/// given, is set to whether the text carries "!counts: exact".
+bool parseFlatProfile(const std::string &Text, FlatProfile &Out,
+                      bool *ExactCounts = nullptr);
 
 /// Parses a context-sensitive profile; returns false on malformed input,
 /// inlinee nesting deeper than MaxInlineeNesting included.

@@ -3,7 +3,6 @@
 #include "profile/ProfileSummary.h"
 
 #include <algorithm>
-#include <functional>
 
 namespace csspgo {
 
@@ -25,42 +24,40 @@ uint64_t summaryThreshold(std::vector<uint64_t> Counts, double Cutoff) {
   return 1;
 }
 
-std::vector<uint64_t> hotCountDistribution(const FlatProfile &Profile) {
-  std::vector<uint64_t> CallCounts;
-  std::function<void(const FunctionProfile &)> Collect =
-      [&](const FunctionProfile &P) {
-        for (const auto &[K, Targets] : P.Calls)
-          for (const auto &[Callee, N] : Targets)
-            CallCounts.push_back(N);
-        for (const auto &[K, Map] : P.Inlinees)
-          for (const auto &[Name, Sub] : Map)
-            Collect(Sub);
-      };
-  for (const auto &[Name, P] : Profile.Functions)
-    Collect(P);
-  if (CallCounts.empty()) {
-    for (const auto &[Name, P] : Profile.Functions)
-      for (const auto &[K, N] : P.Body)
-        CallCounts.push_back(N);
+namespace {
+
+void collectCallCounts(const ProfileArena &A, uint32_t Rec,
+                       std::vector<uint64_t> &Out) {
+  const FuncRecord &R = A.Records[Rec];
+  for (uint32_t I = R.CallsBegin; I != R.CallsEnd; ++I)
+    Out.push_back(A.Calls[I].Count);
+  for (uint32_t I = R.InlineesBegin; I != R.InlineesEnd; ++I)
+    collectCallCounts(A, A.Inlinees[I].Rec, Out);
+}
+
+} // namespace
+
+std::vector<uint64_t> hotCountDistribution(const ContextProfileView &V) {
+  const ProfileArena &A = V.Arena;
+  std::vector<uint64_t> Counts;
+  if (V.IsCS) {
+    for (const ContextRecord &C : V.Contexts)
+      Counts.push_back(A.Records[C.Rec].TotalSamples);
+    return Counts;
   }
-  return CallCounts;
+  for (const ContextRecord &C : V.Contexts)
+    collectCallCounts(A, C.Rec, Counts);
+  if (Counts.empty())
+    for (const ContextRecord &C : V.Contexts) {
+      const FuncRecord &R = A.Records[C.Rec];
+      for (uint32_t I = R.BodyBegin; I != R.BodyEnd; ++I)
+        Counts.push_back(A.Body[I].Count);
+    }
+  return Counts;
 }
 
-std::vector<uint64_t> hotCountDistribution(const ContextProfile &Profile) {
-  std::vector<uint64_t> Totals;
-  Profile.forEachNode(
-      [&Totals](const SampleContext &, const ContextTrieNode &N) {
-        Totals.push_back(N.Profile.TotalSamples);
-      });
-  return Totals;
-}
-
-uint64_t hotThreshold(const FlatProfile &Profile, double Cutoff) {
-  return summaryThreshold(hotCountDistribution(Profile), Cutoff);
-}
-
-uint64_t hotThreshold(const ContextProfile &Profile, double Cutoff) {
-  return summaryThreshold(hotCountDistribution(Profile), Cutoff);
+uint64_t hotThreshold(const ContextProfileView &V, double Cutoff) {
+  return summaryThreshold(hotCountDistribution(V), Cutoff);
 }
 
 } // namespace csspgo

@@ -2,8 +2,6 @@
 
 #include "profile/Trimmer.h"
 
-#include <algorithm>
-
 namespace csspgo {
 
 TrimStats trimColdContexts(ContextProfile &Profile, uint64_t ColdThreshold) {
@@ -58,21 +56,6 @@ TrimStats trimColdContexts(ContextProfile &Profile, uint64_t ColdThreshold) {
 
   Stats.ContextsAfter = Profile.numProfiles();
   return Stats;
-}
-
-uint64_t coldThresholdForPercentile(const ContextProfile &Profile,
-                                    double Percentile) {
-  std::vector<uint64_t> Totals;
-  Profile.forEachNode(
-      [&Totals](const SampleContext &, const ContextTrieNode &N) {
-        Totals.push_back(N.Profile.TotalSamples);
-      });
-  if (Totals.empty())
-    return 0;
-  std::sort(Totals.begin(), Totals.end());
-  double Clamped = std::clamp(Percentile, 0.0, 1.0);
-  size_t Idx = static_cast<size_t>(Clamped * (Totals.size() - 1));
-  return Totals[Idx];
 }
 
 } // namespace csspgo

@@ -33,11 +33,6 @@ struct TrimStats {
 /// percentile of the total.
 TrimStats trimColdContexts(ContextProfile &Profile, uint64_t ColdThreshold);
 
-/// Convenience: computes the threshold as the \p Percentile (0..1) hotness
-/// cutoff over all context TotalSamples.
-uint64_t coldThresholdForPercentile(const ContextProfile &Profile,
-                                    double Percentile);
-
 } // namespace csspgo
 
 #endif // CSSPGO_PROFILE_TRIMMER_H

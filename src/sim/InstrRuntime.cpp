@@ -2,8 +2,6 @@
 
 #include "sim/InstrRuntime.h"
 
-#include "profile/FunctionProfile.h"
-
 namespace csspgo {
 
 CounterDump dumpCounters(const Binary &Bin, const RunResult &Result) {
@@ -24,18 +22,6 @@ CounterDump dumpCounters(const Binary &Bin, const RunResult &Result) {
     Dump.Functions[NameIt->second] = std::move(Counters);
   }
   return Dump;
-}
-
-uint64_t mergeCounterDumps(CounterDump &Dst, const CounterDump &Src) {
-  uint64_t Saturated = 0;
-  for (const auto &[Name, Counters] : Src.Functions) {
-    std::vector<uint64_t> &D = Dst.Functions[Name];
-    if (D.size() < Counters.size())
-      D.resize(Counters.size(), 0);
-    for (size_t I = 0; I != Counters.size(); ++I)
-      Saturated += saturatingAccum(D[I], Counters[I]);
-  }
-  return Saturated;
 }
 
 } // namespace csspgo

@@ -33,12 +33,6 @@ struct CounterDump {
 /// \p Bin).
 CounterDump dumpCounters(const Binary &Bin, const RunResult &Result);
 
-/// Accumulates \p Src into \p Dst (multi-run aggregation). Counters clamp
-/// at UINT64_MAX through the shared saturatingAccum instead of wrapping;
-/// returns the number of counter slots that saturated so callers can
-/// report clamping the way the profile merge paths do.
-uint64_t mergeCounterDumps(CounterDump &Dst, const CounterDump &Src);
-
 } // namespace csspgo
 
 #endif // CSSPGO_SIM_INSTRRUNTIME_H

@@ -8,73 +8,74 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
-#include <set>
 #include <tuple>
 
 namespace csspgo {
 
 namespace {
 
-void collectRefs(const FunctionProfile &P, std::set<std::string> &S) {
-  for (const auto &[K, Targets] : P.Calls)
-    for (const auto &[Callee, N] : Targets)
-      S.insert(Callee);
-  for (const auto &[K, Map] : P.Inlinees)
-    for (const auto &[Callee, Sub] : Map) {
-      S.insert(Callee);
-      collectRefs(Sub, S);
-    }
+/// Sentinel of a name the view being written never references.
+constexpr uint32_t Unreferenced = ~uint32_t(0);
+
+/// Marks in \p TableIdx every name record \p Rec references: call and
+/// inlinee callees, recursively through nested inlinees.
+void markReferencedNames(const ProfileArena &A, uint32_t Rec,
+                         std::vector<uint32_t> &TableIdx) {
+  const FuncRecord &R = A.Records[Rec];
+  for (uint32_t I = R.CallsBegin; I != R.CallsEnd; ++I)
+    TableIdx[A.Calls[I].Callee] = 0;
+  for (uint32_t I = R.InlineesBegin; I != R.InlineesEnd; ++I) {
+    TableIdx[A.Inlinees[I].Callee] = 0;
+    markReferencedNames(A, A.Inlinees[I].Rec, TableIdx);
+  }
 }
 
-/// Deduplicating string table under construction: sorted-unique entries,
-/// so equal profiles always produce byte-identical tables.
-class StringIndex {
-public:
-  explicit StringIndex(std::set<std::string> Set)
-      : Strings(Set.begin(), Set.end()) {
-    for (uint32_t I = 0; I != Strings.size(); ++I)
-      Map[Strings[I]] = I;
+template <typename Slot>
+uint64_t numKeyRuns(const std::vector<Slot> &Slots, uint32_t Begin,
+                    uint32_t End) {
+  uint64_t N = 0;
+  for (uint32_t I = Begin; I != End; I = keyRunEnd(Slots, I, End))
+    ++N;
+  return N;
+}
+
+/// Encodes record \p Rec straight from its arena slices, which are in the
+/// canonical (key, callee name) order the reader requires. \p TableIdx
+/// maps a name id to its string-table index.
+void encodeRecord(ByteWriter &W, const ProfileArena &A, uint32_t Rec,
+                  const std::vector<uint32_t> &TableIdx) {
+  const FuncRecord &R = A.Records[Rec];
+  W.uleb(R.TotalSamples);
+  W.uleb(R.HeadSamples);
+  W.uleb(R.BodyEnd - R.BodyBegin);
+  for (uint32_t I = R.BodyBegin; I != R.BodyEnd; ++I) {
+    W.uleb(A.Body[I].Key.Index);
+    W.uleb(A.Body[I].Key.Disc);
+    W.uleb(A.Body[I].Count);
   }
-
-  uint32_t index(const std::string &S) const { return Map.at(S); }
-  const std::vector<std::string> &all() const { return Strings; }
-
-private:
-  std::vector<std::string> Strings;
-  std::map<std::string, uint32_t> Map;
-};
-
-void encodeRecord(ByteWriter &W, const FunctionProfile &P,
-                  const StringIndex &SI) {
-  W.uleb(P.TotalSamples);
-  W.uleb(P.HeadSamples);
-  W.uleb(P.Body.size());
-  for (const auto &[K, N] : P.Body) {
-    W.uleb(K.Index);
-    W.uleb(K.Disc);
-    W.uleb(N);
-  }
-  W.uleb(P.Calls.size());
-  for (const auto &[K, Targets] : P.Calls) {
-    W.uleb(K.Index);
-    W.uleb(K.Disc);
-    W.uleb(Targets.size());
-    for (const auto &[Callee, N] : Targets) {
-      W.uleb(SI.index(Callee));
-      W.uleb(N);
+  W.uleb(numKeyRuns(A.Calls, R.CallsBegin, R.CallsEnd));
+  for (uint32_t I = R.CallsBegin; I != R.CallsEnd;) {
+    uint32_t End = keyRunEnd(A.Calls, I, R.CallsEnd);
+    W.uleb(A.Calls[I].Key.Index);
+    W.uleb(A.Calls[I].Key.Disc);
+    W.uleb(End - I);
+    for (; I != End; ++I) {
+      W.uleb(TableIdx[A.Calls[I].Callee]);
+      W.uleb(A.Calls[I].Count);
     }
   }
-  W.uleb(P.Inlinees.size());
-  for (const auto &[K, Map] : P.Inlinees) {
-    W.uleb(K.Index);
-    W.uleb(K.Disc);
-    W.uleb(Map.size());
-    for (const auto &[Callee, Sub] : Map) {
-      W.uleb(SI.index(Callee));
+  W.uleb(numKeyRuns(A.Inlinees, R.InlineesBegin, R.InlineesEnd));
+  for (uint32_t I = R.InlineesBegin; I != R.InlineesEnd;) {
+    uint32_t End = keyRunEnd(A.Inlinees, I, R.InlineesEnd);
+    W.uleb(A.Inlinees[I].Key.Index);
+    W.uleb(A.Inlinees[I].Key.Disc);
+    W.uleb(End - I);
+    for (; I != End; ++I) {
+      const FuncRecord &Sub = A.Records[A.Inlinees[I].Rec];
+      W.uleb(TableIdx[A.Inlinees[I].Callee]);
       W.uleb(Sub.Guid);
       W.uleb(Sub.Checksum);
-      encodeRecord(W, Sub, SI);
+      encodeRecord(W, A, A.Inlinees[I].Rec, TableIdx);
     }
   }
 }
@@ -259,25 +260,25 @@ Status notOneFrameBlock() {
 /// the concatenated name blob — every name is random-accessible, so
 /// open() builds its views with plain word loads instead of a varint
 /// walk over the whole table. Compact layout: u32 count + count u64
-/// GUIDs. The table is emitted sorted-unique (callers collect names into
-/// a std::set); findFunction's binary search and the canonical
+/// GUIDs. The table is emitted sorted-unique (writeStore sorts the names
+/// it references); findFunction's binary search and the canonical
 /// "ascending index is ascending name" record order stand on that, and
 /// open() rejects a non-compact table that breaks it.
-std::string encodeStringTable(const std::vector<std::string> &Strings,
+std::string encodeStringTable(const std::vector<std::string_view> &Strings,
                               bool Compact) {
   ByteWriter W;
   W.u32(static_cast<uint32_t>(Strings.size()));
   if (Compact) {
-    for (const std::string &S : Strings)
+    for (std::string_view S : Strings)
       W.u64(computeFunctionGuid(S));
     return W.take();
   }
   uint32_t End = 0;
-  for (const std::string &S : Strings) {
+  for (std::string_view S : Strings) {
     End += static_cast<uint32_t>(S.size());
     W.u32(End);
   }
-  for (const std::string &S : Strings)
+  for (std::string_view S : Strings)
     W.bytes(S);
   return W.take();
 }
@@ -381,96 +382,91 @@ const char *sectionName(StoreSection S) {
   return nullptr; // Unknown (or retired) section id.
 }
 
-/// One context of a payload block: its frames (outermost first), node
-/// flag and samples.
-struct BlockNode {
-  SampleContext Ctx;
-  bool ShouldBeInlined = false;
-  const FunctionProfile *Profile = nullptr;
-};
+} // namespace
 
-/// Contexts grouped per leaf function (the unit of lazy loading), in
-/// trie-DFS order within each group.
-using LeafBlocks = std::map<std::string, std::vector<BlockNode>>;
-
-/// The one store writer, behind both writeStore overloads: every function
-/// is one payload block of its contexts, each a frame list, a node header
-/// {flags, Guid, Checksum} and the record. A flat profile's block holds
-/// one one-frame context with flags 0. The index entry's total and head
-/// are the saturating sums over the block.
-std::string writeBlocks(const LeafBlocks &ByLeaf, uint8_t Flags,
-                        const std::vector<EpochInfo> &Epochs,
-                        const StoreWriteOptions &Opts,
-                        std::vector<uint64_t> HotCounts) {
-  std::set<std::string> Strs;
-  for (const auto &[Leaf, Nodes] : ByLeaf)
-    for (const BlockNode &N : Nodes) {
-      for (const ContextFrame &F : N.Ctx)
-        Strs.insert(F.Func);
-      collectRefs(*N.Profile, Strs);
-    }
-  StringIndex SI(std::move(Strs));
-
-  ByteWriter Payload;
-  std::vector<IndexEntryW> Entries;
-  for (const auto &[Leaf, Nodes] : ByLeaf) {
-    uint64_t Off = Payload.size();
-    uint64_t Total = 0, Head = 0;
-    Payload.uleb(Nodes.size());
-    for (const BlockNode &N : Nodes) {
-      Payload.uleb(N.Ctx.size());
-      for (const ContextFrame &F : N.Ctx) {
-        Payload.uleb(SI.index(F.Func));
-        Payload.uleb(F.Site);
-      }
-      Payload.u8(N.ShouldBeInlined ? 1 : 0);
-      Payload.uleb(N.Profile->Guid);
-      Payload.uleb(N.Profile->Checksum);
-      encodeRecord(Payload, *N.Profile, SI);
-      Total = saturatingAdd(Total, N.Profile->TotalSamples);
-      Head = saturatingAdd(Head, N.Profile->HeadSamples);
-    }
-    Entries.push_back(
-        {SI.index(Leaf), Off, Payload.size() - Off, Total, Head});
+std::string writeStore(const ContextProfileView &V,
+                       const std::vector<EpochInfo> &Epochs,
+                       const StoreWriteOptions &Opts, bool ExactCounts) {
+  const ProfileArena &A = V.Arena;
+  // The string table holds the sorted, unique names the view references —
+  // not the whole interner, which may hold names a merge or a lazy load
+  // no longer reaches.
+  std::vector<uint32_t> TableIdx(A.Names.size(), Unreferenced);
+  for (const ContextRecord &C : V.Contexts) {
+    for (uint32_t F = C.FramesBegin; F != C.FramesEnd; ++F)
+      TableIdx[A.Frames[F].Func] = 0;
+    markReferencedNames(A, C.Rec, TableIdx);
+  }
+  std::vector<NameId> Referenced;
+  for (NameId Id = 0; Id != TableIdx.size(); ++Id)
+    if (TableIdx[Id] != Unreferenced)
+      Referenced.push_back(Id);
+  std::sort(Referenced.begin(), Referenced.end(), [&A](NameId X, NameId Y) {
+    return A.Names.name(X) < A.Names.name(Y);
+  });
+  std::vector<std::string_view> Strings;
+  for (NameId Id : Referenced) {
+    TableIdx[Id] = static_cast<uint32_t>(Strings.size());
+    Strings.push_back(A.Names.name(Id));
   }
 
-  if (Opts.CompactNames)
-    Flags |= SF_CompactNames;
+  // Every function is one payload block of the contexts it is the leaf
+  // of (the unit of lazy loading), in name order; the stable sort keeps
+  // the view's trie-DFS order within a block. A flat view's block is its
+  // one one-frame context.
+  auto LeafOf = [&](uint32_t C) {
+    return TableIdx[A.Frames[V.Contexts[C].FramesEnd - 1].Func];
+  };
+  std::vector<uint32_t> Order(V.Contexts.size());
+  for (uint32_t C = 0; C != Order.size(); ++C)
+    Order[C] = C;
+  std::stable_sort(Order.begin(), Order.end(), [&](uint32_t X, uint32_t Y) {
+    return LeafOf(X) < LeafOf(Y);
+  });
+
+  // Each context is a frame list, a node header {flags, Guid, Checksum}
+  // and the record; the index entry's total and head are the saturating
+  // sums over the block.
+  ByteWriter Payload;
+  std::vector<IndexEntryW> Entries;
+  for (size_t I = 0; I != Order.size();) {
+    uint32_t Leaf = LeafOf(Order[I]);
+    size_t End = I;
+    while (End != Order.size() && LeafOf(Order[End]) == Leaf)
+      ++End;
+    uint64_t Off = Payload.size();
+    uint64_t Total = 0, Head = 0;
+    Payload.uleb(End - I);
+    for (; I != End; ++I) {
+      const ContextRecord &C = V.Contexts[Order[I]];
+      const FuncRecord &R = A.Records[C.Rec];
+      Payload.uleb(C.FramesEnd - C.FramesBegin);
+      for (uint32_t F = C.FramesBegin; F != C.FramesEnd; ++F) {
+        Payload.uleb(TableIdx[A.Frames[F].Func]);
+        Payload.uleb(A.Frames[F].Site);
+      }
+      Payload.u8(C.ShouldBeInlined ? 1 : 0);
+      Payload.uleb(R.Guid);
+      Payload.uleb(R.Checksum);
+      encodeRecord(Payload, A, C.Rec, TableIdx);
+      Total = saturatingAdd(Total, R.TotalSamples);
+      Head = saturatingAdd(Head, R.HeadSamples);
+    }
+    Entries.push_back({Leaf, Off, Payload.size() - Off, Total, Head});
+  }
+
+  uint8_t Flags = (V.Kind == ProfileKind::ProbeBased ? SF_ProbeBased : 0) |
+                  (V.IsCS ? SF_ContextSensitive : 0) |
+                  (ExactCounts ? SF_ExactCounts : 0) |
+                  (Opts.CompactNames ? SF_CompactNames : 0);
   return assembleStore(
       Flags,
-      {{StoreSection::StringTable, encodeStringTable(SI.all(), Opts.CompactNames)},
+      {{StoreSection::StringTable,
+        encodeStringTable(Strings, Opts.CompactNames)},
        {StoreSection::EpochTable, encodeEpochTable(Epochs)},
        {StoreSection::FuncIndex, encodeFuncIndex(Entries)},
        {StoreSection::CSPayload, Payload.take()},
-       {StoreSection::Summary, encodeSummary(std::move(HotCounts))}});
-}
-
-uint8_t kindFlags(ProfileKind Kind) {
-  return Kind == ProfileKind::ProbeBased ? SF_ProbeBased : 0;
-}
-
-} // namespace
-
-std::string writeStore(const FlatProfile &Profile,
-                       const std::vector<EpochInfo> &Epochs,
-                       const StoreWriteOptions &Opts, bool IsInstr) {
-  LeafBlocks ByLeaf;
-  for (const auto &[Name, P] : Profile.Functions)
-    ByLeaf[Name].push_back({{{Name, 0}}, false, &P});
-  return writeBlocks(ByLeaf,
-                     kindFlags(Profile.Kind) | (IsInstr ? SF_ExactCounts : 0),
-                     Epochs, Opts, hotCountDistribution(Profile));
-}
-
-std::string writeStore(const ContextProfile &Profile,
-                       const std::vector<EpochInfo> &Epochs,
-                       const StoreWriteOptions &Opts) {
-  LeafBlocks ByLeaf;
-  Profile.forEachNode([&](const SampleContext &Ctx, const ContextTrieNode &N) {
-    ByLeaf[Ctx.back().Func].push_back({Ctx, N.ShouldBeInlined, &N.Profile});
-  });
-  return writeBlocks(ByLeaf, kindFlags(Profile.Kind) | SF_ContextSensitive,
-                     Epochs, Opts, hotCountDistribution(Profile));
+       {StoreSection::Summary, encodeSummary(hotCountDistribution(V))}});
 }
 
 std::string_view ProfileStore::section(StoreSection S) const {
@@ -972,25 +968,12 @@ IngestResult ingestEpoch(std::string &Bytes, const ContextProfileView &FreshV,
   VO.Level = Opts.Verify;
   VO.ExactCounts = Instr;
   VO.CheckHeadEdges = !Instr;
-  bool Verify = Opts.Verify != VerifyLevel::Off;
-  std::string Out;
-  if (FreshV.IsCS) {
-    ContextProfile Agg = contextProfileOf(Merged);
-    if (Verify)
-      R.Verify = verifyContextProfile(Agg, VO);
-    if (R.Verify.ok())
-      Out = writeStore(Agg, Epochs, Opts.Write);
-  } else {
-    FlatProfile Agg = flatProfileOf(Merged);
-    if (Verify)
-      R.Verify = verifyFlatProfile(Agg, VO);
-    if (R.Verify.ok())
-      Out = writeStore(Agg, Epochs, Opts.Write, Instr);
-  }
+  R.Verify = verifyProfileView(Merged, VO);
   if (!R.Verify.ok()) {
     R.Error = "post-ingest verification failed: " + R.Verify.str();
     return R;
   }
+  std::string Out = writeStore(Merged, Epochs, Opts.Write, Instr);
   Bytes = std::move(Out);
   R.Ok = true;
   R.EpochsNow = Epochs.size();

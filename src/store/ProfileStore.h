@@ -23,16 +23,17 @@
 /// Flat and context-sensitive stores share one payload format, as they
 /// share one view: every function is a block of contexts, and a flat
 /// store's block holds one one-frame context (the function) with node
-/// flags 0. One writer emits it, and one read plane decodes it:
-/// `open`/`openBorrowed` validate the container, and StoreViewLoader (or
-/// the eager loadView) cursors the indexed payload tiles straight into
-/// one ContextProfileView with no byte copy of the container under a
-/// borrowed open, no map nodes and no per-record string allocation. The
-/// context-sensitive flag decides only which map container the view
-/// converts to and which hot-count distribution the summary holds.
-/// Callers that need the map containers (the loader's annotation pass,
-/// the tools) build them once from the view with flatProfileOf /
-/// contextProfileOf, as the view's IsCS says.
+/// flags 0. One writer encodes it from a view's slices, and one read plane
+/// decodes it: `open`/`openBorrowed` validate the container, and
+/// StoreViewLoader (or the eager loadView) cursors the indexed payload
+/// tiles straight into one ContextProfileView with no byte copy of the
+/// container under a borrowed open, no map nodes and no per-record string
+/// allocation. The context-sensitive flag decides only which map
+/// container the view converts to and which hot-count distribution the
+/// summary holds. The store itself never builds a map: writing, folding
+/// and verifying all run on views. Callers that need the map containers
+/// (the loader's annotation pass, the tools) build them once from the
+/// view with flatProfileOf / contextProfileOf, as the view's IsCS says.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,14 +79,18 @@ struct StoreWriteOptions {
   bool CompactNames = false;
 };
 
-/// Serializes \p Profile (+ ingestion history) into container bytes.
-std::string writeStore(const FlatProfile &Profile,
+/// Serializes \p V (+ ingestion history) into container bytes: a CS store
+/// when V.IsCS, else a flat one; \p ExactCounts marks an Instr (counter)
+/// profile. Records are encoded straight from the view's slices. The
+/// string table holds the sorted, unique names the view references
+/// (frames, call and inlinee callees), every function's block holds the
+/// contexts it is the leaf of in the view's trie-DFS order, and the
+/// summary is hotCountDistribution(V). Map holders convert with
+/// flatViewOf / contextViewOf; equal profiles give equal bytes either way.
+std::string writeStore(const ContextProfileView &V,
                        const std::vector<EpochInfo> &Epochs,
                        const StoreWriteOptions &Opts = {},
-                       bool IsInstr = false);
-std::string writeStore(const ContextProfile &Profile,
-                       const std::vector<EpochInfo> &Epochs,
-                       const StoreWriteOptions &Opts = {});
+                       bool ExactCounts = false);
 
 /// Reader over one store file. open() validates the whole container up
 /// front (magic, version, flags, content hash, section table, function
@@ -267,12 +272,12 @@ struct IngestResult {
 /// any function fixes the kind (probe- or line-based) at every decay,
 /// replacement included.
 ///
-/// The fold runs on the arena data plane end-to-end — borrowed-buffer
-/// open, arena decode, view decay-scale, k-way view merge — and bridges
-/// to the map containers once, for the (mandatory) Full verification and
-/// the writer. A store that opens but decodes to non-canonical views
-/// fails the fold with an error, never an abort. Callers holding map
-/// containers convert with flatViewOf / contextViewOf.
+/// The fold runs on the arena data plane end to end — borrowed-buffer
+/// open, arena decode, view decay-scale, k-way view merge, the view
+/// verifier and the view writer — and builds no map container. A store
+/// that opens but decodes to non-canonical views fails the fold with an
+/// error, never an abort. Callers holding map containers convert with
+/// flatViewOf / contextViewOf.
 IngestResult ingestEpoch(std::string &Bytes, const ContextProfileView &Fresh,
                          const IngestOptions &Opts = {});
 

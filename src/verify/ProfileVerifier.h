@@ -46,6 +46,14 @@
 ///    root edges carry site 0, and non-root edge sites lie in the parent
 ///    function's probe domain.
 ///
+/// One checker runs all of this on a ContextProfileView
+/// (verifyProfileView), so the store's epoch fold and its loader verify
+/// views without building a map. The map entry points convert once and
+/// call it, after checking only what a view cannot carry: a flat map key
+/// against its profile's name, and a trie's root-edge sites, edge keys
+/// against node names, counts on nodes without HasProfile and the sites
+/// of edges into subtrees holding no profile (reported first).
+///
 /// The checks are diagnostics, not gates: verification returns a report
 /// with violation counts and capped details; callers (ProfileLoader,
 /// ProfileGenerator, PGODriver) decide whether to surface, warn or abort.
@@ -57,6 +65,7 @@
 
 #include "profile/ContextTrie.h"
 #include "profile/FunctionProfile.h"
+#include "profile/ProfileArena.h"
 
 #include <string>
 #include <vector>
@@ -131,6 +140,12 @@ struct VerifyReport {
   /// One-line human-readable summary ("clean" or count + first detail).
   std::string str() const;
 };
+
+/// Verifies a view, flat or context-sensitive as its IsCS says. A flat
+/// view's violations anchor to function names, a CS view's to rendered
+/// contexts ("[main:12 @ foo]"); nested inlinees append " > callee@key".
+VerifyReport verifyProfileView(const ContextProfileView &V,
+                               const VerifierOptions &Opts = {});
 
 /// Verifies a flat (AutoFDO / probe-only / instrumentation) profile.
 VerifyReport verifyFlatProfile(const FlatProfile &Profile,

@@ -917,20 +917,6 @@ std::unique_ptr<Module> ProgramBuilder::build() {
 
 } // namespace
 
-const char *archetypeName(WorkloadArchetype A) {
-  switch (A) {
-  case WorkloadArchetype::Server:
-    return "Server";
-  case WorkloadArchetype::RpcFanout:
-    return "RpcFanout";
-  case WorkloadArchetype::InterpLoop:
-    return "InterpLoop";
-  case WorkloadArchetype::ColdBoot:
-    return "ColdBoot";
-  }
-  return "Unknown";
-}
-
 std::unique_ptr<Module> generateProgram(const WorkloadConfig &Config) {
   return ProgramBuilder(Config).build();
 }

@@ -62,8 +62,6 @@ enum class WorkloadArchetype : uint8_t {
   ColdBoot,
 };
 
-const char *archetypeName(WorkloadArchetype A);
-
 struct WorkloadConfig {
   std::string Name = "workload";
   uint64_t Seed = 1;

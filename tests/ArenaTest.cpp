@@ -546,7 +546,7 @@ void putU32(std::string &Bytes, size_t Pos, uint32_t V) {
 } // namespace
 
 TEST(ArenaStore, EveryRehashedTruncationIsRejected) {
-  std::string Bytes = writeStore(randomFlat(5), {{1, 100, 1000}});
+  std::string Bytes = writeStore(flatViewOf(randomFlat(5)), {{1, 100, 1000}});
   // A plain truncation fails the hash; re-hashing the prefix removes that
   // shield, so what rejects these is the structural validation alone
   // (header size, section-table bounds, fixed-width section shapes).
@@ -562,7 +562,7 @@ TEST(ArenaStore, EveryRehashedTruncationIsRejected) {
 }
 
 TEST(ArenaStore, CorruptStringTableOffsetsAreRejected) {
-  std::string Bytes = writeStore(randomFlat(6), {{1, 100, 1000}});
+  std::string Bytes = writeStore(flatViewOf(randomFlat(6)), {{1, 100, 1000}});
   auto [Off, Size] = sectionSpan(Bytes, "string-table");
   ASSERT_GE(Size, 8u);
   // The last cumulative end offset must equal the blob size; pointing it
@@ -590,7 +590,7 @@ TEST(ArenaStore, CorruptStringTableOffsetsAreRejected) {
 }
 
 TEST(ArenaStore, CorruptFuncIndexIsRejected) {
-  std::string Bytes = writeStore(randomFlat(7), {{1, 100, 1000}});
+  std::string Bytes = writeStore(flatViewOf(randomFlat(7)), {{1, 100, 1000}});
   auto [Off, Size] = sectionSpan(Bytes, "func-index");
   ASSERT_GE(Size, 36u);
   ASSERT_EQ(Size % 36, 0u);
@@ -606,7 +606,7 @@ TEST(ArenaStore, CorruptFuncIndexIsRejected) {
 
 TEST(ArenaStore, BorrowedViewsAliasTheCallerBuffer) {
   FlatProfile P = randomFlat(8);
-  std::string Bytes = writeStore(P, {{1, 100, 1000}});
+  std::string Bytes = writeStore(flatViewOf(P), {{1, 100, 1000}});
   Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
   ASSERT_TRUE(bool(S)) << S.status().message();
   ASSERT_GT(S->numFunctions(), 0u);
@@ -619,7 +619,7 @@ TEST(ArenaStore, BorrowedViewsAliasTheCallerBuffer) {
 
 TEST(ArenaStore, FlatViewLoaderUnionEqualsEagerLoad) {
   FlatProfile P = randomFlat(9);
-  std::string Bytes = writeStore(P, {{1, 100, 1000}});
+  std::string Bytes = writeStore(flatViewOf(P), {{1, 100, 1000}});
   Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
   ASSERT_TRUE(bool(S)) << S.status().message();
 
@@ -637,7 +637,7 @@ TEST(ArenaStore, FlatViewLoaderUnionEqualsEagerLoad) {
 
 TEST(ArenaStore, ContextViewLoaderUnionEqualsEagerLoad) {
   ContextProfile P = randomContext(10);
-  std::string Bytes = writeStore(P, {{1, 100, 1000}});
+  std::string Bytes = writeStore(contextViewOf(P), {{1, 100, 1000}});
   Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
   ASSERT_TRUE(bool(S)) << S.status().message();
 
@@ -716,7 +716,7 @@ void expectLoadAndIngestReject(const std::string &Bad,
 TEST(ArenaStore, RepeatedContextInALeafBlockIsRejected) {
   // Copying main@1 -> f over main@2 -> f repeats a context in f's block.
   ContextProfile P = twoCallersOfF();
-  std::string Bytes = writeStore(P, {{1, 10, 1000}});
+  std::string Bytes = writeStore(contextViewOf(P), {{1, 10, 1000}});
   Expected<ProfileStore> S = ProfileStore::open(Bytes);
   ASSERT_TRUE(bool(S)) << S.status().message();
   int F = S->findFunction("f");
@@ -734,7 +734,7 @@ TEST(ArenaStore, RepeatedContextInALeafBlockIsRejected) {
 
 TEST(ArenaStore, DuplicateIndexNameIsRejected) {
   FlatProfile P = twoFunctionFlat();
-  std::string Bytes = writeStore(P, {{1, 30, 1000}});
+  std::string Bytes = writeStore(flatViewOf(P), {{1, 30, 1000}});
   auto [Off, Size] = sectionSpan(Bytes, "func-index");
   ASSERT_EQ(Size, 72u);
   // Entry 1 names entry 0's function.
@@ -751,7 +751,7 @@ TEST(ArenaStore, DuplicateIndexNameIsRejected) {
 
 TEST(ArenaStore, UnsortedStringTableIsRejected) {
   FlatProfile P = twoFunctionFlat();
-  std::string Bytes = writeStore(P, {{1, 30, 1000}});
+  std::string Bytes = writeStore(flatViewOf(P), {{1, 30, 1000}});
   auto [Off, Size] = sectionSpan(Bytes, "string-table");
   ASSERT_EQ(loadStoreWord32(Bytes.data() + Off), 2u);
   // Blob "aabb" -> "bbaa": same offsets, descending names.
@@ -803,21 +803,23 @@ TEST(ArenaStore, OneFrameContextBlocksReadAsAFlatStore) {
   // The control for the tests below: blocks that keep the flat shape
   // read as the flat profile of the same functions.
   ContextProfile P = oneFrameContexts();
-  std::string Bytes = asFlatStore(writeStore(P, {{1, 20, 1000}}));
+  std::string Bytes =
+      asFlatStore(writeStore(contextViewOf(P), {{1, 20, 1000}}));
   Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
   ASSERT_TRUE(bool(S)) << S.status().message();
   EXPECT_FALSE(S->isCS());
   Expected<ContextProfileView> V = S->loadView();
   ASSERT_TRUE(bool(V)) << V.status().message();
   EXPECT_EQ(serializeFlatProfile(flatProfileOf(*V)),
-            serializeFlatProfile(P.flatten()));
+            serializeFlatProfile(flattenContextProfile(P)));
 }
 
 TEST(ArenaStore, FlatBlockWithTwoContextsIsRejected) {
   ContextProfile P = twoCallersOfF();
-  std::string Bad = asFlatStore(writeStore(P, {{1, 10, 1000}}));
+  std::string Bad =
+      asFlatStore(writeStore(contextViewOf(P), {{1, 10, 1000}}));
   expectLoadAndIngestReject(Bad, "one one-frame context",
-                            flatViewOf(P.flatten()));
+                            flatViewOf(flattenContextProfile(P)));
 }
 
 TEST(ArenaStore, FlatBlockWithATwoFrameContextIsRejected) {
@@ -826,22 +828,24 @@ TEST(ArenaStore, FlatBlockWithATwoFrameContextIsRejected) {
   ContextTrieNode &N = P.getOrCreateNode({{"main", 1}, {"f", 0}});
   N.HasProfile = true;
   N.Profile.addBody({1, 0}, 5);
-  std::string Bad = asFlatStore(writeStore(P, {{1, 5, 1000}}));
+  std::string Bad =
+      asFlatStore(writeStore(contextViewOf(P), {{1, 5, 1000}}));
   expectLoadAndIngestReject(Bad, "one one-frame context",
-                            flatViewOf(P.flatten()));
+                            flatViewOf(flattenContextProfile(P)));
 }
 
 TEST(ArenaStore, FlatBlockWithANodeFlagIsRejected) {
   ContextProfile P = oneFrameContexts();
   P.findNode({{"bb", 0}})->ShouldBeInlined = true;
-  std::string Bad = asFlatStore(writeStore(P, {{1, 20, 1000}}));
+  std::string Bad =
+      asFlatStore(writeStore(contextViewOf(P), {{1, 20, 1000}}));
   expectLoadAndIngestReject(Bad, "one one-frame context",
-                            flatViewOf(P.flatten()));
+                            flatViewOf(flattenContextProfile(P)));
 }
 
 TEST(ArenaStore, CSBlockTotalDisagreeingWithTheIndexIsRejected) {
   ContextProfile P = twoCallersOfF();
-  std::string Bytes = writeStore(P, {{1, 10, 1000}});
+  std::string Bytes = writeStore(contextViewOf(P), {{1, 10, 1000}});
   auto [Off, Size] = sectionSpan(Bytes, "func-index");
   ASSERT_EQ(Size, 36u); // One leaf, f.
   // Entry layout: u32 name, u64 offset, u64 size, u64 total, u64 head.
@@ -856,7 +860,7 @@ TEST(ArenaStore, FlatPayloadUnderTheRetiredSectionIdIsRejected) {
   // The flat payload's old section id (4) is retired: a store that holds
   // its blocks there has no cs-payload section and fails open().
   FlatProfile P = twoFunctionFlat();
-  std::string Bytes = writeStore(P, {{1, 30, 1000}});
+  std::string Bytes = writeStore(flatViewOf(P), {{1, 30, 1000}});
   uint32_t NumSections = loadStoreWord32(Bytes.data() + 16);
   std::string Bad = Bytes;
   bool Moved = false;

@@ -12,6 +12,8 @@
 
 #include "ExpCLI.h"
 
+#include "store/ProfileStore.h"
+
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -21,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -495,6 +498,63 @@ TEST(CLIConvert, NestingPastTheBoundFailsCleanly) {
     EXPECT_NE(Output.find("is not a valid profile"), std::string::npos)
         << Levels << ":\n"
         << Output;
+  }
+  std::filesystem::remove_all(Dir);
+}
+
+// An exact-count (Instr) store keeps its flag through `convert` to text
+// and back, so a later Instr epoch folds into the converted store under
+// exact-count rules. Without the flag the fold checked head/call-edge
+// conservation, which counter profiles do not obey, and failed. Text of
+// any other profile carries no "!counts:" line.
+TEST(CLIConvert, InstrStoreKeepsExactCountsThroughText) {
+  const std::filesystem::path Dir =
+      std::filesystem::temp_directory_path() /
+      ("csspgo_cli_instr_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(Dir);
+  auto Path = [&Dir](const char *Name) { return (Dir / Name).string(); };
+  auto Slurp = [](const std::string &File) {
+    std::ifstream In(File, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(In), {});
+  };
+  // Entry counts as heads, and no call targets into either function.
+  FlatProfile P;
+  P.Kind = ProfileKind::LineBased;
+  P.getOrCreate("main").addBody({1, 0}, 10);
+  P.getOrCreate("main").HeadSamples = 1;
+  P.getOrCreate("f").addBody({1, 0}, 4);
+  P.getOrCreate("f").HeadSamples = 4;
+
+  for (bool Exact : {true, false}) {
+    std::ofstream(Path("i.bin"), std::ios::binary)
+        << writeStore(flatViewOf(P), {{1, 14, 1000}}, {}, Exact);
+    std::string Output;
+    ASSERT_EQ(
+        runTool("convert " + Path("i.bin") + " " + Path("i.txt"), Output), 0)
+        << Output;
+    std::string Text = Slurp(Path("i.txt"));
+    EXPECT_EQ(Text.find("!counts: exact\n") != std::string::npos, Exact)
+        << Text;
+    EXPECT_EQ(Text.find("!counts:") != std::string::npos, Exact) << Text;
+    ASSERT_EQ(
+        runTool("convert " + Path("i.txt") + " " + Path("i2.bin"), Output), 0)
+        << Output;
+    std::string Bytes = Slurp(Path("i2.bin"));
+    Expected<ProfileStore> S = ProfileStore::open(Bytes);
+    ASSERT_TRUE(bool(S)) << S.status().message();
+    EXPECT_EQ(S->isInstr(), Exact);
+    ASSERT_EQ(
+        runTool("convert " + Path("i2.bin") + " " + Path("i2.txt"), Output),
+        0)
+        << Output;
+    EXPECT_EQ(Slurp(Path("i2.txt")), Text);
+    if (!Exact)
+      continue;
+    IngestOptions IO;
+    IO.DecayPermille = 500;
+    IO.ExactCounts = true;
+    IngestResult R = ingestEpoch(Bytes, flatViewOf(P), IO);
+    EXPECT_TRUE(R.Ok) << R.Error;
   }
   std::filesystem::remove_all(Dir);
 }

@@ -185,32 +185,6 @@ TEST(Executor, InstrCountersMatchExactExecution) {
   EXPECT_EQ(Leaf[4], 100u);
 }
 
-TEST(Executor, CounterDumpMerge) {
-  CounterDump A, B;
-  A.Functions["f"] = {0, 10, 20};
-  B.Functions["f"] = {0, 1, 2};
-  B.Functions["g"] = {0, 5};
-  mergeCounterDumps(A, B);
-  EXPECT_EQ(A.Functions["f"][1], 11u);
-  EXPECT_EQ(A.Functions["g"][1], 5u);
-}
-
-TEST(Executor, CounterDumpMergeSaturatesInsteadOfWrapping) {
-  // Regression: the merge used Dst += Src and long-running aggregation
-  // could wrap counters past UINT64_MAX into tiny values. It now clamps
-  // through the shared saturatingAccum and reports how many slots did.
-  CounterDump A, B;
-  A.Functions["f"] = {0, UINT64_MAX - 1, 10};
-  B.Functions["f"] = {0, 5, 7};
-  uint64_t Saturated = mergeCounterDumps(A, B);
-  EXPECT_EQ(Saturated, 1u);
-  EXPECT_EQ(A.Functions["f"][1], UINT64_MAX);
-  EXPECT_EQ(A.Functions["f"][2], 17u);
-  // A second merge into an already-clamped slot stays clamped.
-  EXPECT_EQ(mergeCounterDumps(A, B), 1u);
-  EXPECT_EQ(A.Functions["f"][1], UINT64_MAX);
-}
-
 TEST(Executor, ZeroSkidSamplingDeliversImmediately) {
   // Regression: MaxSkidInstructions = 0 with imprecise sampling fed
   // Rng::nextBelow(0) — division by zero in the skid draw. Zero skid now

@@ -281,7 +281,7 @@ TEST(PipelineStats, JSONIsStableAndCarriesEveryGroup) {
 //===----------------------------------------------------------------------===//
 
 TEST(StatusMigration, OwnedAndBorrowedOpensAgree) {
-  std::string Bytes = writeStore(sampledFlat(), {});
+  std::string Bytes = writeStore(flatViewOf(sampledFlat()), {});
   Expected<ProfileStore> S = ProfileStore::open(std::string(Bytes));
   ASSERT_TRUE(bool(S)) << S.status().message();
   Expected<ContextProfileView> Back = S->loadView();

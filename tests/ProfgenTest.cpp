@@ -213,7 +213,7 @@ TEST(CSProfile, FlattenedMatchesProbeOnlyScale) {
   auto P = profileContextModule(2000);
   ContextProfile CS = generateCS(P);
   FlatProfile Probe = generateProbeOnly(P, P.Samples);
-  FlatProfile Flat = CS.flatten();
+  FlatProfile Flat = flattenContextProfile(CS);
   // Context-merged totals should be close to the flat probe totals (same
   // ranges, same probes; flat keeps nested inlinees separate so compare
   // per-function totals including inlinees).

@@ -135,7 +135,8 @@ ContextProfile loadContextOrDie(const ProfileStore &S) {
 
 TEST(Store, FlatRoundTripIsLossless) {
   for (FlatProfile P : {sampledFlat(), lineFlat()}) {
-    std::string Bytes = writeStore(P, {{123, P.totalSamples(), 1000}});
+    std::string Bytes =
+        writeStore(flatViewOf(P), {{123, P.totalSamples(), 1000}});
     ProfileStore S = openOrDie(Bytes);
     EXPECT_EQ(S.isCS(), false);
     EXPECT_EQ(S.kind(), P.Kind);
@@ -146,7 +147,8 @@ TEST(Store, FlatRoundTripIsLossless) {
     EXPECT_EQ(serializeFlatProfile(Back), serializeFlatProfile(P));
 
     // Binary fixpoint: writing what was loaded is byte-identical.
-    EXPECT_EQ(writeStore(Back, {{123, P.totalSamples(), 1000}}), Bytes);
+    EXPECT_EQ(writeStore(flatViewOf(Back), {{123, P.totalSamples(), 1000}}),
+              Bytes);
   }
 }
 
@@ -154,7 +156,7 @@ TEST(Store, TextToBinaryToTextIsIdentity) {
   std::string Text = serializeFlatProfile(lineFlat());
   FlatProfile Parsed;
   ASSERT_TRUE(parseFlatProfile(Text, Parsed));
-  ProfileStore S = openOrDie(writeStore(Parsed, {}));
+  ProfileStore S = openOrDie(writeStore(flatViewOf(Parsed), {}));
   EXPECT_EQ(serializeFlatProfile(loadFlatOrDie(S)), Text);
 }
 
@@ -169,7 +171,7 @@ TEST(Store, GuidAndChecksumSurviveUnlikeText) {
   EXPECT_EQ(Reparsed.Functions.at("main").Guid, 0u);
 
   // ...the store keeps it, including an explicit zero.
-  ProfileStore S = openOrDie(writeStore(P, {}));
+  ProfileStore S = openOrDie(writeStore(flatViewOf(P), {}));
   FlatProfile Back = loadFlatOrDie(S);
   EXPECT_EQ(Back.Functions.at("main").Guid, 0xDEADBEEF12345678ull);
   EXPECT_EQ(Back.Functions.at("main").Checksum, 42u);
@@ -183,14 +185,17 @@ TEST(Store, CSRoundTripIsLossless) {
   ASSERT_TRUE(Res.IsCS);
   ASSERT_TRUE(Res.Verify.ok()) << Res.Verify.str();
 
-  std::string Bytes = writeStore(Res.CS, {{7, Res.CS.totalSamples(), 1000}});
+  std::string Bytes =
+      writeStore(contextViewOf(Res.CS), {{7, Res.CS.totalSamples(), 1000}});
   ProfileStore S = openOrDie(Bytes);
   EXPECT_TRUE(S.isCS());
   EXPECT_EQ(S.kind(), ProfileKind::ProbeBased);
 
   ContextProfile Back = loadContextOrDie(S);
   EXPECT_EQ(serializeContextProfile(Back), serializeContextProfile(Res.CS));
-  EXPECT_EQ(writeStore(Back, {{7, Res.CS.totalSamples(), 1000}}), Bytes);
+  EXPECT_EQ(
+      writeStore(contextViewOf(Back), {{7, Res.CS.totalSamples(), 1000}}),
+      Bytes);
 
   // The reconstructed trie passes strict verification against the probe
   // table of the producing build.
@@ -202,7 +207,7 @@ TEST(Store, CSRoundTripIsLossless) {
 
 TEST(Store, EmptyProfileRoundTrips) {
   FlatProfile Empty;
-  ProfileStore S = openOrDie(writeStore(Empty, {}));
+  ProfileStore S = openOrDie(writeStore(flatViewOf(Empty), {}));
   EXPECT_EQ(S.numFunctions(), 0u);
   EXPECT_EQ(S.totalSamples(), 0u);
   EXPECT_TRUE(S.epochs().empty());
@@ -215,7 +220,7 @@ TEST(Store, EmptyProfileRoundTrips) {
 
 TEST(Store, LazyUnionEqualsEagerLoad) {
   FlatProfile P = lineFlat();
-  ProfileStore S = openOrDie(writeStore(P, {}));
+  ProfileStore S = openOrDie(writeStore(flatViewOf(P), {}));
 
   StoreViewLoader Union(S);
   for (size_t I = 0; I != S.numFunctions(); ++I) {
@@ -240,7 +245,7 @@ TEST(Store, LazyUnionEqualsEagerLoad) {
 
 TEST(Store, FunctionLookupByNameAndGuid) {
   FlatProfile P = sampledFlat();
-  ProfileStore S = openOrDie(writeStore(P, {}));
+  ProfileStore S = openOrDie(writeStore(flatViewOf(P), {}));
   int Foo = S.findFunction("foo");
   ASSERT_GE(Foo, 0);
   EXPECT_EQ(S.functionName(Foo), "foo");
@@ -250,7 +255,7 @@ TEST(Store, FunctionLookupByNameAndGuid) {
   // A compact store names functions by GUID until resolved.
   StoreWriteOptions Compact;
   Compact.CompactNames = true;
-  ProfileStore C = openOrDie(writeStore(P, {}, Compact));
+  ProfileStore C = openOrDie(writeStore(flatViewOf(P), {}, Compact));
   int ByGuid =
       C.findFunction("guid." + std::to_string(computeFunctionGuid("foo")));
   ASSERT_GE(ByGuid, 0);
@@ -282,7 +287,7 @@ TEST(Store, InlineeNestingBoundIsSharedByBothReaders) {
   std::string Text = serializeFlatProfile(nestedProfile(MaxInlineeNesting));
   FlatProfile Parsed;
   ASSERT_TRUE(parseFlatProfile(Text, Parsed));
-  ProfileStore S = openOrDie(writeStore(Parsed, {}));
+  ProfileStore S = openOrDie(writeStore(flatViewOf(Parsed), {}));
   Expected<ContextProfileView> View = S.loadView();
   ASSERT_TRUE(View) << View.status().message();
   EXPECT_EQ(serializeFlatProfile(flatProfileOf(*View)), Text);
@@ -298,7 +303,8 @@ TEST(Store, InlineeNestingBoundIsSharedByBothReaders) {
   N.Profile = Deep.Functions.at("main");
   ContextProfile CSBack;
   EXPECT_FALSE(parseContextProfile(serializeContextProfile(CS), CSBack));
-  Expected<ProfileStore> DeepStore = ProfileStore::open(writeStore(Deep, {}));
+  Expected<ProfileStore> DeepStore =
+      ProfileStore::open(writeStore(flatViewOf(Deep), {}));
   ASSERT_TRUE(DeepStore) << DeepStore.status().message();
   Expected<ContextProfileView> DeepView = DeepStore->loadView();
   ASSERT_FALSE(DeepView);
@@ -311,12 +317,37 @@ TEST(Store, HotThresholdMatchesProfileSummary) {
   ASSERT_FALSE(G.Samples.empty());
   ProfGenResult Flat = G.generate(ProfGenKind::ProbeOnly);
   ProfGenResult CS = G.generate(ProfGenKind::CS);
-  ProfileStore SF = openOrDie(writeStore(Flat.Flat, {}));
-  ProfileStore SC = openOrDie(writeStore(CS.CS, {}));
+  ProfileStore SF = openOrDie(writeStore(flatViewOf(Flat.Flat), {}));
+  ProfileStore SC = openOrDie(writeStore(contextViewOf(CS.CS), {}));
   for (double Cutoff : {0.5, 0.9, 0.99}) {
-    EXPECT_EQ(SF.hotThreshold(Cutoff), hotThreshold(Flat.Flat, Cutoff));
-    EXPECT_EQ(SC.hotThreshold(Cutoff), hotThreshold(CS.CS, Cutoff));
+    EXPECT_EQ(SF.hotThreshold(Cutoff),
+              summaryThreshold(referenceHotCountDistribution(Flat.Flat),
+                               Cutoff));
+    EXPECT_EQ(SC.hotThreshold(Cutoff),
+              summaryThreshold(referenceHotCountDistribution(CS.CS), Cutoff));
   }
+}
+
+// The view writer against the map writer it replaced (test oracle):
+// generated flat, exact-count and CS profiles, names and GUID tables.
+TEST(Store, ViewWriterMatchesReferenceWriter) {
+  GeneratedSetup G;
+  ASSERT_FALSE(G.Samples.empty());
+  std::vector<EpochInfo> Epochs{{5, 77, 1000}, {9, 12, 500}};
+  StoreWriteOptions Compact;
+  Compact.CompactNames = true;
+  for (ProfGenKind K : {ProfGenKind::ProbeOnly, ProfGenKind::AutoFDO}) {
+    FlatProfile P = G.generate(K).Flat;
+    for (const StoreWriteOptions &WO : {StoreWriteOptions(), Compact})
+      for (bool Exact : {false, true})
+        EXPECT_EQ(writeStore(flatViewOf(P), Epochs, WO, Exact),
+                  referenceWriteStore(P, Epochs, WO, Exact))
+            << profGenKindName(K);
+  }
+  ContextProfile CS = G.generate(ProfGenKind::CS).CS;
+  for (const StoreWriteOptions &WO : {StoreWriteOptions(), Compact})
+    EXPECT_EQ(writeStore(contextViewOf(CS), Epochs, WO),
+              referenceWriteStore(CS, Epochs, WO));
 }
 
 TEST(Store, CompactNamesShrinkTheTableAndResolve) {
@@ -331,8 +362,8 @@ TEST(Store, CompactNamesShrinkTheTableAndResolve) {
   }
   StoreWriteOptions Compact;
   Compact.CompactNames = true;
-  std::string Full = writeStore(P, {});
-  std::string Small = writeStore(P, {}, Compact);
+  std::string Full = writeStore(flatViewOf(P), {});
+  std::string Small = writeStore(flatViewOf(P), {}, Compact);
   EXPECT_LT(Small.size(), Full.size());
 
   ProfileStore S = openOrDie(Small);
@@ -361,7 +392,7 @@ TEST(Store, CompactNamesShrinkTheTableAndResolve) {
 //===----------------------------------------------------------------------===//
 
 TEST(Store, EveryTruncationIsRejected) {
-  std::string Bytes = writeStore(sampledFlat(), {{1, 240, 1000}});
+  std::string Bytes = writeStore(flatViewOf(sampledFlat()), {{1, 240, 1000}});
   for (size_t Len = 0; Len != Bytes.size(); ++Len) {
     Expected<ProfileStore> S = ProfileStore::open(Bytes.substr(0, Len));
     EXPECT_FALSE(bool(S)) << "prefix of " << Len << " bytes accepted";
@@ -370,7 +401,7 @@ TEST(Store, EveryTruncationIsRejected) {
 }
 
 TEST(Store, BitFlipsAreRejected) {
-  std::string Bytes = writeStore(lineFlat(), {{1, 129, 1000}});
+  std::string Bytes = writeStore(flatViewOf(lineFlat()), {{1, 129, 1000}});
   // Flip one bit in every byte position; the content hash (or the header
   // validation for the hash field itself) must catch each one.
   for (size_t Pos = 0; Pos != Bytes.size(); ++Pos) {
@@ -582,7 +613,7 @@ TEST(StoreLoader, LazyEagerAndDirectLoadsAnnotateIdentically) {
   LoaderStats DS = loadFlatProfile(*Direct, Res.Flat, /*IsInstr=*/false);
 
   std::string Bytes =
-      writeStore(Res.Flat, {{0, Res.Flat.totalSamples(), 1000}});
+      writeStore(flatViewOf(Res.Flat), {{0, Res.Flat.totalSamples(), 1000}});
   ProfileStore S1 = openOrDie(Bytes);
   auto Lazy = freshModule();
   Expected<LoaderStats> LSE = loadProfileFromStore(*Lazy, S1, {}, true);
@@ -613,7 +644,7 @@ TEST(StoreLoader, LazyLoadSkipsFunctionsAbsentFromTheModule) {
   // rest — the lazy-loading payoff.
   Module M("partial");
   M.createFunction("main", 0)->createBlock("entry");
-  ProfileStore S = openOrDie(writeStore(Res.Flat, {}));
+  ProfileStore S = openOrDie(writeStore(flatViewOf(Res.Flat), {}));
   Expected<LoaderStats> LS = loadProfileFromStore(M, S);
   ASSERT_TRUE(bool(LS)) << LS.status().message();
   EXPECT_EQ(LS->StoreFunctionsMaterialized, 1u);

@@ -7,9 +7,17 @@
 // checks the end-to-end property that freshly generated profiles (CS,
 // probe-only, trimmed CS) verify clean at Full level.
 //
+// Every case runs three ways: the map entry point, the view checker on the
+// profile's view, and the test oracle's map-container verifier, and the
+// three reports must agree field for field. The map-shape cases (a flat
+// key that disagrees with its profile's name, trie edges a view cannot
+// carry) must be caught by the map entry point, and agree with the oracle
+// in counts; their view, which lost the fault, verifies clean.
+//
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Linker.h"
+#include "oracle/Oracle.h"
 #include "probe/ProbeInserter.h"
 #include "probe/ProbeTable.h"
 #include "profgen/ProfileGenerator.h"
@@ -29,6 +37,38 @@ bool hasKind(const VerifyReport &R, ViolationKind K) {
     if (V.Kind == K)
       return true;
   return false;
+}
+
+/// verifyFlatProfile's report on \p P, after checking that the view
+/// checker on flatViewOf(P) and the oracle report exactly the same.
+VerifyReport checkedFlat(const FlatProfile &P, const VerifierOptions &VO = {}) {
+  VerifyReport Map = verifyFlatProfile(P, VO);
+  VerifyReport Ref = referenceVerifyFlatProfile(P, VO);
+  EXPECT_EQ(diffVerifyReports(Map, Ref), "");
+  EXPECT_EQ(diffVerifyReports(verifyProfileView(flatViewOf(P), VO), Ref), "");
+  return Map;
+}
+
+/// verifyContextProfile's report on \p P, checked like checkedFlat.
+VerifyReport checkedContext(const ContextProfile &P,
+                            const VerifierOptions &VO = {}) {
+  VerifyReport Map = verifyContextProfile(P, VO);
+  VerifyReport Ref = referenceVerifyContextProfile(P, VO);
+  EXPECT_EQ(diffVerifyReports(Map, Ref), "");
+  EXPECT_EQ(diffVerifyReports(verifyProfileView(contextViewOf(P), VO), Ref),
+            "");
+  return Map;
+}
+
+/// verifyContextProfile's report on a trie with a fault its view cannot
+/// carry: the oracle's report, field for field, while the view verifies
+/// clean.
+VerifyReport mapShapeContext(const ContextProfile &P,
+                             const VerifierOptions &VO) {
+  VerifyReport Map = verifyContextProfile(P, VO);
+  EXPECT_EQ(diffVerifyReports(Map, referenceVerifyContextProfile(P, VO)), "");
+  EXPECT_TRUE(verifyProfileView(contextViewOf(P), VO).ok());
+  return Map;
 }
 
 /// A two-function sampled probe profile whose head/call edges conserve:
@@ -64,7 +104,7 @@ WorkloadConfig smallWC() {
 
 TEST(Verifier, CleanSampledDatabaseIsClean) {
   FlatProfile P = sampledFlat();
-  VerifyReport R = verifyFlatProfile(P);
+  VerifyReport R = checkedFlat(P);
   EXPECT_TRUE(R.ok()) << R.str();
   EXPECT_EQ(R.FunctionsChecked, 2u);
   EXPECT_NE(R.str().find("clean"), std::string::npos);
@@ -75,7 +115,7 @@ TEST(Verifier, OffLevelChecksNothing) {
   P.getOrCreate("main").TotalSamples += 5; // Corrupt; Off must not notice.
   VerifierOptions VO;
   VO.Level = VerifyLevel::Off;
-  VerifyReport R = verifyFlatProfile(P, VO);
+  VerifyReport R = checkedFlat(P, VO);
   EXPECT_TRUE(R.ok());
   EXPECT_EQ(R.FunctionsChecked, 0u);
 }
@@ -83,7 +123,7 @@ TEST(Verifier, OffLevelChecksNothing) {
 TEST(Verifier, CatchesTotalMismatch) {
   FlatProfile P = sampledFlat();
   P.getOrCreate("main").TotalSamples += 5;
-  VerifyReport R = verifyFlatProfile(P);
+  VerifyReport R = checkedFlat(P);
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::TotalMismatch)) << R.str();
 }
@@ -91,7 +131,7 @@ TEST(Verifier, CatchesTotalMismatch) {
 TEST(Verifier, CatchesHeadEdgeMismatch) {
   FlatProfile P = sampledFlat();
   P.getOrCreate("foo").HeadSamples += 1; // 41 heads vs 40 call targets.
-  VerifyReport R = verifyFlatProfile(P);
+  VerifyReport R = checkedFlat(P);
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::HeadEdgeMismatch)) << R.str();
 }
@@ -101,9 +141,21 @@ TEST(Verifier, CatchesTargetsIntoHeadlessFunction) {
   // A call-target record into a function the database has never seen (and
   // thus records no head for) breaks edge conservation too.
   P.getOrCreate("main").addCall({1, 0}, "ghost", 3);
-  VerifyReport R = verifyFlatProfile(P);
+  VerifyReport R = checkedFlat(P);
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::HeadEdgeMismatch)) << R.str();
+}
+
+TEST(Verifier, ReportsEdgeMismatchesInNameOrder) {
+  // "z" is interned before "y" (a's targets come before b's), so the view
+  // checker must sort the edge report by name, as a std::map orders it.
+  FlatProfile P;
+  P.getOrCreate("a").addCall({1, 0}, "z", 3);
+  P.getOrCreate("b").addCall({1, 0}, "y", 4);
+  VerifyReport R = checkedFlat(P);
+  ASSERT_EQ(R.Violations, 2u) << R.str();
+  EXPECT_EQ(R.Details[0].Where, "y");
+  EXPECT_EQ(R.Details[1].Where, "z");
 }
 
 TEST(Verifier, SummaryLevelSkipsEdgeConservation) {
@@ -111,10 +163,10 @@ TEST(Verifier, SummaryLevelSkipsEdgeConservation) {
   P.getOrCreate("foo").HeadSamples += 1;
   VerifierOptions VO;
   VO.Level = VerifyLevel::Summary;
-  EXPECT_TRUE(verifyFlatProfile(P, VO).ok());
+  EXPECT_TRUE(checkedFlat(P, VO).ok());
   // ...but Summary still sees count conservation.
   P.getOrCreate("main").TotalSamples += 5;
-  VerifyReport R = verifyFlatProfile(P, VO);
+  VerifyReport R = checkedFlat(P, VO);
   EXPECT_TRUE(hasKind(R, ViolationKind::TotalMismatch)) << R.str();
 }
 
@@ -128,7 +180,7 @@ TEST(Verifier, ExactCountsCatchHeadExceedingTotal) {
   VerifierOptions Exact;
   Exact.ExactCounts = true;
   Exact.CheckHeadEdges = false;
-  VerifyReport R = verifyFlatProfile(P, Exact);
+  VerifyReport R = checkedFlat(P, Exact);
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::HeadExceedsTotal)) << R.str();
 
@@ -136,7 +188,7 @@ TEST(Verifier, ExactCountsCatchHeadExceedingTotal) {
   // only as the newest LBR call branch serializes as "name:0:1".
   VerifierOptions Sampled;
   Sampled.CheckHeadEdges = false;
-  EXPECT_TRUE(verifyFlatProfile(P, Sampled).ok());
+  EXPECT_TRUE(checkedFlat(P, Sampled).ok());
 }
 
 TEST(Verifier, CatchesDiscriminatorOnProbeKey) {
@@ -145,27 +197,37 @@ TEST(Verifier, CatchesDiscriminatorOnProbeKey) {
   P.getOrCreate("f").addBody({1, 3}, 5);
   VerifierOptions VO;
   VO.CheckHeadEdges = false;
-  VerifyReport R = verifyFlatProfile(P, VO);
+  VerifyReport R = checkedFlat(P, VO);
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::DiscOnProbeKey)) << R.str();
 
   // The same key is perfectly legal on a line-based profile.
   P.Kind = ProfileKind::LineBased;
-  EXPECT_TRUE(verifyFlatProfile(P, VO).ok());
+  EXPECT_TRUE(checkedFlat(P, VO).ok());
 }
 
 TEST(Verifier, CatchesNameMismatch) {
+  // A map key that disagrees with its profile's name is map shape: the
+  // view names the function by its profile.
   FlatProfile P = sampledFlat();
   P.Functions.at("main").Name = "not_main";
   VerifyReport R = verifyFlatProfile(P);
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::NameMismatch)) << R.str();
+  EXPECT_EQ(diffVerifyReports(R, referenceVerifyFlatProfile(P)), "");
+  EXPECT_TRUE(verifyProfileView(flatViewOf(P)).ok());
 
+  // An empty profile name is the view's to catch; it anchors to the
+  // (empty) name the view files the function under, not the map key.
   FlatProfile Q;
-  Q.getOrCreate("g").Name.clear(); // Empty profile name.
+  Q.getOrCreate("g").Name.clear();
   VerifierOptions VO;
   VO.CheckHeadEdges = false;
-  EXPECT_TRUE(hasKind(verifyFlatProfile(Q, VO), ViolationKind::NameMismatch));
+  VerifyReport E = verifyFlatProfile(Q, VO);
+  EXPECT_TRUE(hasKind(E, ViolationKind::NameMismatch)) << E.str();
+  EXPECT_EQ(E.Violations, referenceVerifyFlatProfile(Q, VO).Violations);
+  EXPECT_TRUE(hasKind(verifyProfileView(flatViewOf(Q), VO),
+                      ViolationKind::NameMismatch));
 }
 
 TEST(Verifier, ChecksNestedInlineeProfiles) {
@@ -174,7 +236,7 @@ TEST(Verifier, ChecksNestedInlineeProfiles) {
       P.getOrCreate("main").getOrCreateInlinee({1, 0}, "leaf");
   Inl.addBody({1, 0}, 7);
   Inl.TotalSamples += 2; // Corrupt only the nested profile.
-  VerifyReport R = verifyFlatProfile(P);
+  VerifyReport R = checkedFlat(P);
   EXPECT_FALSE(R.ok());
   ASSERT_TRUE(hasKind(R, ViolationKind::TotalMismatch)) << R.str();
   // The violation anchors to the nested context, not the top level.
@@ -223,7 +285,7 @@ struct ProbedSetup {
 TEST(VerifierProbes, CleanAgainstDescriptors) {
   ProbedSetup S;
   ASSERT_NE(S.MainDesc, nullptr);
-  VerifyReport R = verifyFlatProfile(S.cleanProfile(), S.options());
+  VerifyReport R = checkedFlat(S.cleanProfile(), S.options());
   EXPECT_TRUE(R.ok()) << R.str();
 }
 
@@ -232,7 +294,7 @@ TEST(VerifierProbes, CatchesOutOfDomainKey) {
   ASSERT_NE(S.MainDesc, nullptr);
   FlatProfile P = S.cleanProfile();
   P.getOrCreate("main").addBody({S.MainDesc->NumProbes + 7, 0}, 1);
-  VerifyReport R = verifyFlatProfile(P, S.options());
+  VerifyReport R = checkedFlat(P, S.options());
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::ProbeOutOfDomain)) << R.str();
 }
@@ -242,12 +304,12 @@ TEST(VerifierProbes, CatchesGuidAndChecksumMismatch) {
   ASSERT_NE(S.MainDesc, nullptr);
   FlatProfile P = S.cleanProfile();
   P.getOrCreate("main").Guid += 1;
-  EXPECT_TRUE(hasKind(verifyFlatProfile(P, S.options()),
+  EXPECT_TRUE(hasKind(checkedFlat(P, S.options()),
                       ViolationKind::GuidMismatch));
 
   FlatProfile Q = S.cleanProfile();
   Q.getOrCreate("main").Checksum += 1;
-  EXPECT_TRUE(hasKind(verifyFlatProfile(Q, S.options()),
+  EXPECT_TRUE(hasKind(checkedFlat(Q, S.options()),
                       ViolationKind::ChecksumMismatch));
 }
 
@@ -255,7 +317,7 @@ TEST(VerifierProbes, CatchesMissingDescriptor) {
   ProbedSetup S;
   FlatProfile P = S.cleanProfile();
   P.getOrCreate("no_such_function").addBody({1, 0}, 1);
-  VerifyReport R = verifyFlatProfile(P, S.options());
+  VerifyReport R = checkedFlat(P, S.options());
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::NameMismatch)) << R.str();
 }
@@ -267,7 +329,7 @@ TEST(VerifierProbes, ZeroMetadataSkipsAgreement) {
   FlatProfile P = S.cleanProfile();
   P.getOrCreate("main").Guid = 0;
   P.getOrCreate("main").Checksum = 0;
-  EXPECT_TRUE(verifyFlatProfile(P, S.options()).ok());
+  EXPECT_TRUE(checkedFlat(P, S.options()).ok());
 }
 
 //===----------------------------------------------------------------------===//
@@ -281,7 +343,7 @@ TEST(VerifierTrie, CatchesRootEdgeWithNonzeroSite) {
   N.Profile.addBody({1, 0}, 10);
   VerifierOptions VO;
   VO.CheckHeadEdges = false;
-  VerifyReport R = verifyContextProfile(CS, VO);
+  VerifyReport R = mapShapeContext(CS, VO);
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::TrieEdgeMismatch)) << R.str();
 }
@@ -295,7 +357,7 @@ TEST(VerifierTrie, CatchesEdgeCalleeVsNodeName) {
   N.Profile.addBody({1, 0}, 10);
   VerifierOptions VO;
   VO.CheckHeadEdges = false;
-  VerifyReport R = verifyContextProfile(CS, VO);
+  VerifyReport R = mapShapeContext(CS, VO);
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::NameMismatch)) << R.str();
 }
@@ -306,7 +368,7 @@ TEST(VerifierTrie, CatchesGhostCountsWithoutHasProfile) {
   N.Profile.addBody({1, 0}, 10); // Counts, but HasProfile stays false.
   VerifierOptions VO;
   VO.CheckHeadEdges = false;
-  VerifyReport R = verifyContextProfile(CS, VO);
+  VerifyReport R = mapShapeContext(CS, VO);
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::TrieEdgeMismatch)) << R.str();
   EXPECT_EQ(R.ContextsChecked, 0u); // The ghost node holds no profile.
@@ -324,9 +386,32 @@ TEST(VerifierTrie, CatchesEdgeSiteOutsideParentDomain) {
   // Child edge site beyond main's probe domain ("main" as callee keeps
   // the descriptor lookup of the child itself happy).
   Main.getOrCreateChild(S.MainDesc->NumProbes + 9, "main");
-  VerifyReport R = verifyContextProfile(CS, S.options());
+  VerifyReport R = mapShapeContext(CS, S.options());
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(hasKind(R, ViolationKind::ProbeOutOfDomain)) << R.str();
+}
+
+// An edge into a profile-less node that profiled contexts pass through is
+// carried by the view: its site is checked once, however many contexts
+// run through it.
+TEST(VerifierTrie, ChecksAnIntermediateEdgeSiteOnce) {
+  ProbedSetup S;
+  ASSERT_NE(S.MainDesc, nullptr);
+  ContextProfile CS;
+  ContextTrieNode &Main = CS.Root.getOrCreateChild(0, "main");
+  ContextTrieNode &Mid =
+      Main.getOrCreateChild(S.MainDesc->NumProbes + 3, "no_such_mid");
+  for (uint32_t Site : {1u, 2u}) {
+    ContextTrieNode &Leaf = Mid.getOrCreateChild(Site, "no_such_leaf");
+    Leaf.HasProfile = true;
+    Leaf.Profile.addBody({1, 0}, 5);
+  }
+  VerifyReport R = checkedContext(CS, S.options());
+  uint64_t OutOfDomain = 0;
+  for (const Violation &V : R.Details)
+    OutOfDomain += V.Kind == ViolationKind::ProbeOutOfDomain;
+  EXPECT_EQ(OutOfDomain, 1u) << R.str();
+  EXPECT_EQ(R.ContextsChecked, 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -367,7 +452,7 @@ TEST(VerifierEndToEnd, GeneratedProfilesVerifyClean) {
   trimColdContexts(CSRes.CS, 2);
   VerifierOptions VO;
   VO.Probes = &PT;
-  VerifyReport Trimmed = verifyContextProfile(CSRes.CS, VO);
+  VerifyReport Trimmed = checkedContext(CSRes.CS, VO);
   EXPECT_TRUE(Trimmed.ok()) << Trimmed.str();
 
   // And a single tampered count is caught.
@@ -380,7 +465,7 @@ TEST(VerifierEndToEnd, GeneratedProfilesVerifyClean) {
         }
       });
   ASSERT_TRUE(Tampered);
-  VerifyReport Bad = verifyContextProfile(CSRes.CS, VO);
+  VerifyReport Bad = checkedContext(CSRes.CS, VO);
   EXPECT_FALSE(Bad.ok());
   EXPECT_TRUE(hasKind(Bad, ViolationKind::TotalMismatch)) << Bad.str();
 }

@@ -157,4 +157,16 @@ void scaleContextProfile(ContextProfile &Profile, uint64_t Num, uint64_t Den) {
       });
 }
 
+FlatProfile flattenContextProfile(const ContextProfile &P) {
+  FlatProfile Flat;
+  Flat.Kind = P.Kind;
+  P.forEachNode([&Flat](const SampleContext &Ctx, const ContextTrieNode &N) {
+    FunctionProfile &FP = Flat.getOrCreate(Ctx.back().Func);
+    FP.Guid = N.Profile.Guid;
+    FP.Checksum = N.Profile.Checksum;
+    FP.merge(N.Profile);
+  });
+  return Flat;
+}
+
 } // namespace csspgo

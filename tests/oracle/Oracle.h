@@ -33,7 +33,12 @@
 ///    every branch's caller context and every probe hit's context anew,
 ///    and the probe-only generator on std::maps, which the interned
 ///    two-phase generators of profgen/ must reproduce to the byte and
-///    counter.
+///    counter;
+///  * for the binary store and the verifier, the store writer and the
+///    profile verifier as they ran on the map containers, which writeStore
+///    and the view checker of verify/ProfileVerifier.h (both over
+///    ContextProfileView) must reproduce to the byte and to the report
+///    field.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +54,10 @@
 #include "profgen/CSProfileGenerator.h"
 #include "profile/ProfileMerge.h"
 #include "sim/Executor.h"
+#include "store/ProfileStore.h"
 #include "support/Random.h"
 #include "trace/TraceDecoder.h"
+#include "verify/ProfileVerifier.h"
 
 #include <map>
 #include <memory>
@@ -89,6 +96,11 @@ MergeStats mergeFlatProfiles(FlatProfile &Dst, const FlatProfile &Src);
 /// mergeFlatProfiles.
 MergeStats mergeContextProfiles(ContextProfile &Dst,
                                 const ContextProfile &Src);
+
+/// Flattens \p P to a context-insensitive profile: every context of a
+/// function merges into one FunctionProfile (what AutoFDO would see,
+/// modulo correlation quality), taking the last context's Guid/Checksum.
+FlatProfile flattenContextProfile(const ContextProfile &P);
 
 /// Scales every count in \p Profile by Num/Den under the scaleContextView
 /// contract (round half up, telescoping head/call-edge accumulators,
@@ -270,6 +282,40 @@ FlatProfile referenceProbeOnlyProfile(const Binary &Bin,
                                       const ProbeTable &Probes,
                                       const std::vector<PerfSample> &Samples,
                                       CSProfileGenStats *Stats = nullptr);
+
+/// The map-container store writer: names gathered into a std::set,
+/// contexts grouped per leaf in a std::map, records encoded from the
+/// FunctionProfile maps. writeStore(flatViewOf(P), Epochs, Opts, IsInstr)
+/// and writeStore(contextViewOf(P), Epochs, Opts) must return the same
+/// bytes for any profile the view carries exactly (no empty call-target
+/// or inlinee maps, map keys equal to profile names).
+std::string referenceWriteStore(const FlatProfile &P,
+                                const std::vector<EpochInfo> &Epochs,
+                                const StoreWriteOptions &Opts = {},
+                                bool IsInstr = false);
+std::string referenceWriteStore(const ContextProfile &P,
+                                const std::vector<EpochInfo> &Epochs,
+                                const StoreWriteOptions &Opts = {});
+
+/// The hot-count distributions the map writer persisted; equal as
+/// multisets to hotCountDistribution of the profile's view.
+std::vector<uint64_t> referenceHotCountDistribution(const FlatProfile &P);
+std::vector<uint64_t> referenceHotCountDistribution(const ContextProfile &P);
+
+/// The map-container verifier: every check of verify/ProfileVerifier.h in
+/// one walk over the FunctionProfiles and the trie. verifyFlatProfile /
+/// verifyContextProfile, and verifyProfileView on the profile's view,
+/// must return the same report field for field on any profile without
+/// map-shape faults (see ProfileVerifier.h for those).
+VerifyReport referenceVerifyFlatProfile(const FlatProfile &Profile,
+                                        const VerifierOptions &Opts = {});
+VerifyReport referenceVerifyContextProfile(const ContextProfile &Profile,
+                                           const VerifierOptions &Opts = {});
+
+/// Compares every VerifyReport field, Details in order. Returns an empty
+/// string when \p A and \p B match, else the first field that differs
+/// (values printed A first).
+std::string diffVerifyReports(const VerifyReport &A, const VerifyReport &B);
 
 } // namespace csspgo
 

@@ -41,6 +41,16 @@ constexpr uint64_t NestingSalt = 0x6E657374696E67ull;
 /// Stage 15 likewise draws from Seed ^ ProfgenSalt.
 constexpr uint64_t ProfgenSalt = 0x70726F6667656Eull;
 
+/// Stage 16 likewise draws from Seed ^ VerifierSalt.
+constexpr uint64_t VerifierSalt = 0x7665726966696572ull;
+
+constexpr ViolationKind AllViolationKinds[] = {
+    ViolationKind::TotalMismatch,    ViolationKind::HeadExceedsTotal,
+    ViolationKind::HeadEdgeMismatch, ViolationKind::DiscOnProbeKey,
+    ViolationKind::ProbeOutOfDomain, ViolationKind::GuidMismatch,
+    ViolationKind::ChecksumMismatch, ViolationKind::NameMismatch,
+    ViolationKind::TrieEdgeMismatch};
+
 WorkloadConfig randomWorkload(Rng &R) {
   WorkloadConfig W;
   W.Name = "fuzz";
@@ -104,6 +114,216 @@ std::string truncateAtLine(const std::string &Text, Rng &R) {
   if (NL == std::string::npos)
     return std::string();
   return Text.substr(0, NL + 1);
+}
+
+bool hasViolation(const VerifyReport &R, ViolationKind K) {
+  for (const Violation &V : R.Details)
+    if (V.Kind == K)
+      return true;
+  return false;
+}
+
+template <typename Map> auto &randomEntry(Map &M, Rng &R) {
+  return std::next(M.begin(), R.nextBelow(M.size()))->second;
+}
+
+/// A random record under \p P: P itself or, with probability 1/2 at each
+/// level, one of its nested inlinees.
+FunctionProfile &randomRecord(FunctionProfile &P, Rng &R) {
+  FunctionProfile *Cur = &P;
+  while (!Cur->Inlinees.empty() && R.nextBool(0.5))
+    Cur = &randomEntry(randomEntry(Cur->Inlinees, R), R);
+  return *Cur;
+}
+
+/// Plants one corruption that must raise \p K into the record \p P of a
+/// function named by a descriptor of \p Probes (when given) and sets the
+/// options that observe it. \p RenameTop says whether P may be renamed
+/// apart from its container key (a trie node's profile; a flat map key
+/// is map shape). Returns false where \p K does not apply.
+bool plantInRecord(FunctionProfile &P, ViolationKind K, bool ProbeKeyed,
+                   bool RenameTop, const ProbeTable *Probes, Rng &R,
+                   VerifierOptions &VO) {
+  const ProbeDescriptor *Desc = Probes ? Probes->findByName(P.Name) : nullptr;
+  uint64_t N = 1 + R.nextBelow(9);
+  switch (K) {
+  case ViolationKind::TotalMismatch:
+    randomRecord(P, R).TotalSamples += N;
+    return true;
+  case ViolationKind::HeadExceedsTotal:
+    P.HeadSamples = P.TotalSamples + N;
+    VO.ExactCounts = true;
+    VO.CheckHeadEdges = false;
+    return true;
+  case ViolationKind::HeadEdgeMismatch:
+    P.HeadSamples += N;
+    return true;
+  case ViolationKind::DiscOnProbeKey:
+    if (!ProbeKeyed)
+      return false;
+    randomRecord(P, R).addBody({1, 1 + static_cast<uint32_t>(N)}, N);
+    return true;
+  case ViolationKind::ProbeOutOfDomain:
+    if (!Desc)
+      return false;
+    P.addBody({Desc->NumProbes + static_cast<uint32_t>(N), 0}, N);
+    return true;
+  case ViolationKind::GuidMismatch:
+    if (!Desc)
+      return false;
+    P.Guid = Desc->Guid + N;
+    return true;
+  case ViolationKind::ChecksumMismatch:
+    if (!Desc)
+      return false;
+    P.Checksum = Desc->CFGChecksum + N;
+    return true;
+  case ViolationKind::NameMismatch: {
+    // A record named apart from its container key, whose new name no
+    // descriptor knows either.
+    FunctionProfile &Rec = randomRecord(P, R);
+    if (&Rec == &P && !RenameTop)
+      return false;
+    Rec.Name += ".renamed";
+    return true;
+  }
+  case ViolationKind::TrieEdgeMismatch:
+    return false;
+  }
+  return false;
+}
+
+/// Stage 16 on one profile of each shape: every ViolationKind planted on a
+/// copy, then the map entry point and the view checker must report what
+/// the oracle reports, and both writers must write the same bytes.
+bool diffPlantedFlat(const char *What, const FlatProfile &Clean,
+                     const ProbeTable *Probes, Rng &R, std::string &Err) {
+  if (Clean.Functions.empty())
+    return true;
+  const bool ProbeKeyed = Clean.Kind == ProfileKind::ProbeBased;
+  for (ViolationKind K : AllViolationKinds) {
+    FlatProfile P = Clean;
+    VerifierOptions VO;
+    VO.Probes = Probes;
+    if (!plantInRecord(randomEntry(P.Functions, R), K, ProbeKeyed,
+                       /*RenameTop=*/false, Probes, R, VO)) {
+      // A function no descriptor names.
+      if (K != ViolationKind::NameMismatch || !ProbeKeyed || !Probes)
+        continue;
+      P.getOrCreate("fuzz.unknown").addBody({1, 0}, 1 + R.nextBelow(9));
+    }
+    std::string Where = std::string(What) + " with a planted " +
+                        violationKindName(K);
+    VerifyReport Ref = referenceVerifyFlatProfile(P, VO);
+    if (!hasViolation(Ref, K)) {
+      Err = Where + " is not caught by the oracle: " + Ref.str();
+      return false;
+    }
+    if (std::string D = diffVerifyReports(verifyFlatProfile(P, VO), Ref);
+        !D.empty()) {
+      Err = Where + ": map entry verifier diverges from the oracle: " + D;
+      return false;
+    }
+    if (std::string D =
+            diffVerifyReports(verifyProfileView(flatViewOf(P), VO), Ref);
+        !D.empty()) {
+      Err = Where + ": view verifier diverges from the oracle: " + D;
+      return false;
+    }
+    std::vector<EpochInfo> Epochs(R.nextBelow(3), {R.next(), R.next(), 500});
+    StoreWriteOptions WO;
+    WO.CompactNames = R.nextBool(0.3);
+    bool Exact = R.nextBool(0.3);
+    if (writeStore(flatViewOf(P), Epochs, WO, Exact) !=
+        referenceWriteStore(P, Epochs, WO, Exact)) {
+      Err = Where + ": view writer diverges from the map writer";
+      return false;
+    }
+  }
+  return true;
+}
+
+bool diffPlantedContext(const ContextProfile &Clean, const ProbeTable *Probes,
+                        Rng &R, std::string &Err) {
+  if (Clean.Root.Children.empty())
+    return true;
+  for (ViolationKind K : AllViolationKinds) {
+    ContextProfile P = Clean;
+    VerifierOptions VO;
+    VO.Probes = Probes;
+    std::vector<ContextTrieNode *> Nodes;
+    P.forEachNodeMutable([&Nodes](const SampleContext &, ContextTrieNode &N) {
+      Nodes.push_back(&N);
+    });
+    ContextTrieNode &N = *Nodes[R.nextBelow(Nodes.size())];
+    bool MapShape = K == ViolationKind::TrieEdgeMismatch;
+    if (MapShape) {
+      // A trie shape no view carries: counts on a new profile-less leaf,
+      // or a root edge re-keyed to a nonzero site.
+      if (R.nextBool(0.5)) {
+        // At a site of N's body, so the edge itself stays in N's domain.
+        const auto &Body = N.Profile.Body;
+        uint32_t Site =
+            Body.empty() ? 1
+                         : std::next(Body.begin(), R.nextBelow(Body.size()))
+                               ->first.Index;
+        N.getOrCreateChild(Site, "fuzz.ghost").Profile.addBody({1, 0}, 1);
+      } else {
+        auto It = std::next(P.Root.Children.begin(),
+                            R.nextBelow(P.Root.Children.size()));
+        auto Key = std::make_pair(1 + static_cast<uint32_t>(R.nextBelow(9)),
+                                  It->first.second);
+        if (P.Root.Children.count(Key))
+          continue;
+        ContextTrieNode Moved = std::move(It->second);
+        P.Root.Children.erase(It);
+        P.Root.Children.emplace(Key, std::move(Moved));
+      }
+    } else if (K == ViolationKind::ProbeOutOfDomain && R.nextBool(0.5)) {
+      // An edge site outside N's domain, into a profile-less node that a
+      // new context runs through: the view checks it at that context.
+      const ProbeDescriptor *Desc =
+          Probes ? Probes->findByName(N.FuncName) : nullptr;
+      if (!Desc)
+        continue;
+      ContextTrieNode &Leaf =
+          N.getOrCreateChild(Desc->NumProbes + 1 + R.nextBelow(9), "fuzz.mid")
+              .getOrCreateChild(1, N.FuncName);
+      Leaf.HasProfile = true;
+      Leaf.Profile.addBody({1, 0}, 1);
+    } else if (!plantInRecord(N.Profile, K, /*ProbeKeyed=*/true,
+                              /*RenameTop=*/true, Probes, R, VO)) {
+      continue;
+    }
+    std::string Where =
+        std::string("CS profile with a planted ") + violationKindName(K);
+    VerifyReport Ref = referenceVerifyContextProfile(P, VO);
+    if (!hasViolation(Ref, K)) {
+      Err = Where + " is not caught by the oracle: " + Ref.str();
+      return false;
+    }
+    if (std::string D = diffVerifyReports(verifyContextProfile(P, VO), Ref);
+        !D.empty()) {
+      Err = Where + ": map entry verifier diverges from the oracle: " + D;
+      return false;
+    }
+    if (!MapShape)
+      if (std::string D =
+              diffVerifyReports(verifyProfileView(contextViewOf(P), VO), Ref);
+          !D.empty()) {
+        Err = Where + ": view verifier diverges from the oracle: " + D;
+        return false;
+      }
+    std::vector<EpochInfo> Epochs(R.nextBelow(3), {R.next(), R.next(), 500});
+    StoreWriteOptions WO;
+    WO.CompactNames = R.nextBool(0.3);
+    if (writeStore(contextViewOf(P), Epochs, WO) !=
+        referenceWriteStore(P, Epochs, WO)) {
+      Err = Where + ": view writer diverges from the map writer";
+      return false;
+    }
+  }
+  return true;
 }
 
 bool fuzzOne(uint64_t Seed, std::string &Err) {
@@ -347,7 +567,7 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
   // truncations / bit flips are rejected at open() — by the owning and
   // borrowed opens alike, with the same diagnostics — never a crash.
   {
-    std::string CSBytes = writeStore(CSRes.CS, {});
+    std::string CSBytes = writeStore(contextViewOf(CSRes.CS), {});
     Expected<ProfileStore> CSStore = ProfileStore::open(CSBytes);
     if (!CSStore) {
       Err = "freshly written CS store does not open: " +
@@ -371,7 +591,8 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
       Err = "CS store lazy loads do not union to the source profile";
       return false;
     }
-    if (CSStore->hotThreshold(0.9) != hotThreshold(CSRes.CS, 0.9)) {
+    if (CSStore->hotThreshold(0.9) !=
+        hotThreshold(contextViewOf(CSRes.CS), 0.9)) {
       Err = "CS store summary threshold diverges from the profile's";
       return false;
     }
@@ -380,7 +601,7 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
          {std::tuple<const char *, const FlatProfile &, const std::string &>{
               "probe-only", PORes.Flat, POText},
           {"autofdo", AFRes.Flat, AFText}}) {
-      std::string Bytes = writeStore(Flat, {});
+      std::string Bytes = writeStore(flatViewOf(Flat), {});
       Expected<ProfileStore> S = ProfileStore::openBorrowed(Bytes);
       if (!S) {
         Err = std::string("freshly written ") + What +
@@ -406,7 +627,7 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
               " store lazy loads do not union to the source profile";
         return false;
       }
-      if (S->hotThreshold(0.9) != hotThreshold(Flat, 0.9)) {
+      if (S->hotThreshold(0.9) != hotThreshold(flatViewOf(Flat), 0.9)) {
         Err = std::string(What) +
               " store summary threshold diverges from the profile's";
         return false;
@@ -716,7 +937,8 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
       return false;
     }
     Expected<ProfileStore> S =
-        ProfileStore::open(writeStore(WithinBound ? Back : Deep, {}));
+        ProfileStore::open(
+        writeStore(flatViewOf(WithinBound ? Back : Deep), {}));
     if (!S) {
       Err = "store of a nested profile does not open: " +
             S.status().message();
@@ -780,6 +1002,22 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
             Setup + ")";
       return false;
     }
+  }
+
+  // --- 16. View verifier and view writer vs the map oracle -------------
+  // The iteration's probe-only, AutoFDO and CS profiles, each with one
+  // random corruption of every ViolationKind planted on a copy: the map
+  // entry points and the view checker report exactly what the oracle's
+  // map verifier reports (the trie shapes a view cannot carry, on the
+  // map entry point only), and writeStore over the view writes the
+  // oracle's map writer's bytes.
+  {
+    Rng VR(Seed ^ VerifierSalt);
+    if (!diffPlantedFlat("probe-only profile", PORes.Flat, &Build.ProbeDescs,
+                         VR, Err) ||
+        !diffPlantedFlat("AutoFDO profile", AFRes.Flat, nullptr, VR, Err) ||
+        !diffPlantedContext(CSRes.CS, &Build.ProbeDescs, VR, Err))
+      return false;
   }
 
   return true;

@@ -43,7 +43,13 @@
 ///  - the interned two-phase CS generator (at a random shard count) and
 ///    the probe-only generator print the test oracle's string-keyed
 ///    profiles and count its stats, on a resampling with skid and
-///    missing-frame inference drawn at random (stage 15).
+///    missing-frame inference drawn at random (stage 15);
+///  - with one corruption of every ViolationKind planted in turn into
+///    the probe-only, AutoFDO and CS profiles, the view verifier and the
+///    map entry points report exactly what the oracle's map verifier
+///    reports (trie shapes a view cannot carry: the map entry point
+///    only), and writeStore over the view writes the oracle's map
+///    writer's bytes (stage 16).
 ///
 /// Iteration seeds are derived as Base + I * golden-ratio so a reported
 /// failure reproduces in isolation with `csspgo_exp fuzz 1 <seed>`.

@@ -498,9 +498,10 @@ int cmdProfile(int argc, char **argv) {
                  variantName(V));
     return 1;
   }
-  std::string Text = Out.Profile.IsCS
-                         ? serializeContextProfile(Out.Profile.CS)
-                         : serializeFlatProfile(Out.Profile.Flat);
+  std::string Text =
+      Out.Profile.IsCS
+          ? serializeContextProfile(Out.Profile.CS)
+          : serializeFlatProfile(Out.Profile.Flat, Out.Profile.IsInstr);
   std::fputs(Text.c_str(), stdout);
   return 0;
 }
@@ -572,7 +573,7 @@ int cmdConvert(int, char **argv) {
       return 1;
     }
     Out = Bundle->IsCS ? serializeContextProfile(Bundle->CS)
-                       : serializeFlatProfile(Bundle->Flat);
+                       : serializeFlatProfile(Bundle->Flat, Bundle->IsInstr);
   } else {
     // Text -> binary.
     StoreWriteOptions WO;
@@ -584,15 +585,16 @@ int cmdConvert(int, char **argv) {
                      argv[2]);
         return 1;
       }
-      Out = writeStore(CS, {}, WO);
+      Out = writeStore(contextViewOf(CS), {}, WO);
     } else {
       FlatProfile Flat;
-      if (!parseFlatProfile(In, Flat)) {
+      bool Exact = false;
+      if (!parseFlatProfile(In, Flat, &Exact)) {
         std::fprintf(stderr, "convert: '%s' is not a valid profile\n",
                      argv[2]);
         return 1;
       }
-      Out = writeStore(Flat, {}, WO);
+      Out = writeStore(flatViewOf(Flat), {}, WO, Exact);
     }
   }
   if (!writeFileAll(argv[3], Out)) {
