@@ -2,7 +2,7 @@
 //
 // Throughput benchmark of the sharded profile-generation pipeline
 // (ShardedProfGen): partitions a large LBR sample set into K shards,
-// unwinds and builds context tries on a thread pool, and reduces with
+// unwinds and emits context views on a thread pool, and reduces with
 // mergeContextViews. The production workflow aggregates samples from
 // many hosts (§IV-A), so generation throughput is the operational
 // bottleneck this pipeline attacks.
@@ -21,9 +21,9 @@
 // part tries sequentially with the test oracle's mergeContextProfiles
 // (the pre-arena reducer); the flat plane k-way merges the K arena views over sorted
 // slices (mergeContextViews — what ShardedProfGen phase 3 and the store
-// ingest folds run; views arrive for free from the workers' parallel
-// flatten or the store's zero-copy loader, and the one-time flatten cost
-// is reported separately as flatten_ms). Both reductions must be
+// ingest folds run; views arrive for free from the profgen workers or the
+// store's zero-copy loader, and the one-time flatten of this bench's map
+// clones is reported separately as flatten_ms). Both reductions must be
 // bit-identical with identical MergeStats, and the flat plane must be at
 // least 3x faster (a same-machine ratio) or the bench exits 1.
 //
@@ -120,9 +120,9 @@ int main(int argc, char **argv) {
   Symbolizer Sym(*Bin);
   auto Start = std::chrono::steady_clock::now();
   CSProfileGenStats SerialStats;
-  ContextProfile Serial = generateCSProfileSharded(
+  ContextProfile Serial = contextProfileOf(generateCSProfileSharded(
       Sym, Probes, Samples, /*InferMissingFrames=*/true, /*Parallelism=*/1,
-      &SerialStats);
+      &SerialStats));
   double SerialSec = secondsSince(Start);
   std::string SerialDump = serializeContextProfile(Serial);
 
@@ -138,9 +138,9 @@ int main(int argc, char **argv) {
     Start = std::chrono::steady_clock::now();
     CSProfileGenStats Stats;
     MergeStats Reduce;
-    ContextProfile Sharded = generateCSProfileSharded(
+    ContextProfile Sharded = contextProfileOf(generateCSProfileSharded(
         Sym, Probes, Samples, /*InferMissingFrames=*/true, K, &Stats,
-        &Reduce);
+        &Reduce));
     double Sec = secondsSince(Start);
     bool Identical = serializeContextProfile(Sharded) == SerialDump &&
                      Stats.Samples == SerialStats.Samples &&

@@ -37,11 +37,6 @@ size_t Binary::indexOfAddr(uint64_t Addr) const {
   return static_cast<size_t>(It - SortedAddrs.begin());
 }
 
-uint64_t Binary::nextInstrAddr(size_t Idx) const {
-  assert(Idx < Code.size());
-  return Code[Idx].Addr + Code[Idx].Size;
-}
-
 uint64_t Binary::textSize() const {
   uint64_t Total = 0;
   for (const MInst &I : Code)

@@ -138,9 +138,6 @@ public:
   /// the start of an instruction), or SIZE_MAX.
   size_t indexOfAddr(uint64_t Addr) const;
 
-  /// Returns the address of the instruction after \p Idx in layout order.
-  uint64_t nextInstrAddr(size_t Idx) const;
-
   /// Text-section size in bytes.
   uint64_t textSize() const;
 

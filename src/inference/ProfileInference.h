@@ -30,11 +30,6 @@ void inferFunctionProfile(Function &F);
 /// Runs inference over every function of \p M.
 void inferModuleProfile(Module &M);
 
-/// Returns true if the annotated counts are flow-consistent: for every
-/// block (except entry/exits), count equals the sum of incoming edge
-/// weights and the sum of outgoing edge weights. Used by tests.
-bool isProfileConsistent(const Function &F, uint64_t Tolerance = 0);
-
 } // namespace csspgo
 
 #endif // CSSPGO_INFERENCE_PROFILEINFERENCE_H

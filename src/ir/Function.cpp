@@ -28,13 +28,6 @@ void Function::eraseBlock(BasicBlock *BB) {
   Blocks.erase(It);
 }
 
-size_t Function::instructionCount() const {
-  size_t N = 0;
-  for (const auto &BB : Blocks)
-    N += BB->Insts.size();
-  return N;
-}
-
 void Function::renumberBlocks() {
   unsigned Id = 0;
   for (auto &BB : Blocks) {

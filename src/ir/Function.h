@@ -70,9 +70,6 @@ public:
 
   size_t size() const { return Blocks.size(); }
 
-  /// Total number of instructions (including intrinsics).
-  size_t instructionCount() const;
-
   /// \name Attributes
   /// @{
   bool NoInline = false;

@@ -2,9 +2,10 @@
 
 #include "ir/Verifier.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
+#include <functional>
 
 namespace csspgo {
 
@@ -19,12 +20,20 @@ std::vector<std::string> verifyFunction(const Function &F) {
     return Problems;
   }
 
-  std::set<const BasicBlock *> Owned;
+  // The function's blocks, sorted by address: a successor is owned when
+  // its pointer is among them, compared without dereferencing it (a
+  // dangling successor must not be read).
+  std::vector<const BasicBlock *> Owned;
+  Owned.reserve(F.Blocks.size());
   for (const auto &BB : F.Blocks)
-    Owned.insert(BB.get());
+    Owned.push_back(BB.get());
+  std::sort(Owned.begin(), Owned.end(), std::less<>());
+  auto Owns = [&Owned](const BasicBlock *BB) {
+    return BB && std::binary_search(Owned.begin(), Owned.end(), BB,
+                                    std::less<>());
+  };
 
   const Module *M = F.getParent();
-  std::set<uint32_t> SeenProbes;
 
   for (const auto &BB : F.Blocks) {
     if (BB->Insts.empty()) {
@@ -53,10 +62,9 @@ std::vector<std::string> verifyFunction(const Function &F) {
         Err("dst register out of range in " + BB->getLabel());
 
       if (Inst.Op == Opcode::Br || Inst.Op == Opcode::CondBr) {
-        if (!Inst.Succ0 || !Owned.count(Inst.Succ0))
+        if (!Owns(Inst.Succ0))
           Err("dangling Succ0 in " + BB->getLabel());
-        if (Inst.Op == Opcode::CondBr &&
-            (!Inst.Succ1 || !Owned.count(Inst.Succ1)))
+        if (Inst.Op == Opcode::CondBr && !Owns(Inst.Succ1))
           Err("dangling Succ1 in " + BB->getLabel());
       }
 
@@ -71,7 +79,6 @@ std::vector<std::string> verifyFunction(const Function &F) {
       // jump threading) clones probes and profgen sums the copies (§III-A).
       if (Inst.isProbe() && Inst.ProbeId == 0)
         Err("probe with id 0 in " + BB->getLabel());
-      (void)SeenProbes;
     }
 
     if (!BB->SuccWeights.empty() &&

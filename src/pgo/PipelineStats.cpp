@@ -88,6 +88,8 @@ std::string PipelineStats::toJSON() const {
   ProfGenO.field("samples", ProfGen.Samples);
   ProfGenO.field("unsynced", ProfGen.UnsyncedSamples);
   ProfGenO.field("ranges", ProfGen.RangesProcessed);
+  ProfGenO.field("dropped_samples", ProfGen.DroppedSamples);
+  ProfGenO.field("broken_ranges", ProfGen.BrokenRanges);
   ProfGenO.field("tailcall_recovered", ProfGen.TailCallStats.Recovered);
 
   JSONObj LoaderO;

@@ -38,15 +38,6 @@ ProfiledCallGraph::fromProfile(const ContextProfile &Profile) {
   return G;
 }
 
-uint64_t ProfiledCallGraph::edgeWeight(const std::string &From,
-                                       const std::string &To) const {
-  auto It = Edges.find(From);
-  if (It == Edges.end())
-    return 0;
-  auto It2 = It->second.find(To);
-  return It2 == It->second.end() ? 0 : It2->second;
-}
-
 std::vector<std::string> ProfiledCallGraph::topDownOrder() const {
   // DFS post-order from root candidates (no incoming weight first, then by
   // decreasing out weight), reversed. Cycles are cut by the visited set;

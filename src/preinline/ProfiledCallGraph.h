@@ -32,8 +32,6 @@ public:
   /// edge weight (heaviest tree kept).
   std::vector<std::string> topDownOrder() const;
 
-  uint64_t edgeWeight(const std::string &From, const std::string &To) const;
-
   const std::map<std::string, std::map<std::string, uint64_t>> &
   edges() const {
     return Edges;

@@ -13,9 +13,9 @@
 /// probed functions' CFG checksums are persisted into the profile for
 /// stale-profile detection.
 ///
-/// CS generation counts (context, range) and (context, call) pairs on
-/// interned contexts first, then expands each unique pair's probes once
-/// (DESIGN.md, "Parallel profile generation").
+/// Both chunk generators count into one ContextPool and emit a canonical
+/// ContextProfileView from it, sorted once (DESIGN.md, "Parallel profile
+/// generation"); maps are built only at the consumer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,35 +23,35 @@
 #define CSSPGO_PROFGEN_CSPROFILEGENERATOR_H
 
 #include "probe/ProbeTable.h"
-#include "profile/ContextTrie.h"
+#include "profile/ProfileArena.h"
 #include "profgen/ContextUnwinder.h"
 #include "sim/Sampler.h"
 
 namespace csspgo {
 
 /// Chunk-level CS generation, the unit of work of the sharded pipeline
-/// (ShardedProfGen): unwinds Samples[Begin, End) and materializes a
-/// context trie for just that slice. \p Inferrer must already hold the
+/// (ShardedProfGen): unwinds Samples[Begin, End) and emits the context
+/// view of just that slice. \p Inferrer must already hold the
 /// tail-call edge graph of the FULL sample set (collectTailCallEdges), so
 /// every shard runs missing-frame inference against the same graph as the
 /// serial path — the basis of the bit-identical-reduction guarantee. Each
 /// concurrent chunk needs its own Inferrer copy (inference updates its
 /// stats); pass nullptr to disable inference.
-ContextProfile generateCSProfileChunk(const Symbolizer &Sym,
-                                      const ProbeTable &Probes,
-                                      const std::vector<PerfSample> &Samples,
-                                      size_t Begin, size_t End,
-                                      MissingFrameInferrer *Inferrer,
-                                      CSProfileGenStats *Stats = nullptr);
-
-/// Chunk-level probe-only generation over Samples[Begin, End); shards
-/// reduce with mergeContextViews on flat views (pure sums, so any
-/// partition reduces to the serial result).
-FlatProfile generateProbeOnlyProfileChunk(const Symbolizer &Sym,
+ContextProfileView generateCSProfileChunk(const Symbolizer &Sym,
                                           const ProbeTable &Probes,
                                           const std::vector<PerfSample> &Samples,
                                           size_t Begin, size_t End,
+                                          MissingFrameInferrer *Inferrer,
                                           CSProfileGenStats *Stats = nullptr);
+
+/// Chunk-level probe-only generation over Samples[Begin, End): a flat
+/// view (IsCS false); shards reduce with mergeContextViews (pure sums, so
+/// any partition reduces to the serial result).
+ContextProfileView
+generateProbeOnlyProfileChunk(const Symbolizer &Sym, const ProbeTable &Probes,
+                              const std::vector<PerfSample> &Samples,
+                              size_t Begin, size_t End,
+                              CSProfileGenStats *Stats = nullptr);
 
 } // namespace csspgo
 

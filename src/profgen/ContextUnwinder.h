@@ -58,6 +58,13 @@ public:
   }
   const Node &operator[](uint32_t Id) const { return Nodes[Id]; }
   size_t size() const { return Nodes.size(); }
+  /// Calls \p Fn on each child of node \p Id, by (site, name id): as name
+  /// ids follow name order, that is ContextTrieNode::Children order.
+  template <typename FnT> void forEachChild(uint32_t Id, FnT Fn) const {
+    for (auto It = Ids.lower_bound({Id, 0, 0});
+         It != Ids.end() && std::get<0>(It->first) == Id; ++It)
+      Fn(It->second);
+  }
 
 private:
   std::vector<Node> Nodes;

@@ -6,6 +6,7 @@
 #include "profgen/InstrProfileGenerator.h"
 #include "profgen/ShardedProfGen.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -41,53 +42,46 @@ ProfileGenerator::ProfileGenerator(const Binary &Bin, const ProbeTable *Probes,
 
 ProfGenResult
 ProfileGenerator::generate(const std::vector<PerfSample> &Samples) const {
-  ProfGenResult R;
-  switch (Opts.Kind) {
-  case ProfGenKind::CS: {
-    R.ShardsUsed = static_cast<unsigned>(
-        planShards(Samples.size(),
-                   resolveParallelism(Opts.Parallelism, Samples.size()))
-            .size());
-    R.CS = generateCSProfileSharded(Symbolizer(Bin), *Probes, Samples,
-                                    Opts.InferMissingFrames, Opts.Parallelism,
-                                    &R.Stats, &R.Reduce);
-    R.IsCS = true;
-    break;
-  }
-  case ProfGenKind::ProbeOnly: {
-    R.ShardsUsed = static_cast<unsigned>(
-        planShards(Samples.size(),
-                   resolveParallelism(Opts.Parallelism, Samples.size()))
-            .size());
-    R.Flat = generateProbeOnlyProfileSharded(Symbolizer(Bin), *Probes,
-                                             Samples, Opts.Parallelism,
-                                             &R.Stats, &R.Reduce);
-    break;
-  }
-  case ProfGenKind::AutoFDO: {
-    AutoFDOGenStats AS;
-    R.Flat = generateAutoFDOProfile(Bin, Samples, &AS);
-    R.Stats.Samples = Samples.size();
-    R.Stats.RangesProcessed = AS.RangesProcessed;
-    break;
-  }
-  case ProfGenKind::Instr:
+  if (Opts.Kind == ProfGenKind::Instr) {
     std::fprintf(stderr, "csspgo: the Instr kind generates from a counter "
                          "dump, not from samples\n");
     std::abort();
   }
-  if (R.ShardsUsed == 0)
-    R.ShardsUsed = 1;
-  if (Opts.Verify != VerifyLevel::Off) {
-    VerifierOptions VO;
-    VO.Level = Opts.Verify;
-    // A freshly generated profile must agree with the probe table it was
-    // generated against (CS/ProbeOnly kinds); AutoFDO keys records by
-    // line offsets, where the probe domain does not apply.
-    VO.Probes = Probes;
-    R.Verify = R.IsCS ? verifyContextProfile(R.CS, VO)
-                      : verifyFlatProfile(R.Flat, VO);
+  ProfGenResult R;
+  VerifierOptions VO;
+  VO.Level = Opts.Verify;
+  // A freshly generated profile must agree with the probe table it was
+  // generated against (CS/ProbeOnly kinds); AutoFDO keys records by
+  // line offsets, where the probe domain does not apply.
+  VO.Probes = Probes;
+  if (Opts.Kind == ProfGenKind::AutoFDO) {
+    AutoFDOGenStats AS;
+    R.Flat = generateAutoFDOProfile(Bin, Samples, &AS);
+    R.Stats.Samples = Samples.size();
+    R.Stats.RangesProcessed = AS.RangesProcessed;
+    R.Verify = verifyFlatProfile(R.Flat, VO);
+    return R;
   }
+  R.ShardsUsed = static_cast<unsigned>(std::max<size_t>(
+      1, planShards(Samples.size(),
+                    resolveParallelism(Opts.Parallelism, Samples.size()))
+             .size()));
+  Symbolizer Sym(Bin);
+  ContextProfileView V =
+      Opts.Kind == ProfGenKind::CS
+          ? generateCSProfileSharded(Sym, *Probes, Samples,
+                                     Opts.InferMissingFrames, Opts.Parallelism,
+                                     &R.Stats, &R.Reduce)
+          : generateProbeOnlyProfileSharded(Sym, *Probes, Samples,
+                                            Opts.Parallelism, &R.Stats,
+                                            &R.Reduce);
+  // Verified once, on the view; the map is built once, here.
+  R.Verify = verifyProfileView(V, VO);
+  R.IsCS = V.IsCS;
+  if (R.IsCS)
+    R.CS = contextProfileOf(V);
+  else
+    R.Flat = flatProfileOf(V);
   return R;
 }
 

@@ -14,8 +14,9 @@
 ///
 /// Shardable kinds (CS and ProbeOnly — both pure sums over samples)
 /// honor Parallelism by partitioning the sample vector and reducing
-/// per-shard profiles (ShardedProfGen); the result is bit-identical to
-/// the serial path for any shard count. AutoFDO takes the MAX over
+/// per-shard views (ShardedProfGen); the result is bit-identical to the
+/// serial path for any shard count. Their reduced view is verified once
+/// and converted to the result's map once. AutoFDO takes the MAX over
 /// per-address counts (§III-A's one-to-many heuristic), which does not
 /// distribute over a partition of the samples, and instrumentation counts
 /// arrive pre-aggregated in a counter dump — both run serially and ignore

@@ -2,7 +2,6 @@
 
 #include "profgen/ShardedProfGen.h"
 
-#include "profile/ProfileArena.h"
 #include "support/ThreadPool.h"
 
 namespace csspgo {
@@ -43,20 +42,15 @@ std::vector<ShardRange> planFor(size_t Count, unsigned Parallelism) {
   return Plan;
 }
 
-/// Generates each shard's part with Chunk(I, Stats), a worker per shard,
-/// and reduces the parts on the arena plane: they convert to views
-/// (ViewOf) in parallel, mergeContextViews k-way merges the sorted slices
-/// in one pass, and ProfileOf rebuilds the result once. Bit-identical —
-/// counts, stats, saturation — to folding the parts sequentially (the
-/// merge contract in ProfileArena.h), but without K-1 full destination
-/// rewalks. One shard runs inline and is returned as is, with zero
-/// MergeStats.
-template <typename ProfileT, typename ChunkFn>
-ProfileT reduceShards(size_t Shards, ChunkFn Chunk,
-                      ContextProfileView (*ViewOf)(const ProfileT &),
-                      ProfileT (*ProfileOf)(const ContextProfileView &),
-                      CSProfileGenStats *Stats, MergeStats *Reduce) {
-  std::vector<ProfileT> Parts(Shards);
+/// Generates each shard's view with Chunk(I, Stats), a worker per shard,
+/// and k-way merges the sorted views in one pass with mergeContextViews:
+/// bit-identical — counts, stats, saturation — to folding the parts
+/// sequentially (the merge contract in ProfileArena.h). One shard runs
+/// inline and is returned as is, with zero MergeStats.
+template <typename ChunkFn>
+ContextProfileView reduceShards(size_t Shards, ChunkFn Chunk,
+                                CSProfileGenStats *Stats, MergeStats *Reduce) {
+  std::vector<ContextProfileView> Parts(Shards);
   std::vector<CSProfileGenStats> PartStats(Shards);
   forEachIndex(Shards, Shards,
                [&](size_t I) { Parts[I] = Chunk(I, &PartStats[I]); });
@@ -66,13 +60,10 @@ ProfileT reduceShards(size_t Shards, ChunkFn Chunk,
     *Stats = PartStats.front();
   MergeStats MS;
   if (Shards > 1) {
-    std::vector<ContextProfileView> Views(Shards);
-    forEachIndex(Shards, Shards,
-                 [&](size_t I) { Views[I] = ViewOf(Parts[I]); });
     std::vector<const ContextProfileView *> Ptrs;
-    for (const ContextProfileView &V : Views)
+    for (const ContextProfileView &V : Parts)
       Ptrs.push_back(&V);
-    Parts.front() = ProfileOf(mergeContextViews(Ptrs, MS));
+    Parts.front() = mergeContextViews(Ptrs, MS);
   }
   if (Reduce)
     *Reduce = MS;
@@ -81,13 +72,11 @@ ProfileT reduceShards(size_t Shards, ChunkFn Chunk,
 
 } // namespace
 
-ContextProfile generateCSProfileSharded(const Symbolizer &Sym,
-                                        const ProbeTable &Probes,
-                                        const std::vector<PerfSample> &Samples,
-                                        bool InferMissingFrames,
-                                        unsigned Parallelism,
-                                        CSProfileGenStats *Stats,
-                                        MergeStats *Reduce) {
+ContextProfileView
+generateCSProfileSharded(const Symbolizer &Sym, const ProbeTable &Probes,
+                         const std::vector<PerfSample> &Samples,
+                         bool InferMissingFrames, unsigned Parallelism,
+                         CSProfileGenStats *Stats, MergeStats *Reduce) {
   std::vector<ShardRange> Plan = planFor(Samples.size(), Parallelism);
   const size_t K = Plan.size();
 
@@ -105,29 +94,29 @@ ContextProfile generateCSProfileSharded(const Symbolizer &Sym,
     Inferrers.assign(K, Inferrers.front());
   }
 
-  return reduceShards<ContextProfile>(
+  return reduceShards(
       K,
       [&](size_t I, CSProfileGenStats *S) {
         return generateCSProfileChunk(
             Sym, Probes, Samples, Plan[I].Begin, Plan[I].End,
             InferMissingFrames ? &Inferrers[I] : nullptr, S);
       },
-      contextViewOf, contextProfileOf, Stats, Reduce);
+      Stats, Reduce);
 }
 
-FlatProfile
+ContextProfileView
 generateProbeOnlyProfileSharded(const Symbolizer &Sym, const ProbeTable &Probes,
                                 const std::vector<PerfSample> &Samples,
                                 unsigned Parallelism, CSProfileGenStats *Stats,
                                 MergeStats *Reduce) {
   std::vector<ShardRange> Plan = planFor(Samples.size(), Parallelism);
-  return reduceShards<FlatProfile>(
+  return reduceShards(
       Plan.size(),
       [&](size_t I, CSProfileGenStats *S) {
         return generateProbeOnlyProfileChunk(Sym, Probes, Samples,
                                              Plan[I].Begin, Plan[I].End, S);
       },
-      flatViewOf, flatProfileOf, Stats, Reduce);
+      Stats, Reduce);
 }
 
 } // namespace csspgo

@@ -9,9 +9,10 @@
 /// workflow aggregates LBR samples from many hosts (§IV-A), which makes
 /// profile-generation throughput the operational bottleneck at datacenter
 /// scale. This layer partitions the sample vector into K contiguous
-/// shards, runs virtual unwinding + context-trie construction per shard on
-/// a ThreadPool, and reduces the per-shard profiles (flat or CS) with the
-/// one k-way view merge, mergeContextViews (profile/ProfileArena.h).
+/// shards, runs virtual unwinding and counting per shard on a ThreadPool,
+/// each shard emitting a sorted view, and reduces the views (flat or CS)
+/// with the one k-way view merge, mergeContextViews (ProfileArena.h). A
+/// consumer that needs a map builds it from the reduced view once.
 ///
 /// Determinism guarantee: the sharded result is bit-identical (same
 /// contexts, same counts, same serialized dump) to the serial path for any
@@ -19,7 +20,7 @@
 ///  (1) the tail-call inference graph is collected over the FULL sample
 ///      set before any shard unwinds (per-shard edge sets are unioned, a
 ///      set operation independent of partitioning), and
-///  (2) every per-sample contribution is a pure sum into ordered maps, so
+///  (2) every per-sample contribution is a pure sum into sorted views, so
 ///      reduction order cannot change the result.
 ///
 //===----------------------------------------------------------------------===//
@@ -51,17 +52,16 @@ unsigned resolveParallelism(unsigned Requested, size_t SampleCount);
 /// (\p Parallelism 1) for any \p Parallelism. \p InferMissingFrames
 /// enables the missing-frame inferrer. \p Reduce, when given, receives the
 /// accumulated MergeStats of the reduction (zeros when a single shard ran).
-ContextProfile generateCSProfileSharded(const Symbolizer &Sym,
-                                        const ProbeTable &Probes,
-                                        const std::vector<PerfSample> &Samples,
-                                        bool InferMissingFrames,
-                                        unsigned Parallelism,
-                                        CSProfileGenStats *Stats = nullptr,
-                                        MergeStats *Reduce = nullptr);
+ContextProfileView
+generateCSProfileSharded(const Symbolizer &Sym, const ProbeTable &Probes,
+                         const std::vector<PerfSample> &Samples,
+                         bool InferMissingFrames, unsigned Parallelism,
+                         CSProfileGenStats *Stats = nullptr,
+                         MergeStats *Reduce = nullptr);
 
-/// Sharded probe-only profile generation; bit-identical to the serial run
-/// for any \p Parallelism.
-FlatProfile
+/// Sharded probe-only profile generation, a flat view; bit-identical to
+/// the serial run for any \p Parallelism.
+ContextProfileView
 generateProbeOnlyProfileSharded(const Symbolizer &Sym, const ProbeTable &Probes,
                                 const std::vector<PerfSample> &Samples,
                                 unsigned Parallelism,

@@ -31,10 +31,10 @@
 /// A FuncRecord is five scalars plus half-open ranges into the pools; a
 /// profile database is a list of context handles over one shared arena.
 /// All slices are kept in the canonical order the std::map containers
-/// iterate in, which the producers provide for free (map iteration, trie
-/// DFS, and the binary store's record encoding are all already sorted),
-/// so merging K profiles is a k-way merge of sorted slices and conversion
-/// back to the map containers is a monotone build.
+/// iterate in, which every producer provides (map iteration, trie DFS,
+/// the binary store's record encoding, profgen's one sort of its pool
+/// counts), so merging K profiles is a k-way merge of sorted slices and
+/// conversion back to the map containers is a monotone build.
 ///
 /// The conversions are exact: view -> map -> view and map -> view -> map
 /// are identities. The merge and the scaler are specified below in map

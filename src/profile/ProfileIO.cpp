@@ -25,6 +25,8 @@ static void writeBody(std::ostringstream &OS, const FunctionProfile &P,
     OS << ": " << N << "\n";
   }
   for (const auto &[K, Targets] : P.Calls) {
+    if (Targets.empty())
+      continue; // A site without targets has no line (parseBodyLine).
     OS << Pad;
     writeKey(OS, K);
     OS << ": @";
@@ -161,10 +163,12 @@ bool parseBodyLine(LineReader &Reader, const std::string &Line,
   if (Rest.empty())
     return false;
   if (Rest[0] == '@') {
-    // Call targets: "@ callee:count callee:count".
+    // Call targets: "@ callee:count callee:count", at least one. A site
+    // without targets has no form in a view or a store, so a text -> store
+    // -> text round trip would drop it.
     if (P.Calls.count(K))
       return false; // One line per call site.
-    auto &Targets = P.Calls[K]; // Created even when empty: round-trips.
+    auto &Targets = P.Calls[K];
     std::istringstream IS(Rest.substr(1));
     std::string Tok;
     while (IS >> Tok) {
@@ -178,7 +182,7 @@ bool parseBodyLine(LineReader &Reader, const std::string &Line,
       if (!Targets.emplace(std::move(Callee), Count).second)
         return false; // Duplicate callee at one site.
     }
-    return true;
+    return !Targets.empty();
   }
   if (Rest[0] == '>') {
     // Nested inlinee: "> callee:total:head {".

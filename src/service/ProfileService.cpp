@@ -26,8 +26,8 @@ namespace {
 
 /// What one worker produced for one (host, epoch) assignment.
 struct HostProfile {
-  /// The host's profile as an arena view, the form the fold merges; the
-  /// trie is freed before the epoch waits for its fold.
+  /// The host's profile as the arena view profgen emits, the form the
+  /// fold merges.
   ContextProfileView CS;
   CSProfileGenStats Stats;
   uint64_t Samples = 0;
@@ -141,11 +141,12 @@ HostProfile profileHost(const ProfileService::Release &R,
 
   // One shard: sharding here is across hosts, not samples. No verify:
   // the fold is the verification gate.
-  ContextProfile CS = generateCSProfileSharded(
-      *R.Sym, R.Probes, Run.Samples, /*InferMissingFrames=*/true,
-      /*Parallelism=*/1, &Out.Stats);
-  Out.CS = contextViewOf(CS);
-  Out.Samples = CS.totalSamples();
+  Out.CS = generateCSProfileSharded(*R.Sym, R.Probes, Run.Samples,
+                                    /*InferMissingFrames=*/true,
+                                    /*Parallelism=*/1, &Out.Stats);
+  for (const ContextRecord &C : Out.CS.Contexts)
+    Out.Samples =
+        saturatingAdd(Out.Samples, Out.CS.Arena.Records[C.Rec].TotalSamples);
   return Out;
 }
 

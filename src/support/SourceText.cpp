@@ -32,28 +32,10 @@ std::string formatBytes(uint64_t Bytes) {
   return Buf;
 }
 
-std::string padLeft(const std::string &S, size_t Width) {
-  if (S.size() >= Width)
-    return S;
-  return std::string(Width - S.size(), ' ') + S;
-}
-
 std::string padRight(const std::string &S, size_t Width) {
   if (S.size() >= Width)
     return S;
   return S + std::string(Width - S.size(), ' ');
-}
-
-std::vector<std::string> splitString(const std::string &S, char Sep) {
-  std::vector<std::string> Parts;
-  size_t Start = 0;
-  for (size_t I = 0; I <= S.size(); ++I) {
-    if (I == S.size() || S[I] == Sep) {
-      Parts.push_back(S.substr(Start, I - Start));
-      Start = I + 1;
-    }
-  }
-  return Parts;
 }
 
 TextTable::TextTable(std::vector<std::string> Header) {

@@ -28,14 +28,8 @@ std::string formatPercent(double Value);
 /// Formats a byte count as e.g. "12.4 KiB".
 std::string formatBytes(uint64_t Bytes);
 
-/// Left-pads \p S with spaces to width \p Width.
-std::string padLeft(const std::string &S, size_t Width);
-
 /// Right-pads \p S with spaces to width \p Width.
 std::string padRight(const std::string &S, size_t Width);
-
-/// Splits \p S on \p Sep, keeping empty fields.
-std::vector<std::string> splitString(const std::string &S, char Sep);
 
 /// A tiny fixed-width text table used by the bench binaries to print
 /// paper-style rows ("Fig 6", "Table I", ...).

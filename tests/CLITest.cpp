@@ -502,6 +502,23 @@ TEST(CLIConvert, NestingPastTheBoundFailsCleanly) {
   std::filesystem::remove_all(Dir);
 }
 
+// `convert` refuses a call-site line with no targets, which the store
+// could not hold, and writes no store.
+TEST(CLIConvert, EmptyCallSiteLineFailsCleanly) {
+  const std::filesystem::path Dir =
+      std::filesystem::temp_directory_path() /
+      ("csspgo_cli_emptysite_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(Dir);
+  const std::filesystem::path In = Dir / "p.txt", Out = Dir / "p.bin";
+  std::ofstream(In) << "!kind: line\nmain:10:1\n 1: 10\n 2: @\n";
+  std::string Output;
+  EXPECT_EQ(runTool("convert " + In.string() + " " + Out.string(), Output), 1);
+  EXPECT_NE(Output.find("is not a valid profile"), std::string::npos)
+      << Output;
+  EXPECT_FALSE(std::filesystem::exists(Out));
+  std::filesystem::remove_all(Dir);
+}
+
 // An exact-count (Instr) store keeps its flag through `convert` to text
 // and back, so a later Instr epoch folds into the converted store under
 // exact-count rules. Without the flag the fold checked head/call-edge

@@ -2,7 +2,6 @@
 
 #include "Parser.h"
 
-#include "support/SourceText.h"
 
 #include <cctype>
 #include <cstdlib>
@@ -341,6 +340,18 @@ std::unique_ptr<Module> Parser::run(std::string *Error) {
 std::unique_ptr<Module> parseModule(const std::string &Text,
                                     std::string *Error) {
   return Parser(Text).run(Error);
+}
+
+std::vector<std::string> splitString(const std::string &S, char Sep) {
+  std::vector<std::string> Parts;
+  size_t Start = 0;
+  for (size_t I = 0; I <= S.size(); ++I) {
+    if (I == S.size() || S[I] == Sep) {
+      Parts.push_back(S.substr(Start, I - Start));
+      Start = I + 1;
+    }
+  }
+  return Parts;
 }
 
 } // namespace csspgo

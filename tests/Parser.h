@@ -27,6 +27,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace csspgo {
 
@@ -34,6 +35,9 @@ namespace csspgo {
 /// \p Error is non-null, stores a line-numbered diagnostic there.
 std::unique_ptr<Module> parseModule(const std::string &Text,
                                     std::string *Error = nullptr);
+
+/// Splits \p S on \p Sep, keeping empty fields.
+std::vector<std::string> splitString(const std::string &S, char Sep);
 
 } // namespace csspgo
 

@@ -275,6 +275,44 @@ TEST(PipelineStats, JSONIsStableAndCarriesEveryGroup) {
   EXPECT_NE(J.find("\"annotated\":3"), std::string::npos);
 }
 
+TEST(PipelineStats, JSONReportsSamplesProfgenSkipped) {
+  // A sample with no stack is dropped whole; an LBR entry outside the text
+  // breaks the ranges it bounds. Both are counted and reach toJSON().
+  Profiled P = profiledRun();
+  const PerfSample *Base = nullptr;
+  for (const PerfSample &S : P.Run.Samples)
+    if (!S.Stack.empty() && S.LBR.size() >= 4) {
+      Base = &S;
+      break;
+    }
+  ASSERT_NE(Base, nullptr);
+  std::vector<PerfSample> Samples = P.Run.Samples;
+  Samples.push_back(*Base);
+  Samples.back().Stack.clear();
+  Samples.push_back(*Base);
+  Samples.back().LBR[2].Src = Binary::BaseAddr - 16;
+
+  auto StatsOf = [&P](const std::vector<PerfSample> &S) {
+    ProfilePipeline Pipe(PipelineOptions().kind(ProfGenKind::CS));
+    EXPECT_TRUE(
+        Pipe.generate(*P.Build.Bin, &P.Build.ProbeDescs, S).hasValue());
+    return Pipe.stats();
+  };
+  PipelineStats Clean = StatsOf(P.Run.Samples);
+  PipelineStats Hostile = StatsOf(Samples);
+  EXPECT_EQ(Hostile.ProfGen.DroppedSamples, Clean.ProfGen.DroppedSamples + 1);
+  EXPECT_GT(Hostile.ProfGen.BrokenRanges, Clean.ProfGen.BrokenRanges);
+  std::string J = Hostile.toJSON();
+  EXPECT_NE(J.find("\"dropped_samples\":" +
+                   std::to_string(Hostile.ProfGen.DroppedSamples)),
+            std::string::npos)
+      << J;
+  EXPECT_NE(J.find("\"broken_ranges\":" +
+                   std::to_string(Hostile.ProfGen.BrokenRanges)),
+            std::string::npos)
+      << J;
+}
+
 //===----------------------------------------------------------------------===//
 // Status-based store entry points: the owned and borrowed opens decode
 // the same bytes to the same profile and agree on failure diagnostics.

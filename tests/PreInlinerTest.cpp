@@ -45,9 +45,16 @@ FuncSizeTable flatSizes(uint64_t Bytes) {
 TEST(ProfiledCallGraph, EdgesFromCallsAndContexts) {
   ContextProfile CS = makeTrie();
   ProfiledCallGraph G = ProfiledCallGraph::fromProfile(CS);
-  EXPECT_GT(G.edgeWeight("main", "svcA"), 0u);
-  EXPECT_GT(G.edgeWeight("svcA", "shared"), 0u);
-  EXPECT_EQ(G.edgeWeight("shared", "main"), 0u);
+  auto EdgeWeight = [&G](const std::string &From, const std::string &To) {
+    auto It = G.edges().find(From);
+    if (It == G.edges().end())
+      return uint64_t(0);
+    auto It2 = It->second.find(To);
+    return It2 == It->second.end() ? 0 : It2->second;
+  };
+  EXPECT_GT(EdgeWeight("main", "svcA"), 0u);
+  EXPECT_GT(EdgeWeight("svcA", "shared"), 0u);
+  EXPECT_EQ(EdgeWeight("shared", "main"), 0u);
 }
 
 TEST(ProfiledCallGraph, TopDownOrderCallersFirst) {

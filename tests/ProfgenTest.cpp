@@ -12,6 +12,7 @@
 #include "profgen/ProfileGenerator.h"
 #include "profgen/ShardedProfGen.h"
 #include "profgen/Symbolizer.h"
+#include "profile/ProfileArena.h"
 #include "profile/ProfileIO.h"
 #include "opt/Inliner.h"
 #include "pgo/BuildPipeline.h"
@@ -485,9 +486,9 @@ TEST(ShardedProfGen, CSBitIdenticalToSerialForAnyShardCount) {
   for (unsigned K : {1u, 2u, 4u, 7u}) {
     CSProfileGenStats Stats;
     MergeStats Reduce;
-    ContextProfile Sharded = generateCSProfileSharded(
+    ContextProfile Sharded = contextProfileOf(generateCSProfileSharded(
         Symbolizer(*P.Bin), P.Probes, P.Samples, /*InferMissingFrames=*/true,
-        K, &Stats, &Reduce);
+        K, &Stats, &Reduce));
     EXPECT_EQ(serializeContextProfile(Sharded), SerialDump)
         << "shard count " << K;
     EXPECT_EQ(Stats.Samples, SerialStats.Samples) << K;
@@ -509,9 +510,9 @@ TEST(ShardedProfGen, CSIdenticalUnderSkidAndInference) {
   std::string SerialDump = serializeContextProfile(Serial);
   for (unsigned K : {2u, 5u}) {
     CSProfileGenStats Stats;
-    ContextProfile Sharded = generateCSProfileSharded(
+    ContextProfile Sharded = contextProfileOf(generateCSProfileSharded(
         Symbolizer(*P.Bin), P.Probes, P.Samples, /*InferMissingFrames=*/true,
-        K, &Stats);
+        K, &Stats));
     EXPECT_EQ(serializeContextProfile(Sharded), SerialDump) << K;
     EXPECT_EQ(Stats.UnsyncedSamples, SerialStats.UnsyncedSamples) << K;
     EXPECT_EQ(Stats.TailCallStats.Attempts, SerialStats.TailCallStats.Attempts)
@@ -532,8 +533,8 @@ TEST(ShardedProfGen, ProbeOnlyBitIdenticalToSerial) {
   for (unsigned K : {1u, 2u, 4u, 7u}) {
     CSProfileGenStats Stats;
     MergeStats Reduce;
-    FlatProfile Sharded = generateProbeOnlyProfileSharded(
-        Symbolizer(*P.Bin), P.Probes, P.Samples, K, &Stats, &Reduce);
+    FlatProfile Sharded = flatProfileOf(generateProbeOnlyProfileSharded(
+        Symbolizer(*P.Bin), P.Probes, P.Samples, K, &Stats, &Reduce));
     EXPECT_EQ(serializeFlatProfile(Sharded), SerialDump) << K;
     EXPECT_EQ(Stats.Samples, SerialStats.Samples) << K;
     EXPECT_EQ(Stats.RangesProcessed, SerialStats.RangesProcessed) << K;
@@ -598,8 +599,8 @@ TEST(ProfileGeneratorFacade, DispatchesEveryKind) {
   EXPECT_FALSE(RP.IsCS);
   EXPECT_EQ(RP.Flat.Kind, ProfileKind::ProbeBased);
   EXPECT_EQ(serializeFlatProfile(RP.Flat),
-            serializeFlatProfile(generateProbeOnlyProfileSharded(
-                Symbolizer(*P.Bin), P.Probes, P.Samples, /*Parallelism=*/1)));
+            serializeFlatProfile(flatProfileOf(generateProbeOnlyProfileSharded(
+                Symbolizer(*P.Bin), P.Probes, P.Samples, /*Parallelism=*/1))));
 
   ProfGenOptions Auto;
   Auto.Kind = ProfGenKind::AutoFDO;
@@ -684,8 +685,8 @@ TEST_P(ProfgenOracle, MatchesStringKeyedGenerators) {
       Inferred += RefStats.TailCallStats;
       for (unsigned K : {1u, 2u, 3u, 7u}) {
         CSProfileGenStats Stats;
-        ContextProfile CS = generateCSProfileSharded(
-            Sym, Build.ProbeDescs, R.Samples, Infer, K, &Stats);
+        ContextProfile CS = contextProfileOf(generateCSProfileSharded(
+            Sym, Build.ProbeDescs, R.Samples, Infer, K, &Stats));
         EXPECT_TRUE(serializeContextProfile(CS) == Ref) << "K=" << K;
         EXPECT_EQ(statsDiff(Stats, RefStats), "") << "K=" << K;
       }
@@ -695,8 +696,8 @@ TEST_P(ProfgenOracle, MatchesStringKeyedGenerators) {
         *Build.Bin, Build.ProbeDescs, R.Samples, &RefStats));
     for (unsigned K : {1u, 2u, 3u, 7u}) {
       CSProfileGenStats Stats;
-      FlatProfile PO = generateProbeOnlyProfileSharded(
-          Sym, Build.ProbeDescs, R.Samples, K, &Stats);
+      FlatProfile PO = flatProfileOf(generateProbeOnlyProfileSharded(
+          Sym, Build.ProbeDescs, R.Samples, K, &Stats));
       EXPECT_TRUE(serializeFlatProfile(PO) == Ref) << "probe-only K=" << K;
       EXPECT_EQ(statsDiff(Stats, RefStats), "") << "probe-only K=" << K;
     }
@@ -724,12 +725,132 @@ INSTANTIATE_TEST_SUITE_P(
       return Info.param;
     });
 
+//===----------------------------------------------------------------------===//
+// The generators emit canonical views: the views their maps convert back
+// to, slot for slot.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+class ProfgenViews : public ::testing::TestWithParam<std::string> {};
+
+/// "" when records \p RA of \p A and \p RB of \p B hold the same
+/// scalars and slots (names compared as strings, inlinees recursively);
+/// else the first difference.
+std::string recordDiff(const ProfileArena &A, uint32_t RA,
+                       const ProfileArena &B, uint32_t RB) {
+  const FuncRecord &X = A.Records[RA], &Y = B.Records[RB];
+  const std::string Where = A.Names.name(X.Name);
+  if (Where != B.Names.name(Y.Name) || X.Guid != Y.Guid ||
+      X.Checksum != Y.Checksum || X.TotalSamples != Y.TotalSamples ||
+      X.HeadSamples != Y.HeadSamples)
+    return Where + ": name or scalars differ";
+  if (X.BodyEnd - X.BodyBegin != Y.BodyEnd - Y.BodyBegin ||
+      X.CallsEnd - X.CallsBegin != Y.CallsEnd - Y.CallsBegin ||
+      X.InlineesEnd - X.InlineesBegin != Y.InlineesEnd - Y.InlineesBegin)
+    return Where + ": slot counts differ";
+  for (uint32_t I = 0; I != X.BodyEnd - X.BodyBegin; ++I) {
+    const BodySlot &SX = A.Body[X.BodyBegin + I], &SY = B.Body[Y.BodyBegin + I];
+    if (!(SX.Key == SY.Key) || SX.Count != SY.Count)
+      return Where + ": body slot " + std::to_string(I);
+  }
+  for (uint32_t I = 0; I != X.CallsEnd - X.CallsBegin; ++I) {
+    const CallSlot &SX = A.Calls[X.CallsBegin + I],
+                   &SY = B.Calls[Y.CallsBegin + I];
+    if (!(SX.Key == SY.Key) || SX.Count != SY.Count ||
+        A.Names.name(SX.Callee) != B.Names.name(SY.Callee))
+      return Where + ": call slot " + std::to_string(I);
+  }
+  for (uint32_t I = 0; I != X.InlineesEnd - X.InlineesBegin; ++I) {
+    const InlineSlot &SX = A.Inlinees[X.InlineesBegin + I],
+                     &SY = B.Inlinees[Y.InlineesBegin + I];
+    if (!(SX.Key == SY.Key) ||
+        A.Names.name(SX.Callee) != B.Names.name(SY.Callee))
+      return Where + ": inlinee slot " + std::to_string(I);
+    if (std::string D = recordDiff(A, SX.Rec, B, SY.Rec); !D.empty())
+      return Where + " > " + D;
+  }
+  return "";
+}
+
+/// "" when \p A and \p B hold the same contexts, frames and records,
+/// slot for slot; else the first difference.
+std::string viewDiff(const ContextProfileView &A,
+                     const ContextProfileView &B) {
+  if (A.Kind != B.Kind || A.IsCS != B.IsCS ||
+      A.Contexts.size() != B.Contexts.size())
+    return "kind, shape or context count differs";
+  for (size_t C = 0; C != A.Contexts.size(); ++C) {
+    const ContextRecord &X = A.Contexts[C], &Y = B.Contexts[C];
+    std::string Where = "context " + std::to_string(C);
+    if (X.FramesEnd - X.FramesBegin != Y.FramesEnd - Y.FramesBegin ||
+        X.ShouldBeInlined != Y.ShouldBeInlined)
+      return Where + ": frame count or inline flag differs";
+    for (uint32_t I = 0; I != X.FramesEnd - X.FramesBegin; ++I) {
+      const FrameSlot &FX = A.Arena.Frames[X.FramesBegin + I],
+                      &FY = B.Arena.Frames[Y.FramesBegin + I];
+      if (FX.Site != FY.Site ||
+          A.Arena.Names.name(FX.Func) != B.Arena.Names.name(FY.Func))
+        return Where + ": frame " + std::to_string(I);
+    }
+    if (std::string D = recordDiff(A.Arena, X.Rec, B.Arena, Y.Rec);
+        !D.empty())
+      return Where + ": " + D;
+  }
+  return "";
+}
+
+} // namespace
+
+TEST_P(ProfgenViews, EmittedViewsAreCanonical) {
+  auto Source = generateProgram(workloadPreset(GetParam(), 0.2));
+  BuildConfig BC;
+  BC.Variant = PGOVariant::CSSPGOFull;
+  BuildResult Build = buildWithPGO(*Source, BC, nullptr);
+  Symbolizer Sym(*Build.Bin);
+  ExecConfig EC;
+  EC.Sampler.Enabled = true;
+  EC.Sampler.PeriodCycles = 401;
+  std::vector<int64_t> Mem = generateInput(workloadPreset(GetParam(), 0.2), 1);
+  RunResult R = execute(*Build.Bin, "main", Mem, EC);
+  ASSERT_GT(R.Samples.size(), 50u);
+  for (unsigned K : {1u, 2u, 4u}) {
+    ContextProfileView CS = generateCSProfileSharded(Sym, Build.ProbeDescs,
+                                                     R.Samples, true, K);
+    ContextProfileView PO =
+        generateProbeOnlyProfileSharded(Sym, Build.ProbeDescs, R.Samples, K);
+    ASSERT_TRUE(CS.IsCS);
+    ASSERT_FALSE(PO.IsCS);
+    EXPECT_GT(CS.Contexts.size(), 0u);
+    EXPECT_GT(PO.Contexts.size(), 0u);
+    EXPECT_EQ(viewDiff(CS, contextViewOf(contextProfileOf(CS))), "")
+        << "CS, K=" << K;
+    EXPECT_EQ(viewDiff(PO, flatViewOf(flatProfileOf(PO))), "")
+        << "probe-only, K=" << K;
+    // mergeContextViews asserts (asserts are on in tests) that each
+    // part's contexts are in trie-DFS order.
+    MergeStats MS;
+    EXPECT_EQ(viewDiff(mergeContextViews({&CS}, MS), CS), "") << K;
+    EXPECT_EQ(viewDiff(mergeContextViews({&PO}, MS), PO), "") << K;
+    mergeContextViews({&CS, &CS}, MS);
+    mergeContextViews({&PO, &PO}, MS);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, ProfgenViews,
+    ::testing::Values("AdRanker", "AdRetriever", "AdFinder", "HHVM", "HaaS",
+                      "ClangProxy", "RpcFanout", "InterpLoop", "ColdBoot"),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      return Info.param;
+    });
+
 TEST(Profgen, HostileSamplesAreSkippedAndCounted) {
   auto P = profileContextModule(300);
   const Binary &Bin = *P.Bin;
   Symbolizer Sym(Bin);
   const uint64_t Outside = Binary::BaseAddr - 16;
-  const uint64_t PastEnd = Bin.nextInstrAddr(Bin.Code.size() - 1) + 64;
+  const uint64_t PastEnd = Bin.Code.back().Addr + Bin.Code.back().Size + 64;
   // A sample with a call stack to corrupt.
   const PerfSample *Base = nullptr;
   for (const PerfSample &S : P.Samples)
@@ -763,10 +884,10 @@ TEST(Profgen, HostileSamplesAreSkippedAndCounted) {
                Dropped.end());
   for (unsigned K : {1u, 3u}) {
     CSProfileGenStats Clean, Hostile;
-    std::string Want = serializeContextProfile(generateCSProfileSharded(
-        Sym, P.Probes, P.Samples, true, K, &Clean));
-    EXPECT_EQ(serializeContextProfile(generateCSProfileSharded(
-                  Sym, P.Probes, Mixed, true, K, &Hostile)),
+    std::string Want = serializeContextProfile(contextProfileOf(
+        generateCSProfileSharded(Sym, P.Probes, P.Samples, true, K, &Clean)));
+    EXPECT_EQ(serializeContextProfile(contextProfileOf(generateCSProfileSharded(
+                  Sym, P.Probes, Mixed, true, K, &Hostile))),
               Want);
     EXPECT_EQ(Hostile.Samples, Clean.Samples + Dropped.size());
     EXPECT_EQ(Hostile.DroppedSamples, Clean.DroppedSamples + Dropped.size());
@@ -806,10 +927,10 @@ TEST(Profgen, InlineIdPastTheTableReadsNoFrames) {
   Symbolizer Sym(Bad);
   for (size_t Idx = 0; Idx != Bad.Code.size(); ++Idx)
     EXPECT_TRUE(Sym.inlineFramesAt(Idx).empty());
-  EXPECT_EQ(serializeContextProfile(generateCSProfileSharded(
-                Sym, P.Probes, P.Samples, true, 2)),
+  EXPECT_EQ(serializeContextProfile(contextProfileOf(generateCSProfileSharded(
+                Sym, P.Probes, P.Samples, true, 2))),
             serializeContextProfile(generateCS(P)));
-  EXPECT_EQ(serializeFlatProfile(generateProbeOnlyProfileSharded(
-                Sym, P.Probes, P.Samples, 2)),
+  EXPECT_EQ(serializeFlatProfile(flatProfileOf(generateProbeOnlyProfileSharded(
+                Sym, P.Probes, P.Samples, 2))),
             serializeFlatProfile(generateProbeOnly(P, P.Samples)));
 }

@@ -549,19 +549,28 @@ TEST(ProfileIOHardening, RejectsTruncatedInlinee) {
                           " 2: > g:7:1 {\n  1: 7\n }\n"));
 }
 
-TEST(ProfileIOHardening, EmptyCallSiteLineRoundTrips) {
-  // The serializer emits " K: @" with no targets for an empty target map;
-  // parse must preserve the empty map so serialize(parse(T)) == T.
+TEST(ProfileIOHardening, RejectsEmptyCallSiteLine) {
+  // A call-site line needs at least one target: a site without targets
+  // has no form in a view or a store, so text -> store -> text would drop
+  // the line.
+  EXPECT_FALSE(parsesFlat("!kind: line\nmain:10:1\n 1: 10\n 2: @\n"));
+  EXPECT_FALSE(parsesFlat("!kind: line\nmain:10:1\n 1: 10\n 2: @ \n"));
+  EXPECT_TRUE(parsesFlat("!kind: line\nmain:10:1\n 1: 10\n 2: @ g:1\n"));
+  EXPECT_FALSE(parsesFlat("!kind: probe\nf:5:0\n 1: 5\n 2: > g:0:0 {\n"
+                          "  3: @\n }\n"));
+  EXPECT_FALSE(parsesContext("!kind: probe\n[f]:5:0\n 1: 5\n 2: @\n"));
+  // The writer prints no line for a hand-built empty target map, so what
+  // it writes parses back.
   FlatProfile P;
   P.Kind = ProfileKind::ProbeBased;
   FunctionProfile &F = P.getOrCreate("f");
   F.addBody({1, 0}, 5);
-  F.Calls[{2, 0}]; // Deliberately empty.
-  std::string T1 = serializeFlatProfile(P);
+  F.Calls[{2, 0}];
+  std::string T = serializeFlatProfile(P);
+  EXPECT_EQ(T.find(" 2: @"), std::string::npos) << T;
   FlatProfile Back;
-  ASSERT_TRUE(parseFlatProfile(T1, Back));
-  EXPECT_EQ(serializeFlatProfile(Back), T1);
-  EXPECT_EQ(Back.find("f")->Calls.count({2, 0}), 1u);
+  ASSERT_TRUE(parseFlatProfile(T, Back)) << T;
+  EXPECT_EQ(Back.find("f")->Calls.count({2, 0}), 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,6 +5,8 @@
 #include "support/SourceText.h"
 #include "support/ThreadPool.h"
 
+#include "Parser.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -116,9 +118,8 @@ TEST(SourceText, Bytes) {
 }
 
 TEST(SourceText, Pad) {
-  EXPECT_EQ(padLeft("ab", 4), "  ab");
   EXPECT_EQ(padRight("ab", 4), "ab  ");
-  EXPECT_EQ(padLeft("abcd", 2), "abcd");
+  EXPECT_EQ(padRight("abcd", 2), "abcd");
 }
 
 TEST(SourceText, Split) {

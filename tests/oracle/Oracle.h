@@ -139,6 +139,11 @@ private:
   std::vector<int64_t> OrigCap;
 };
 
+/// Returns true if the annotated counts of \p F are flow-consistent
+/// within \p Tolerance: every block with successors sends out its count,
+/// and every block but the entry receives it.
+bool isProfileConsistent(const Function &F, uint64_t Tolerance = 0);
+
 /// inferFunctionProfile on the reference solver and the network it was
 /// first built with (counts capped by 2^40-capacity arcs), for every
 /// function size.
@@ -268,8 +273,8 @@ std::string diffRandomCFG(Rng &R);
 
 /// CS generation over Samples[Begin, End) with the tail-call graph of all
 /// of \p Samples, string-keyed throughout: what generateCSProfileSharded
-/// must equal, profile and stats, for any shard count. \p Bin must be
-/// well-formed.
+/// must equal (its view converted with contextProfileOf), profile and
+/// stats, for any shard count. \p Bin must be well-formed.
 ContextProfile referenceCSProfile(const Binary &Bin, const ProbeTable &Probes,
                                   const std::vector<PerfSample> &Samples,
                                   size_t Begin, size_t End,
@@ -277,7 +282,8 @@ ContextProfile referenceCSProfile(const Binary &Bin, const ProbeTable &Probes,
                                   CSProfileGenStats *Stats = nullptr);
 
 /// Probe-only generation over all of \p Samples on std::maps: what
-/// generateProbeOnlyProfileSharded must equal.
+/// generateProbeOnlyProfileSharded must equal (its view converted with
+/// flatProfileOf).
 FlatProfile referenceProbeOnlyProfile(const Binary &Bin,
                                       const ProbeTable &Probes,
                                       const std::vector<PerfSample> &Samples,

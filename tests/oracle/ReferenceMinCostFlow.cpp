@@ -269,4 +269,27 @@ std::string diffRandomCirculation(Rng &R) {
   return std::string();
 }
 
+bool isProfileConsistent(const Function &F, uint64_t Tolerance) {
+  const std::vector<unsigned> Pos = F.blockPositions();
+  std::vector<uint64_t> InFlow(F.Blocks.size(), 0);
+  auto Differs = [Tolerance](uint64_t A, uint64_t B) {
+    return (A > B ? A - B : B - A) > Tolerance;
+  };
+  for (auto &BB : F.Blocks) {
+    auto Succs = BB->successors();
+    uint64_t Out = 0;
+    for (unsigned S = 0; S != Succs.size(); ++S) {
+      uint64_t W = S < BB->SuccWeights.size() ? BB->SuccWeights[S] : 0;
+      InFlow[Pos[Succs[S]->getNumber()]] += W;
+      Out += W;
+    }
+    if (!Succs.empty() && Differs(Out, BB->Count))
+      return false;
+  }
+  for (size_t I = 1; I != F.Blocks.size(); ++I)
+    if (Differs(InFlow[I], F.Blocks[I]->Count))
+      return false;
+  return true;
+}
+
 } // namespace csspgo

@@ -977,8 +977,8 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
         std::to_string(K);
     CSProfileGenStats Stats, RefStats;
     Symbolizer Sym(*Build.Bin);
-    ContextProfile CS = generateCSProfileSharded(
-        Sym, Build.ProbeDescs, Run.Samples, Infer, K, &Stats);
+    ContextProfile CS = contextProfileOf(generateCSProfileSharded(
+        Sym, Build.ProbeDescs, Run.Samples, Infer, K, &Stats));
     ContextProfile Ref =
         referenceCSProfile(*Build.Bin, Build.ProbeDescs, Run.Samples, 0,
                            Run.Samples.size(), Infer, &RefStats);
@@ -992,8 +992,8 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
             Setup + ")";
       return false;
     }
-    FlatProfile PO = generateProbeOnlyProfileSharded(
-        Sym, Build.ProbeDescs, Run.Samples, K, &Stats);
+    FlatProfile PO = flatProfileOf(generateProbeOnlyProfileSharded(
+        Sym, Build.ProbeDescs, Run.Samples, K, &Stats));
     FlatProfile RefPO = referenceProbeOnlyProfile(
         *Build.Bin, Build.ProbeDescs, Run.Samples, &RefStats);
     if (serializeFlatProfile(PO) != serializeFlatProfile(RefPO) ||
